@@ -20,15 +20,14 @@ import numpy as np
 
 from . import diagnostics as dg
 from . import transport as tr
-from .curvature import anosov_report, magnetic_operator, magnetic_sectional, op_A, op_R
+from .curvature import anosov_report, magnetic_operator, op_A, op_R, sample_sectionals
 from .errors import MagflowError
 from .flow import IntegratorConfig, PhaseState, dynamical_exp, integrate
 from .forms import make_form
-from .geometry import gram_schmidt
 from .models import make_manifold
 from .scenario import (ScenarioInvalid, build_integrator, build_state,
                        build_system, load_scenario)
-from .submanifold import alpha_defect, cartan_probe, invariance_defect, make_submanifold
+from .submanifold import cartan_probe, invariance_defect, make_submanifold
 from .system import MagneticSystem
 
 log = logging.getLogger("magflow")
@@ -153,19 +152,10 @@ def cmd_sec(sc, out, tolerance):
     sysm = build_system(sc)
     s = float(sc.get("speed", 1.0))
     count = int(sc.get("params", {}).get("samples", 50))
-    rng = np.random.default_rng(sc.get("seed", 0))
-    vals = np.empty(count)
-    for i in range(count):
-        x = sysm.chart.sample_point(rng)
-        gx = sysm.metric(x)
-        while True:
-            pair = gram_schmidt(gx, rng.standard_normal((2, sysm.dim)))
-            if pair.shape[0] == 2:
-                break
-        vals[i] = magnetic_sectional(sysm, s, x, pair[0], pair[1])
+    rep = anosov_report(sysm, s, count, seed=sc.get("seed", 0))
     _write(out, "sec.json", _dump_json({
-        "speed": s, "samples": count, "min": vals.min(), "max": vals.max(),
-        "mean": vals.mean()}))
+        "speed": s, "samples": count, "min": rep.min, "max": rep.max,
+        "mean": rep.mean}))
 
 
 @scenario_command("anosov-report")
@@ -294,21 +284,13 @@ def cmd_regimes(sc, out, tolerance):
     rng = np.random.default_rng(seed)
     lines = ["s,max_sec,top_exponent"]
     for s in grid:
-        vals = []
-        for _ in range(count):
-            x = chart.sample_point(rng)
-            gx = metric(x)
-            while True:
-                pair = gram_schmidt(gx, rng.standard_normal((2, 2)))
-                if pair.shape[0] == 2:
-                    break
-            vals.append(magnetic_sectional(sysm, s, x, pair[0], pair[1]))
+        max_sec = float(sample_sectionals(sysm, s, count, rng).max())
         state = PhaseState(x=np.zeros(2), v=np.array([0.5 * s, 0.0]), s=s)
         # bounded (s <= 1) orbits cannot exit the chart, so a longer horizon
         # is free and damps the finite-time bias toward positive exponents
         horizon = (5.0 * T if s <= 1.0 else T) / max(s, 1.0)
         rep = dg.lyapunov_spectrum(sysm, state, horizon, cfg=cfg)
-        lines.append(f"{s!r},{max(vals)!r},{float(rep.exponents[0])!r}")
+        lines.append(f"{s!r},{max_sec!r},{float(rep.exponents[0])!r}")
     _write(out, "regimes.csv", "\n".join(lines) + "\n")
 
 

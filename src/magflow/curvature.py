@@ -7,6 +7,21 @@ For a g-unit v the operators act on w in v-perp:
     R_s(w) = s^2 R(w, v) v - s (nabla_w Y) v + (s/2) P_perp((nabla_v Y) w)
     M_s    = R_s + A
 and Sec_s(v, w) = g(M_s(w), w) on orthonormal pairs (v, w).
+
+Every operator at x is formed from one `PointGeometry` there, as an ambient
+n x n matrix acting on chart vectors.  With P_v = v (g v)^T / g(v, v),
+Gamma(u) the matrix Gamma^i_{jk} u^k, and d_v Y and D the matrices
+dY[i, j, k] v^k and dY[i, j, k] v^j:
+    A     = -(3/4) Y P_v Y - (1/4) (I - P_v) Y^2
+    R_s   = s^2 J - s (D + Gamma(Y v) - Y Gamma(v)) + (s/2) (I - P_v) nabla_v Y
+    J     = dGamma(v, v, .) - dGamma(., v, v) + Gamma(Gamma(v) v) - Gamma(v)^2
+    nabla_v Y = d_v Y + [Gamma(v), Y]
+where J w = R(w, v) v is the Jacobi operator, contracted from Gamma and
+dGamma without forming the Riemann tensor, and dGamma(a, b, c) is
+d_m Gamma^i_{jk} a^j b^k c^m, a matrix in the slot left open.
+`magnetic_sectional` reads g(M_s w, w) off the ambient matrix, with no
+frame; the `matrix` of a `PerpEndomorphism` is F g M F^T in the
+deterministic orthonormal completion frame F of v.
 """
 from __future__ import annotations
 
@@ -16,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonOrthonormalFrame, NonpositiveSpeed, NonUnitVector
-from .geometry import gram_schmidt, orthonormal_completion, project, riemann
+from .geometry import PointGeometry, _completion, gram_schmidt
 from .system import MagneticSystem
 
 __all__ = [
@@ -26,103 +41,113 @@ __all__ = [
     "magnetic_operator",
     "magnetic_sectional",
     "orthonormalize_pair",
+    "sample_sectionals",
     "AnosovReport",
     "anosov_report",
 ]
 
 _UNIT_TOL = 1e-8
+_FRAME_TOL = 1e-10
 
 
 @dataclass
 class PerpEndomorphism:
-    """An endomorphism of v-perp, stored as its matrix in the deterministic
-    orthonormal completion frame of v (frame rows e_2 ... e_n)."""
+    """An endomorphism of v-perp: its ambient matrix acting on chart vectors,
+    and its matrix in the deterministic orthonormal completion frame of v
+    (frame rows e_2 ... e_n)."""
 
     x: np.ndarray
     v: np.ndarray
     frame: np.ndarray          # (n-1, n) rows spanning v-perp
     matrix: np.ndarray         # (n-1, n-1)
-    apply_fn: object = None
+    ambient: np.ndarray        # (n, n)
 
     def apply(self, w) -> np.ndarray:
         """Action on an ambient vector w in v-perp."""
-        return np.asarray(self.apply_fn(np.asarray(w, dtype=float)))
+        return self.ambient @ np.asarray(w, dtype=float)
 
 
-def _check_unit(sys, x, v):
-    nrm = sys.metric.norm(x, v)
+def _check_speed(s):
+    if s <= 0:
+        raise NonpositiveSpeed(f"speed must be positive, got {s}")
+
+
+def _unit_point(sys, x, v):
+    """The geometry at x, and v as an array, checked to be g-unit."""
+    geo = sys.geometry(x)
+    v = np.asarray(v, dtype=float)
+    nrm = np.sqrt(max(v @ geo.g @ v, 0.0))
     if abs(nrm - 1.0) > _UNIT_TOL:
         raise NonUnitVector(f"expected a g-unit vector, |v|_g = {nrm}")
+    return geo, v
 
 
-def _as_perp_endo(sys, x, v, action) -> PerpEndomorphism:
-    frame = orthonormal_completion(sys.metric, x, v)[1:]
-    g = sys.metric(x)
-    mat = np.empty((frame.shape[0], frame.shape[0]))
-    for b, eb in enumerate(frame):
-        out = action(eb)
-        for a, ea in enumerate(frame):
-            mat[a, b] = ea @ g @ out
-    return PerpEndomorphism(x=np.asarray(x, dtype=float),
-                            v=np.asarray(v, dtype=float),
-                            frame=frame, matrix=mat, apply_fn=action)
+def _as_perp_endo(geo: PointGeometry, v, ambient) -> PerpEndomorphism:
+    frame = _completion(geo.g, v)[1:]
+    return PerpEndomorphism(x=geo.x, v=v, frame=frame,
+                            matrix=frame @ geo.g @ ambient @ frame.T,
+                            ambient=ambient)
+
+
+def _projector(g, v):
+    """P_v, the g-orthogonal projection onto the line of v."""
+    gv = g @ v
+    return np.outer(v, gv / (v @ gv))
+
+
+def _ambient_A(Y, Pv):
+    Y2 = Y @ Y
+    return -0.75 * (Y @ Pv @ Y) - 0.25 * (Y2 - Pv @ Y2)
+
+
+def _ambient_R(geo: PointGeometry, s, v, Y, Pv):
+    Gamma = geo.christoffel()
+    dGamma = geo.dchristoffel()
+    dY = geo.dlorentz()
+    Gv = Gamma @ v                       # Gamma(v), symmetric in j, k
+    # matmul with a vector on the left contracts the second-to-last axis
+    jacobi = (v @ (v @ dGamma) - (dGamma @ v) @ v
+              + Gamma @ (Gv @ v) - Gv @ Gv)
+    nabla_w_Y_v = v @ dY + Gamma @ (Y @ v) - Y @ Gv
+    nabla_v_Y = dY @ v + Gv @ Y - Y @ Gv
+    perp = nabla_v_Y - Pv @ nabla_v_Y
+    return s * s * jacobi - s * nabla_w_Y_v + 0.5 * s * perp
+
+
+def _ambient_M(geo: PointGeometry, s, v):
+    Y, Pv = geo.lorentz(), _projector(geo.g, v)
+    return _ambient_A(Y, Pv) + _ambient_R(geo, s, v, Y, Pv)
 
 
 def op_A(sys: MagneticSystem, x, v) -> PerpEndomorphism:
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_unit(sys, x, v)
-    Y = sys.lorentz(x)
-
-    def action(w):
-        Yw = Y @ w
-        pv_Yw, _ = project(sys.metric, x, v, Yw)
-        _, perp_Y2w = project(sys.metric, x, v, Y @ Yw)
-        return -0.75 * (Y @ pv_Yw) - 0.25 * perp_Y2w
-
-    return _as_perp_endo(sys, x, v, action)
+    geo, v = _unit_point(sys, x, v)
+    return _as_perp_endo(geo, v, _ambient_A(geo.lorentz(), _projector(geo.g, v)))
 
 
 def op_R(sys: MagneticSystem, s: float, x, v) -> PerpEndomorphism:
-    if s <= 0:
-        raise NonpositiveSpeed(f"speed must be positive, got {s}")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_unit(sys, x, v)
-    R = riemann(sys.metric, x)
-    nabla_v_Y = sys.nabla_lorentz(x, v)
-
-    def action(w):
-        jac = R.apply(v, w, v)                      # R(w, v) v
-        nabla_w_Y = sys.nabla_lorentz(x, w)
-        _, perp = project(sys.metric, x, v, nabla_v_Y @ w)
-        return s**2 * jac - s * (nabla_w_Y @ v) + 0.5 * s * perp
-
-    return _as_perp_endo(sys, x, v, action)
+    _check_speed(s)
+    geo, v = _unit_point(sys, x, v)
+    R = _ambient_R(geo, s, v, geo.lorentz(), _projector(geo.g, v))
+    return _as_perp_endo(geo, v, R)
 
 
 def magnetic_operator(sys: MagneticSystem, s: float, x, v) -> PerpEndomorphism:
-    a = op_A(sys, x, v)
-    r = op_R(sys, s, x, v)
-
-    def action(w):
-        return a.apply(w) + r.apply(w)
-
-    endo = _as_perp_endo(sys, x, v, action)
-    return endo
+    _check_speed(s)
+    geo, v = _unit_point(sys, x, v)
+    return _as_perp_endo(geo, v, _ambient_M(geo, s, v))
 
 
 def magnetic_sectional(sys: MagneticSystem, s: float, x, v, w) -> float:
     """g(M_s(w), w) for a g-orthonormal ordered pair (v, w)."""
-    x = np.asarray(x, dtype=float)
+    geo = sys.geometry(x)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    g = sys.metric(x)
-    if (abs(v @ g @ v - 1.0) > 1e-10 or abs(w @ g @ w - 1.0) > 1e-10
-            or abs(v @ g @ w) > 1e-10):
+    gv, gw = geo.g @ v, geo.g @ w
+    if (abs(v @ gv - 1.0) > _FRAME_TOL or abs(w @ gw - 1.0) > _FRAME_TOL
+            or abs(gv @ w) > _FRAME_TOL):
         raise NonOrthonormalFrame("(v, w) must be g-orthonormal")
-    M = magnetic_operator(sys, s, x, v)
-    return float(w @ g @ M.apply(w))
+    _check_speed(s)
+    return float(gw @ _ambient_M(geo, s, v) @ w)
 
 
 def orthonormalize_pair(sys: MagneticSystem, x, v, w):
@@ -131,6 +156,22 @@ def orthonormalize_pair(sys: MagneticSystem, x, v, w):
     if frame.shape[0] < 2:
         raise NonOrthonormalFrame("vectors do not span a plane")
     return frame[0], frame[1]
+
+
+def sample_sectionals(sys: MagneticSystem, s: float, count: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """`count` s-magnetic sectional curvatures, each at a chart point drawn
+    from `rng` on a g-orthonormal pair drawn from it after the point."""
+    vals = np.empty(count)
+    for i in range(count):
+        x = sys.chart.sample_point(rng)
+        gx = sys.metric(x)
+        while True:
+            frame = gram_schmidt(gx, rng.standard_normal((2, sys.dim)))
+            if frame.shape[0] == 2:
+                break
+        vals[i] = magnetic_sectional(sys, s, x, frame[0], frame[1])
+    return vals
 
 
 @dataclass
@@ -160,17 +201,7 @@ def anosov_report(sys: MagneticSystem, s: float, sample_count: int,
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    rng = np.random.default_rng(seed)
-    vals = np.empty(sample_count)
-    n = sys.dim
-    for i in range(sample_count):
-        x = sys.chart.sample_point(rng)
-        while True:
-            raw = rng.standard_normal((2, n))
-            frame = gram_schmidt(sys.metric(x), raw)
-            if frame.shape[0] >= 2:
-                break
-        vals[i] = magnetic_sectional(sys, s, x, frame[0], frame[1])
+    vals = sample_sectionals(sys, s, sample_count, np.random.default_rng(seed))
     mx = float(vals.max())
     verdict = ("criterion satisfied on sample" if mx < 0
                else "criterion not satisfied on sample")

@@ -109,10 +109,11 @@ def _area_form(dim: int, metric: MetricField = None, b: float = 1.0,
         return np.array([[0.0, c], [-c, 0.0]])
 
     def dsigma(x, g, dg):
-        det = np.linalg.det(g)
-        ginv = np.linalg.inv(g)
         # d_k sqrt(det g) = 0.5 sqrt(det g) tr(g^-1 d_k g)
-        dsq = 0.5 * np.sqrt(det) * np.einsum("ij,jik->k", ginv, dg)
+        #                 = 0.5 tr(adj(g) d_k g) / sqrt(det g)
+        adj = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        dsq = 0.5 * np.einsum("ij,jik->k", adj, dg) / np.sqrt(det)
         out = np.zeros((2, 2, 2))
         out[0, 1, :] = b * dsq
         out[1, 0, :] = -b * dsq

@@ -347,13 +347,15 @@ def orthonormal_completion(g: MetricField, x, v) -> np.ndarray:
     Rows are the frame vectors.  Completion seeds are the standard basis
     vectors in order, with near-parallel seeds skipped.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    gx = g(x)
+    return _completion(g(np.asarray(x, dtype=float)), np.asarray(v, dtype=float))
+
+
+def _completion(gx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`orthonormal_completion` given the metric coefficients gx at x."""
     nv = np.sqrt(max(v @ gx @ v, 0.0))
     if nv < 1e-300:
         raise ZeroVector("cannot complete the zero vector to a frame")
-    n = x.size
+    n = v.size
     seeds = [v] + [np.eye(n)[i] for i in range(n)]
     frame = gram_schmidt(gx, seeds)
     if frame.shape[0] != n:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magflow import MagneticSystem, make_form, make_manifold
+from magflow import ChartSpec, MagneticSystem, MetricField, make_form, make_manifold
 
 MODEL_NAMES = ["euclidean", "flat_torus", "poincare_disk", "poincare_ball",
                "round_sphere"]
@@ -16,6 +16,27 @@ def system(manifold, form="zero", manifold_params=None, **form_params):
 def unit(metric, x, v):
     v = np.asarray(v, dtype=float)
     return v / metric.norm(x, v)
+
+
+def counted_system(name, form, **form_params):
+    """A built-in model whose metric closure and chart guard count calls."""
+    chart, metric = make_manifold(name)
+    calls = {"metric": 0, "guard": 0}
+
+    def counted(key, fn):
+        def wrapper(x):
+            calls[key] += 1
+            return fn(x)
+        return wrapper
+
+    chart = ChartSpec(dim=chart.dim,
+                      domain_guard=counted("guard", chart.domain_guard),
+                      periodic=chart.periodic,
+                      sample_bounds=chart.sample_bounds)
+    metric = MetricField(counted("metric", metric.raw), dg=metric.dg,
+                         d2g=metric.d2g, chart=chart)
+    sigma = make_form(form, chart.dim, metric, chart, **form_params)
+    return MagneticSystem(chart, metric, sigma), calls
 
 
 @pytest.fixture(params=MODEL_NAMES)

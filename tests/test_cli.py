@@ -117,6 +117,23 @@ def test_curvature_matrices(tmp_path):
     assert np.allclose(data["M"], -3.0 * np.eye(1), atol=1e-6)
 
 
+def test_sec_and_anosov_report_sample_alike(tmp_path):
+    # one sampling loop: the same scenario and seed give the same statistics
+    sc = _write_scenario(
+        tmp_path,
+        manifold={"name": "poincare_ball"},
+        magnetic={"name": "constant", "params": {"b": 0.8}},
+        speed=1.5,
+        initial={"x": [0.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]},
+        params={"samples": 20})
+    for command in ("sec", "anosov-report"):
+        assert _run([command, sc, "--out", str(tmp_path)]).exit_code == 0
+    sec = json.loads((tmp_path / "sec.json").read_text())
+    rep = json.loads((tmp_path / "anosov.json").read_text())
+    assert sec["min"] < sec["max"]
+    assert all(sec[key] == rep[key] for key in ("min", "max", "mean"))
+
+
 def test_anosov_report_verdict(tmp_path):
     sc = _write_scenario(
         tmp_path,

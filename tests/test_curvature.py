@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from magflow import (MetricField, anosov_report, magnetic_operator,
-                     magnetic_sectional, make_manifold, op_A, op_R, riemann,
-                     sectional)
+                     magnetic_sectional, make_manifold, op_A, op_R,
+                     orthonormal_completion, riemann, sectional)
 from magflow.curvature import orthonormalize_pair
 from magflow.errors import NonOrthonormalFrame, NonUnitVector
-from magflow.geometry import gram_schmidt
+from magflow.geometry import gram_schmidt, project
 
-from conftest import system, unit
+from conftest import counted_system, system, unit
 
 
 # -- operator A ------------------------------------------------------------
@@ -80,6 +80,71 @@ def test_magnetic_operator_disk_area_form(rng):
         v = unit(sys.metric, x, rng.standard_normal(2))
         M = magnetic_operator(sys, s, x, v)
         assert M.matrix == pytest.approx(np.array([[1 - s * s]]), abs=1e-8)
+
+
+def _reference_operators(sys, s, x, v):
+    """A, R_s and M_s as actions on w, term by term from the module
+    docstring's definitions, through the public tensors."""
+    Y = sys.lorentz(x)
+    R = riemann(sys.metric, x)
+    nabla_v_Y = sys.nabla_lorentz(x, v)
+
+    def A(w):
+        Yw = Y @ w
+        along, _ = project(sys.metric, x, v, Yw)
+        _, perp = project(sys.metric, x, v, Y @ Yw)
+        return -0.75 * (Y @ along) - 0.25 * perp
+
+    def R_s(w):
+        _, perp = project(sys.metric, x, v, nabla_v_Y @ w)
+        return (s * s * R.apply(v, w, v) - s * (sys.nabla_lorentz(x, w) @ v)
+                + 0.5 * s * perp)
+
+    return A, R_s, lambda w: A(w) + R_s(w)
+
+
+@pytest.mark.parametrize("name, params", [("poincare_ball", {}),
+                                          ("round_sphere", {"dim": 3})])
+def test_operators_match_definitions_where_Y_is_not_parallel(name, params, rng):
+    # nabla Y != 0, so the s-linear terms of R_s take part
+    sys = system(name, "constant", params, b=1.3)
+    for _ in range(5):
+        x = sys.chart.sample_point(rng)
+        g = sys.metric(x)
+        v, w = gram_schmidt(g, rng.standard_normal((2, 3)))
+        s = rng.uniform(0.5, 2.5)
+        assert np.abs(g @ sys.nabla_lorentz(x, v)).max() > 1e-2
+        frame = orthonormal_completion(sys.metric, x, v)[1:]
+        ops = (op_A(sys, x, v), op_R(sys, s, x, v),
+               magnetic_operator(sys, s, x, v))
+        for op, action in zip(ops, _reference_operators(sys, s, x, v)):
+            expect = np.array([[ea @ g @ action(eb) for eb in frame]
+                               for ea in frame])
+            assert np.array_equal(op.frame, frame)
+            assert np.abs(op.matrix - expect).max() < 1e-10
+            assert np.abs(op.apply(w) - action(w)).max() < 1e-10
+        M = _reference_operators(sys, s, x, v)[2]
+        assert abs(magnetic_sectional(sys, s, x, v, w) - w @ g @ M(w)) < 1e-10
+
+
+@pytest.mark.parametrize("name, form, params", [
+    ("round_sphere", "constant", {"b": 1.0}),
+    ("poincare_disk", "area_form", {"b": 1.0}),
+    ("poincare_ball", "constant", {"b": 2.0}),
+])
+def test_curvature_evaluates_geometry_once(name, form, params):
+    # each operator and each sectional curvature evaluates the metric and
+    # runs the chart guard exactly once, at its single point
+    sys, calls = counted_system(name, form, **params)
+    n = sys.dim
+    x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
+    v, w = gram_schmidt(sys.metric(x), np.eye(n)[:2] + 0.3)
+    for run in (lambda: magnetic_sectional(sys, 1.5, x, v, w),
+                lambda: op_A(sys, x, v), lambda: op_R(sys, 1.5, x, v),
+                lambda: magnetic_operator(sys, 1.5, x, v)):
+        calls.update(metric=0, guard=0)
+        run()
+        assert calls == {"metric": 1, "guard": 1}
 
 
 def test_magnetic_sectional_flat_torus(rng):

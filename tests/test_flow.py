@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from magflow import (ChartSpec, IntegratorConfig, MagneticSystem, MetricField,
-                     PhaseState, christoffel, connector_split, dynamical_exp,
-                     integrate, make_form, make_manifold, oddness_residual,
+from magflow import (IntegratorConfig, MagneticSystem, PhaseState,
+                     christoffel, connector_split, dynamical_exp, integrate,
+                     make_form, make_manifold, oddness_residual,
                      variational_flow)
 from magflow.flow import _var_rhs, generator, generator_jacobian
 from magflow.geometry import dchristoffel
 from magflow.transport import _transport_rhs
 
-from conftest import system, unit
+from conftest import counted_system, system, unit
 
 
 # -- generator -------------------------------------------------------------
@@ -51,27 +51,6 @@ def test_semi_spray_consistency(rng):
         assert np.abs(split.vertical - sys.lorentz(x) @ v).max() < 1e-12
 
 
-def _counted_system(name, form, **form_params):
-    """A built-in model whose metric closure and chart guard count calls."""
-    chart, metric = make_manifold(name)
-    calls = {"metric": 0, "guard": 0}
-
-    def counted(key, fn):
-        def wrapper(x):
-            calls[key] += 1
-            return fn(x)
-        return wrapper
-
-    chart = ChartSpec(dim=chart.dim,
-                      domain_guard=counted("guard", chart.domain_guard),
-                      periodic=chart.periodic,
-                      sample_bounds=chart.sample_bounds)
-    metric = MetricField(counted("metric", metric.raw), dg=metric.dg,
-                         d2g=metric.d2g, chart=chart)
-    sigma = make_form(form, chart.dim, metric, chart, **form_params)
-    return MagneticSystem(chart, metric, sigma), calls
-
-
 @pytest.mark.parametrize("name, form, params", [
     ("round_sphere", "zero", {}),
     ("poincare_disk", "area_form", {"b": 1.0}),
@@ -80,7 +59,7 @@ def _counted_system(name, form, **form_params):
 def test_geometry_evaluated_once_per_point(name, form, params):
     # one RK4 stage of every flow evaluates the metric and runs the chart
     # guard exactly once, at its single point
-    sys, calls = _counted_system(name, form, **params)
+    sys, calls = counted_system(name, form, **params)
     n = sys.dim
     x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
     v = np.linspace(0.3, -0.4, n)

@@ -96,6 +96,17 @@ def test_closedness_any_surface_form():
         pytest.approx(0, abs=1e-14)
 
 
+def test_area_form_derivative_matches_central_difference(rng):
+    sys = system("poincare_disk", "area_form", b=1.5)
+    h = 1e-6
+    for _ in range(5):
+        x = sys.chart.sample_point(rng)
+        fd = np.stack([(sys.sigma.raw(x + h * e) - sys.sigma.raw(x - h * e))
+                       / (2 * h) for e in np.eye(2)], axis=-1)
+        scale = 1.0 + np.abs(fd).max()
+        assert np.abs(sys.sigma.dsigma(x) - fd).max() < 1e-7 * scale
+
+
 def test_closedness_nonclosed_example():
     # sigma = x^3 dx^1 ^ dx^2 has d sigma = dx^3 ^ dx^1 ^ dx^2, residual 1
     from magflow.forms import TwoFormField
