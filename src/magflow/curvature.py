@@ -139,7 +139,11 @@ def magnetic_operator(sys: MagneticSystem, s: float, x, v) -> PerpEndomorphism:
 
 def magnetic_sectional(sys: MagneticSystem, s: float, x, v, w) -> float:
     """g(M_s(w), w) for a g-orthonormal ordered pair (v, w)."""
-    geo = sys.geometry(x)
+    return _sectional(sys.geometry(x), s, v, w)
+
+
+def _sectional(geo: PointGeometry, s: float, v, w) -> float:
+    """`magnetic_sectional` at the point of `geo`."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     gv, gw = geo.g @ v, geo.g @ w
@@ -164,13 +168,12 @@ def sample_sectionals(sys: MagneticSystem, s: float, count: int,
     from `rng` on a g-orthonormal pair drawn from it after the point."""
     vals = np.empty(count)
     for i in range(count):
-        x = sys.chart.sample_point(rng)
-        gx = sys.metric(x)
+        geo = sys.geometry(sys.chart.sample_point(rng))
         while True:
-            frame = gram_schmidt(gx, rng.standard_normal((2, sys.dim)))
+            frame = gram_schmidt(geo.g, rng.standard_normal((2, sys.dim)))
             if frame.shape[0] == 2:
                 break
-        vals[i] = magnetic_sectional(sys, s, x, frame[0], frame[1])
+        vals[i] = _sectional(geo, s, frame[0], frame[1])
     return vals
 
 

@@ -7,6 +7,17 @@ with X_V = Y(x) v for a magnetic system.  The default integrator is
 fixed-step RK4; adaptive RK45 is delegated to scipy.  Speed drift along the
 orbit is recorded, never silently corrected (unless renormalization is
 explicitly enabled), so it can serve as an error indicator.
+
+The variational flow Jdot = Df J is solved in two passes over blocks of
+`_BLOCK_STEPS` steps.  The base orbit is integrated with `integrate`'s RK4,
+recording at every stage the local geometry it evaluated; then Df is
+evaluated at all recorded stages at once, with the second derivatives of
+the metric and the form taken on the whole batch, and J is advanced by the
+RK4 propagator of each step,
+    P = I + h/6 (D1 + 2 D2 Z2 + 2 D3 Z3 + D4 Z4),
+    Z2 = I + h/2 D1,  Z3 = I + h/2 D2 Z2,  Z4 = I + h D3 Z3,
+where D1..D4 are Df at the step's four stages.  This is the coupled RK4 of
+(state, J) rearranged: Df depends only on the base orbit.
 """
 from __future__ import annotations
 
@@ -15,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                      StepLimitExceeded)
@@ -126,35 +136,83 @@ def _acceleration(sys: MagneticSystem, geo, v: np.ndarray) -> np.ndarray:
     return sys.x_vertical(geo.x, v) - geo.ginv.dot(geo.gamma_low.dot(v).dot(v))
 
 
-def _acceleration_jacobian(sys: MagneticSystem, geo, v: np.ndarray,
-                           acc: np.ndarray) -> np.ndarray:
-    """The n x 2n block (d vdot/dx, d vdot/dv) at the point of `geo`, where
-    `acc` is `_acceleration` there; analytic for magnetic systems with
+class _StageBlock:
+    """The base-orbit quantities of up to `capacity` RK4 stages: the stage
+    point x, its v and acceleration, and the `PointGeometry` arrays there,
+    each stacked along a leading stage axis.  `count` stages are filled."""
+
+    def __init__(self, n: int, capacity: int):
+        self.count = 0
+        self.x = np.empty((capacity, n))
+        self.v = np.empty((capacity, n))
+        self.acc = np.empty((capacity, n))
+        self.g = np.empty((capacity, n, n))
+        self.dg = np.empty((capacity, n, n, n))
+        self.ginv = np.empty((capacity, n, n))
+        self.gamma_low = np.empty((capacity, n, n, n))
+        self.sigma = np.empty((capacity, n, n))
+
+    def record(self, geo, v: np.ndarray, acc: np.ndarray):
+        i = self.count
+        self.x[i] = geo.x
+        self.v[i] = v
+        self.acc[i] = acc
+        self.g[i] = geo.g
+        self.dg[i] = geo.dg
+        self.ginv[i] = geo.ginv
+        self.gamma_low[i] = geo.gamma_low
+        self.sigma[i] = geo.sigma
+        self.count = i + 1
+
+
+def _acceleration_jacobian(sys: MagneticSystem, blk: _StageBlock) -> np.ndarray:
+    """The n x 2n blocks (d vdot/dx, d vdot/dv) at the filled stages of
+    `blk`, shape (count, n, 2n); analytic for magnetic systems with
     derivative closures, finite differences for the part of a custom
     vertical field.
 
     The analytic part is a = -g^-1 r with r = gamma_low(v, v) + sigma v
     (without the sigma term for a custom vertical field), so
-    d_m a = -g^-1 (d_m r + d_m g a) and da/dv = -g^-1 dr/dv."""
-    Gv = geo.gamma_low.dot(v)
-    r_x = geo.dgamma_low().transpose(0, 3, 1, 2).dot(v).dot(v)
+    d_q a = -g^-1 (d_q r + d_q g a) and da/dv = -g^-1 dr/dv.  With
+    dgamma_low as in `PointGeometry` and g symmetric,
+    d_q gamma_low(v, v)_l = (A[l, k, q] - A[k, l, q] / 2) v^k, where
+    A[l, k, q] = d_k d_q g_lj v^j."""
+    m = blk.count
+    x, v, dg, ginv = blk.x[:m], blk.v[:m], blk.dg[:m], blk.ginv[:m]
+    A = np.einsum("bljkq,bj->blkq", sys.metric.d2g_batch(x), v)
+    r_x = np.einsum("blkq,bk->blq", A - 0.5 * A.transpose(0, 2, 1, 3), v)
+    Gv = np.einsum("bljk,bk->blj", blk.gamma_low[:m], v)
     r_v = 2.0 * Gv
     if sys.is_magnetic:
-        r_x = r_x + geo.dsigma().transpose(0, 2, 1).dot(v)
-        r_v = r_v + geo.sigma
-        a = acc
+        dsigma = sys.sigma.dsigma_batch(x, sys.metric, blk.g[:m], dg)
+        r_x = r_x + np.einsum("bljq,bj->blq", dsigma, v)
+        r_v = r_v + blk.sigma[:m]
+        a = blk.acc[:m]
     else:
-        a = -geo.ginv.dot(Gv.dot(v))
-    r_x = r_x + geo.dg.transpose(0, 2, 1).dot(a)
-    L = -geo.ginv.dot(np.concatenate([r_x, r_v], axis=1))
+        a = -np.einsum("bij,bj->bi", ginv, np.einsum("blj,bj->bl", Gv, v))
+    r_x = r_x + np.einsum("bijq,bj->biq", dg, a)
+    L = -np.matmul(ginv, np.concatenate([r_x, r_v], axis=2))
     if not sys.is_magnetic:
-        x, n, h = geo.x, v.size, 1e-6
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            L[:, k] += (sys.x_vertical(x + e, v) - sys.x_vertical(x - e, v)) / (2 * h)
-            L[:, n + k] += (sys.x_vertical(x, v + e) - sys.x_vertical(x, v - e)) / (2 * h)
+        n, h = v.shape[1], 1e-6
+        for b in range(m):
+            xb, vb = x[b], v[b]
+            for k in range(n):
+                e = np.zeros(n)
+                e[k] = h
+                L[b, :, k] += (sys.x_vertical(xb + e, vb)
+                               - sys.x_vertical(xb - e, vb)) / (2 * h)
+                L[b, :, n + k] += (sys.x_vertical(xb, vb + e)
+                                   - sys.x_vertical(xb, vb - e)) / (2 * h)
     return L
+
+
+def _generator_jacobians(sys: MagneticSystem, blk: _StageBlock) -> np.ndarray:
+    """Df = [[0, I], [d vdot/dx, d vdot/dv]] at the filled stages of `blk`."""
+    n = blk.x.shape[1]
+    D = np.zeros((blk.count, 2 * n, 2 * n))
+    D[:, :n, n:] = np.eye(n)
+    D[:, n:] = _acceleration_jacobian(sys, blk)
+    return D
 
 
 def generator(sys: MagneticSystem, x, v) -> np.ndarray:
@@ -169,15 +227,22 @@ def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     geo = sys.geometry(x)
-    n = v.size
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = np.eye(n)
-    J[n:] = _acceleration_jacobian(sys, geo, v, _acceleration(sys, geo, v))
-    return J
+    one = _StageBlock(v.size, 1)
+    one.record(geo, v, _acceleration(sys, geo, v))
+    return _generator_jacobians(sys, one)[0]
 
 
 def _rhs(sys, y, n):
     return generator(sys, y[:n], y[n:])
+
+
+def _step_size(T, h, max_steps):
+    """The number of fixed RK4 steps over T for a nominal step h, and
+    their size."""
+    nsteps = max(1, int(round(T / h)))
+    if nsteps > max_steps:
+        raise StepLimitExceeded(f"{nsteps} steps exceed the budget {max_steps}")
+    return nsteps, T / nsteps
 
 
 def _rk4_path(sys, y0, T, h, chart, renorm, metric, s, max_steps,
@@ -186,10 +251,7 @@ def _rk4_path(sys, y0, T, h, chart, renorm, metric, s, max_steps,
     generator; `observe(t, y)` is called at every accepted node."""
     n = len(y0) // 2 if rhs is None else None
     f = (lambda y: _rhs(sys, y, n)) if rhs is None else rhs
-    nsteps = max(1, int(round(T / h)))
-    if nsteps > max_steps:
-        raise StepLimitExceeded(f"{nsteps} steps exceed the budget {max_steps}")
-    hh = T / nsteps
+    nsteps, hh = _step_size(T, h, max_steps)
     t, y = 0.0, np.array(y0, dtype=float)
     times = [0.0]
     path = [y.copy()]
@@ -238,6 +300,7 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
             sys, y0, T, cfg.step, sys.chart, cfg.renormalize_speed,
             sys.metric, state.s, cfg.max_steps)
     else:
+        from scipy.integrate import solve_ivp
         sol = solve_ivp(lambda t, y: _rhs(sys, y, n), (0.0, T), y0,
                         method="RK45", rtol=cfg.rtol, atol=cfg.atol,
                         dense_output=False)
@@ -288,34 +351,61 @@ def oddness_residual(sys: MagneticSystem, x, v):
     return sys.metric.norm(x, h), sys.metric.norm(x, vert)
 
 
-def _var_rhs(sys, y, n):
-    """RHS of the coupled (state, variational matrix) system."""
-    x, v = y[:n], y[n:2 * n]
-    J = y[2 * n:].reshape(2 * n, 2 * n)
-    geo = sys.geometry(x)
-    acc = _acceleration(sys, geo, v)
-    L = _acceleration_jacobian(sys, geo, v, acc)
-    # Df = [[0, I], [L]], so Df J = [J_v; L J]
-    return np.concatenate([v, acc, J[n:].ravel(), L.dot(J).ravel()])
+# RK4 steps whose stages are recorded before their Jacobians are evaluated
+# together and J is advanced over them; bounds the memory of a long orbit
+_BLOCK_STEPS = 64
+
+
+def _advance(D: np.ndarray, h: float, J: np.ndarray) -> np.ndarray:
+    """J advanced over the RK4 steps whose stage Jacobians are
+    D[4k], ..., D[4k + 3], by the step propagators of the module docstring."""
+    eye = np.eye(D.shape[-1])
+    D1, D2, D3, D4 = D[0::4], D[1::4], D[2::4], D[3::4]
+    K2 = D2 @ (eye + (0.5 * h) * D1)
+    K3 = D3 @ (eye + (0.5 * h) * K2)
+    K4 = D4 @ (eye + h * K3)
+    for P in eye + (h / 6.0) * (D1 + 2.0 * K2 + 2.0 * K3 + K4):
+        J = P.dot(J)
+    return J
 
 
 def variational_flow(sys: MagneticSystem, state: PhaseState, T: float,
                      cfg: Optional[IntegratorConfig] = None,
                      J0: Optional[np.ndarray] = None,
                      return_final_state: bool = False):
-    """Solve Jdot = Df J along the orbit, J(0) = identity (or J0)."""
+    """Solve Jdot = Df J along the orbit, J(0) = identity (or J0), in the
+    two passes of the module docstring; the orbit is `integrate`'s."""
     cfg = cfg or IntegratorConfig()
     n = sys.dim
     sys.chart.require(state.x)
-    J0 = np.eye(2 * n) if J0 is None else np.asarray(J0, dtype=float)
-    y0 = np.concatenate([state.x, state.v, J0.ravel()])
-    times, path, exited = _rk4_path(
-        sys, y0, T, cfg.step, sys.chart, False, sys.metric, state.s,
-        cfg.max_steps, rhs=lambda y: _var_rhs(sys, y, n))
+    J = np.eye(2 * n) if J0 is None else np.asarray(J0, dtype=float)
+    _, h = _step_size(T, cfg.step, cfg.max_steps)
+    blk = _StageBlock(n, 4 * _BLOCK_STEPS)
+
+    def rhs(y):
+        # the operations of `generator`, recording the stage
+        x, v = y[:n], y[n:]
+        geo = sys.geometry(x)
+        acc = _acceleration(sys, geo, v)
+        blk.record(geo, v, acc)
+        return np.concatenate([v, acc])
+
+    def advance():
+        nonlocal J
+        J = _advance(_generator_jacobians(sys, blk), h, J)
+        blk.count = 0
+
+    def observe(t, y):
+        if blk.count == 4 * _BLOCK_STEPS:
+            advance()
+
+    _, path, exited = _rk4_path(
+        sys, np.concatenate([state.x, state.v]), T, cfg.step, sys.chart,
+        False, sys.metric, state.s, cfg.max_steps, rhs=rhs, observe=observe)
     if exited:
         raise DomainExit("variational orbit left the chart")
-    yend = path[-1]
-    J = yend[2 * n:].reshape(2 * n, 2 * n)
+    if blk.count:
+        advance()
     if return_final_state:
-        return J, PhaseState(x=yend[:n], v=yend[n:2 * n], s=state.s)
+        return J, PhaseState(x=path[-1, :n], v=path[-1, n:], s=state.s)
     return J

@@ -21,17 +21,22 @@ class TwoFormField:
     (x, g) and its dsigma (x, g, dg), with g and dg that metric's
     coefficients and first derivatives at x.  `at` and `dsigma_at` take them
     from a caller that holds them already, so that the metric is evaluated
-    once per point.
+    once per point.  broadcasts declares that dsigma accepts x (and g, dg) of
+    shape (..., n) (and (..., n, n), (..., n, n, n)), returning
+    (..., n, n, n) or one array for every point; only then does
+    `dsigma_batch` call it on many points at once.
     """
 
     def __init__(self, eval_fn, dsigma=None, h1: float = 1e-5,
                  chart: Optional[ChartSpec] = None,
-                 metric: Optional[MetricField] = None):
+                 metric: Optional[MetricField] = None,
+                 broadcasts: bool = False):
         self._eval = eval_fn
         self._dsigma = dsigma
         self.h1 = h1
         self.chart = chart
         self.metric = metric
+        self.broadcasts = broadcasts and dsigma is not None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -65,6 +70,17 @@ class TwoFormField:
             g = dg = None
         return self._dcoeffs(x, g, dg)
 
+    def dsigma_batch(self, X: np.ndarray, metric: MetricField, G: np.ndarray,
+                     DG: np.ndarray) -> np.ndarray:
+        """`dsigma_at` at each row of X (B, n), given `metric`'s g and dg
+        there stacked as G and DG; shape (B, n, n, n).  A closure not
+        declared broadcasting, the finite differences, and a form paired
+        with another metric than its own are evaluated point by point."""
+        if self.broadcasts and (self.metric is None or metric is self.metric):
+            return np.broadcast_to(self._dcoeffs(X, G, DG), DG.shape)
+        return np.array([self.dsigma_at(x, metric, g, dg)
+                         for x, g, dg in zip(X, G, DG)])
+
     def _dcoeffs(self, x, g, dg):
         if self._dsigma is None:
             n = x.size
@@ -84,7 +100,8 @@ class TwoFormField:
 def _zero(dim: int, chart=None, **_):
     z1 = np.zeros((dim, dim))
     z2 = np.zeros((dim, dim, dim))
-    return TwoFormField(lambda x: z1, dsigma=lambda x: z2, chart=chart)
+    return TwoFormField(lambda x: z1, dsigma=lambda x: z2, chart=chart,
+                        broadcasts=True)
 
 
 def _constant(dim: int, b: float = 1.0, chart=None, **_):
@@ -93,7 +110,8 @@ def _constant(dim: int, b: float = 1.0, chart=None, **_):
     sig[0, 1] = b
     sig[1, 0] = -b
     z2 = np.zeros((dim, dim, dim))
-    return TwoFormField(lambda x: sig, dsigma=lambda x: z2, chart=chart)
+    return TwoFormField(lambda x: sig, dsigma=lambda x: z2, chart=chart,
+                        broadcasts=True)
 
 
 def _area_form(dim: int, metric: MetricField = None, b: float = 1.0,
@@ -105,21 +123,25 @@ def _area_form(dim: int, metric: MetricField = None, b: float = 1.0,
         raise ValueError("area_form needs the metric")
 
     def eval_fn(x, g):
-        c = b * np.sqrt(np.linalg.det(g))
+        c = b * np.sqrt(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
         return np.array([[0.0, c], [-c, 0.0]])
+
+    sign = np.array([1.0, -1.0, -1.0, 1.0])
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]
 
     def dsigma(x, g, dg):
         # d_k sqrt(det g) = 0.5 sqrt(det g) tr(g^-1 d_k g)
-        #                 = 0.5 tr(adj(g) d_k g) / sqrt(det g)
-        adj = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        dsq = 0.5 * np.einsum("ij,jik->k", adj, dg) / np.sqrt(det)
-        out = np.zeros((2, 2, 2))
-        out[0, 1, :] = b * dsq
-        out[1, 0, :] = -b * dsq
-        return out
+        #                 = 0.5 tr(adj(g) d_k g) / sqrt(det g);
+        # on g flattened to (g00, g01, g10, g11), tr(adj(g) d_k g) = w . d_k g
+        # and 2 det g = w . g, with w = (g11, -g10, -g01, g00)
+        g4 = g.reshape(g.shape[:-2] + (4,))
+        w = sign * g4[..., ::-1]
+        tr = (w[..., None, :] @ dg.reshape(dg.shape[:-3] + (4, 2)))[..., 0, :]
+        dsq = (0.5 * b) * tr / np.sqrt(0.5 * np.vecdot(w, g4))[..., None]
+        return rot * dsq[..., None, None, :]
 
-    return TwoFormField(eval_fn, dsigma=dsigma, chart=chart, metric=metric)
+    return TwoFormField(eval_fn, dsigma=dsigma, chart=chart, metric=metric,
+                        broadcasts=True)
 
 
 FORMS = {

@@ -98,11 +98,14 @@ class MetricField:
     differences with steps h1 (first order) and h2 (second order) are used.
     inv is an optional analytic closure (x, g) -> g^-1, given the
     coefficients g at x; when absent, g is inverted numerically.
+    broadcasts declares that d2g accepts points of shape (..., n) and
+    returns (..., n, n, n, n), or one array for every point; only then does
+    `d2g_batch` call it on many points at once.
     """
 
     def __init__(self, eval_fn, dg=None, d2g=None, h1: float = 1e-5,
                  h2: float = 1e-4, chart: Optional[ChartSpec] = None,
-                 inv=None):
+                 inv=None, broadcasts: bool = False):
         self._eval = eval_fn
         self._dg = dg
         self._d2g = d2g
@@ -110,6 +113,7 @@ class MetricField:
         self.h1 = h1
         self.h2 = h2
         self.chart = chart
+        self.broadcasts = broadcasts and d2g is not None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -160,6 +164,16 @@ class MetricField:
                 out[:, :, k, l] = mixed
                 out[:, :, l, k] = mixed
         return out
+
+    def d2g_batch(self, X) -> np.ndarray:
+        """`d2g` at each row of X (B, n), shape (B, n, n, n, n); a closure
+        not declared broadcasting, and the finite differences, are
+        evaluated point by point."""
+        X = np.asarray(X, dtype=float)
+        if not self.broadcasts:
+            return np.array([self.d2g(x) for x in X])
+        out = np.asarray(self._d2g(X), dtype=float)
+        return np.broadcast_to(out, X.shape + X.shape[-1:] * 3)
 
     def norm(self, x, v) -> float:
         v = np.asarray(v, dtype=float)
@@ -238,10 +252,10 @@ class PointGeometry:
 
     def dchristoffel(self) -> np.ndarray:
         """dGamma[i, j, k, m] = d Gamma^i_{jk} / d x^m."""
-        ginv = self.ginv
-        dginv = -np.einsum("ia,abm,bl->ilm", ginv, self.dg, ginv)
-        return (np.einsum("ilm,ljk->ijkm", dginv, self.gamma_low)
-                + np.einsum("il,ljkm->ijkm", ginv, self.dgamma_low()))
+        # gamma_low = g Gamma  =>  d_m Gamma = g^-1 (d_m gamma_low - d_m g Gamma)
+        dg_Gamma = np.einsum("lam,ajk->ljkm", self.dg, self.christoffel())
+        return np.einsum("il,ljkm->ijkm", self.ginv,
+                         self.dgamma_low() - dg_Gamma)
 
     def lorentz(self) -> np.ndarray:
         """Y with g(Yv, w) = sigma(v, w); as a matrix, g Y = sigma^T."""

@@ -3,7 +3,8 @@
 Registry keys: "euclidean", "flat_torus", "poincare_disk", "poincare_ball",
 "round_sphere".  Each builder returns (ChartSpec, MetricField) with analytic
 first and second derivative closures, so the finite-difference scheme can be
-used as an independent cross-check, and an analytic inverse of g.
+used as an independent cross-check, and an analytic inverse of g.  The
+second-derivative closures broadcast over points of shape (..., dim).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ def _euclidean(dim: int = 2):
     zero1 = np.zeros((dim, dim, dim))
     zero2 = np.zeros((dim, dim, dim, dim))
     metric = MetricField(lambda x: eye, dg=lambda x: zero1, d2g=lambda x: zero2,
-                         chart=chart, inv=lambda x, g: eye)
+                         chart=chart, inv=lambda x, g: eye, broadcasts=True)
     return chart, metric
 
 
@@ -31,7 +32,7 @@ def _flat_torus(dim: int = 2, period: float = 2 * np.pi):
     zero1 = np.zeros((dim, dim, dim))
     zero2 = np.zeros((dim, dim, dim, dim))
     metric = MetricField(lambda x: eye, dg=lambda x: zero1, d2g=lambda x: zero2,
-                         chart=chart, inv=lambda x, g: eye)
+                         chart=chart, inv=lambda x, g: eye, broadcasts=True)
     return chart, metric
 
 
@@ -56,12 +57,15 @@ def _poincare(dim: int, eps: float = 1e-3):
         return eye[:, :, None] * dcoef
 
     def d2g(x):
-        u = 1.0 - x @ x
-        d2coef = (16.0 / u**3) * np.eye(dim) + (96.0 / u**4) * np.outer(x, x)
-        return eye[:, :, None, None] * d2coef
+        # x is (..., dim); .T puts the point axes last, where the per-point
+        # scalar broadcasts
+        u = 1.0 - np.vecdot(x, x)
+        xx = x[..., :, None] * x[..., None, :]
+        d2coef = np.multiply.outer(16.0 / u**3, eye) + ((96.0 / u**4) * xx.T).T
+        return eye[:, :, None, None] * d2coef[..., None, None, :, :]
 
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart,
-                         inv=lambda x, g: eye / g[0, 0])
+                         inv=lambda x, g: eye / g[0, 0], broadcasts=True)
     return chart, metric
 
 
@@ -103,24 +107,27 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
                 out[i, i, k] = 2.0 * g[i] * cot[k]
         return out
 
+    # d_k d_l g_ii = g_ii (4 cot_k cot_l - 2 delta_kl csc^2_k) for k, l < i:
+    # mask[i - 1, j - 1, k, l] = 1 where i = j and k, l < i
+    tri = np.tri(dim - 1)
+    mask = np.eye(dim - 1)[:, :, None, None] * (tri[:, None, :, None]
+                                                * tri[:, None, None, :])
+    eye2 = 2.0 * np.eye(dim - 1)
+
     def d2g(x):
-        g = _diag(x)
-        out = np.zeros((dim, dim, dim, dim))
-        cot = np.zeros(dim)
-        csc2 = np.zeros(dim)
-        cot[:-1] = 1.0 / np.tan(x[:-1])
-        csc2[:-1] = 1.0 / np.sin(x[:-1]) ** 2
-        for i in range(dim):
-            for k in range(i):
-                for l in range(i):
-                    if k == l:
-                        out[i, i, k, k] = g[i] * (4 * cot[k] ** 2 - 2 * csc2[k])
-                    else:
-                        out[i, i, k, l] = 4.0 * g[i] * cot[k] * cot[l]
+        th = x[..., :-1]
+        s2 = np.sin(th) ** 2
+        c = 2.0 / np.tan(th)
+        inner = c[..., :, None] * c[..., None, :] - eye2 / s2[..., :, None]
+        gii = s2.cumprod(-1)                    # g_ii for i = 1 .. dim - 1
+        out = np.zeros(x.shape[:-1] + (dim,) * 4)
+        out[..., 1:, 1:, :-1, :-1] = mask * (gii[..., :, None, None, None]
+                                             * inner[..., None, None, :, :])
         return out
 
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart,
-                         inv=lambda x, g: np.diag(1.0 / np.diag(g)))
+                         inv=lambda x, g: np.diag(1.0 / np.diag(g)),
+                         broadcasts=True)
     return chart, metric
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     BadDimension,
@@ -401,9 +400,9 @@ def _unit_sphere_nodes(k: int, count: int) -> np.ndarray:
     if k == 2:
         ang = 2 * np.pi * np.arange(count) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    from scipy.stats import norm, qmc
     sob = qmc.Sobol(d=k, scramble=True, seed=12345)
     raw = sob.random(count)
-    from scipy.stats import norm
     pts = norm.ppf(np.clip(raw, 1e-12, 1 - 1e-12))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 

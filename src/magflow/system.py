@@ -101,12 +101,15 @@ class MagneticSystem:
                              dg=lambda x: c * m.dg(x),
                              d2g=lambda x: c * m.d2g(x),
                              h1=m.h1, h2=m.h2, chart=self.chart,
-                             inv=lambda x, g: m.inverse(x, g / c) / c)
+                             inv=lambda x, g: m.inverse(x, g / c) / c,
+                             broadcasts=m.broadcasts)
         sg = self.sigma
-        # a form built from the metric reads the original coefficients g / c
+        # a form built from the metric reads the original coefficients g / c;
+        # one paired with another metric would evaluate that one point-wise
         sigma = TwoFormField(
             lambda x, g: c * sg.at(x, m, g / c),
             dsigma=lambda x, g, dg: c * sg.dsigma_at(x, m, g / c, dg / c),
-            h1=sg.h1, chart=self.chart, metric=metric)
+            h1=sg.h1, chart=self.chart, metric=metric,
+            broadcasts=sg.broadcasts and (sg.metric is None or sg.metric is m))
         return MagneticSystem(self.chart, metric, sigma,
                               vertical_field=self.vertical_field)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainExit, GridMismatch, NotPeriodic
 from .flow import (IntegratorConfig, PhaseState, Trajectory, _acceleration,
@@ -161,6 +160,7 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     return distance near the guess; the transported completion is expressed
     in the initial orthonormal completion of v-perp.
     """
+    from scipy.optimize import minimize_scalar
     cfg = cfg or IntegratorConfig()
     z0 = np.concatenate([state.x, state.v])
     lo, hi = 0.9 * period_guess, 1.1 * period_guess

@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import magflow
 from magflow.cli import main
 
 
@@ -25,6 +29,21 @@ def _write_scenario(tmp_path, name="scenario.json", **overrides):
 
 def _run(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # solve_ivp, minimize_scalar and the quasi-Monte Carlo nodes are imported
+    # by the code paths that use them, not when the CLI starts
+    src = os.path.dirname(os.path.dirname(magflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, magflow.cli; print(sorted(m for m in "
+         "('scipy.integrate', 'scipy.optimize', 'scipy.stats') "
+         "if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from magflow import (MetricField, anosov_report, magnetic_operator,
+from magflow import (ChartSpec, MetricField, anosov_report, magnetic_operator,
                      magnetic_sectional, make_manifold, op_A, op_R,
                      orthonormal_completion, riemann, sectional)
-from magflow.curvature import orthonormalize_pair
+from magflow.curvature import orthonormalize_pair, sample_sectionals
 from magflow.errors import NonOrthonormalFrame, NonUnitVector
 from magflow.geometry import gram_schmidt, project
 
@@ -145,6 +145,32 @@ def test_curvature_evaluates_geometry_once(name, form, params):
         calls.update(metric=0, guard=0)
         run()
         assert calls == {"metric": 1, "guard": 1}
+
+
+@pytest.mark.parametrize("name, form, params", [
+    ("round_sphere", "constant", {"b": 1.0}),
+    ("poincare_disk", "area_form", {"b": 1.0}),
+    ("poincare_ball", "constant", {"b": 2.0}),
+])
+def test_sample_sectionals_evaluates_geometry_once(name, form, params,
+                                                   monkeypatch):
+    # one metric evaluation and one chart-guard call per sample, besides the
+    # guard calls of the point sampler's own rejection loop
+    sys, calls = counted_system(name, form, **params)
+    sampler = ChartSpec.sample_point
+    sampling = []
+
+    def counted_sampler(chart, rng):
+        before = calls["guard"]
+        x = sampler(chart, rng)
+        sampling.append(calls["guard"] - before)
+        return x
+
+    monkeypatch.setattr(ChartSpec, "sample_point", counted_sampler)
+    count = 20
+    sample_sectionals(sys, 1.5, count, np.random.default_rng(3))
+    assert len(sampling) == count
+    assert calls == {"metric": count, "guard": sum(sampling) + count}
 
 
 def test_magnetic_sectional_flat_torus(rng):

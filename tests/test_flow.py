@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from magflow import (IntegratorConfig, MagneticSystem, PhaseState,
+from magflow import (IntegratorConfig, MagneticSystem, MetricField, PhaseState,
                      christoffel, connector_split, dynamical_exp, integrate,
                      make_form, make_manifold, oddness_residual,
                      variational_flow)
-from magflow.flow import _var_rhs, generator, generator_jacobian
+from magflow.errors import DomainExit, StepLimitExceeded
+from magflow.flow import _BLOCK_STEPS, generator, generator_jacobian
 from magflow.geometry import dchristoffel
 from magflow.transport import _transport_rhs
 
@@ -65,8 +66,6 @@ def test_geometry_evaluated_once_per_point(name, form, params):
     v = np.linspace(0.3, -0.4, n)
     stages = {
         "generator": lambda: generator(sys, x, v),
-        "variational": lambda: _var_rhs(
-            sys, np.concatenate([x, v, np.eye(2 * n).ravel()]), n),
         "transport": lambda: _transport_rhs(
             sys, np.concatenate([x, v, np.eye(n)[1:].ravel()]), n, n - 1),
     }
@@ -74,6 +73,13 @@ def test_geometry_evaluated_once_per_point(name, form, params):
         calls.update(metric=0, guard=0)
         run()
         assert calls == {"metric": 1, "guard": 1}, stage
+    # one RK4 step of the variational flow: one metric evaluation and one
+    # guard call at each of its four base stages, and the integrator's guard
+    # calls at the start point and the new node; the Jacobian pass
+    # evaluates neither
+    calls.update(metric=0, guard=0)
+    variational_flow(sys, PhaseState(x=x, v=v), 1e-2, IntegratorConfig(step=1e-2))
+    assert calls == {"metric": 4, "guard": 6}, "variational"
 
 
 def test_generator_and_jacobian_match_tensor_formulas(rng):
@@ -259,6 +265,115 @@ def test_variational_vs_finite_differences():
         col = (plus - minus) / (2 * delta)
         assert np.abs(col - J[:, j]).max() / max(np.abs(J[:, j]).max(), 1.0) \
             < 1e-4
+
+
+def _coupled_rk4(sys, state, T, step, J0):
+    """Reference: RK4 on the coupled state (x, v, J) with Jdot = Df J, Df
+    from `generator_jacobian` at every stage."""
+    n = sys.dim
+    nsteps = max(1, int(round(T / step)))
+    h = T / nsteps
+
+    def f(y):
+        x, v, J = y[:n], y[n:2 * n], y[2 * n:].reshape(2 * n, -1)
+        return np.concatenate([generator(sys, x, v),
+                               (generator_jacobian(sys, x, v) @ J).ravel()])
+
+    y = np.concatenate([state.x, state.v, J0.ravel()])
+    for _ in range(nsteps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y[2 * n:].reshape(J0.shape)
+
+
+def _fd_only_disk():
+    chart, metric = make_manifold("poincare_disk")
+    fd = MetricField(metric.raw, chart=chart)       # no derivative closures
+    return MagneticSystem(chart, fd, make_form("area_form", 2, fd, chart, b=1.5))
+
+
+def _custom_field_disk():
+    chart, metric = make_manifold("poincare_disk")
+    return MagneticSystem(chart, metric, make_form("zero", 2, metric, chart),
+                          vertical_field=lambda x, v: (1.0 + x[0]) * np.array(
+                              [-v[1], v[0]]) + 0.3 * x[1] * v * (v @ v))
+
+
+_VARIATIONAL_CASES = {
+    **{f"{name}-{form}": (lambda name=name, form=form: system(name, form, b=1.3))
+       for name in ("euclidean", "flat_torus", "poincare_disk", "round_sphere")
+       for form in ("zero", "constant", "area_form")},
+    "poincare_ball-zero": lambda: system("poincare_ball", "zero"),
+    "poincare_ball-constant": lambda: system("poincare_ball", "constant", b=0.8),
+    "round_sphere3-constant": lambda: system("round_sphere", "constant",
+                                             {"dim": 3}, b=0.6),
+    "rescaled-disk-area_form": lambda: system("poincare_disk", "area_form",
+                                              b=2.0).rescale(1.7),
+    "rescaled-ball-constant": lambda: system("poincare_ball", "constant",
+                                             b=1.0).rescale(0.6),
+    "custom-vertical-field": _custom_field_disk,
+    "fd-only-metric": _fd_only_disk,
+    "rescaled-fd-only-metric": lambda: _fd_only_disk().rescale(1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VARIATIONAL_CASES))
+def test_variational_flow_matches_coupled_rk4(case, rng):
+    # the two-pass scheme is the coupled RK4 of (state, J) rearranged: same
+    # J up to rounding, and the orbit of `integrate` to the bit, over more
+    # than two blocks and with a J0 of fewer columns
+    sys = _VARIATIONAL_CASES[case]()
+    n = sys.dim
+    # a start well inside every chart, at half speed, so the orbit stays in
+    x = (np.pi / 2 if "sphere" in case else 0.0) + rng.uniform(-0.3, 0.3, n)
+    st = PhaseState(x=x, v=0.5 * unit(sys.metric, x, rng.standard_normal(n)),
+                    s=0.5)
+    step = 1e-2
+    T = (2 * _BLOCK_STEPS + 5) * step
+    cfg = IntegratorConfig(step=step)
+    for J0 in (np.eye(2 * n), rng.standard_normal((2 * n, n))):
+        J, end = variational_flow(sys, st, T, cfg, J0=J0,
+                                  return_final_state=True)
+        ref = _coupled_rk4(sys, st, T, step, J0)
+        assert np.abs(J - ref).max() <= 1e-12 * np.abs(ref).max(), case
+    final = integrate(sys, st, T, cfg).final
+    assert np.array_equal(end.x, final.x) and np.array_equal(end.v, final.v)
+
+
+def test_variational_d2g_once_per_block():
+    # the second derivatives of the metric are evaluated on a whole block of
+    # stages at once, not at each of the 4N stages
+    chart, metric = make_manifold("poincare_ball")
+    calls = []
+
+    def d2g(x):
+        calls.append(np.shape(x))
+        return metric.d2g(x)
+
+    counted = MetricField(metric.raw, dg=metric.dg, d2g=d2g, chart=chart,
+                          inv=metric.inverse, broadcasts=True)
+    sys = MagneticSystem(chart, counted,
+                         make_form("constant", 3, counted, chart, b=1.0))
+    x = np.array([0.1, -0.2, 0.05])
+    st = PhaseState(x=x, v=unit(counted, x, np.array([0.3, 0.5, -0.2])))
+    cfg = IntegratorConfig(step=1e-2)
+    variational_flow(sys, st, (2 * _BLOCK_STEPS + 3) * 1e-2, cfg)
+    assert calls == [(4 * _BLOCK_STEPS, 3)] * 2 + [(12, 3)]
+    calls.clear()                       # an orbit of exactly one block
+    variational_flow(sys, st, _BLOCK_STEPS * 1e-2, cfg)
+    assert calls == [(4 * _BLOCK_STEPS, 3)]
+
+
+def test_variational_flow_keeps_exit_and_step_limit():
+    sys = system("poincare_disk", "zero")
+    st = PhaseState(x=np.zeros(2), v=np.array([0.5, 0.0]))
+    with pytest.raises(DomainExit):
+        variational_flow(sys, st, 50.0, IntegratorConfig(step=1e-2))
+    with pytest.raises(StepLimitExceeded):
+        variational_flow(sys, st, 1.0, IntegratorConfig(step=1e-2, max_steps=10))
 
 
 # -- rescaling equivalence -------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from magflow import (ChartSpec, MetricField, christoffel, connector_split,
                      make_manifold, orthonormal_completion, riemann, sectional)
 from magflow.errors import DegeneratePlane, DomainViolation, ZeroVector
-from magflow.geometry import connector_reconstruct, project
+from magflow.geometry import PointGeometry, connector_reconstruct, project
 
 from conftest import unit
 
@@ -46,6 +46,40 @@ def test_analytic_inverse_matches_numerical(model, rng):
                            rtol=1e-14, atol=0), name
 
 
+def test_d2g_batch_matches_point_calls(rng):
+    # every built-in second-derivative closure broadcasts: on a (B, n) batch
+    # it gives the values of B single-point calls (up to the summation order
+    # of a vector dot product)
+    for name, params in [("euclidean", {"dim": 3}), ("flat_torus", {}),
+                         ("poincare_disk", {}), ("poincare_ball", {}),
+                         ("round_sphere", {}), ("round_sphere", {"dim": 3})]:
+        chart, metric = make_manifold(name, **params)
+        assert metric.broadcasts, name
+        X = np.array([chart.sample_point(rng) for _ in range(7)])
+        single = np.array([metric.d2g(x) for x in X])
+        batch = metric.d2g_batch(X)
+        assert batch.shape == single.shape, name
+        assert np.abs(batch - single).max() <= 1e-15 * np.abs(single).max(), name
+
+
+def test_d2g_batch_evaluates_undeclared_closures_point_by_point(rng):
+    # a closure not declared broadcasting is never handed a batch: this one
+    # would return a well-shaped wrong answer on one
+    chart, metric = make_manifold("poincare_disk")
+    seen = []
+
+    def d2g(x):
+        seen.append(np.shape(x))
+        return x[0] * metric.d2g(x)
+
+    user = MetricField(metric.raw, dg=metric.dg, d2g=d2g, chart=chart)
+    X = np.array([chart.sample_point(rng) for _ in range(4)])
+    assert not user.broadcasts
+    assert np.array_equal(user.d2g_batch(X),
+                          np.array([x[0] * metric.d2g(x) for x in X]))
+    assert seen == [(2,)] * 4
+
+
 # -- Christoffel symbols ---------------------------------------------------
 
 def test_christoffel_flat_is_zero():
@@ -73,6 +107,20 @@ def test_christoffel_symmetry_and_fd_agreement(model, rng):
 
 
 # -- curvature -------------------------------------------------------------
+
+def test_dchristoffel_matches_inverse_derivative_formula(model, rng):
+    # reference: d Gamma = d(g^-1) gamma_low + g^-1 d gamma_low with
+    # d(g^-1) = -g^-1 dg g^-1, the formula the reuse of Gamma replaced
+    name, chart, metric = model
+    for _ in range(5):
+        geo = PointGeometry(metric, chart.sample_point(rng))
+        ginv = geo.ginv
+        dginv = -np.einsum("ia,abm,bl->ilm", ginv, geo.dg, ginv)
+        ref = (np.einsum("ilm,ljk->ijkm", dginv, geo.gamma_low)
+               + np.einsum("il,ljkm->ijkm", ginv, geo.dgamma_low()))
+        scale = 1.0 + np.abs(ref).max()
+        assert np.abs(geo.dchristoffel() - ref).max() < 1e-13 * scale, name
+
 
 def test_riemann_flat_zero():
     _, g = make_manifold("euclidean", dim=3)

@@ -107,6 +107,36 @@ def test_area_form_derivative_matches_central_difference(rng):
         assert np.abs(sys.sigma.dsigma(x) - fd).max() < 1e-7 * scale
 
 
+def test_area_form_matches_determinant(rng):
+    # sqrt(g00 g11 - g01 g10) is the Riemannian area density sqrt(det g)
+    for name in ("poincare_disk", "round_sphere", "flat_torus"):
+        sys = system(name, "area_form", b=1.5)
+        for _ in range(5):
+            x = sys.chart.sample_point(rng)
+            c = 1.5 * np.sqrt(np.linalg.det(sys.metric(x)))
+            assert sys.sigma(x)[0, 1] == pytest.approx(c, rel=1e-14, abs=0)
+            assert sys.sigma(x)[1, 0] == -sys.sigma(x)[0, 1]
+
+
+def test_dsigma_batch_matches_point_calls(rng):
+    # every built-in form derivative broadcasts, also through `rescale`: on
+    # a (B, n) batch it gives the values of B single-point calls
+    cases = [system(name, form, b=1.3)
+             for name in ("poincare_disk", "round_sphere")
+             for form in ("zero", "constant", "area_form")]
+    cases += [system("poincare_ball", "constant", b=0.7),
+              system("poincare_disk", "area_form", b=1.3).rescale(2.0)]
+    for sys in cases:
+        assert sys.sigma.broadcasts
+        X = np.array([sys.chart.sample_point(rng) for _ in range(6)])
+        G = np.array([sys.metric.raw(x) for x in X])
+        DG = np.array([sys.metric.dg(x) for x in X])
+        single = np.array([sys.sigma.dsigma_at(x, sys.metric, g, dg)
+                           for x, g, dg in zip(X, G, DG)])
+        assert np.array_equal(sys.sigma.dsigma_batch(X, sys.metric, G, DG),
+                              single)
+
+
 def test_closedness_nonclosed_example():
     # sigma = x^3 dx^1 ^ dx^2 has d sigma = dx^3 ^ dx^1 ^ dx^2, residual 1
     from magflow.forms import TwoFormField
