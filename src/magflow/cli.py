@@ -109,11 +109,20 @@ def _unit_state(sc, sysm):
     return st.x, st.v / sysm.metric.norm(st.x, st.v)
 
 
+def _horizon(params) -> float:
+    """params/T, a finite nonnegative time (1 by default)."""
+    T = float(params.get("T", 1.0))
+    if not (np.isfinite(T) and T >= 0):
+        raise ScenarioInvalid(
+            f"scenario field params/T: must be finite and nonnegative, got {T}")
+    return T
+
+
 @scenario_command("integrate")
 def cmd_integrate(sc, out, tolerance):
     """Integrate the magnetic flow; writes trajectory.csv."""
     sysm, state, cfg = _prepared(sc)
-    T = float(sc.get("params", {}).get("T", 1.0))
+    T = _horizon(sc.get("params", {}))
     traj = integrate(sysm, state, T, cfg)
     _write(out, "trajectory.csv", traj.to_csv())
 
@@ -203,7 +212,7 @@ def cmd_transport(sc, out, tolerance):
     """Magnetic parallel transport along the orbit; writes transport.json."""
     sysm, state, cfg = _prepared(sc)
     params = sc.get("params", {})
-    T = float(params.get("T", 1.0))
+    T = _horizon(params)
     w0 = np.asarray(params.get("w0", state.v), dtype=float)
     W = tr.parallel_transport(sysm, state, w0, T, cfg)
     _write(out, "transport.json", _dump_json({

@@ -22,6 +22,12 @@ d_m Gamma^i_{jk} a^j b^k c^m, a matrix in the slot left open.
 `magnetic_sectional` reads g(M_s w, w) off the ambient matrix, with no
 frame; the `matrix` of a `PerpEndomorphism` is F g M F^T in the
 deterministic orthonormal completion frame F of v.
+
+The ambient matrices are formed over any leading batch axes.
+`sample_sectionals` draws its samples one at a time, in a fixed order, and
+evaluates the sectional curvatures of each chunk of them on one batched
+`PointGeometry`; `magnetic_sectional` and the operators are the same code
+on one point.
 """
 from __future__ import annotations
 
@@ -89,10 +95,15 @@ def _as_perp_endo(geo: PointGeometry, v, ambient) -> PerpEndomorphism:
                             ambient=ambient)
 
 
+def _gdot(M, u):
+    """M u, for matrices M (..., n, n) and vectors u (..., n) alike."""
+    return np.einsum("...ij,...j->...i", M, u)
+
+
 def _projector(g, v):
     """P_v, the g-orthogonal projection onto the line of v."""
-    gv = g @ v
-    return np.outer(v, gv / (v @ gv))
+    gv = _gdot(g, v)
+    return v[..., :, None] * (gv / np.vecdot(v, gv)[..., None])[..., None, :]
 
 
 def _ambient_A(Y, Pv):
@@ -104,12 +115,16 @@ def _ambient_R(geo: PointGeometry, s, v, Y, Pv):
     Gamma = geo.christoffel()
     dGamma = geo.dchristoffel()
     dY = geo.dlorentz()
-    Gv = Gamma @ v                       # Gamma(v), symmetric in j, k
-    # matmul with a vector on the left contracts the second-to-last axis
-    jacobi = (v @ (v @ dGamma) - (dGamma @ v) @ v
-              + Gamma @ (Gv @ v) - Gv @ Gv)
-    nabla_w_Y_v = v @ dY + Gamma @ (Y @ v) - Y @ Gv
-    nabla_v_Y = dY @ v + Gv @ Y - Y @ Gv
+    # Gamma(v), symmetric in j, k
+    Gv = np.einsum("...ijk,...k->...ij", Gamma, v)
+    jacobi = (np.einsum("...ijkm,...j,...k->...im", dGamma, v, v)
+              - np.einsum("...ijkm,...k,...m->...ij", dGamma, v, v)
+              + np.einsum("...ijk,...k->...ij", Gamma, _gdot(Gv, v))
+              - Gv @ Gv)
+    nabla_w_Y_v = (np.einsum("...ijk,...j->...ik", dY, v)
+                   + np.einsum("...ijk,...k->...ij", Gamma, _gdot(Y, v))
+                   - Y @ Gv)
+    nabla_v_Y = np.einsum("...ijk,...k->...ij", dY, v) + Gv @ Y - Y @ Gv
     perp = nabla_v_Y - Pv @ nabla_v_Y
     return s * s * jacobi - s * nabla_w_Y_v + 0.5 * s * perp
 
@@ -139,19 +154,20 @@ def magnetic_operator(sys: MagneticSystem, s: float, x, v) -> PerpEndomorphism:
 
 def magnetic_sectional(sys: MagneticSystem, s: float, x, v, w) -> float:
     """g(M_s(w), w) for a g-orthonormal ordered pair (v, w)."""
-    return _sectional(sys.geometry(x), s, v, w)
+    return float(_sectional(sys.geometry(x), s, np.asarray(v, dtype=float),
+                            np.asarray(w, dtype=float)))
 
 
-def _sectional(geo: PointGeometry, s: float, v, w) -> float:
-    """`magnetic_sectional` at the point of `geo`."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    gv, gw = geo.g @ v, geo.g @ w
-    if (abs(v @ gv - 1.0) > _FRAME_TOL or abs(w @ gw - 1.0) > _FRAME_TOL
-            or abs(gv @ w) > _FRAME_TOL):
+def _sectional(geo: PointGeometry, s: float, v, w):
+    """`magnetic_sectional` at the points of `geo`, one point or a batch,
+    with v and w alike."""
+    gv, gw = _gdot(geo.g, v), _gdot(geo.g, w)
+    worst = np.max(np.abs([np.vecdot(v, gv) - 1.0, np.vecdot(w, gw) - 1.0,
+                           np.vecdot(gv, w)]))
+    if worst > _FRAME_TOL:
         raise NonOrthonormalFrame("(v, w) must be g-orthonormal")
     _check_speed(s)
-    return float(gw @ _ambient_M(geo, s, v) @ w)
+    return np.vecdot(gw, _gdot(_ambient_M(geo, s, v), w))
 
 
 def orthonormalize_pair(sys: MagneticSystem, x, v, w):
@@ -162,18 +178,36 @@ def orthonormalize_pair(sys: MagneticSystem, x, v, w):
     return frame[0], frame[1]
 
 
+# samples drawn before their sectional curvatures are evaluated together;
+# bounds the memory of a large sample count
+_CHUNK = 256
+
+
 def sample_sectionals(sys: MagneticSystem, s: float, count: int,
                       rng: np.random.Generator) -> np.ndarray:
     """`count` s-magnetic sectional curvatures, each at a chart point drawn
-    from `rng` on a g-orthonormal pair drawn from it after the point."""
+    from `rng` on a g-orthonormal pair drawn from it after the point.
+
+    The draws run in order, one sample at a time; the curvatures of each
+    chunk of `_CHUNK` samples are then evaluated on one batched geometry,
+    whose points the sampler has already checked against the chart guard."""
+    n = sys.dim
     vals = np.empty(count)
-    for i in range(count):
-        geo = sys.geometry(sys.chart.sample_point(rng))
-        while True:
-            frame = gram_schmidt(geo.g, rng.standard_normal((2, sys.dim)))
-            if frame.shape[0] == 2:
-                break
-        vals[i] = _sectional(geo, s, frame[0], frame[1])
+    size = min(count, _CHUNK)
+    X, G = np.empty((size, n)), np.empty((size, n, n))
+    V, W = np.empty((size, n)), np.empty((size, n))
+    for start in range(0, count, _CHUNK):
+        m = min(size, count - start)
+        for i in range(m):
+            X[i] = x = sys.chart.sample_point(rng)
+            G[i] = g = sys.metric.raw(x)
+            while True:
+                frame = gram_schmidt(g, rng.standard_normal((2, n)))
+                if frame.shape[0] == 2:
+                    break
+            V[i], W[i] = frame
+        geo = PointGeometry.batch(sys.metric, X[:m], G[:m], sys.sigma)
+        vals[start:start + m] = _sectional(geo, s, V[:m], W[:m])
     return vals
 
 

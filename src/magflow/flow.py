@@ -237,8 +237,10 @@ def _rhs(sys, y, n):
 
 
 def _step_size(T, h, max_steps):
-    """The number of fixed RK4 steps over T for a nominal step h, and
+    """The number of fixed RK4 steps over T >= 0 for a nominal step h, and
     their size."""
+    if T < 0:
+        raise ValueError(f"the horizon T must be nonnegative, got {T}")
     nsteps = max(1, int(round(T / h)))
     if nsteps > max_steps:
         raise StepLimitExceeded(f"{nsteps} steps exceed the budget {max_steps}")
@@ -252,11 +254,11 @@ def _rk4_path(sys, y0, T, h, chart, renorm, metric, s, max_steps,
     n = len(y0) // 2 if rhs is None else None
     f = (lambda y: _rhs(sys, y, n)) if rhs is None else rhs
     nsteps, hh = _step_size(T, h, max_steps)
-    t, y = 0.0, np.array(y0, dtype=float)
+    y = np.array(y0, dtype=float)
     times = [0.0]
     path = [y.copy()]
     exited = False
-    for _ in range(nsteps):
+    for k in range(1, nsteps + 1):
         try:
             k1 = f(y)
             k2 = f(y + 0.5 * hh * k1)
@@ -276,7 +278,7 @@ def _rk4_path(sys, y0, T, h, chart, renorm, metric, s, max_steps,
             if nrm > 0:
                 ynew[chart.dim:2 * chart.dim] *= s / nrm
         y = ynew
-        t += hh
+        t = k * hh               # not accumulated, so the last node is T
         times.append(t)
         path.append(y.copy())
         if observe is not None:
@@ -313,7 +315,7 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
             if cut == 0:
                 raise DomainExit("orbit left the chart immediately")
     # every node passed the chart guard, so the metric is read unguarded
-    g = np.array([sys.metric.raw(row[:n]) for row in path])
+    g = sys.metric.raw_batch(path[:, :n])
     V = path[:, n:]
     speeds = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", V, g, V), 0.0))
     drifts = np.abs(speeds - state.s) / state.s

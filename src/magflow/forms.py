@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ChartSpec, MetricField
+from .geometry import ChartSpec, MetricField, _on_batch
 
 __all__ = ["TwoFormField", "make_form", "FORMS"]
 
@@ -21,10 +21,13 @@ class TwoFormField:
     (x, g) and its dsigma (x, g, dg), with g and dg that metric's
     coefficients and first derivatives at x.  `at` and `dsigma_at` take them
     from a caller that holds them already, so that the metric is evaluated
-    once per point.  broadcasts declares that dsigma accepts x (and g, dg) of
-    shape (..., n) (and (..., n, n), (..., n, n, n)), returning
-    (..., n, n, n) or one array for every point; only then does
-    `dsigma_batch` call it on many points at once.
+    once per point.  broadcasts declares that every closure (eval_fn and
+    dsigma) accepts x (and g, dg) of shape (..., n) (and (..., n, n),
+    (..., n, n, n)), returning its values stacked along the same leading
+    axes, or one array for every point; only then do `at_batch` and
+    `dsigma_batch` call the closures on many points at once.  It takes
+    effect only when dsigma is given, since the finite differences are
+    taken point by point.
     """
 
     def __init__(self, eval_fn, dsigma=None, h1: float = 1e-5,
@@ -70,16 +73,25 @@ class TwoFormField:
             g = dg = None
         return self._dcoeffs(x, g, dg)
 
+    # `at` and `dsigma_at` at each row of X (B, n), given `metric`'s g and
+    # dg there stacked as G and DG, stacked along axis 0.  A closure not
+    # declared broadcasting, the finite differences, and a form paired with
+    # another metric than its own are evaluated point by point.
+
+    def at_batch(self, X: np.ndarray, metric: MetricField,
+                 G: np.ndarray) -> np.ndarray:
+        """`at` at each row of X, shape (B, n, n)."""
+        return _on_batch(lambda x, g: self.at(x, metric, g),
+                         self._broadcasts_with(metric), 2, X, G)
+
     def dsigma_batch(self, X: np.ndarray, metric: MetricField, G: np.ndarray,
                      DG: np.ndarray) -> np.ndarray:
-        """`dsigma_at` at each row of X (B, n), given `metric`'s g and dg
-        there stacked as G and DG; shape (B, n, n, n).  A closure not
-        declared broadcasting, the finite differences, and a form paired
-        with another metric than its own are evaluated point by point."""
-        if self.broadcasts and (self.metric is None or metric is self.metric):
-            return np.broadcast_to(self._dcoeffs(X, G, DG), DG.shape)
-        return np.array([self.dsigma_at(x, metric, g, dg)
-                         for x, g, dg in zip(X, G, DG)])
+        """`dsigma_at` at each row of X, shape (B, n, n, n)."""
+        return _on_batch(lambda x, g, dg: self.dsigma_at(x, metric, g, dg),
+                         self._broadcasts_with(metric), 3, X, G, DG)
+
+    def _broadcasts_with(self, metric: MetricField) -> bool:
+        return self.broadcasts and (self.metric is None or metric is self.metric)
 
     def _dcoeffs(self, x, g, dg):
         if self._dsigma is None:
@@ -123,8 +135,14 @@ def _area_form(dim: int, metric: MetricField = None, b: float = 1.0,
         raise ValueError("area_form needs the metric")
 
     def eval_fn(x, g):
-        c = b * np.sqrt(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-        return np.array([[0.0, c], [-c, 0.0]])
+        # on g.T and out.T, as the built-in metrics (see `models`)
+        t = g.T
+        c = b * np.sqrt(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0])
+        out = np.zeros(g.shape)
+        outT = out.T
+        outT[1, 0] = c
+        outT[0, 1] = -c
+        return out
 
     sign = np.array([1.0, -1.0, -1.0, 1.0])
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]

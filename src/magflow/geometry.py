@@ -91,6 +91,17 @@ class ChartSpec:
         raise DomainViolation("could not sample a point inside the guard")
 
 
+def _on_batch(point, broadcasts: bool, rank: int, X, *args) -> np.ndarray:
+    """`point(x, *a)` at each row x of X (B, n), with the rows a of the
+    arrays `args` alike, stacked to shape (B,) + (n,) * rank.  When its
+    closures broadcast, `point` is called once on the whole batch, and may
+    return one array for every row; otherwise once per row."""
+    X = np.asarray(X, dtype=float)
+    if not broadcasts:
+        return np.array([point(*row) for row in zip(X, *args)])
+    return np.broadcast_to(point(X, *args), X.shape[:1] + X.shape[-1:] * rank)
+
+
 class MetricField:
     """Symmetric positive-definite coefficient field g_ij(x).
 
@@ -98,9 +109,12 @@ class MetricField:
     differences with steps h1 (first order) and h2 (second order) are used.
     inv is an optional analytic closure (x, g) -> g^-1, given the
     coefficients g at x; when absent, g is inverted numerically.
-    broadcasts declares that d2g accepts points of shape (..., n) and
-    returns (..., n, n, n, n), or one array for every point; only then does
-    `d2g_batch` call it on many points at once.
+    broadcasts declares that every closure (eval_fn, dg, d2g and inv)
+    accepts points of shape (..., n), and inv coefficients of shape
+    (..., n, n), returning its values stacked along the same leading axes,
+    or one array for every point; only then do the `*_batch` methods call
+    the closures on many points at once.  It takes effect only when dg and
+    d2g are given, since the finite differences are taken point by point.
     """
 
     def __init__(self, eval_fn, dg=None, d2g=None, h1: float = 1e-5,
@@ -113,7 +127,7 @@ class MetricField:
         self.h1 = h1
         self.h2 = h2
         self.chart = chart
-        self.broadcasts = broadcasts and d2g is not None
+        self.broadcasts = broadcasts and dg is not None and d2g is not None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -165,15 +179,26 @@ class MetricField:
                 out[:, :, l, k] = mixed
         return out
 
+    # The values at each row of a batch X (B, n), stacked along axis 0; a
+    # closure not declared broadcasting, and the finite differences, are
+    # evaluated point by point.
+
+    def raw_batch(self, X) -> np.ndarray:
+        """`raw` at each row of X, shape (B, n, n)."""
+        return _on_batch(self.raw, self.broadcasts, 2, X)
+
+    def dg_batch(self, X) -> np.ndarray:
+        """`dg` at each row of X, shape (B, n, n, n)."""
+        return _on_batch(self.dg, self.broadcasts, 3, X)
+
     def d2g_batch(self, X) -> np.ndarray:
-        """`d2g` at each row of X (B, n), shape (B, n, n, n, n); a closure
-        not declared broadcasting, and the finite differences, are
-        evaluated point by point."""
-        X = np.asarray(X, dtype=float)
-        if not self.broadcasts:
-            return np.array([self.d2g(x) for x in X])
-        out = np.asarray(self._d2g(X), dtype=float)
-        return np.broadcast_to(out, X.shape + X.shape[-1:] * 3)
+        """`d2g` at each row of X, shape (B, n, n, n, n)."""
+        return _on_batch(self.d2g, self.broadcasts, 4, X)
+
+    def inverse_batch(self, X, G) -> np.ndarray:
+        """`inverse` at each row of X given the coefficients G (B, n, n)
+        there, shape (B, n, n)."""
+        return _on_batch(self.inverse, self.broadcasts, 2, X, G)
 
     def norm(self, x, v) -> float:
         v = np.asarray(v, dtype=float)
@@ -212,7 +237,9 @@ class PointGeometry:
     of g) and the lowered Christoffel symbols
     gamma_low[l, j, k] = g_li Gamma^i_{jk}.  With a 2-form it also evaluates
     sigma, handing it g so that a form built from the metric does not
-    evaluate the metric again.  The methods derive the
+    evaluate the metric again.  `PointGeometry.batch` holds the same arrays
+    for a batch of points, stacked along a leading axis, and every method
+    then returns its tensors stacked alike.  The methods derive the
     remaining tensors on each call; a consumer calls each at most once per
     point, and an instance is never reused at another point.
     """
@@ -228,33 +255,52 @@ class PointGeometry:
         self.metric = metric
         self.form = form
         self.x = x
-        self.g = metric.raw(x)
-        self.dg = dg = metric.dg(x)
-        self.ginv = metric.inverse(x, self.g)
-        # 2 gamma_low[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
-        self.gamma_low = 0.5 * (dg.transpose(0, 2, 1) + dg
-                                - dg.transpose(2, 0, 1))
-        self.sigma = None if form is None else form.at(x, metric, self.g)
+        self.g = g = metric.raw(x)
+        self.dg = metric.dg(x)
+        self.ginv = metric.inverse(x, g)
+        self.gamma_low = _gamma_low(self.dg)
+        self.sigma = None if form is None else form.at(x, metric, g)
+
+    @classmethod
+    def batch(cls, metric: MetricField, X: np.ndarray, G: np.ndarray,
+              form=None) -> "PointGeometry":
+        """The geometry at each row of X (B, n), given the coefficients G
+        (B, n, n) of `metric` there.  The points must have passed the chart
+        guard already; no guard runs here."""
+        geo = cls.__new__(cls)
+        geo.metric = metric
+        geo.form = form
+        geo.x = X
+        geo.g = G
+        geo.dg = metric.dg_batch(X)
+        geo.ginv = metric.inverse_batch(X, G)
+        geo.gamma_low = _gamma_low(geo.dg)
+        geo.sigma = None if form is None else form.at_batch(X, metric, G)
+        return geo
 
     def dgamma_low(self) -> np.ndarray:
         """dgamma_low[l, j, k, m] = d gamma_low[l, j, k] / d x^m."""
-        d2g = self.metric.d2g(self.x)
-        return 0.5 * (d2g.transpose(0, 2, 1, 3) + d2g
-                      - d2g.transpose(2, 0, 1, 3))
+        x = self.x
+        d2g = self.metric.d2g(x) if x.ndim == 1 else self.metric.d2g_batch(x)
+        t = d2g.swapaxes(-2, -3)
+        return 0.5 * (t + d2g - t.swapaxes(-3, -4))
 
     def dsigma(self) -> np.ndarray:
         """dsigma[i, j, k] = d sigma_ij / d x^k."""
-        return self.form.dsigma_at(self.x, self.metric, self.g, self.dg)
+        if self.x.ndim == 1:
+            return self.form.dsigma_at(self.x, self.metric, self.g, self.dg)
+        return self.form.dsigma_batch(self.x, self.metric, self.g, self.dg)
 
     def christoffel(self) -> np.ndarray:
         """Gamma[i, j, k] = Gamma^i_{jk}."""
-        return np.einsum("il,ljk->ijk", self.ginv, self.gamma_low)
+        return np.einsum("...il,...ljk->...ijk", self.ginv, self.gamma_low)
 
     def dchristoffel(self) -> np.ndarray:
         """dGamma[i, j, k, m] = d Gamma^i_{jk} / d x^m."""
         # gamma_low = g Gamma  =>  d_m Gamma = g^-1 (d_m gamma_low - d_m g Gamma)
-        dg_Gamma = np.einsum("lam,ajk->ljkm", self.dg, self.christoffel())
-        return np.einsum("il,ljkm->ijkm", self.ginv,
+        dg_Gamma = np.einsum("...lam,...ajk->...ljkm", self.dg,
+                             self.christoffel())
+        return np.einsum("...il,...ljkm->...ijkm", self.ginv,
                          self.dgamma_low() - dg_Gamma)
 
     def lorentz(self) -> np.ndarray:
@@ -265,8 +311,16 @@ class PointGeometry:
         """dY[:, :, k] = d_k Y, from d_k(g Y) = d_k sigma^T."""
         # Y = -g^-1 sigma  =>  d_k Y = g^-1 d_k g g^-1 sigma - g^-1 d_k sigma
         ginv = self.ginv
-        return np.einsum("ia,abk,bj->ijk", ginv, self.dg, -self.lorentz()) \
-            - np.einsum("ia,ajk->ijk", ginv, self.dsigma())
+        return np.einsum("...ia,...abk,...bj->...ijk", ginv, self.dg,
+                         -self.lorentz()) \
+            - np.einsum("...ia,...ajk->...ijk", ginv, self.dsigma())
+
+
+def _gamma_low(dg: np.ndarray) -> np.ndarray:
+    """gamma_low[..., l, j, k] from dg[..., i, j, k] = d g_ij / d x^k."""
+    # 2 gamma_low[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
+    t = dg.swapaxes(-1, -2)
+    return 0.5 * (t + dg - t.swapaxes(-2, -3))
 
 
 def christoffel(g: MetricField, x) -> np.ndarray:

@@ -3,8 +3,11 @@
 Registry keys: "euclidean", "flat_torus", "poincare_disk", "poincare_ball",
 "round_sphere".  Each builder returns (ChartSpec, MetricField) with analytic
 first and second derivative closures, so the finite-difference scheme can be
-used as an independent cross-check, and an analytic inverse of g.  The
-second-derivative closures broadcast over points of shape (..., dim).
+used as an independent cross-check, and an analytic inverse of g.  Every
+closure broadcasts over points of shape (..., dim).  Where the point axes
+are in the way, the closures work on x.T (or g.T) and write through out.T,
+in which the point axes come last: an integer index there selects a
+coordinate at every point, and a per-point scalar broadcasts.
 """
 from __future__ import annotations
 
@@ -13,6 +16,12 @@ import numpy as np
 from .geometry import ChartSpec, MetricField
 
 __all__ = ["make_manifold", "MANIFOLDS"]
+
+
+def _per_point(c):
+    """A scalar field's values c, one or one per point of a batch, shaped to
+    scale the matrices (..., n, n) at those points."""
+    return c if c.ndim == 0 else c[..., None, None]
 
 
 def _euclidean(dim: int = 2):
@@ -38,34 +47,34 @@ def _flat_torus(dim: int = 2, period: float = 2 * np.pi):
 
 def _poincare(dim: int, eps: float = 1e-3):
     """Poincare disk/ball model: g = 4/(1 - |x|^2)^2 * id, curvature -1."""
+    r2 = (1.0 - eps) ** 2
     chart = ChartSpec(
         dim=dim,
-        domain_guard=lambda x: float(x @ x) < (1.0 - eps) ** 2,
+        domain_guard=lambda x: x.dot(x) < r2,
         sample_bounds=(-0.7 * np.ones(dim), 0.7 * np.ones(dim)),
     )
     eye = np.eye(dim)
-
-    def conf(x):
-        return 4.0 / (1.0 - x @ x) ** 2
+    eye3 = eye[:, :, None]
 
     def eval_fn(x):
-        return conf(x) * eye
+        return _per_point(4.0 / (1.0 - np.vecdot(x, x)) ** 2) * eye
+
+    def inv(x, g):
+        return eye / _per_point(g.T[0, 0])
 
     def dg(x):
-        u = 1.0 - x @ x
-        dcoef = 16.0 * x / u**3                       # d_k (4 u^-2)
-        return eye[:, :, None] * dcoef
+        u = 1.0 - np.vecdot(x, x)
+        dcoef = (16.0 * x.T / u**3).T                # d_k (4 u^-2)
+        return eye3 * dcoef[..., None, None, :]
 
     def d2g(x):
-        # x is (..., dim); .T puts the point axes last, where the per-point
-        # scalar broadcasts
         u = 1.0 - np.vecdot(x, x)
         xx = x[..., :, None] * x[..., None, :]
         d2coef = np.multiply.outer(16.0 / u**3, eye) + ((96.0 / u**4) * xx.T).T
         return eye[:, :, None, None] * d2coef[..., None, None, :, :]
 
-    metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart,
-                         inv=lambda x, g: eye / g[0, 0], broadcasts=True)
+    metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart, inv=inv,
+                         broadcasts=True)
     return chart, metric
 
 
@@ -84,27 +93,37 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
     chart = ChartSpec(dim=dim, domain_guard=guard,
                       periodic=[None] * (dim - 1) + [2 * np.pi],
                       sample_bounds=(lo, hi))
+    pairs = [(i, k) for i in range(1, dim) for k in range(i)]
+
+    def _sines(x):
+        """sin^2 of the polar angles and their running products
+        g_ii = prod_{j < i} sin^2(theta_j), i >= 2, point axes last."""
+        s2 = np.sin(x.T[:-1]) ** 2
+        return s2, np.multiply.accumulate(s2, axis=0)
 
     def eval_fn(x):
-        g = np.ones(dim)
+        out = np.zeros(x.shape[:-1] + (dim, dim))
+        outT, gii = out.T, _sines(x)[1]
+        outT[0, 0] = 1.0
         for i in range(1, dim):
-            g[i] = g[i - 1] * np.sin(x[i - 1]) ** 2
-        return np.diag(g)
-
-    def _diag(x):
-        g = np.ones(dim)
-        for i in range(1, dim):
-            g[i] = g[i - 1] * np.sin(x[i - 1]) ** 2
-        return g
+            outT[i, i] = gii[i - 1]
+        return out
 
     def dg(x):
-        g = _diag(x)
-        out = np.zeros((dim, dim, dim))
-        cot = np.zeros(dim)
-        cot[:-1] = 1.0 / np.tan(x[:-1])
+        # d_k g_ii = 2 g_ii cot_k for k < i
+        g2 = 2.0 * _sines(x)[1]
+        cot = 1.0 / np.tan(x.T[:-1])
+        out = np.zeros(x.shape[:-1] + (dim,) * 3)
+        outT = out.T
+        for i, k in pairs:
+            outT[k, i, i] = g2[i - 1] * cot[k]
+        return out
+
+    def inv(x, g):
+        out = np.zeros(g.shape)
+        outT, gT = out.T, g.T
         for i in range(dim):
-            for k in range(i):
-                out[i, i, k] = 2.0 * g[i] * cot[k]
+            outT[i, i] = 1.0 / gT[i, i]
         return out
 
     # d_k d_l g_ii = g_ii (4 cot_k cot_l - 2 delta_kl csc^2_k) for k, l < i:
@@ -115,18 +134,15 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
     eye2 = 2.0 * np.eye(dim - 1)
 
     def d2g(x):
-        th = x[..., :-1]
-        s2 = np.sin(th) ** 2
-        c = 2.0 / np.tan(th)
-        inner = c[..., :, None] * c[..., None, :] - eye2 / s2[..., :, None]
-        gii = s2.cumprod(-1)                    # g_ii for i = 1 .. dim - 1
+        s2, gii = _sines(x)
+        c = 2.0 / np.tan(x[..., :-1])
+        inner = c[..., :, None] * c[..., None, :] - eye2 / s2.T[..., :, None]
         out = np.zeros(x.shape[:-1] + (dim,) * 4)
-        out[..., 1:, 1:, :-1, :-1] = mask * (gii[..., :, None, None, None]
+        out[..., 1:, 1:, :-1, :-1] = mask * (gii.T[..., :, None, None, None]
                                              * inner[..., None, None, :, :])
         return out
 
-    metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart,
-                         inv=lambda x, g: np.diag(1.0 / np.diag(g)),
+    metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart, inv=inv,
                          broadcasts=True)
     return chart, metric
 

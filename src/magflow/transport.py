@@ -167,8 +167,8 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     res = minimize_scalar(lambda t: _return_distance(sys, z0, t, cfg),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
-    tau = float(res.x)
-    dist = _return_distance(sys, z0, tau, cfg)
+    # the bounded minimiser returns fun = f(x) at the x it returns
+    tau, dist = float(res.x), float(res.fun)
     if not np.isfinite(dist) or dist > tol:
         raise NotPeriodic(
             f"return distance {dist:.3e} exceeds {tol} near the guessed period")

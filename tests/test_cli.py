@@ -76,6 +76,15 @@ def test_negative_speed_rejected_naming_field(tmp_path):
     assert "speed" in res.output
 
 
+@pytest.mark.parametrize("command", ["integrate", "transport"])
+def test_negative_horizon_rejected_naming_field(tmp_path, command):
+    sc = _write_scenario(tmp_path, params={"T": -3.0})
+    res = _run([command, sc, "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "params/T" in res.output
+    assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("transport.json"))
+
+
 def test_unknown_key_rejected(tmp_path):
     sc = _write_scenario(tmp_path, horizon=3.0)
     res = _run(["integrate", sc, "--out", str(tmp_path)])

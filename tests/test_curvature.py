@@ -4,9 +4,10 @@ import pytest
 from magflow import (ChartSpec, MetricField, anosov_report, magnetic_operator,
                      magnetic_sectional, make_manifold, op_A, op_R,
                      orthonormal_completion, riemann, sectional)
-from magflow.curvature import orthonormalize_pair, sample_sectionals
-from magflow.errors import NonOrthonormalFrame, NonUnitVector
-from magflow.geometry import gram_schmidt, project
+from magflow.curvature import (_CHUNK, _sectional, orthonormalize_pair,
+                               sample_sectionals)
+from magflow.errors import NonOrthonormalFrame, NonpositiveSpeed, NonUnitVector
+from magflow.geometry import PointGeometry, gram_schmidt, project
 
 from conftest import counted_system, system, unit
 
@@ -154,8 +155,8 @@ def test_curvature_evaluates_geometry_once(name, form, params):
 ])
 def test_sample_sectionals_evaluates_geometry_once(name, form, params,
                                                    monkeypatch):
-    # one metric evaluation and one chart-guard call per sample, besides the
-    # guard calls of the point sampler's own rejection loop
+    # one metric evaluation per sample, and no chart-guard call besides those
+    # of the point sampler's own rejection loop
     sys, calls = counted_system(name, form, **params)
     sampler = ChartSpec.sample_point
     sampling = []
@@ -170,7 +171,92 @@ def test_sample_sectionals_evaluates_geometry_once(name, form, params,
     count = 20
     sample_sectionals(sys, 1.5, count, np.random.default_rng(3))
     assert len(sampling) == count
-    assert calls == {"metric": count, "guard": sum(sampling) + count}
+    assert calls == {"metric": count, "guard": sum(sampling)}
+
+
+def _user_metric_system(analytic):
+    """The Poincare disk with its area form, through a metric whose closures
+    are not declared broadcasting (analytic) or with no derivative closures
+    at all (finite differences)."""
+    from magflow import MagneticSystem, make_form
+    chart, metric = make_manifold("poincare_disk")
+
+    def point_only(fn):
+        def wrapper(*args):
+            assert np.ndim(args[0]) == 1, "a point closure got a batch"
+            return fn(*args)
+        return wrapper
+
+    if analytic:
+        user = MetricField(point_only(metric.raw), dg=point_only(metric.dg),
+                           d2g=point_only(metric.d2g), chart=chart,
+                           inv=point_only(metric.inverse))
+    else:
+        user = MetricField(point_only(metric.raw), chart=chart)
+    return MagneticSystem(chart, user,
+                          make_form("area_form", 2, user, chart, b=1.2))
+
+
+def _sampled_cases():
+    models = [("euclidean", {"dim": 3}), ("flat_torus", {}), ("poincare_disk", {}),
+              ("poincare_ball", {}), ("round_sphere", {}), ("round_sphere", {"dim": 3})]
+    cases = [pytest.param(lambda n=n, f=f, p=p: system(n, f, p, b=1.3), 40,
+                          id=f"{n}{p.get('dim', '')}-{f}")
+             for n, p in models for f in ("zero", "constant", "area_form")
+             if f != "area_form" or (n in ("poincare_disk", "round_sphere")
+                                     and not p)]
+    return cases + [
+        pytest.param(lambda: system("poincare_disk", "area_form",
+                                    b=1.3).rescale(1.6), 40, id="rescaled"),
+        pytest.param(lambda: _user_metric_system(analytic=True), 40, id="user"),
+        pytest.param(lambda: _user_metric_system(analytic=False), 40,
+                     id="finite-differences"),
+        pytest.param(lambda: system("round_sphere", "constant", b=0.8),
+                     _CHUNK + 9, id="more-than-one-chunk"),
+    ]
+
+
+@pytest.mark.parametrize("build, count", _sampled_cases())
+def test_sample_sectionals_matches_point_sectionals(build, count):
+    # the batched chunks give, sample by sample, the magnetic_sectional of
+    # the same draws made one at a time, in the same order
+    sys = build()
+    for s in (0.6, 1.7):
+        vals = sample_sectionals(sys, s, count, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        ref = []
+        for _ in range(count):
+            x = sys.chart.sample_point(rng)
+            while True:
+                frame = gram_schmidt(sys.metric(x),
+                                     rng.standard_normal((2, sys.dim)))
+                if frame.shape[0] == 2:
+                    break
+            ref.append(magnetic_sectional(sys, s, x, frame[0], frame[1]))
+        ref = np.array(ref)
+        assert vals.shape == (count,)
+        assert np.abs(vals - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_sectional_checks_every_frame_and_the_speed():
+    sys = system("poincare_ball", "constant", b=1.0)
+    rng = np.random.default_rng(4)
+    X = np.array([sys.chart.sample_point(rng) for _ in range(5)])
+    G = sys.metric.raw_batch(X)
+    V, W = np.array([gram_schmidt(g, rng.standard_normal((2, 3)))
+                     for g in G]).transpose(1, 0, 2)
+    geo = PointGeometry.batch(sys.metric, X, G, sys.sigma)
+    assert _sectional(geo, 1.5, V, W).shape == (5,)
+    W[3] = W[3] + 1e-9 * V[3]              # one frame slightly skew
+    with pytest.raises(NonOrthonormalFrame):
+        _sectional(geo, 1.5, V, W)
+    with pytest.raises(NonpositiveSpeed):
+        sample_sectionals(sys, 0.0, 3, rng)
+    v, w = V[0], np.array(W[0])
+    with pytest.raises(NonpositiveSpeed):
+        magnetic_sectional(sys, -1.0, X[0], v, w)
+    with pytest.raises(NonOrthonormalFrame):
+        magnetic_sectional(sys, 1.0, X[0], v, 2.0 * w)
 
 
 def test_magnetic_sectional_flat_torus(rng):

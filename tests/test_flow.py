@@ -162,6 +162,26 @@ def test_renormalization_pins_speed():
     assert traj.speed_drift < 1e-13
 
 
+def test_rk4_node_times_land_on_the_horizon():
+    # node k sits at k * (T / nsteps), not at a running sum of steps, so the
+    # last node is T to within one ulp
+    sys = system("euclidean", "constant", {"dim": 2}, b=1.0)
+    st = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]))
+    for T, h in [(10.0, 1e-3), (2 * np.pi, 1e-3), (0.7, 1e-2), (3.3, 7e-3)]:
+        times = integrate(sys, st, T, IntegratorConfig(step=h)).times
+        k = np.arange(len(times))
+        assert np.array_equal(times, k * (T / (len(times) - 1)))
+        assert abs(times[-1] - T) <= np.spacing(T), (T, h)
+
+
+def test_negative_horizon_rejected():
+    sys = system("euclidean", "constant", {"dim": 2}, b=1.0)
+    st = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]))
+    for run in (integrate, variational_flow):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run(sys, st, -3.0, IntegratorConfig(step=1e-2))
+
+
 def test_trajectory_csv_header():
     sys = system("euclidean", "constant", {"dim": 2}, b=1.0)
     traj = integrate(sys, PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0])),

@@ -137,6 +137,68 @@ def test_dsigma_batch_matches_point_calls(rng):
                               single)
 
 
+def test_every_closure_batch_matches_point_calls(rng):
+    # every built-in closure broadcasts, also through `rescale`: on a (B, n)
+    # batch it gives the values of B single-point calls (up to the summation
+    # order of a vector dot product on the ball)
+    cases = [system(name, form, params, b=1.3)
+             for name, params in [("euclidean", {"dim": 3}), ("flat_torus", {}),
+                                  ("poincare_disk", {}), ("poincare_ball", {}),
+                                  ("round_sphere", {}),
+                                  ("round_sphere", {"dim": 3})]
+             for form in ("zero", "constant")]
+    cases += [system(name, "area_form", b=1.3)
+              for name in ("poincare_disk", "round_sphere")]
+    cases += [c.rescale(1.7) for c in cases[-3:]]
+    for sys in cases:
+        m, f = sys.metric, sys.sigma
+        assert m.broadcasts and f.broadcasts
+        X = np.array([sys.chart.sample_point(rng) for _ in range(6)])
+        G = np.array([m.raw(x) for x in X])
+        DG = np.array([m.dg(x) for x in X])
+        pairs = [(m.raw_batch(X), G), (m.dg_batch(X), DG),
+                 (m.d2g_batch(X), [m.d2g(x) for x in X]),
+                 (m.inverse_batch(X, G), [m.inverse(x, g) for x, g in zip(X, G)]),
+                 (f.at_batch(X, m, G), [f.at(x, m, g) for x, g in zip(X, G)]),
+                 (f.dsigma_batch(X, m, G, DG),
+                  [f.dsigma_at(x, m, g, dg) for x, g, dg in zip(X, G, DG)])]
+        for batch, single in pairs:
+            single = np.array(single)
+            assert batch.shape == single.shape
+            assert np.abs(batch - single).max() <= 1e-15 * np.abs(single).max()
+
+
+def test_batches_of_undeclared_closures_run_point_by_point(rng):
+    # closures not declared broadcasting, finite differences, and a form
+    # paired with another metric than its own are never handed a batch
+    chart, metric = make_manifold("poincare_disk")
+    seen = []
+
+    def point(fn):
+        def wrapper(*args):
+            seen.append(np.shape(args[0]))
+            return fn(*args)
+        return wrapper
+
+    user = MetricField(point(metric.raw), dg=point(metric.dg),
+                       d2g=point(metric.d2g), inv=point(metric.inverse),
+                       chart=chart)
+    fd = MetricField(point(metric.raw), chart=chart, broadcasts=True)
+    assert not user.broadcasts and not fd.broadcasts
+    X = np.array([chart.sample_point(rng) for _ in range(3)])
+    for m in (user, fd):
+        m.d2g_batch(X)
+        m.inverse_batch(X, m.raw_batch(X))
+    # the area form of `user`, paired with `metric`, reads `user` point-wise
+    area = make_form("area_form", 2, user, chart, b=1.0)
+    G, DG = metric.raw_batch(X), metric.dg_batch(X)
+    assert np.array_equal(area.at_batch(X, metric, G),
+                          np.array([area(x) for x in X]))
+    assert np.array_equal(area.dsigma_batch(X, metric, G, DG),
+                          np.array([area.dsigma(x) for x in X]))
+    assert seen and set(seen) == {(2,)}
+
+
 def test_closedness_nonclosed_example():
     # sigma = x^3 dx^1 ^ dx^2 has d sigma = dx^3 ^ dx^1 ^ dx^2, residual 1
     from magflow.forms import TwoFormField

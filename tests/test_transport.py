@@ -196,6 +196,32 @@ def test_holonomy_not_periodic():
         closed_orbit_holonomy(sys, state, 1.0, IntegratorConfig(step=1e-2))
 
 
+def test_holonomy_integrates_once_per_minimiser_evaluation(monkeypatch):
+    # the return distance at the refined period is the minimiser's own value,
+    # not one more orbit
+    import scipy.optimize
+    from magflow import flow
+    sys = system("euclidean", "constant", {"dim": 2}, b=2.0)
+    state = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]), s=1.0)
+    calls, results = [], []
+    integrate_, minimize = flow.integrate, scipy.optimize.minimize_scalar
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return integrate_(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(flow, "integrate", counted)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", recorded)
+    hol = closed_orbit_holonomy(sys, state, np.pi, IntegratorConfig(step=5e-3))
+    (res,) = results
+    assert len(calls) == res.nfev
+    assert hol.period == float(res.x) and hol.return_distance == float(res.fun)
+
+
 def test_holonomy_csv():
     sys = system("euclidean", "constant", {"dim": 2}, b=2.0)
     state = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]), s=1.0)
