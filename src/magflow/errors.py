@@ -13,10 +13,6 @@ class DomainViolation(MagflowError):
     """A coordinate vector failed the chart's domain guard."""
 
 
-class DerivativeUnavailable(MagflowError):
-    """No analytic closure and no finite-difference scheme configured."""
-
-
 class DegeneratePlane(MagflowError):
     """The two vectors spanning a plane are (numerically) parallel."""
 

@@ -3,10 +3,10 @@
 The chart form of the equation of motion is
     xdot^i = v^i
     vdot^i = -Gamma^i_{jk}(x) v^j v^k + X_V^i(x, v)
-with X_V = Y(x) v for a magnetic system.  The default integrator is
-fixed-step RK4; adaptive RK45 is delegated to scipy.  Speed drift along the
-orbit is recorded, never silently corrected (unless renormalization is
-explicitly enabled), so it can serve as an error indicator.
+with X_V = Y(x) v for a magnetic system.  It is integrated by fixed-step
+RK4.  Speed drift along the orbit is recorded, never silently corrected
+(unless renormalization is explicitly enabled), so it can serve as an error
+indicator.
 
 The variational flow Jdot = Df J is solved in two passes over blocks of
 `_BLOCK_STEPS` steps.  The base orbit is integrated with `integrate`'s RK4,
@@ -58,34 +58,19 @@ class PhaseState:
         if self.s <= 0:
             raise NonpositiveSpeed(f"nominal speed must be positive, got {self.s}")
 
-    @staticmethod
-    def at_speed(sys: MagneticSystem, x, v, s: float) -> "PhaseState":
-        """Rescale the direction v to g-norm s."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        nrm = sys.metric.norm(x, v)
-        if nrm == 0:
-            raise NonpositiveSpeed("zero direction has no speed")
-        return PhaseState(x=x, v=(s / nrm) * v, s=s)
-
-    def reversed(self) -> "PhaseState":
-        return PhaseState(x=self.x, v=-self.v, s=self.s)
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"          # "rk4" | "rk45"
-    step: float = 1e-3           # fixed step (rk4)
-    rtol: float = 1e-10          # adaptive tolerances (rk45)
-    atol: float = 1e-12
+    """Fixed-step RK4 settings: the nominal step, whether `integrate`
+    rescales v to the nominal speed after every step, and the step budget."""
+
+    step: float = 1e-3
     renormalize_speed: bool = False
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.step <= 0 or self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("step sizes and tolerances must be positive")
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.step <= 0:
+            raise ValueError("the step must be positive")
 
 
 @dataclass
@@ -232,10 +217,6 @@ def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
     return _generator_jacobians(sys, one)[0]
 
 
-def _rhs(sys, y, n):
-    return generator(sys, y[:n], y[n:])
-
-
 def _step_size(T, h, max_steps):
     """The number of fixed RK4 steps over T >= 0 for a nominal step h, and
     their size."""
@@ -247,13 +228,14 @@ def _step_size(T, h, max_steps):
     return nsteps, T / nsteps
 
 
-def _rk4_path(sys, y0, T, h, chart, renorm, metric, s, max_steps,
-              rhs=None, observe=None):
-    """Shared fixed-step RK4 driver.  `rhs(y) -> ydot` defaults to the plain
-    generator; `observe(t, y)` is called at every accepted node."""
-    n = len(y0) // 2 if rhs is None else None
-    f = (lambda y: _rhs(sys, y, n)) if rhs is None else rhs
-    nsteps, hh = _step_size(T, h, max_steps)
+def _rk4_path(sys, y0, T, cfg, rhs=None, observe=None, speed=None):
+    """Shared fixed-step RK4 driver over time T with the step and budget of
+    `cfg`.  `rhs(y) -> ydot` defaults to the plain generator; `observe(t, y)`
+    is called at every accepted node; a `speed` rescales v to that g-norm
+    after every step."""
+    n = sys.dim
+    f = (lambda y: generator(sys, y[:n], y[n:])) if rhs is None else rhs
+    nsteps, hh = _step_size(T, cfg.step, cfg.max_steps)
     y = np.array(y0, dtype=float)
     times = [0.0]
     path = [y.copy()]
@@ -269,14 +251,14 @@ def _rk4_path(sys, y0, T, h, chart, renorm, metric, s, max_steps,
             exited = True
             break
         ynew = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs = ynew[:chart.dim]
-        if not chart.contains(xs):
+        xs = ynew[:n]
+        if not sys.chart.contains(xs):
             exited = True
             break
-        if renorm:
-            nrm = metric.norm(xs, ynew[chart.dim:2 * chart.dim])
+        if speed is not None:
+            nrm = sys.metric.norm(xs, ynew[n:2 * n])
             if nrm > 0:
-                ynew[chart.dim:2 * chart.dim] *= s / nrm
+                ynew[n:2 * n] *= speed / nrm
         y = ynew
         t = k * hh               # not accumulated, so the last node is T
         times.append(t)
@@ -296,24 +278,9 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
         raise ValueError("T must be finite")
     n = sys.dim
     sys.chart.require(state.x)
-    y0 = np.concatenate([state.x, state.v])
-    if cfg.method == "rk4":
-        times, path, exited = _rk4_path(
-            sys, y0, T, cfg.step, sys.chart, cfg.renormalize_speed,
-            sys.metric, state.s, cfg.max_steps)
-    else:
-        from scipy.integrate import solve_ivp
-        sol = solve_ivp(lambda t, y: _rhs(sys, y, n), (0.0, T), y0,
-                        method="RK45", rtol=cfg.rtol, atol=cfg.atol,
-                        dense_output=False)
-        times, path = sol.t, sol.y.T
-        exited = False
-        inside = [sys.chart.contains(row[:n]) for row in path]
-        if not all(inside):
-            cut = inside.index(False)
-            times, path, exited = times[:cut], path[:cut], True
-            if cut == 0:
-                raise DomainExit("orbit left the chart immediately")
+    times, path, exited = _rk4_path(
+        sys, np.concatenate([state.x, state.v]), T, cfg,
+        speed=state.s if cfg.renormalize_speed else None)
     # every node passed the chart guard, so the metric is read unguarded
     g = sys.metric.raw_batch(path[:, :n])
     V = path[:, n:]
@@ -321,8 +288,7 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
     drifts = np.abs(speeds - state.s) / state.s
     return Trajectory(times=times, states=path, nominal_speed=state.s,
                       speed_drift=float(drifts.max()), exited=exited,
-                      meta={"drift_per_node": drifts,
-                            "method": cfg.method, "step": cfg.step})
+                      meta={"drift_per_node": drifts, "step": cfg.step})
 
 
 def dynamical_exp(sys: MagneticSystem, x, u,
@@ -340,17 +306,14 @@ def dynamical_exp(sys: MagneticSystem, x, u,
     return traj.final.x
 
 
-def oddness_residual(sys: MagneticSystem, x, v):
-    """(|X_H(x,-v) + X_H(x,v)|_g, |X_V(x,-v) + X_V(x,v)|_g).
-
-    Both vanish for magnetic systems; for a custom vertical field the second
-    component reports the failure of oddness.
-    """
+def oddness_residual(sys: MagneticSystem, x, v) -> float:
+    """|X_V(x,-v) + X_V(x,v)|_g, which vanishes for magnetic systems; for a
+    custom vertical field it reports the failure of oddness.  (The
+    horizontal part X_H(x, v) = v of a semi-spray flow is odd by
+    construction.)"""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    h = v + (-v)                       # X_H(x, v) = v for semi-spray flows
-    vert = sys.x_vertical(x, v) + sys.x_vertical(x, -v)
-    return sys.metric.norm(x, h), sys.metric.norm(x, vert)
+    return sys.metric.norm(x, sys.x_vertical(x, v) + sys.x_vertical(x, -v))
 
 
 # RK4 steps whose stages are recorded before their Jacobians are evaluated
@@ -402,8 +365,8 @@ def variational_flow(sys: MagneticSystem, state: PhaseState, T: float,
             advance()
 
     _, path, exited = _rk4_path(
-        sys, np.concatenate([state.x, state.v]), T, cfg.step, sys.chart,
-        False, sys.metric, state.s, cfg.max_steps, rhs=rhs, observe=observe)
+        sys, np.concatenate([state.x, state.v]), T, cfg, rhs=rhs,
+        observe=observe)
     if exited:
         raise DomainExit("variational orbit left the chart")
     if blk.count:

@@ -1,147 +1,215 @@
-"""Scenario files: JSON configuration with strict schema validation.
+"""Scenario files: the table of every field a scenario holds, and the
+validator that checks a file against it.
 
 A scenario names a built-in manifold and magnetic 2-form, a speed, initial
-conditions, integrator settings, and command-specific parameters.  Unknown
-keys are rejected so that typos fail loudly before any computation runs.
+conditions, integrator settings, and the parameters of one subcommand
+(`PARAMS`).  Every field has a type, a default and, for numbers, a lower
+bound.  Unknown keys are rejected so that typos fail loudly before any
+computation runs, and every failure names the offending field.
 """
 from __future__ import annotations
 
 import json
-from typing import Optional
+import math
+from dataclasses import dataclass
+from typing import NoReturn, Optional
 
 import numpy as np
-from jsonschema import Draft7Validator
 
-from .errors import MagflowError
+from .errors import BadDimension, MagflowError
 from .flow import IntegratorConfig, PhaseState
 from .forms import FORMS, make_form
 from .models import MANIFOLDS, make_manifold
+from .submanifold import ParamSubmanifold, make_submanifold
 from .system import MagneticSystem
 
-__all__ = ["ScenarioInvalid", "load_scenario", "build_system", "build_state",
-           "build_integrator", "SCHEMA"]
+__all__ = ["ScenarioInvalid", "PARAMS", "load_scenario", "build_system",
+           "build_state", "build_integrator", "build_submanifold"]
 
 
 class ScenarioInvalid(MagflowError):
-    """Scenario file failed schema validation (CLI exit code 2)."""
+    """Scenario file failed validation (CLI exit code 2)."""
 
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["manifold", "magnetic"],
-    "properties": {
-        "manifold": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": sorted(MANIFOLDS)},
-                "params": {"type": "object"},
-            },
-        },
-        "magnetic": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": sorted(FORMS)},
-                "params": {"type": "object"},
-            },
-        },
-        "speed": {"type": "number", "exclusiveMinimum": 0},
-        "initial": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "x": {"type": "array", "items": {"type": "number"}},
-                "v": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "integrator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "method": {"enum": ["rk4", "rk45"]},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-                "rtol": {"type": "number", "exclusiveMinimum": 0},
-                "atol": {"type": "number", "exclusiveMinimum": 0},
-                "renormalize_speed": {"type": "boolean"},
-                "max_steps": {"type": "integer", "minimum": 1},
-            },
-        },
-        "command": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "params": {"type": "object"},
-    },
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """One scenario field: the Python type of its JSON value (`float` also
+    takes integers, `(int, float)` keeps a number as given), its default
+    (None: optional without one), an inclusive (`low`) or exclusive
+    (`above`) lower bound, and the admissible values.  A `dict` with a
+    `fields` table is closed to its keys, one without is open; `of` checks
+    the items of a `list` and the values of an open `dict`."""
+
+    kind: object
+    default: object = REQUIRED
+    low: Optional[float] = None
+    above: Optional[float] = None
+    choices: tuple = ()
+    fields: Optional[dict] = None
+    of: Optional[Field] = None
+
+
+# keyword arguments of a manifold or form builder, which checks the rest
+_BUILDER_PARAMS = Field(dict, {}, of=Field((int, float)))
+_VECTOR = Field(list, None, of=Field(float))
+
+# The `params` of each subcommand.  A default of None stands for a value
+# the command derives from the scenario, such as the initial velocity.
+PARAMS = {
+    "integrate": {"T": Field(float, 1.0, low=0)},
+    "exp": {"u": _VECTOR},
+    "curvature": {},
+    "sec": {"samples": Field(int, 50, low=1)},
+    "anosov-report": {"samples": Field(int, 100, low=1)},
+    "defect": {"submanifold": Field(dict),
+               "samples": Field(int, 32, low=1)},
+    "cartan-probe": {"k": Field(int, 2, low=2),
+                     "planes": Field(int, 20, low=1),
+                     "radius": Field(float, 0.4, above=0),
+                     "defect_samples": Field(int, 4, low=1),
+                     "tolerance": Field(float, 1e-6, above=0)},
+    "transport": {"T": Field(float, 1.0, low=0), "w0": _VECTOR},
+    "holonomy": {"period_guess": Field(float, 2 * math.pi, above=0),
+                 "tolerance": Field(float, 1e-6, above=0)},
+    "lyapunov": {"T": Field(float, 10.0, above=0),
+                 "steps": Field(int, None, low=1)},
+    "angle": {"T": Field(float, 10.0, above=0)},
+    "volume": {"T": Field(float, 10.0, above=0)},
+    "conjugate-scan": {"direction": _VECTOR,
+                       "t_max": Field(float, 2.0, above=0),
+                       "steps": Field(int, 40, low=1)},
+    "regimes": {"s_grid": Field(list, [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0],
+                                of=Field(float, above=0)),
+                "samples": Field(int, 25, low=1),
+                "T": Field(float, 8.0, above=0)},
 }
 
-_validator = Draft7Validator(SCHEMA)
+# The fields every scenario shares; `command` and `params` depend on the
+# subcommand.  A step of None takes the command's default step.
+_COMMON = {
+    "manifold": Field(dict, fields={
+        "name": Field(str, choices=tuple(sorted(MANIFOLDS))),
+        "params": _BUILDER_PARAMS}),
+    "magnetic": Field(dict, fields={
+        "name": Field(str, choices=tuple(sorted(FORMS))),
+        "params": _BUILDER_PARAMS}),
+    "speed": Field(float, 1.0, above=0),
+    "initial": Field(dict, {}, fields={"x": _VECTOR, "v": _VECTOR}),
+    "integrator": Field(dict, {}, fields={
+        "step": Field(float, None, above=0),
+        "renormalize_speed": Field(bool, IntegratorConfig.renormalize_speed),
+        "max_steps": Field(int, IntegratorConfig.max_steps, low=1)}),
+    "seed": Field(int, 0, low=0),
+}
+
+_KIND_NAMES = {(int, float): "a number", int: "an integer",
+               bool: "a boolean", str: "a string", list: "an array", dict: "an object"}
 
 
-def load_scenario(path: str, command: Optional[str] = None) -> dict:
-    """Parse and validate a scenario file.  Raises ScenarioInvalid with a
-    message naming the offending field."""
+def _fail(path: str, message: str) -> NoReturn:
+    raise ScenarioInvalid(f"scenario field {path or '(top level)'}: {message}")
+
+
+def _join(path: str, key) -> str:
+    return f"{path}/{key}" if path else str(key)
+
+
+def _check(value, spec: Field, path: str):
+    """`value` checked against `spec`.  Objects come back with the defaults
+    of their absent fields filled in, numbers of kind `float` as floats."""
+    if value is REQUIRED:
+        _fail(path, "required")
+    if value is None and spec.default is None:
+        return None
+    if spec.kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    kind = (int, float) if spec.kind is float else spec.kind
+    if (not isinstance(value, kind)
+            or (isinstance(value, bool) and spec.kind is not bool)):
+        _fail(path, f"expected {_KIND_NAMES[kind]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {value!r}")
+    if spec.kind is float:
+        value = float(value)
+    if spec.low is not None and value < spec.low:
+        _fail(path, f"must be at least {spec.low}, got {value!r}")
+    if spec.above is not None and value <= spec.above:
+        _fail(path, f"must be greater than {spec.above}, got {value!r}")
+    if spec.choices and value not in spec.choices:
+        _fail(path, f"expected one of {list(spec.choices)}, got {value!r}")
+    if spec.kind is list:
+        return [_check(item, spec.of, _join(path, i))
+                for i, item in enumerate(value)]
+    if spec.kind is dict and spec.fields is None and spec.of is not None:
+        return {key: _check(item, spec.of, _join(path, key))
+                for key, item in value.items()}
+    if spec.fields is None:
+        return value
+    for key in value:
+        if key not in spec.fields:
+            _fail(_join(path, key), "unknown key")
+    return {key: _check(value.get(key, field.default), field, _join(path, key))
+            for key, field in spec.fields.items()}
+
+
+def load_scenario(path: str, command: str) -> dict:
+    """Parse a scenario file for `command` and check it against the table.
+    Returns the scenario with every default filled in; raises
+    ScenarioInvalid with a message naming the offending field."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioInvalid(f"cannot read scenario {path!r}: {exc}")
-    errs = sorted(_validator.iter_errors(data), key=lambda e: list(e.path))
-    if errs:
-        e = errs[0]
-        where = "/".join(str(p) for p in e.path) or "(top level)"
-        raise ScenarioInvalid(f"scenario field {where}: {e.message}")
-    if command is not None and "command" in data and data["command"] != command:
-        raise ScenarioInvalid(
-            f"scenario field command: declared for {data['command']!r}, "
-            f"invoked as {command!r}")
-    return data
+    table = dict(_COMMON, command=Field(str, None, choices=(command,)),
+                 params=Field(dict, {}, fields=PARAMS[command]))
+    return _check(data, Field(dict, fields=table), "")
 
 
 def build_system(sc: dict) -> MagneticSystem:
-    man = sc["manifold"]
+    man, mag = sc["manifold"], sc["magnetic"]
     try:
-        chart, metric = make_manifold(man["name"], **man.get("params", {}))
-    except TypeError as exc:
-        raise ScenarioInvalid(f"scenario field manifold/params: {exc}")
-    mag = sc["magnetic"]
+        chart, metric = make_manifold(man["name"], **man["params"])
+    except (TypeError, ValueError) as exc:
+        _fail("manifold/params", str(exc))
     try:
-        sigma = make_form(mag["name"], chart.dim, metric, chart,
-                          **mag.get("params", {}))
-    except TypeError as exc:
-        raise ScenarioInvalid(f"scenario field magnetic/params: {exc}")
+        sigma = make_form(mag["name"], chart.dim, metric, chart, **mag["params"])
+    except (TypeError, ValueError) as exc:
+        _fail("magnetic", str(exc))
     return MagneticSystem(chart, metric, sigma)
 
 
 def build_state(sc: dict, sys: MagneticSystem) -> PhaseState:
-    init = sc.get("initial", {})
-    if "x" not in init:
-        raise ScenarioInvalid("scenario field initial/x: required")
-    x = np.asarray(init["x"], dtype=float)
-    if x.size != sys.dim:
-        raise ScenarioInvalid(
-            f"scenario field initial/x: expected {sys.dim} components")
-    if "v" not in init:
-        raise ScenarioInvalid("scenario field initial/v: required")
-    v = np.asarray(init["v"], dtype=float)
-    if v.size != sys.dim:
-        raise ScenarioInvalid(
-            f"scenario field initial/v: expected {sys.dim} components")
-    s = float(sc.get("speed", 1.0))
+    for key in ("x", "v"):
+        if sc["initial"][key] is None:
+            _fail(f"initial/{key}", "required")
+        if len(sc["initial"][key]) != sys.dim:
+            _fail(f"initial/{key}", f"expected {sys.dim} components")
+    x, v = (np.asarray(sc["initial"][key], dtype=float) for key in ("x", "v"))
+    s = sc["speed"]
     nrm = sys.metric.norm(x, v)
     if nrm == 0:
-        raise ScenarioInvalid("scenario field initial/v: must be nonzero")
+        _fail("initial/v", "must be nonzero")
     return PhaseState(x=x, v=v * (s / nrm), s=s)
 
 
-def build_integrator(sc: dict, default_step: float = 1e-3) -> IntegratorConfig:
-    cfg = sc.get("integrator", {})
+def build_integrator(sc: dict,
+                     default_step: float = IntegratorConfig.step) -> IntegratorConfig:
+    cfg = sc["integrator"]
     return IntegratorConfig(
-        method=cfg.get("method", "rk4"),
-        step=float(cfg.get("step", default_step)),
-        rtol=float(cfg.get("rtol", 1e-10)),
-        atol=float(cfg.get("atol", 1e-12)),
-        renormalize_speed=bool(cfg.get("renormalize_speed", False)),
-        max_steps=int(cfg.get("max_steps", 10_000_000)),
-    )
+        step=default_step if cfg["step"] is None else cfg["step"],
+        renormalize_speed=cfg["renormalize_speed"],
+        max_steps=cfg["max_steps"])
+
+
+def build_submanifold(sc: dict, sys: MagneticSystem) -> ParamSubmanifold:
+    """The submanifold declared in params/submanifold."""
+    try:
+        return make_submanifold(sc["params"]["submanifold"], sys)
+    except KeyError as exc:
+        _fail("params/submanifold", f"missing {exc}")
+    except (TypeError, ValueError, BadDimension) as exc:
+        _fail("params/submanifold", str(exc))

@@ -336,7 +336,6 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
 
 
 def candidate_hypersurface(sys: MagneticSystem, x, plane, radius: float,
-                           grid: int = 0,
                            cfg: Optional[IntegratorConfig] = None) -> ParamSubmanifold:
     """Hyperplane case of `candidate_submanifold` (k = n - 1).
 

@@ -115,8 +115,7 @@ def parallel_transport(sys: MagneticSystem, state: PhaseState, w0, T: float,
     n = sys.dim
     y0 = np.concatenate([state.x, state.v, np.asarray(w0, dtype=float)])
     times, path, exited = _rk4_path(
-        sys, y0, T, cfg.step, sys.chart, False, sys.metric, state.s,
-        cfg.max_steps, rhs=lambda y: _transport_rhs(sys, y, n, 1))
+        sys, y0, T, cfg, rhs=lambda y: _transport_rhs(sys, y, n, 1))
     if exited:
         raise DomainExit("transport orbit left the chart")
     return path[-1][2 * n:]
@@ -132,8 +131,7 @@ def frame_flow(sys: MagneticSystem, frame: FrameState, T: float,
     y0 = np.concatenate([frame.state.x, frame.state.v,
                          frame.completion.ravel()])
     times, path, exited = _rk4_path(
-        sys, y0, T, cfg.step, sys.chart, False, sys.metric, frame.state.s,
-        cfg.max_steps, rhs=lambda y: _transport_rhs(sys, y, n, m))
+        sys, y0, T, cfg, rhs=lambda y: _transport_rhs(sys, y, n, m))
     if exited:
         raise DomainExit("frame orbit left the chart")
     yend = path[-1]

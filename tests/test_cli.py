@@ -32,15 +32,16 @@ def _run(args):
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # solve_ivp, minimize_scalar and the quasi-Monte Carlo nodes are imported
-    # by the code paths that use them, not when the CLI starts
+    # minimize_scalar and the quasi-Monte Carlo nodes are imported by the
+    # code paths that use them, not when the CLI starts; scenarios are
+    # checked without jsonschema
     src = os.path.dirname(os.path.dirname(magflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, magflow.cli; print(sorted(m for m in "
-         "('scipy.integrate', 'scipy.optimize', 'scipy.stats') "
+         "('scipy.integrate', 'scipy.optimize', 'scipy.stats', 'jsonschema') "
          "if m in sys.modules))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -76,13 +77,56 @@ def test_negative_speed_rejected_naming_field(tmp_path):
     assert "speed" in res.output
 
 
-@pytest.mark.parametrize("command", ["integrate", "transport"])
+@pytest.mark.parametrize("command", ["integrate", "transport", "lyapunov",
+                                     "angle", "volume"])
 def test_negative_horizon_rejected_naming_field(tmp_path, command):
     sc = _write_scenario(tmp_path, params={"T": -3.0})
-    res = _run([command, sc, "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    res = _run([command, sc, "--out", str(out)])
     assert res.exit_code == 2
     assert "params/T" in res.output
-    assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("transport.json"))
+    assert not out.exists()
+
+
+_HYPERPLANE = {"type": "hyperplane", "normal": [0.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("command, overrides, flags, field", [
+    pytest.param("sec", {}, ["--seed", "-1"], "--seed", id="negative-seed"),
+    pytest.param("sec", {}, ["--threads", "-5"], "--threads",
+                 id="negative-threads"),
+    pytest.param("integrate", {"params": {"T": "abc"}}, [], "params/T",
+                 id="text-horizon"),
+    pytest.param("lyapunov", {"params": {"T": 0}}, [], "params/T",
+                 id="zero-lyapunov-horizon"),
+    pytest.param("integrate", {"manifold": {"name": "round_sphere",
+                                            "params": {"dim": 1}}},
+                 [], "manifold/params", id="sphere-dim-1"),
+    pytest.param("integrate", {"manifold": {"name": "euclidean",
+                                            "params": {"dim": 3}},
+                               "magnetic": {"name": "area_form"}},
+                 [], "magnetic", id="area-form-off-surface"),
+    pytest.param("sec", {"params": {"samples": 0}}, [], "params/samples",
+                 id="zero-samples"),
+    pytest.param("sec", {"params": {"sampels": 10}}, [], "params/sampels",
+                 id="params-typo"),
+    pytest.param("integrate", {"integrator": {"method": "rk45"}}, [],
+                 "integrator/method", id="rk45"),
+    pytest.param("defect", {"manifold": {"name": "euclidean",
+                                         "params": {"dim": 3}},
+                            "initial": {"x": [0.0, 0.0, 0.0],
+                                        "v": [1.0, 0.0, 0.0]},
+                            "params": {"submanifold": _HYPERPLANE}},
+                 [], "params/submanifold", id="hyperplane-without-point"),
+])
+def test_invalid_input_exits_2_naming_field(tmp_path, command, overrides,
+                                            flags, field):
+    sc = _write_scenario(tmp_path, **overrides)
+    out = tmp_path / "out"
+    res = _run([command, sc, "--out", str(out)] + flags)
+    assert res.exit_code == 2
+    assert field in res.output
+    assert not out.exists()
 
 
 def test_unknown_key_rejected(tmp_path):

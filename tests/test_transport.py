@@ -51,8 +51,7 @@ def test_cov_derivative_of_transported_field_vanishes():
     from magflow.transport import _transport_rhs
     n = sys.dim
     y0 = np.concatenate([x0, v0, w0])
-    _, path, _ = _rk4_path(sys, y0, 1.0, cfg.step, sys.chart, False,
-                           sys.metric, 1.0, cfg.max_steps,
+    _, path, _ = _rk4_path(sys, y0, 1.0, cfg,
                            rhs=lambda y: _transport_rhs(sys, y, n, 1))
     W = np.array(path)[:, 2 * n:]
     D = magnetic_covariant_derivative(sys, traj, W)
