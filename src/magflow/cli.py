@@ -181,6 +181,9 @@ def cmd_cartan(sc, out):
     """Sample tangent k-planes and test their exp-images for invariance."""
     sysm = build_system(sc)
     p = sc["params"]
+    if p["k"] >= sysm.dim:
+        raise ScenarioInvalid(f"scenario field params/k: must be less than "
+                              f"the dimension {sysm.dim}, got {p['k']}")
     rep = cartan_probe(
         sysm, k=p["k"], plane_samples=p["planes"], seed=sc["seed"],
         radius=p["radius"], defect_samples=p["defect_samples"],

@@ -109,14 +109,15 @@ class TwoFormField:
         return np.asarray(self._dsigma(x, g, dg), dtype=float)
 
 
-def _zero(dim: int, chart=None, **_):
+def _zero(dim: int, metric: MetricField = None, chart: ChartSpec = None):
     z1 = np.zeros((dim, dim))
     z2 = np.zeros((dim, dim, dim))
     return TwoFormField(lambda x: z1, dsigma=lambda x: z2, chart=chart,
                         broadcasts=True)
 
 
-def _constant(dim: int, b: float = 1.0, chart=None, **_):
+def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
+              b: float = 1.0):
     """b * dx^1 ^ dx^2, extended by zero in any further coordinates."""
     sig = np.zeros((dim, dim))
     sig[0, 1] = b
@@ -126,8 +127,8 @@ def _constant(dim: int, b: float = 1.0, chart=None, **_):
                         broadcasts=True)
 
 
-def _area_form(dim: int, metric: MetricField = None, b: float = 1.0,
-               chart=None, **_):
+def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
+               b: float = 1.0):
     """b times the Riemannian area form sqrt(det g) dx^1 ^ dx^2 (dim 2)."""
     if dim != 2:
         raise ValueError("area_form is only defined on surfaces")

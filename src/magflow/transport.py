@@ -8,14 +8,14 @@ derivative on stored grids lives in `magnetic_covariant_derivative`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainExit, GridMismatch, NotPeriodic
 from .flow import (IntegratorConfig, PhaseState, Trajectory, _acceleration,
-                   _rk4_path)
+                   _rk4_path, generator, integrate)
 from .geometry import orthonormal_completion
 from .system import MagneticSystem
 
@@ -139,13 +139,36 @@ def frame_flow(sys: MagneticSystem, frame: FrameState, T: float,
     return FrameState(state=state, completion=yend[2 * n:].reshape(m, n))
 
 
-def _return_distance(sys, z0, tau, cfg):
-    from .flow import integrate
+def _hermite_nearest(sys, t, y, z0) -> float:
+    """The time in [t[0], t[-1]] at which the cubic Hermite interpolant of
+    the nodes (t, y) and their generator values comes nearest z0.
+
+    On each step, with s in [0, 1] and h its length, the interpolant minus
+    z0 is a cubic c0 + c1 s + c2 s^2 + c3 s^3 in s, so its squared norm is a
+    polynomial of degree 6; its minimum lies at a real root of the
+    derivative in [0, 1] or at an end of the step."""
     n = sys.dim
-    traj = integrate(sys, PhaseState(x=z0[:n], v=z0[n:], s=1.0), tau, cfg)
-    if traj.exited:
-        return np.inf
-    return float(np.linalg.norm(traj.states[-1] - z0))
+    f = np.array([generator(sys, yk[:n], yk[n:]) for yk in y])
+    best, tau = np.inf, float(t[0])
+    for k in range(len(t) - 1):
+        h = t[k + 1] - t[k]
+        dy = y[k + 1] - y[k]
+        c = np.array([y[k] - z0, h * f[k],
+                      3.0 * dy - h * (2.0 * f[k] + f[k + 1]),
+                      -2.0 * dy + h * (f[k] + f[k + 1])])
+        gram = c @ c.T
+        sq = np.zeros(7)                  # sq[m] = sum of c_j . c_k, j + k = m
+        for j in range(4):
+            sq[j:j + 4] += gram[j]
+        sq = sq[::-1]                     # highest power first, as np.roots
+        roots = np.roots(np.polyder(sq))
+        s = np.concatenate([[0.0, 1.0], roots[np.isreal(roots)].real])
+        s = s[(s >= 0.0) & (s <= 1.0)]
+        vals = np.polyval(sq, s)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, tau = vals[i], float(t[k] + s[i] * h)
+    return tau
 
 
 def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
@@ -154,24 +177,43 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
                           tol: float = 1e-6) -> OrthogonalHolonomy:
     """Holonomy of the frame flow around a numerically closed orbit.
 
-    The period is refined by golden-section minimization of the phase-space
-    return distance near the guess; the transported completion is expressed
-    in the initial orthonormal completion of v-perp.
+    The orbit is integrated once to 1.1 times the guess.  Of its nodes in
+    [0.9, 1.1] times the guess, the one nearest the start in phase space
+    and the steps on either side of it give the period: the time, clamped
+    to that window, at which the cubic Hermite interpolant of those nodes
+    comes nearest the start.  The frame flow then runs once to that period;
+    its final base state gives the return distance, and the transported
+    completion is expressed in the initial orthonormal completion of
+    v-perp.
     """
-    from scipy.optimize import minimize_scalar
+    if not period_guess > 0:
+        raise ValueError(f"the period guess must be positive, got {period_guess}")
     cfg = cfg or IntegratorConfig()
     z0 = np.concatenate([state.x, state.v])
     lo, hi = 0.9 * period_guess, 1.1 * period_guess
-    res = minimize_scalar(lambda t: _return_distance(sys, z0, t, cfg),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    # the bounded minimiser returns fun = f(x) at the x it returns
-    tau, dist = float(res.x), float(res.fun)
+    # the frame flow does not renormalize, so neither does its dense orbit
+    traj = integrate(sys, state, hi, replace(cfg, renormalize_speed=False))
+    # the last node is at hi unless the orbit left the chart
+    window = np.flatnonzero(traj.times >= lo)
+    if window.size == 0:
+        raise NotPeriodic("the orbit left the chart before the guessed period")
+    i = window[np.argmin(np.linalg.norm(traj.states[window] - z0, axis=1))]
+    near = slice(i - 1, i + 2)                      # t[0] = 0 < lo, so i >= 1
+    if not np.all(np.isfinite(traj.states[near])):
+        raise NotPeriodic("the orbit is not finite near the guessed period")
+    tau = _hermite_nearest(sys, traj.times[near], traj.states[near], z0)
+    # a guess below one step would otherwise let tau fall to t = 0, where the
+    # return distance is 0
+    tau = min(max(tau, lo), hi)
+    f0 = FrameState.from_state(sys, state)
+    try:
+        f1 = frame_flow(sys, f0, tau, cfg)
+    except DomainExit as exc:
+        raise NotPeriodic(f"{exc} near the guessed period") from exc
+    dist = float(np.linalg.norm(np.concatenate([f1.state.x, f1.state.v]) - z0))
     if not np.isfinite(dist) or dist > tol:
         raise NotPeriodic(
             f"return distance {dist:.3e} exceeds {tol} near the guessed period")
-    f0 = FrameState.from_state(sys, state)
-    f1 = frame_flow(sys, f0, tau, cfg)
     g = sys.metric(state.x)
     init = f0.completion                              # rows e_2 ... e_n
     Q = init @ g @ f1.completion.T                    # Q[a,b] = g(e_a, v_b(tau))

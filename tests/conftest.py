@@ -13,6 +13,11 @@ def system(manifold, form="zero", manifold_params=None, **form_params):
     return MagneticSystem(chart, metric, sigma)
 
 
+def strength(form, b):
+    """The parameters of `form` at strength b; the zero form takes none."""
+    return {} if form == "zero" else {"b": b}
+
+
 def unit(metric, x, v):
     v = np.asarray(v, dtype=float)
     return v / metric.norm(x, v)

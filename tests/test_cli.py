@@ -32,9 +32,9 @@ def _run(args):
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # minimize_scalar and the quasi-Monte Carlo nodes are imported by the
-    # code paths that use them, not when the CLI starts; scenarios are
-    # checked without jsonschema
+    # the quasi-Monte Carlo nodes are imported by the code path that uses
+    # them, not when the CLI starts; nothing imports scipy.optimize, and
+    # scenarios are checked without jsonschema
     src = os.path.dirname(os.path.dirname(magflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -108,6 +108,11 @@ _HYPERPLANE = {"type": "hyperplane", "normal": [0.0, 0.0, 1.0]}
                  [], "magnetic", id="area-form-off-surface"),
     pytest.param("sec", {"params": {"samples": 0}}, [], "params/samples",
                  id="zero-samples"),
+    pytest.param("integrate", {"magnetic": {"name": "constant",
+                                            "params": {"bb": 3.0}}},
+                 [], "magnetic", id="form-params-typo"),
+    pytest.param("cartan-probe", {"params": {"k": 2}}, [], "params/k",
+                 id="cartan-k-not-below-dim"),
     pytest.param("sec", {"params": {"sampels": 10}}, [], "params/sampels",
                  id="params-typo"),
     pytest.param("integrate", {"integrator": {"method": "rk45"}}, [],
@@ -155,6 +160,24 @@ def test_holonomy_not_periodic_exit_3(tmp_path):
     res = _run(["holonomy", sc, "--out", str(tmp_path)])
     assert res.exit_code == 3
     assert "NotPeriodic" in res.output
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"magnetic": {"name": "constant", "params": {"b": 2.0}},
+                  "integrator": {"step": 1e-2},
+                  "params": {"period_guess": 1e-3}}, id="guess-below-one-step"),
+    pytest.param({"manifold": {"name": "poincare_disk"},
+                  "magnetic": {"name": "area_form", "params": {"b": 1.0}},
+                  "speed": 4.0, "integrator": {"step": 1e-2},
+                  "params": {"period_guess": 3.0}}, id="escaping-orbit"),
+])
+def test_holonomy_refinement_edges_exit_3(tmp_path, overrides):
+    sc = _write_scenario(tmp_path, **overrides)
+    out = tmp_path / "out"
+    res = _run(["holonomy", sc, "--out", str(out)])
+    assert res.exit_code == 3
+    assert "NotPeriodic" in res.output
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from magflow.curvature import (_CHUNK, _sectional, orthonormalize_pair,
 from magflow.errors import NonOrthonormalFrame, NonpositiveSpeed, NonUnitVector
 from magflow.geometry import PointGeometry, gram_schmidt, project
 
-from conftest import counted_system, system, unit
+from conftest import counted_system, strength, system, unit
 
 
 # -- operator A ------------------------------------------------------------
@@ -200,8 +200,8 @@ def _user_metric_system(analytic):
 def _sampled_cases():
     models = [("euclidean", {"dim": 3}), ("flat_torus", {}), ("poincare_disk", {}),
               ("poincare_ball", {}), ("round_sphere", {}), ("round_sphere", {"dim": 3})]
-    cases = [pytest.param(lambda n=n, f=f, p=p: system(n, f, p, b=1.3), 40,
-                          id=f"{n}{p.get('dim', '')}-{f}")
+    cases = [pytest.param(lambda n=n, f=f, p=p: system(n, f, p, **strength(f, 1.3)),
+                          40, id=f"{n}{p.get('dim', '')}-{f}")
              for n, p in models for f in ("zero", "constant", "area_form")
              if f != "area_form" or (n in ("poincare_disk", "round_sphere")
                                      and not p)]

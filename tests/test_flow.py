@@ -10,7 +10,7 @@ from magflow.flow import _BLOCK_STEPS, generator, generator_jacobian
 from magflow.geometry import dchristoffel
 from magflow.transport import _transport_rhs
 
-from conftest import counted_system, system, unit
+from conftest import counted_system, strength, system, unit
 
 
 # -- generator -------------------------------------------------------------
@@ -320,7 +320,8 @@ def _custom_field_disk():
 
 
 _VARIATIONAL_CASES = {
-    **{f"{name}-{form}": (lambda name=name, form=form: system(name, form, b=1.3))
+    **{f"{name}-{form}": (lambda name=name, form=form:
+                          system(name, form, **strength(form, 1.3)))
        for name in ("euclidean", "flat_torus", "poincare_disk", "round_sphere")
        for form in ("zero", "constant", "area_form")},
     "poincare_ball-zero": lambda: system("poincare_ball", "zero"),

@@ -5,7 +5,7 @@ from magflow import (MagneticSystem, MetricField, christoffel,
                      closedness_residual, make_form, make_manifold)
 from magflow.errors import NonpositiveSpeed
 
-from conftest import system
+from conftest import strength, system
 
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -121,7 +121,7 @@ def test_area_form_matches_determinant(rng):
 def test_dsigma_batch_matches_point_calls(rng):
     # every built-in form derivative broadcasts, also through `rescale`: on
     # a (B, n) batch it gives the values of B single-point calls
-    cases = [system(name, form, b=1.3)
+    cases = [system(name, form, **strength(form, 1.3))
              for name in ("poincare_disk", "round_sphere")
              for form in ("zero", "constant", "area_form")]
     cases += [system("poincare_ball", "constant", b=0.7),
@@ -141,7 +141,7 @@ def test_every_closure_batch_matches_point_calls(rng):
     # every built-in closure broadcasts, also through `rescale`: on a (B, n)
     # batch it gives the values of B single-point calls (up to the summation
     # order of a vector dot product on the ball)
-    cases = [system(name, form, params, b=1.3)
+    cases = [system(name, form, params, **strength(form, 1.3))
              for name, params in [("euclidean", {"dim": 3}), ("flat_torus", {}),
                                   ("poincare_disk", {}), ("poincare_ball", {}),
                                   ("round_sphere", {}),

@@ -1,10 +1,13 @@
 """Tests for magnetic parallel transport, the frame flow, and holonomy."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magflow import (DomainExit, FrameState, GridMismatch, IntegratorConfig,
-                     NotPeriodic, PhaseState, closed_orbit_holonomy,
-                     frame_flow, integrate, magnetic_covariant_derivative,
+                     MagneticSystem, NotPeriodic, PhaseState,
+                     closed_orbit_holonomy, frame_flow, integrate,
+                     magnetic_covariant_derivative, make_form, make_manifold,
                      parallel_transport)
 
 from conftest import system, unit
@@ -195,30 +198,96 @@ def test_holonomy_not_periodic():
         closed_orbit_holonomy(sys, state, 1.0, IntegratorConfig(step=1e-2))
 
 
-def test_holonomy_integrates_once_per_minimiser_evaluation(monkeypatch):
-    # the return distance at the refined period is the minimiser's own value,
-    # not one more orbit
-    import scipy.optimize
-    from magflow import flow
+def test_holonomy_integrates_once_and_flows_the_frame_once(monkeypatch):
+    # one dense orbit refines the period and one frame flow to it gives both
+    # the holonomy and the return distance
+    from magflow import flow, transport
     sys = system("euclidean", "constant", {"dim": 2}, b=2.0)
     state = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]), s=1.0)
-    calls, results = [], []
-    integrate_, minimize = flow.integrate, scipy.optimize.minimize_scalar
+    orbits, frames = [], []
+    integrate_, frame_flow_ = flow.integrate, transport.frame_flow
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        orbits.append(args[2])
         return integrate_(*args, **kwargs)
 
     def recorded(*args, **kwargs):
-        results.append(minimize(*args, **kwargs))
-        return results[-1]
+        frames.append((args[2], frame_flow_(*args, **kwargs)))
+        return frames[-1][1]
 
     monkeypatch.setattr(flow, "integrate", counted)
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar", recorded)
+    monkeypatch.setattr(transport, "integrate", counted)
+    monkeypatch.setattr(transport, "frame_flow", recorded)
     hol = closed_orbit_holonomy(sys, state, np.pi, IntegratorConfig(step=5e-3))
-    (res,) = results
-    assert len(calls) == res.nfev
-    assert hol.period == float(res.x) and hol.return_distance == float(res.fun)
+    assert len(orbits) == 1
+    ((tau, end),) = frames
+    z0 = np.concatenate([state.x, state.v])
+    assert hol.period == tau
+    assert hol.return_distance == float(np.linalg.norm(
+        np.concatenate([end.state.x, end.state.v]) - z0))
+
+
+def test_holonomy_guess_below_one_step_not_periodic(monkeypatch):
+    # the period stays in [0.9, 1.1] x guess: it never falls to the start
+    # of the orbit, where the return distance is 0
+    from magflow import transport
+    sys = system("euclidean", "constant", {"dim": 2}, b=2.0)
+    state = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]), s=1.0)
+    guess, periods = 1e-3, []
+    frame_flow_ = transport.frame_flow
+
+    def recorded(*args, **kwargs):
+        periods.append(args[2])
+        return frame_flow_(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "frame_flow", recorded)
+    with pytest.raises(NotPeriodic):
+        closed_orbit_holonomy(sys, state, guess, IntegratorConfig(step=1e-2))
+    assert all(0.9 * guess <= t <= 1.1 * guess for t in periods)
+
+
+def test_holonomy_escaping_orbit_not_periodic():
+    # speed 4 above the field strength 1: the orbit leaves the disk
+    sys = system("poincare_disk", "area_form", b=1.0)
+    x0 = np.zeros(2)
+    state = PhaseState(x=x0, v=4.0 * unit(sys.metric, x0, [1.0, 0.0]), s=4.0)
+    with pytest.raises(NotPeriodic):
+        closed_orbit_holonomy(sys, state, 3.0, IntegratorConfig(step=1e-2))
+
+
+def test_holonomy_blown_up_orbit_not_periodic():
+    # vdot = 10 |v|^2 v blows up at t = 0.05, long before the guess
+    chart, metric = make_manifold("euclidean", dim=2)
+    sys = MagneticSystem(chart, metric, make_form("zero", 2, metric, chart),
+                         vertical_field=lambda x, v: 10.0 * v * (v @ v))
+    state = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]), s=1.0)
+    with np.errstate(all="ignore"), pytest.raises(NotPeriodic):
+        closed_orbit_holonomy(sys, state, 1.0, IntegratorConfig(step=1e-2))
+
+
+@pytest.mark.parametrize("guess", [0.0, -1.0])
+def test_holonomy_rejects_nonpositive_guess(guess):
+    sys = system("euclidean", "constant", {"dim": 2}, b=2.0)
+    state = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]), s=1.0)
+    with pytest.raises(ValueError):
+        closed_orbit_holonomy(sys, state, guess, IntegratorConfig(step=1e-2))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(b=st.floats(0.5, 6.0),
+       x=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       angle=st.floats(0.0, 2 * np.pi),
+       factor=st.floats(0.95, 1.05))
+def test_holonomy_larmor_property(b, x, angle, factor):
+    # R^3, b dx1^dx2, velocity in the x1x2-plane: a circle of period 2 pi/b
+    # along which the frame returns to itself
+    sys = system("euclidean", "constant", {"dim": 3}, b=b)
+    period = 2 * np.pi / b
+    state = PhaseState(x=x, v=[np.cos(angle), np.sin(angle), 0.0], s=1.0)
+    hol = closed_orbit_holonomy(sys, state, factor * period,
+                                IntegratorConfig(step=1e-2))
+    assert abs(hol.period - period) <= 1e-6 * period
+    assert np.max(np.abs(hol.matrix - np.eye(2))) <= 1e-6
 
 
 def test_holonomy_csv():
