@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnreliableSplitting
 from .flow import IntegratorConfig, PhaseState, generator, variational_flow
-from .geometry import christoffel, orthonormal_completion
+from .geometry import PointGeometry, orthonormal_completion
 from .system import MagneticSystem
 
 __all__ = [
@@ -36,9 +36,9 @@ def sasaki_frame_matrix(sys: MagneticSystem, x, v) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     n = x.size
-    g = sys.metric(x)
-    C = np.linalg.cholesky(g).T                     # |C xi|_2^2 = xi^T g xi
-    Gv = np.einsum("ijk,k->ij", christoffel(sys.metric, x), v)
+    geo = PointGeometry(sys.metric, x)
+    C = np.linalg.cholesky(geo.g).T                 # |C xi|_2^2 = xi^T g xi
+    Gv = np.einsum("ijk,k->ij", geo.christoffel(), v)
     T = np.zeros((2 * n, 2 * n))
     T[:n, :n] = C
     T[n:, :n] = C @ Gv

@@ -11,6 +11,8 @@ coordinate at every point, and a per-point scalar broadcasts.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .geometry import ChartSpec, MetricField
@@ -45,7 +47,7 @@ def _flat_torus(dim: int = 2, period: float = 2 * np.pi):
     return chart, metric
 
 
-def _poincare(dim: int, eps: float = 1e-3):
+def _poincare(dim: int = 3, eps: float = 1e-3):
     """Poincare disk/ball model: g = 4/(1 - |x|^2)^2 * id, curvature -1."""
     r2 = (1.0 - eps) ** 2
     chart = ChartSpec(
@@ -150,8 +152,8 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
 MANIFOLDS = {
     "euclidean": _euclidean,
     "flat_torus": _flat_torus,
-    "poincare_disk": lambda **kw: _poincare(dim=2, **kw),
-    "poincare_ball": lambda dim=3, **kw: _poincare(dim=dim, **kw),
+    "poincare_disk": partial(_poincare, 2),
+    "poincare_ball": _poincare,
     "round_sphere": _round_sphere,
 }
 

@@ -9,6 +9,7 @@ computation runs, and every failure names the offending field.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import BadDimension, MagflowError
 from .flow import IntegratorConfig, PhaseState
-from .forms import FORMS, make_form
-from .models import MANIFOLDS, make_manifold
+from .forms import FORMS
+from .models import MANIFOLDS
 from .submanifold import ParamSubmanifold, make_submanifold
 from .system import MagneticSystem
 
@@ -52,7 +53,7 @@ class Field:
     of: Optional[Field] = None
 
 
-# keyword arguments of a manifold or form builder, which checks the rest
+# keyword arguments of a manifold or form builder, checked by `build_system`
 _BUILDER_PARAMS = Field(dict, {}, of=Field((int, float)))
 _VECTOR = Field(list, None, of=Field(float))
 
@@ -169,16 +170,24 @@ def load_scenario(path: str, command: str) -> dict:
     return _check(data, Field(dict, fields=table), "")
 
 
+def _build(registry: dict, spec: dict, path: str, **supplied):
+    """The builder `registry[spec["name"]]` called with `supplied` and the
+    `params` of `spec`.  A parameter it takes no keyword for, and an error
+    it raises, fail naming the field under `path`."""
+    builder = registry[spec["name"]]
+    for key in spec["params"]:
+        if key in supplied or key not in inspect.signature(builder).parameters:
+            _fail(f"{path}/params/{key}", "unknown key")
+    try:
+        return builder(**supplied, **spec["params"])
+    except (TypeError, ValueError) as exc:
+        _fail(f"{path}/params", str(exc))
+
+
 def build_system(sc: dict) -> MagneticSystem:
-    man, mag = sc["manifold"], sc["magnetic"]
-    try:
-        chart, metric = make_manifold(man["name"], **man["params"])
-    except (TypeError, ValueError) as exc:
-        _fail("manifold/params", str(exc))
-    try:
-        sigma = make_form(mag["name"], chart.dim, metric, chart, **mag["params"])
-    except (TypeError, ValueError) as exc:
-        _fail("magnetic", str(exc))
+    chart, metric = _build(MANIFOLDS, sc["manifold"], "manifold")
+    sigma = _build(FORMS, sc["magnetic"], "magnetic", dim=chart.dim,
+                   metric=metric, chart=chart)
     return MagneticSystem(chart, metric, sigma)
 
 

@@ -23,7 +23,8 @@ from .errors import (
     RankDeficient,
 )
 from .flow import IntegratorConfig, PhaseState, dynamical_exp, integrate, variational_flow
-from .geometry import MetricField, christoffel, gram_schmidt, sectional
+from .geometry import (MetricField, PointGeometry, gram_schmidt,
+                       orthonormal_completion, sectional)
 from .system import MagneticSystem
 
 __all__ = [
@@ -53,7 +54,6 @@ class ParamSubmanifold:
 
     Derivatives come from closures when provided, otherwise from central
     finite differences of f (Jacobian) and of the Jacobian (Hessian).
-    Evaluations are cached per parameter point; evaluators are immutable.
     """
 
     def __init__(self, k: int, f: Callable, jac: Optional[Callable] = None,
@@ -69,8 +69,6 @@ class ParamSubmanifold:
         self.sample_bounds = sample_bounds
         self.fd_step = fd_step
         self.name = name
-        self._cache_jac: dict = {}
-        self._cache_hess: dict = {}
 
     def point(self, p) -> np.ndarray:
         return np.asarray(self._f(np.asarray(p, dtype=float)), dtype=float)
@@ -78,42 +76,30 @@ class ParamSubmanifold:
     def jacobian(self, p) -> np.ndarray:
         """J[i, a] = d f^i / d p^a, shape (n, k)."""
         p = np.asarray(p, dtype=float)
-        key = p.tobytes()
-        if key in self._cache_jac:
-            return self._cache_jac[key]
         if self._jac is not None:
-            J = np.asarray(self._jac(p), dtype=float)
-        else:
-            h = self.fd_step
-            cols = []
-            for a in range(self.k):
-                e = np.zeros(self.k)
-                e[a] = h
-                cols.append((self.point(p + e) - self.point(p - e)) / (2 * h))
-            J = np.array(cols).T
-        self._cache_jac[key] = J
-        return J
+            return np.asarray(self._jac(p), dtype=float)
+        h = self.fd_step
+        cols = []
+        for a in range(self.k):
+            e = np.zeros(self.k)
+            e[a] = h
+            cols.append((self.point(p + e) - self.point(p - e)) / (2 * h))
+        return np.array(cols).T
 
     def hessian(self, p) -> np.ndarray:
         """H[i, a, b] = d^2 f^i / d p^a d p^b, shape (n, k, k)."""
         p = np.asarray(p, dtype=float)
-        key = p.tobytes()
-        if key in self._cache_hess:
-            return self._cache_hess[key]
         if self._hess is not None:
-            H = np.asarray(self._hess(p), dtype=float)
-        else:
-            h = self.fd_step
-            k = self.k
-            cols = []
-            for b in range(k):
-                e = np.zeros(k)
-                e[b] = h
-                cols.append((self.jacobian(p + e) - self.jacobian(p - e)) / (2 * h))
-            H = np.stack(cols, axis=2)               # (n, k, k)
-            H = 0.5 * (H + H.transpose(0, 2, 1))
-        self._cache_hess[key] = H
-        return H
+            return np.asarray(self._hess(p), dtype=float)
+        h = self.fd_step
+        k = self.k
+        cols = []
+        for b in range(k):
+            e = np.zeros(k)
+            e[b] = h
+            cols.append((self.jacobian(p + e) - self.jacobian(p - e)) / (2 * h))
+        H = np.stack(cols, axis=2)               # (n, k, k)
+        return 0.5 * (H + H.transpose(0, 2, 1))
 
     def sample_param(self, rng: np.random.Generator) -> np.ndarray:
         lo, hi = (self.sample_bounds if self.sample_bounds is not None
@@ -178,42 +164,53 @@ def _normal_part(gx: np.ndarray, frame: np.ndarray, w: np.ndarray) -> np.ndarray
     return out
 
 
+class _LocalData:
+    """N at f(p), evaluated once for every tangent direction there: x, the
+    Jacobian J and Hessian H of f, g, Gamma, the Lorentz force Y (None
+    without a 2-form) and the g-orthonormal tangent frame (rows)."""
+
+    def __init__(self, N: ParamSubmanifold, p, geometry: Callable):
+        self.x = N.point(p)
+        geo = geometry(self.x)
+        self.g, self.Gamma = geo.g, geo.christoffel()
+        self.Y = None if geo.sigma is None else geo.lorentz()
+        self.J = N.jacobian(p)
+        self.frame = _tangent_frame(self.g, self.J)
+        self.H = N.hessian(p)
+
+
+def _classical_II(loc: _LocalData, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    a, *_ = np.linalg.lstsq(loc.J, u, rcond=None)
+    b, *_ = np.linalg.lstsq(loc.J, w, rcond=None)
+    second = (np.einsum("iab,a,b->i", loc.H, a, b)
+              + np.einsum("ijk,j,k->i", loc.Gamma, u, w))
+    return _normal_part(loc.g, loc.frame, second)
+
+
 def classical_II(g: MetricField, N: ParamSubmanifold, p, u, w) -> np.ndarray:
     """Second fundamental form II(u, w) at f(p), as an ambient normal vector."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    x = N.point(p)
-    J = N.jacobian(p)
-    gx = g(x)
-    frame = _tangent_frame(gx, J)
-    a, *_ = np.linalg.lstsq(J, u, rcond=None)
-    b, *_ = np.linalg.lstsq(J, w, rcond=None)
-    H = N.hessian(p)
-    Gamma = christoffel(g, x)
-    second = np.einsum("iab,a,b->i", H, a, b) + np.einsum("ijk,j,k->i", Gamma, u, w)
-    return _normal_part(gx, frame, second)
+    return _classical_II(_LocalData(N, p, lambda x: PointGeometry(g, x)),
+                         np.asarray(u, dtype=float), np.asarray(w, dtype=float))
+
+
+def _dynamical_II(sys: MagneticSystem, loc: _LocalData,
+                  v: np.ndarray) -> DynIIValue:
+    if abs(v @ loc.g @ v - 1.0) > 1e-8:
+        raise NonUnitVector("direction must be g-unit")
+    perp_v = _normal_part(loc.g, loc.frame, v)
+    if np.sqrt(max(perp_v @ loc.g @ perp_v, 0)) > _TANGENT_TOL:
+        raise NotTangent("direction is not tangent to the submanifold")
+    # X_H = v for semi-spray flows, so [X_H]^top = v and [X_H]^perp = 0
+    xv = loc.Y @ v if sys.is_magnetic else sys.x_vertical(loc.x, v)
+    first = _classical_II(loc, v, v) - _normal_part(loc.g, loc.frame, xv)
+    return DynIIValue(first=first, second=perp_v)
 
 
 def dynamical_II(sys: MagneticSystem, N: ParamSubmanifold, p, v) -> DynIIValue:
     """Dynamical second fundamental form of N at (f(p), v), v a g-unit vector
     tangent to N.  For semi-spray flows the second component vanishes."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    x = N.point(p)
-    gx = sys.metric(x)
-    if abs(v @ gx @ v - 1.0) > 1e-8:
-        raise NonUnitVector("direction must be g-unit")
-    J = N.jacobian(p)
-    frame = _tangent_frame(gx, J)
-    perp_v = _normal_part(gx, frame, v)
-    if np.sqrt(max(perp_v @ gx @ perp_v, 0)) > _TANGENT_TOL:
-        raise NotTangent("direction is not tangent to the submanifold")
-    # X_H = v for semi-spray flows, so [X_H]^top = v and [X_H]^perp = 0
-    xh_perp = perp_v
-    xv_perp = _normal_part(gx, frame, sys.x_vertical(x, v))
-    first = classical_II(sys.metric, N, p, v, v) - xv_perp
-    return DynIIValue(first=first, second=xh_perp)
+    return _dynamical_II(sys, _LocalData(N, p, sys.geometry),
+                         np.asarray(v, dtype=float))
 
 
 def invariance_defect(sys: MagneticSystem, N: ParamSubmanifold,
@@ -225,14 +222,10 @@ def invariance_defect(sys: MagneticSystem, N: ParamSubmanifold,
     rng = np.random.default_rng(seed)
     vals = np.empty(sample_count)
     for i in range(sample_count):
-        p = N.sample_param(rng)
-        x = N.point(p)
-        gx = sys.metric(x)
-        J = N.jacobian(p)
-        c = rng.standard_normal(N.k)
-        v = J @ c
-        v = v / np.sqrt(v @ gx @ v)
-        vals[i] = dynamical_II(sys, N, p, v).norm_sq(gx)
+        loc = _LocalData(N, N.sample_param(rng), sys.geometry)
+        v = loc.J @ rng.standard_normal(N.k)
+        v = v / np.sqrt(v @ loc.g @ v)
+        vals[i] = _dynamical_II(sys, loc, v).norm_sq(loc.g)
     return DefectReport(sup=float(vals.max()), mean=float(vals.mean()),
                         samples=sample_count,
                         meta={"seed": seed, "submanifold": N.name})
@@ -341,21 +334,19 @@ def candidate_hypersurface(sys: MagneticSystem, x, plane, radius: float,
 
     `plane` is either a HyperplaneElement or an (n, n-1) basis array."""
     if isinstance(plane, HyperplaneElement):
-        basis = _plane_basis(sys, plane)
-    else:
-        basis = np.asarray(plane, dtype=float)
+        plane = (_plane_basis(sys, plane.x, plane.normal) if plane.basis is None
+                 else plane.basis)
+    basis = np.asarray(plane, dtype=float)
     if basis.shape != (sys.dim, sys.dim - 1):
         raise BadDimension("hyperplane basis must have shape (n, n-1)")
     return candidate_submanifold(sys, x, basis, radius, cfg,
                                  name="candidate-hypersurface")
 
 
-def _plane_basis(sys: MagneticSystem, elem: HyperplaneElement) -> np.ndarray:
-    if elem.basis is not None:
-        return np.asarray(elem.basis, dtype=float)
-    from .geometry import orthonormal_completion
-    frame = orthonormal_completion(sys.metric, elem.x, elem.normal)
-    return frame[1:].T
+def _plane_basis(sys: MagneticSystem, x, normal) -> np.ndarray:
+    """(n, n-1) g-orthonormal columns spanning the hyperplane at x that is
+    g-orthogonal to `normal`."""
+    return orthonormal_completion(sys.metric, x, normal)[1:].T
 
 
 def augmented_exp(sys: MagneticSystem, x, basis, v, t: float,
@@ -412,16 +403,10 @@ def _alpha_at(sys: MagneticSystem, N: ParamSubmanifold, p,
 
     The measure is the round measure in the g-orthonormal tangent frame; the
     reported mean is the normalized average over the fiber sphere."""
-    p = np.asarray(p, dtype=float)
-    x = N.point(p)
-    gx = sys.metric(x)
-    J = N.jacobian(p)
-    frame = _tangent_frame(gx, J)                   # (k, n) g-orthonormal
-    nodes = _unit_sphere_nodes(frame.shape[0], quad_count)
-    vals = np.empty(len(nodes))
-    for i, c in enumerate(nodes):
-        v = frame.T @ c
-        vals[i] = dynamical_II(sys, N, p, v).norm_sq(gx)
+    loc = _LocalData(N, p, sys.geometry)
+    nodes = _unit_sphere_nodes(loc.frame.shape[0], quad_count)
+    vals = np.array([_dynamical_II(sys, loc, loc.frame.T @ c).norm_sq(loc.g)
+                     for c in nodes])
     return float(vals.max()), float(vals.mean())
 
 
@@ -493,9 +478,9 @@ class CartanReport:
 
 def _sigma_operator_norm(sys: MagneticSystem, x) -> float:
     """g-operator norm of the Lorentz force at x."""
-    g = sys.metric(x)
-    C = np.linalg.cholesky(g)
-    Y = sys.lorentz(x)
+    geo = sys.geometry(x)
+    C = np.linalg.cholesky(geo.g)
+    Y = geo.lorentz()
     return float(np.linalg.svd(C @ Y @ np.linalg.inv(C), compute_uv=False).max())
 
 
@@ -558,22 +543,30 @@ def cartan_probe(sys: MagneticSystem, k: int, plane_samples: int,
 
 # -- builtin submanifold registry (used by the CLI and tests) --------------
 
+# the keys each submanifold type reads
+_SUBMANIFOLD_KEYS = {"hyperplane": ("type", "point", "normal", "basis", "extent"),
+                     "sphere": ("type", "center", "radius"),
+                     "exp_plane": ("type", "x", "basis", "radius")}
+
+
 def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
     """Build a submanifold from a declarative spec.
 
-    Supported types: "hyperplane" {point, normal|basis, radius},
-    "sphere" {center, radius}, "exp_plane" {x, basis, radius}."""
+    Supported types: "hyperplane" {point, normal|basis, extent},
+    "sphere" {center, radius}, "exp_plane" {x, basis, radius}.  A key the
+    type does not read raises ValueError naming it."""
     kind = spec.get("type")
+    if kind not in _SUBMANIFOLD_KEYS:
+        raise ValueError(f"unknown submanifold type {kind!r}")
+    for key in spec:
+        if key not in _SUBMANIFOLD_KEYS[kind]:
+            raise ValueError(f"unknown key {key!r} for a {kind} submanifold")
     n = sys.dim
     if kind == "hyperplane":
         point = np.asarray(spec["point"], dtype=float)
         extent = float(spec.get("extent", 1.0))
-        if "basis" in spec:
-            B = np.asarray(spec["basis"], dtype=float)
-        else:
-            normal = np.asarray(spec["normal"], dtype=float)
-            from .geometry import orthonormal_completion
-            B = orthonormal_completion(sys.metric, point, normal)[1:].T
+        B = (np.asarray(spec["basis"], dtype=float) if "basis" in spec
+             else _plane_basis(sys, point, spec["normal"]))
         k = B.shape[1]
         return ParamSubmanifold(
             k=k, f=lambda p: point + B @ p,
@@ -615,8 +608,5 @@ def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
             sample_bounds=(np.array([0.5, 0.0]),
                            np.array([np.pi - 0.5, 2 * np.pi])),
             name="sphere")
-    if kind == "exp_plane":
-        x = np.asarray(spec["x"], dtype=float)
-        B = np.asarray(spec["basis"], dtype=float)
-        return candidate_submanifold(sys, x, B, float(spec.get("radius", 0.5)))
-    raise ValueError(f"unknown submanifold type {kind!r}")
+    return candidate_submanifold(sys, spec["x"], spec["basis"],
+                                 float(spec.get("radius", 0.5)))

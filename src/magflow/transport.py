@@ -108,35 +108,33 @@ def _transport_rhs(sys, y, n, m):
     return out
 
 
+def _transport(sys: MagneticSystem, state: PhaseState, W: np.ndarray,
+               T: float, cfg: Optional[IntegratorConfig], what: str) -> np.ndarray:
+    """The end point x, v and W of the orbit of `state` run to T together
+    with the rows of W (m, n), D-parallel transported along it."""
+    n, m = sys.dim, W.shape[0]
+    y0 = np.concatenate([state.x, state.v, W.ravel()])
+    _, path, exited = _rk4_path(sys, y0, T, cfg or IntegratorConfig(),
+                                rhs=lambda y: _transport_rhs(sys, y, n, m))
+    if exited:
+        raise DomainExit(f"{what} orbit left the chart")
+    y = path[-1]
+    return y[:n], y[n:2 * n], y[2 * n:].reshape(m, n)
+
+
 def parallel_transport(sys: MagneticSystem, state: PhaseState, w0, T: float,
                        cfg: Optional[IntegratorConfig] = None) -> np.ndarray:
     """Magnetic (D-)parallel transport of w0 along the orbit; returns W(T)."""
-    cfg = cfg or IntegratorConfig()
-    n = sys.dim
-    y0 = np.concatenate([state.x, state.v, np.asarray(w0, dtype=float)])
-    times, path, exited = _rk4_path(
-        sys, y0, T, cfg, rhs=lambda y: _transport_rhs(sys, y, n, 1))
-    if exited:
-        raise DomainExit("transport orbit left the chart")
-    return path[-1][2 * n:]
+    W = np.asarray(w0, dtype=float)[None]
+    return _transport(sys, state, W, T, cfg, "transport")[2][0]
 
 
 def frame_flow(sys: MagneticSystem, frame: FrameState, T: float,
                cfg: Optional[IntegratorConfig] = None) -> FrameState:
     """Frame-extension flow: advance the base state and D-parallel-transport
     the completion vectors; the first frame vector stays the velocity."""
-    cfg = cfg or IntegratorConfig()
-    n = sys.dim
-    m = frame.completion.shape[0]
-    y0 = np.concatenate([frame.state.x, frame.state.v,
-                         frame.completion.ravel()])
-    times, path, exited = _rk4_path(
-        sys, y0, T, cfg, rhs=lambda y: _transport_rhs(sys, y, n, m))
-    if exited:
-        raise DomainExit("frame orbit left the chart")
-    yend = path[-1]
-    state = PhaseState(x=yend[:n], v=yend[n:2 * n], s=frame.state.s)
-    return FrameState(state=state, completion=yend[2 * n:].reshape(m, n))
+    x, v, W = _transport(sys, frame.state, frame.completion, T, cfg, "frame")
+    return FrameState(state=PhaseState(x=x, v=v, s=frame.state.s), completion=W)
 
 
 def _hermite_nearest(sys, t, y, z0) -> float:

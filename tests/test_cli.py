@@ -91,6 +91,13 @@ def test_negative_horizon_rejected_naming_field(tmp_path, command):
 _HYPERPLANE = {"type": "hyperplane", "normal": [0.0, 0.0, 1.0]}
 
 
+def _defect_overrides(submanifold):
+    """A `defect` scenario in Euclidean 3-space for `submanifold`."""
+    return {"manifold": {"name": "euclidean", "params": {"dim": 3}},
+            "initial": {"x": [0.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]},
+            "params": {"submanifold": submanifold}}
+
+
 @pytest.mark.parametrize("command, overrides, flags, field", [
     pytest.param("sec", {}, ["--seed", "-1"], "--seed", id="negative-seed"),
     pytest.param("sec", {}, ["--threads", "-5"], "--threads",
@@ -110,19 +117,30 @@ _HYPERPLANE = {"type": "hyperplane", "normal": [0.0, 0.0, 1.0]}
                  id="zero-samples"),
     pytest.param("integrate", {"magnetic": {"name": "constant",
                                             "params": {"bb": 3.0}}},
-                 [], "magnetic", id="form-params-typo"),
+                 [], "magnetic/params/bb", id="form-params-typo"),
+    pytest.param("integrate", {"manifold": {"name": "euclidean",
+                                            "params": {"dimm": 3}}},
+                 [], "manifold/params/dimm", id="manifold-params-typo"),
+    pytest.param("integrate", {"manifold": {"name": "poincare_disk",
+                                            "params": {"dim": 3}}},
+                 [], "manifold/params/dim", id="disk-takes-no-dim"),
     pytest.param("cartan-probe", {"params": {"k": 2}}, [], "params/k",
                  id="cartan-k-not-below-dim"),
     pytest.param("sec", {"params": {"sampels": 10}}, [], "params/sampels",
                  id="params-typo"),
     pytest.param("integrate", {"integrator": {"method": "rk45"}}, [],
                  "integrator/method", id="rk45"),
-    pytest.param("defect", {"manifold": {"name": "euclidean",
-                                         "params": {"dim": 3}},
-                            "initial": {"x": [0.0, 0.0, 0.0],
-                                        "v": [1.0, 0.0, 0.0]},
-                            "params": {"submanifold": _HYPERPLANE}},
-                 [], "params/submanifold", id="hyperplane-without-point"),
+    pytest.param("defect", _defect_overrides(_HYPERPLANE), [],
+                 "params/submanifold", id="hyperplane-without-point"),
+    pytest.param("defect", _defect_overrides({"type": "sphere", "radius": 1.0,
+                                              "raduis": 2.0}),
+                 [], "'raduis'", id="sphere-key-typo"),
+    pytest.param("defect", _defect_overrides(dict(_HYPERPLANE, point=[0.0] * 3,
+                                                  extnt=3)),
+                 [], "'extnt'", id="hyperplane-key-typo"),
+    pytest.param("defect", _defect_overrides(dict(_HYPERPLANE, point=[0.0] * 3,
+                                                  center=[0.0] * 3)),
+                 [], "'center'", id="hyperplane-center"),
 ])
 def test_invalid_input_exits_2_naming_field(tmp_path, command, overrides,
                                             flags, field):

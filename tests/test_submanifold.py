@@ -9,6 +9,7 @@ from magflow import (IntegratorConfig, MagneticSystem, alpha_defect,
                      make_submanifold)
 from magflow.errors import BadDimension, NonUnitVector, NotTangent
 from magflow.geometry import gram_schmidt
+from magflow import flow, submanifold
 from magflow.submanifold import HyperplaneElement, ParamSubmanifold
 
 from conftest import system, unit
@@ -223,6 +224,66 @@ def test_candidate_totally_magnetic_plane():
         assert abs(N.point(p)[2]) < 1e-10
     rep = invariance_defect(sys, N, 8, seed=2)
     assert rep.sup < 1e-10
+
+
+def _counting(monkeypatch, module, name, calls):
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_defect_sample_evaluates_exp_image_once(monkeypatch):
+    # one sample: f(p) is one orbit, J(p) one variational flow, and the
+    # finite-difference Hessian two Jacobians per parameter
+    sys = system("poincare_ball", "zero")
+    basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).T
+    N = candidate_submanifold(sys, np.array([0.1, 0.0, 0.05]), basis, radius=0.3)
+    calls = {"integrate": 0, "variational_flow": 0}
+    _counting(monkeypatch, flow, "integrate", calls)
+    _counting(monkeypatch, submanifold, "variational_flow", calls)
+    invariance_defect(sys, N, 1, seed=3)
+    assert calls == {"integrate": 1, "variational_flow": 1 + 2 * N.k}
+
+
+def test_alpha_quadrature_evaluates_hessian_once(monkeypatch):
+    sys = system("euclidean", "constant", {"dim": 3}, b=1.0)
+    N = _unit_sphere(sys)
+    calls = {"hessian": 0}
+    _counting(monkeypatch, ParamSubmanifold, "hessian", calls)
+    sup, mean = submanifold._alpha_at(sys, N, np.array([1.0, 0.5]), 64)
+    assert calls["hessian"] == 1
+    assert 0 < mean <= sup
+
+
+def test_submanifold_keeps_no_per_point_state(rng):
+    sys = system("euclidean", "zero", {"dim": 3})
+    N = ParamSubmanifold(2, lambda p: np.array([p[0], p[1], p @ p]))
+
+    def state():
+        return {key: len(val) if hasattr(val, "__len__") else val
+                for key, val in vars(N).items()}
+
+    before = state()
+    for _ in range(20):
+        p = rng.uniform(-0.5, 0.5, 2)
+        N.hessian(p)
+        classical_II(sys.metric, N, p, N.jacobian(p)[:, 0], N.jacobian(p)[:, 1])
+    assert state() == before
+
+
+def test_make_submanifold_rejects_unread_keys():
+    sys = system("euclidean", "zero", {"dim": 3})
+    with pytest.raises(ValueError, match="'raduis'"):
+        make_submanifold({"type": "sphere", "raduis": 2.0}, sys)
+    with pytest.raises(ValueError, match="'center'"):
+        make_submanifold({"type": "hyperplane", "point": [0, 0, 0],
+                          "normal": [0, 0, 1], "center": [0, 0, 0]}, sys)
+    with pytest.raises(ValueError, match="unknown submanifold type"):
+        make_submanifold({"type": "torus"}, sys)
 
 
 # -- augmented exponential ---------------------------------------------------
