@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,6 +28,9 @@ __all__ = [
     "volume_drift",
     "conjugate_point_scan",
 ]
+
+_QR_INTERVAL = 0.1  # default time between QR re-orthonormalizations
+_GAP_FACTOR = 10.0  # least expansion over free-flow growth for an angle
 
 
 def sasaki_frame_matrix(sys: MagneticSystem, x, v) -> np.ndarray:
@@ -51,7 +54,6 @@ class LyapunovReport:
     exponents: np.ndarray         # sorted descending
     horizon: float
     interval: float
-    trace: list = field(default_factory=list)   # running estimates
 
     @property
     def total(self) -> float:
@@ -73,7 +75,8 @@ class LyapunovReport:
 
 
 def _segmented_qr(sys, state, T, interval, cfg):
-    """Run the QR method; returns (logs, trace, final J-free data)."""
+    """Run the QR method over segments of length about `interval`; returns
+    the accumulated log |R_ii|, one per phase direction."""
     n = sys.dim
     nseg = max(1, int(round(T / interval)))
     dt = T / nseg
@@ -81,8 +84,7 @@ def _segmented_qr(sys, state, T, interval, cfg):
     Tm = sasaki_frame_matrix(sys, cur.x, cur.v)
     Q = np.eye(2 * n)
     logs = np.zeros(2 * n)
-    trace = []
-    for k in range(nseg):
+    for _ in range(nseg):
         Jseg, nxt = variational_flow(sys, cur, dt, cfg, return_final_state=True)
         Tn = sasaki_frame_matrix(sys, nxt.x, nxt.v)
         A = Tn @ Jseg @ np.linalg.inv(Tm)
@@ -93,26 +95,23 @@ def _segmented_qr(sys, state, T, interval, cfg):
         R = (R.T * sign).T
         logs += np.log(np.abs(np.diag(R)))
         Q, Tm, cur = Qn, Tn, nxt
-        trace.append(np.sort(logs / ((k + 1) * dt))[::-1])
-    return logs, trace
+    return logs
 
 
 def lyapunov_spectrum(sys: MagneticSystem, state: PhaseState, T: float,
                       steps: Optional[int] = None,
-                      interval: float = 0.1,
                       cfg: Optional[IntegratorConfig] = None) -> LyapunovReport:
     """Finite-time Lyapunov exponents of the phase flow (all 2n of them).
 
-    `steps` overrides the number of QR re-orthonormalization segments."""
+    The QR re-orthonormalization runs every `_QR_INTERVAL` time units, or
+    on `steps` equal segments when given."""
     if T <= 0:
         raise ValueError("T must be positive")
     cfg = cfg or IntegratorConfig(step=1e-2)
-    if steps is not None:
-        interval = T / steps
-    logs, trace = _segmented_qr(sys, state, T, interval, cfg)
+    interval = _QR_INTERVAL if steps is None else T / steps
+    logs = _segmented_qr(sys, state, T, interval, cfg)
     exps = np.sort(logs / T)[::-1]
-    return LyapunovReport(exponents=exps, horizon=T, interval=interval,
-                          trace=trace)
+    return LyapunovReport(exponents=exps, horizon=T, interval=interval)
 
 
 def _restricted_basis(sys, state):
@@ -129,14 +128,13 @@ def _restricted_basis(sys, state):
 
 
 def transversality_angle(sys: MagneticSystem, state: PhaseState, T: float,
-                         cfg: Optional[IntegratorConfig] = None,
-                         gap_factor: float = 10.0) -> float:
+                         cfg: Optional[IntegratorConfig] = None) -> float:
     """Minimal principal angle between the finite-time most-contracted
     subspace (dimension n-1, restricted to the flow-orthogonal and
     speed-preserving complement) and the vertical distribution.
 
     Raises UnreliableSplitting when the top expansion over the horizon does
-    not exceed free-flow (polynomial) growth by `gap_factor`.
+    not exceed free-flow (polynomial) growth by `_GAP_FACTOR`.
     """
     cfg = cfg or IntegratorConfig(step=1e-2)
     n = sys.dim
@@ -147,10 +145,11 @@ def transversality_angle(sys: MagneticSystem, state: PhaseState, T: float,
     P = _restricted_basis(sys, state)
     A = Jt @ P
     U, S, Vt = np.linalg.svd(A)
-    if S.max() < gap_factor * (1.0 + T):
+    threshold = _GAP_FACTOR * (1.0 + T)
+    if S.max() < threshold:
         raise UnreliableSplitting(
             f"top expansion {S.max():.3e} below the reliability threshold "
-            f"{gap_factor * (1 + T):.3e} for horizon {T}")
+            f"{threshold:.3e} for horizon {T}")
     d = n - 1
     contracted = P @ Vt[-d:].T                       # (2n, d), orthonormal
     vert = np.zeros((2 * n, n))
@@ -171,7 +170,7 @@ def volume_drift(sys: MagneticSystem, state: PhaseState, T: float,
     if T <= 0:
         raise ValueError("T must be positive")
     cfg = cfg or IntegratorConfig(step=1e-2)
-    logs, _ = _segmented_qr(sys, state, T, 0.1, cfg)
+    logs = _segmented_qr(sys, state, T, _QR_INTERVAL, cfg)
     return float(abs(logs.sum()) / T)
 
 

@@ -22,7 +22,7 @@ where D1..D4 are Df at the step's four stages.  This is the coupled RK4 of
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -79,8 +79,8 @@ class Trajectory:
     states: np.ndarray                # (N, 2n)
     nominal_speed: float
     speed_drift: float                # max relative g-norm deviation
+    drift_per_node: np.ndarray        # (N,) relative g-norm deviation
     exited: bool = False              # orbit left the chart guard
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -102,10 +102,8 @@ class Trajectory:
                 + [f"v{i+1}" for i in range(n)] + ["speed_drift"])
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
-        drifts = self.meta.get("drift_per_node")
-        for i, t in enumerate(self.times):
-            d = drifts[i] if drifts is not None else self.speed_drift
-            row = [repr(float(t))] + [repr(float(u)) for u in self.states[i]]
+        for t, y, d in zip(self.times, self.states, self.drift_per_node):
+            row = [repr(float(t))] + [repr(float(u)) for u in y]
             row.append(repr(float(d)))
             buf.write(",".join(row) + "\n")
         return buf.getvalue()
@@ -287,8 +285,8 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
     speeds = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", V, g, V), 0.0))
     drifts = np.abs(speeds - state.s) / state.s
     return Trajectory(times=times, states=path, nominal_speed=state.s,
-                      speed_drift=float(drifts.max()), exited=exited,
-                      meta={"drift_per_node": drifts, "step": cfg.step})
+                      speed_drift=float(drifts.max()), drift_per_node=drifts,
+                      exited=exited)
 
 
 def dynamical_exp(sys: MagneticSystem, x, u,

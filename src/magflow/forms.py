@@ -13,6 +13,8 @@ from .geometry import ChartSpec, MetricField, _on_batch
 
 __all__ = ["TwoFormField", "make_form", "FORMS"]
 
+_FD_STEP = 1e-5  # central-difference step of dsigma without a closure
+
 
 class TwoFormField:
     """Antisymmetric coefficient field sigma_ij(x) with derivative scheme.
@@ -30,13 +32,12 @@ class TwoFormField:
     taken point by point.
     """
 
-    def __init__(self, eval_fn, dsigma=None, h1: float = 1e-5,
+    def __init__(self, eval_fn, dsigma=None,
                  chart: Optional[ChartSpec] = None,
                  metric: Optional[MetricField] = None,
                  broadcasts: bool = False):
         self._eval = eval_fn
         self._dsigma = dsigma
-        self.h1 = h1
         self.chart = chart
         self.metric = metric
         self.broadcasts = broadcasts and dsigma is not None
@@ -99,8 +100,8 @@ class TwoFormField:
             out = np.empty((n, n, n))
             for k in range(n):
                 e = np.zeros(n)
-                e[k] = self.h1
-                out[:, :, k] = (self.raw(x + e) - self.raw(x - e)) / (2 * self.h1)
+                e[k] = _FD_STEP
+                out[:, :, k] = (self.raw(x + e) - self.raw(x - e)) / (2 * _FD_STEP)
             return out
         if self.metric is None:
             return np.asarray(self._dsigma(x), dtype=float)

@@ -14,7 +14,7 @@ Index conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,26 +46,16 @@ _GS_SKIP = 1e-8  # near-parallel seed threshold for Gram-Schmidt
 
 @dataclass(frozen=True)
 class ChartSpec:
-    """A single coordinate chart with an optional domain guard.
-
-    periodic, when given, lists a period length per coordinate (None for
-    non-periodic coordinates); it is only used by samplers and output
-    wrapping, never by the integrators themselves.
-    """
+    """A single coordinate chart with an optional domain guard."""
 
     dim: int
     domain_guard: Optional[Callable[[np.ndarray], bool]] = None
-    periodic: Optional[Sequence[Optional[float]]] = None
     # box used by random samplers: (low, high) arrays
     sample_bounds: Optional[tuple] = None
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("chart dimension must be at least 2")
-        if self.periodic is not None:
-            for p in self.periodic:
-                if p is not None and p <= 0:
-                    raise ValueError("periods must be strictly positive")
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -82,13 +72,21 @@ class ChartSpec:
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         lo, hi = self.sample_bounds if self.sample_bounds is not None else (
             -np.ones(self.dim), np.ones(self.dim))
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        for _ in range(1000):
-            x = rng.uniform(lo, hi)
-            if self.contains(x):
-                return x
-        raise DomainViolation("could not sample a point inside the guard")
+        return _sample_box(rng, lo, hi, self.contains, DomainViolation(
+            "could not sample a point inside the guard"))
+
+
+def _sample_box(rng: np.random.Generator, lo, hi, accept,
+                failure: Exception) -> np.ndarray:
+    """A uniform draw from the box [lo, hi] that `accept` admits, within
+    1000 tries; raises `failure` when none is admitted."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    for _ in range(1000):
+        x = rng.uniform(lo, hi)
+        if accept(x):
+            return x
+    raise failure
 
 
 def _on_batch(point, broadcasts: bool, rank: int, X, *args) -> np.ndarray:
@@ -203,9 +201,6 @@ class MetricField:
     def norm(self, x, v) -> float:
         v = np.asarray(v, dtype=float)
         return float(np.sqrt(max(v @ self(x) @ v, 0.0)))
-
-    def inner(self, x, v, w) -> float:
-        return float(np.asarray(v, dtype=float) @ self(x) @ np.asarray(w, dtype=float))
 
 
 @dataclass

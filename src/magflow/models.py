@@ -37,7 +37,7 @@ def _euclidean(dim: int = 2):
 
 
 def _flat_torus(dim: int = 2, period: float = 2 * np.pi):
-    chart = ChartSpec(dim=dim, periodic=[period] * dim,
+    chart = ChartSpec(dim=dim,
                       sample_bounds=(np.zeros(dim), period * np.ones(dim)))
     eye = np.eye(dim)
     zero1 = np.zeros((dim, dim, dim))
@@ -92,9 +92,7 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
     def guard(x):
         return all(eps < t < np.pi - eps for t in x[:-1].tolist())
 
-    chart = ChartSpec(dim=dim, domain_guard=guard,
-                      periodic=[None] * (dim - 1) + [2 * np.pi],
-                      sample_bounds=(lo, hi))
+    chart = ChartSpec(dim=dim, domain_guard=guard, sample_bounds=(lo, hi))
     pairs = [(i, k) for i in range(1, dim) for k in range(i)]
 
     def _sines(x):

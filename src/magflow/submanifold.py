@@ -23,7 +23,7 @@ from .errors import (
     RankDeficient,
 )
 from .flow import IntegratorConfig, PhaseState, dynamical_exp, integrate, variational_flow
-from .geometry import (MetricField, PointGeometry, gram_schmidt,
+from .geometry import (MetricField, PointGeometry, _sample_box, gram_schmidt,
                        orthonormal_completion, sectional)
 from .system import MagneticSystem
 
@@ -47,6 +47,7 @@ __all__ = [
 
 _RANK_TOL = 1e-8
 _TANGENT_TOL = 1e-8
+_FD_STEP = 1e-4  # finite-difference step of jacobian and hessian
 
 
 class ParamSubmanifold:
@@ -59,15 +60,13 @@ class ParamSubmanifold:
     def __init__(self, k: int, f: Callable, jac: Optional[Callable] = None,
                  hess: Optional[Callable] = None,
                  guard: Optional[Callable] = None,
-                 sample_bounds=None, fd_step: float = 1e-4,
-                 name: str = "submanifold"):
+                 sample_bounds=None, name: str = "submanifold"):
         self.k = k
         self._f = f
         self._jac = jac
         self._hess = hess
         self.guard = guard
         self.sample_bounds = sample_bounds
-        self.fd_step = fd_step
         self.name = name
 
     def point(self, p) -> np.ndarray:
@@ -78,7 +77,7 @@ class ParamSubmanifold:
         p = np.asarray(p, dtype=float)
         if self._jac is not None:
             return np.asarray(self._jac(p), dtype=float)
-        h = self.fd_step
+        h = _FD_STEP
         cols = []
         for a in range(self.k):
             e = np.zeros(self.k)
@@ -91,7 +90,7 @@ class ParamSubmanifold:
         p = np.asarray(p, dtype=float)
         if self._hess is not None:
             return np.asarray(self._hess(p), dtype=float)
-        h = self.fd_step
+        h = _FD_STEP
         k = self.k
         cols = []
         for b in range(k):
@@ -104,13 +103,9 @@ class ParamSubmanifold:
     def sample_param(self, rng: np.random.Generator) -> np.ndarray:
         lo, hi = (self.sample_bounds if self.sample_bounds is not None
                   else (-0.5 * np.ones(self.k), 0.5 * np.ones(self.k)))
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        for _ in range(1000):
-            p = rng.uniform(lo, hi)
-            if self.guard is None or self.guard(p):
-                return p
-        raise ProjectionFailure("could not sample a parameter inside the guard")
+        return _sample_box(
+            rng, lo, hi, lambda p: self.guard is None or self.guard(p),
+            ProjectionFailure("could not sample a parameter inside the guard"))
 
 
 @dataclass
@@ -282,7 +277,6 @@ def dynamic_consistency_check(sys: MagneticSystem, N: ParamSubmanifold, p, v,
 
 def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
                           cfg: Optional[IntegratorConfig] = None,
-                          fd_step: float = 1e-4,
                           name: str = "exp-image") -> ParamSubmanifold:
     """The k-dimensional exp-image of a tangent k-plane at x.
 
@@ -325,7 +319,7 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
     return ParamSubmanifold(
         k=k, f=f, jac=jac, guard=lambda u: float(u @ u) <= radius**2,
         sample_bounds=(-bound * np.ones(k) * 0.9, bound * np.ones(k) * 0.9),
-        fd_step=fd_step, name=name)
+        name=name)
 
 
 def candidate_hypersurface(sys: MagneticSystem, x, plane, radius: float,
@@ -563,6 +557,8 @@ def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
             raise ValueError(f"unknown key {key!r} for a {kind} submanifold")
     n = sys.dim
     if kind == "hyperplane":
+        if "normal" in spec and "basis" in spec:
+            raise ValueError("a hyperplane takes 'normal' or 'basis', not both")
         point = np.asarray(spec["point"], dtype=float)
         extent = float(spec.get("extent", 1.0))
         B = (np.asarray(spec["basis"], dtype=float) if "basis" in spec

@@ -13,8 +13,6 @@ from .geometry import ChartSpec, MetricField, PointGeometry
 
 __all__ = ["MagneticSystem", "closedness_residual"]
 
-_CLOSEDNESS_STRICT_TOL = 1e-8
-
 
 def closedness_residual(sigma: TwoFormField, x) -> float:
     """Max-norm of (d sigma)_kij = d_k s_ij + d_i s_jk + d_j s_ki at x."""
@@ -31,21 +29,11 @@ class MagneticSystem:
 
     def __init__(self, chart: ChartSpec, metric: MetricField,
                  sigma: TwoFormField,
-                 vertical_field: Optional[Callable] = None,
-                 strict: bool = False, strict_samples: int = 20,
-                 strict_seed: int = 0):
+                 vertical_field: Optional[Callable] = None):
         self.chart = chart
         self.metric = metric
         self.sigma = sigma
         self.vertical_field = vertical_field
-        if strict:
-            rng = np.random.default_rng(strict_seed)
-            worst = max(closedness_residual(sigma, chart.sample_point(rng))
-                        for _ in range(strict_samples))
-            if worst > _CLOSEDNESS_STRICT_TOL:
-                raise ValueError(
-                    f"2-form closedness residual {worst:.3e} exceeds "
-                    f"{_CLOSEDNESS_STRICT_TOL} in strict mode")
 
     @property
     def dim(self) -> int:
@@ -109,7 +97,7 @@ class MagneticSystem:
         sigma = TwoFormField(
             lambda x, g: c * sg.at(x, m, g / c),
             dsigma=lambda x, g, dg: c * sg.dsigma_at(x, m, g / c, dg / c),
-            h1=sg.h1, chart=self.chart, metric=metric,
+            chart=self.chart, metric=metric,
             broadcasts=sg.broadcasts and (sg.metric is None or sg.metric is m))
         return MagneticSystem(self.chart, metric, sigma,
                               vertical_field=self.vertical_field)

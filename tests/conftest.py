@@ -36,7 +36,6 @@ def counted_system(name, form, **form_params):
 
     chart = ChartSpec(dim=chart.dim,
                       domain_guard=counted("guard", chart.domain_guard),
-                      periodic=chart.periodic,
                       sample_bounds=chart.sample_bounds)
     metric = MetricField(counted("metric", metric.raw), dg=metric.dg,
                          d2g=metric.d2g, chart=chart)

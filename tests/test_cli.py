@@ -141,6 +141,10 @@ def _defect_overrides(submanifold):
     pytest.param("defect", _defect_overrides(dict(_HYPERPLANE, point=[0.0] * 3,
                                                   center=[0.0] * 3)),
                  [], "'center'", id="hyperplane-center"),
+    pytest.param("defect", _defect_overrides(dict(_HYPERPLANE, point=[0.0] * 3,
+                                                  basis=[[1.0, 0.0], [0.0, 0.0],
+                                                         [0.0, 1.0]])),
+                 [], "params/submanifold", id="hyperplane-normal-and-basis"),
 ])
 def test_invalid_input_exits_2_naming_field(tmp_path, command, overrides,
                                             flags, field):
