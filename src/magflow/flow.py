@@ -8,27 +8,30 @@ RK4.  Speed drift along the orbit is recorded, never silently corrected
 (unless renormalization is explicitly enabled), so it can serve as an error
 indicator.
 
-The variational flow Jdot = Df J is solved in two passes over blocks of
-`_BLOCK_STEPS` steps.  The base orbit is integrated with `integrate`'s RK4,
-recording at every stage the local geometry it evaluated; then Df is
-evaluated at all recorded stages at once, with the second derivatives of
-the metric and the form taken on the whole batch, and J is advanced by the
-RK4 propagator of each step,
+The variational flow Jdot = Df J and magnetic parallel transport (see
+`transport`) are linear flows Zdot = M Z along the base orbit.  One driver
+solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The base
+orbit is integrated with `integrate`'s RK4, recording the `PointGeometry`
+of every stage; then M is evaluated at all recorded stages at once (for
+Df, with the second derivatives of the metric and the form taken on the
+whole batch), and Z is advanced by the RK4 propagator of each step,
     P = I + h/6 (D1 + 2 D2 Z2 + 2 D3 Z3 + D4 Z4),
     Z2 = I + h/2 D1,  Z3 = I + h/2 D2 Z2,  Z4 = I + h D3 Z3,
-where D1..D4 are Df at the step's four stages.  This is the coupled RK4 of
-(state, J) rearranged: Df depends only on the base orbit.
+where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
+(state, Z) rearranged: M depends only on the base orbit.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                      StepLimitExceeded)
+from .geometry import PointGeometry
 from .system import MagneticSystem
 
 __all__ = [
@@ -96,7 +99,8 @@ class Trajectory:
         return self.state(len(self.times) - 1)
 
     def to_csv(self) -> str:
-        """Header `t, x1..xn, v1..vn, speed_drift`; one row per node."""
+        """Header `t, x1..xn, v1..vn, speed_drift`; one row per node, and a
+        last line `# exited,True` when the orbit left the chart."""
         n = self.n
         cols = (["t"] + [f"x{i+1}" for i in range(n)]
                 + [f"v{i+1}" for i in range(n)] + ["speed_drift"])
@@ -106,6 +110,8 @@ class Trajectory:
             row = [repr(float(t))] + [repr(float(u)) for u in y]
             row.append(repr(float(d)))
             buf.write(",".join(row) + "\n")
+        if self.exited:
+            buf.write("# exited,True\n")
         return buf.getvalue()
 
 
@@ -119,82 +125,45 @@ def _acceleration(sys: MagneticSystem, geo, v: np.ndarray) -> np.ndarray:
     return sys.x_vertical(geo.x, v) - geo.ginv.dot(geo.gamma_low.dot(v).dot(v))
 
 
-class _StageBlock:
-    """The base-orbit quantities of up to `capacity` RK4 stages: the stage
-    point x, its v and acceleration, and the `PointGeometry` arrays there,
-    each stacked along a leading stage axis.  `count` stages are filled."""
-
-    def __init__(self, n: int, capacity: int):
-        self.count = 0
-        self.x = np.empty((capacity, n))
-        self.v = np.empty((capacity, n))
-        self.acc = np.empty((capacity, n))
-        self.g = np.empty((capacity, n, n))
-        self.dg = np.empty((capacity, n, n, n))
-        self.ginv = np.empty((capacity, n, n))
-        self.gamma_low = np.empty((capacity, n, n, n))
-        self.sigma = np.empty((capacity, n, n))
-
-    def record(self, geo, v: np.ndarray, acc: np.ndarray):
-        i = self.count
-        self.x[i] = geo.x
-        self.v[i] = v
-        self.acc[i] = acc
-        self.g[i] = geo.g
-        self.dg[i] = geo.dg
-        self.ginv[i] = geo.ginv
-        self.gamma_low[i] = geo.gamma_low
-        self.sigma[i] = geo.sigma
-        self.count = i + 1
-
-
-def _acceleration_jacobian(sys: MagneticSystem, blk: _StageBlock) -> np.ndarray:
-    """The n x 2n blocks (d vdot/dx, d vdot/dv) at the filled stages of
-    `blk`, shape (count, n, 2n); analytic for magnetic systems with
-    derivative closures, finite differences for the part of a custom
-    vertical field.
+def _acceleration_jacobian(sys: MagneticSystem, geo: PointGeometry,
+                           v: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """The n x 2n block (d vdot/dx, d vdot/dv) at the point(s) of `geo`,
+    with v and acc there stacked alike; analytic for magnetic systems with
+    derivative closures, finite differences for a custom vertical field.
 
     The analytic part is a = -g^-1 r with r = gamma_low(v, v) + sigma v
     (without the sigma term for a custom vertical field), so
-    d_q a = -g^-1 (d_q r + d_q g a) and da/dv = -g^-1 dr/dv.  With
-    dgamma_low as in `PointGeometry` and g symmetric,
-    d_q gamma_low(v, v)_l = (A[l, k, q] - A[k, l, q] / 2) v^k, where
-    A[l, k, q] = d_k d_q g_lj v^j."""
-    m = blk.count
-    x, v, dg, ginv = blk.x[:m], blk.v[:m], blk.dg[:m], blk.ginv[:m]
-    A = np.einsum("bljkq,bj->blkq", sys.metric.d2g_batch(x), v)
-    r_x = np.einsum("blkq,bk->blq", A - 0.5 * A.transpose(0, 2, 1, 3), v)
-    Gv = np.einsum("bljk,bk->blj", blk.gamma_low[:m], v)
+    d_q a = -g^-1 (d_q r + d_q g a) and da/dv = -g^-1 dr/dv."""
+    n = v.shape[-1]
+    Gv = np.einsum("...ljk,...k->...lj", geo.gamma_low, v)
+    r_x = np.einsum("...ljkq,...j,...k->...lq", geo.dgamma_low(), v, v)
     r_v = 2.0 * Gv
     if sys.is_magnetic:
-        dsigma = sys.sigma.dsigma_batch(x, sys.metric, blk.g[:m], dg)
-        r_x = r_x + np.einsum("bljq,bj->blq", dsigma, v)
-        r_v = r_v + blk.sigma[:m]
-        a = blk.acc[:m]
+        r_x = r_x + np.einsum("...ljq,...j->...lq", geo.dsigma(), v)
+        r_v = r_v + geo.sigma
+        a = acc
     else:
-        a = -np.einsum("bij,bj->bi", ginv, np.einsum("blj,bj->bl", Gv, v))
-    r_x = r_x + np.einsum("bijq,bj->biq", dg, a)
-    L = -np.matmul(ginv, np.concatenate([r_x, r_v], axis=2))
+        a = -np.einsum("...ij,...j->...i", geo.ginv,
+                       np.einsum("...lj,...j->...l", Gv, v))
+    r_x = r_x + np.einsum("...ijq,...j->...iq", geo.dg, a)
+    L = -np.matmul(geo.ginv, np.concatenate([r_x, r_v], axis=-1))
     if not sys.is_magnetic:
-        n, h = v.shape[1], 1e-6
-        for b in range(m):
-            xb, vb = x[b], v[b]
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = h
-                L[b, :, k] += (sys.x_vertical(xb + e, vb)
-                               - sys.x_vertical(xb - e, vb)) / (2 * h)
-                L[b, :, n + k] += (sys.x_vertical(xb, vb + e)
-                                   - sys.x_vertical(xb, vb - e)) / (2 * h)
+        f, h = sys.x_vertical, 1e-6
+        for Lb, xb, vb in zip(L.reshape(-1, n, 2 * n), geo.x.reshape(-1, n),
+                              v.reshape(-1, n)):
+            for k, e in enumerate(h * np.eye(n)):
+                Lb[:, k] += (f(xb + e, vb) - f(xb - e, vb)) / (2 * h)
+                Lb[:, n + k] += (f(xb, vb + e) - f(xb, vb - e)) / (2 * h)
     return L
 
 
-def _generator_jacobians(sys: MagneticSystem, blk: _StageBlock) -> np.ndarray:
-    """Df = [[0, I], [d vdot/dx, d vdot/dv]] at the filled stages of `blk`."""
-    n = blk.x.shape[1]
-    D = np.zeros((blk.count, 2 * n, 2 * n))
-    D[:, :n, n:] = np.eye(n)
-    D[:, n:] = _acceleration_jacobian(sys, blk)
+def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
+                         v: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Df = [[0, I], [d vdot/dx, d vdot/dv]] at the point(s) of `geo`."""
+    n = v.shape[-1]
+    D = np.zeros(v.shape[:-1] + (2 * n, 2 * n))
+    D[..., :n, n:] = np.eye(n)
+    D[..., n:, :] = _acceleration_jacobian(sys, geo, v, acc)
     return D
 
 
@@ -210,9 +179,7 @@ def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     geo = sys.geometry(x)
-    one = _StageBlock(v.size, 1)
-    one.record(geo, v, _acceleration(sys, geo, v))
-    return _generator_jacobians(sys, one)[0]
+    return _generator_jacobians(sys, geo, v, _acceleration(sys, geo, v))
 
 
 def _step_size(T, h, max_steps):
@@ -226,11 +193,10 @@ def _step_size(T, h, max_steps):
     return nsteps, T / nsteps
 
 
-def _rk4_path(sys, y0, T, cfg, rhs=None, observe=None, speed=None):
+def _rk4_path(sys, y0, T, cfg, rhs=None, speed=None):
     """Shared fixed-step RK4 driver over time T with the step and budget of
-    `cfg`.  `rhs(y) -> ydot` defaults to the plain generator; `observe(t, y)`
-    is called at every accepted node; a `speed` rescales v to that g-norm
-    after every step."""
+    `cfg`.  `rhs(y) -> ydot` defaults to the plain generator; a `speed`
+    rescales v to that g-norm after every step."""
     n = sys.dim
     f = (lambda y: generator(sys, y[:n], y[n:])) if rhs is None else rhs
     nsteps, hh = _step_size(T, cfg.step, cfg.max_steps)
@@ -261,8 +227,6 @@ def _rk4_path(sys, y0, T, cfg, rhs=None, observe=None, speed=None):
         t = k * hh               # not accumulated, so the last node is T
         times.append(t)
         path.append(y.copy())
-        if observe is not None:
-            observe(t, y)
     return np.array(times), np.array(path), exited
 
 
@@ -314,13 +278,13 @@ def oddness_residual(sys: MagneticSystem, x, v) -> float:
     return sys.metric.norm(x, sys.x_vertical(x, v) + sys.x_vertical(x, -v))
 
 
-# RK4 steps whose stages are recorded before their Jacobians are evaluated
-# together and J is advanced over them; bounds the memory of a long orbit
+# RK4 steps whose stages are recorded before their matrices M are evaluated
+# together and Z is advanced over them; bounds the memory of a long orbit
 _BLOCK_STEPS = 64
 
 
-def _advance(D: np.ndarray, h: float, J: np.ndarray) -> np.ndarray:
-    """J advanced over the RK4 steps whose stage Jacobians are
+def _advance(D: np.ndarray, h: float, Z: np.ndarray) -> np.ndarray:
+    """Z advanced over the RK4 steps whose stage matrices M are
     D[4k], ..., D[4k + 3], by the step propagators of the module docstring."""
     eye = np.eye(D.shape[-1])
     D1, D2, D3, D4 = D[0::4], D[1::4], D[2::4], D[3::4]
@@ -328,8 +292,53 @@ def _advance(D: np.ndarray, h: float, J: np.ndarray) -> np.ndarray:
     K3 = D3 @ (eye + (0.5 * h) * K2)
     K4 = D4 @ (eye + h * K3)
     for P in eye + (h / 6.0) * (D1 + 2.0 * K2 + 2.0 * K3 + K4):
-        J = P.dot(J)
-    return J
+        Z = P.dot(Z)
+    return Z
+
+
+def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
+                 cfg: Optional[IntegratorConfig], matrices, Z: np.ndarray,
+                 what: str):
+    """Z advanced over T by Zdot = M Z along `integrate`'s (unrenormalized)
+    orbit of `state`, in the two passes of the module docstring, and the
+    end state of that orbit.  `matrices(geo, v, acc)` gives M at a block of
+    stages from their `PointGeometry` batch, velocities and accelerations."""
+    cfg = cfg or IntegratorConfig()
+    n = sys.dim
+    sys.chart.require(state.x)
+    _, h = _step_size(T, cfg.step, cfg.max_steps)
+    capacity = 4 * _BLOCK_STEPS
+    geos = PointGeometry.buffer(sys.metric, sys.sigma, n, capacity)
+    stages = np.empty((capacity, 2 * n))          # (v, acc) at each stage
+    count = 0
+
+    def advance():
+        nonlocal Z, count
+        M = matrices(geos.head(count), stages[:count, :n], stages[:count, n:])
+        Z = _advance(M, h, Z)
+        count = 0
+
+    def rhs(y):
+        # the operations of `generator`, recording the stage; a full block
+        # of whole steps is first advanced over
+        nonlocal count
+        if count == capacity:
+            advance()
+        x, v = y[:n], y[n:]
+        geo = sys.geometry(x)
+        f = np.concatenate([v, _acceleration(sys, geo, v)])
+        stages[count] = f
+        geos.put(count, geo)
+        count += 1
+        return f
+
+    _, path, exited = _rk4_path(sys, np.concatenate([state.x, state.v]), T,
+                                cfg, rhs=rhs)
+    if exited:
+        raise DomainExit(f"{what} orbit left the chart")
+    if count:
+        advance()
+    return Z, PhaseState(x=path[-1, :n], v=path[-1, n:], s=state.s)
 
 
 def variational_flow(sys: MagneticSystem, state: PhaseState, T: float,
@@ -338,37 +347,7 @@ def variational_flow(sys: MagneticSystem, state: PhaseState, T: float,
                      return_final_state: bool = False):
     """Solve Jdot = Df J along the orbit, J(0) = identity (or J0), in the
     two passes of the module docstring; the orbit is `integrate`'s."""
-    cfg = cfg or IntegratorConfig()
-    n = sys.dim
-    sys.chart.require(state.x)
-    J = np.eye(2 * n) if J0 is None else np.asarray(J0, dtype=float)
-    _, h = _step_size(T, cfg.step, cfg.max_steps)
-    blk = _StageBlock(n, 4 * _BLOCK_STEPS)
-
-    def rhs(y):
-        # the operations of `generator`, recording the stage
-        x, v = y[:n], y[n:]
-        geo = sys.geometry(x)
-        acc = _acceleration(sys, geo, v)
-        blk.record(geo, v, acc)
-        return np.concatenate([v, acc])
-
-    def advance():
-        nonlocal J
-        J = _advance(_generator_jacobians(sys, blk), h, J)
-        blk.count = 0
-
-    def observe(t, y):
-        if blk.count == 4 * _BLOCK_STEPS:
-            advance()
-
-    _, path, exited = _rk4_path(
-        sys, np.concatenate([state.x, state.v]), T, cfg, rhs=rhs,
-        observe=observe)
-    if exited:
-        raise DomainExit("variational orbit left the chart")
-    if blk.count:
-        advance()
-    if return_final_state:
-        return J, PhaseState(x=path[-1, :n], v=path[-1, n:], s=state.s)
-    return J
+    J0 = np.eye(2 * sys.dim) if J0 is None else np.asarray(J0, dtype=float)
+    J, end = _linear_flow(sys, state, T, cfg,
+                          partial(_generator_jacobians, sys), J0, "variational")
+    return (J, end) if return_final_state else J

@@ -13,7 +13,7 @@ Index conventions used throughout:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -223,6 +223,10 @@ class TangentSplit:
     vertical: np.ndarray
 
 
+# the per-point arrays of a PointGeometry, stacked along axis 0 in a batch
+_ARRAYS = ("x", "g", "dg", "ginv", "gamma_low", "sigma")
+
+
 class PointGeometry:
     """The local geometry of a metric, and optionally of a 2-form, at one
     chart point, evaluated once and shared by everything computed there.
@@ -234,12 +238,13 @@ class PointGeometry:
     sigma, handing it g so that a form built from the metric does not
     evaluate the metric again.  `PointGeometry.batch` holds the same arrays
     for a batch of points, stacked along a leading axis, and every method
-    then returns its tensors stacked alike.  The methods derive the
-    remaining tensors on each call; a consumer calls each at most once per
-    point, and an instance is never reused at another point.
+    then returns its tensors stacked alike; `PointGeometry.buffer` collects
+    such a batch point by point.  The methods derive the remaining tensors
+    on each call; a consumer calls each at most once per point, and an
+    instance is never reused at another point.
     """
 
-    __slots__ = ("metric", "form", "x", "g", "dg", "ginv", "gamma_low", "sigma")
+    __slots__ = ("metric", "form") + _ARRAYS
 
     def __init__(self, metric: MetricField, x, form=None,
                  chart: Optional[ChartSpec] = None):
@@ -271,6 +276,34 @@ class PointGeometry:
         geo.ginv = metric.inverse_batch(X, G)
         geo.gamma_low = _gamma_low(geo.dg)
         geo.sigma = None if form is None else form.at_batch(X, metric, G)
+        return geo
+
+    @classmethod
+    def buffer(cls, metric: MetricField, form, n: int,
+               capacity: int) -> "PointGeometry":
+        """Room for the geometry of a metric and a 2-form at `capacity`
+        points in dimension n, filled by `put` and read by `head`."""
+        geo = cls.__new__(cls)
+        geo.metric, geo.form = metric, form
+        for name, rank in zip(_ARRAYS, (1, 2, 3, 2, 3, 2)):
+            setattr(geo, name, np.empty((capacity,) + (n,) * rank))
+        return geo
+
+    def put(self, i: int, geo: "PointGeometry"):
+        """Copy the geometry `geo` at one point into row i of this buffer."""
+        self.x[i] = geo.x
+        self.g[i] = geo.g
+        self.dg[i] = geo.dg
+        self.ginv[i] = geo.ginv
+        self.gamma_low[i] = geo.gamma_low
+        self.sigma[i] = geo.sigma
+
+    def head(self, m: int) -> "PointGeometry":
+        """The first m rows of this buffer as a batch, sharing its arrays."""
+        geo = PointGeometry.__new__(PointGeometry)
+        geo.metric, geo.form = self.metric, self.form
+        for name in _ARRAYS:
+            setattr(geo, name, getattr(self, name)[:m])
         return geo
 
     def dgamma_low(self) -> np.ndarray:

@@ -471,11 +471,12 @@ class CartanReport:
 
 
 def _sigma_operator_norm(sys: MagneticSystem, x) -> float:
-    """g-operator norm of the Lorentz force at x."""
+    """g-operator norm of the Lorentz force at x: with g = C C^T, |v|_g is
+    |C^T v|, so it is the spectral norm of C^T Y C^-T."""
     geo = sys.geometry(x)
-    C = np.linalg.cholesky(geo.g)
+    Ct = np.linalg.cholesky(geo.g).T
     Y = geo.lorentz()
-    return float(np.linalg.svd(C @ Y @ np.linalg.inv(C), compute_uv=False).max())
+    return float(np.linalg.svd(Ct @ Y @ np.linalg.inv(Ct), compute_uv=False).max())
 
 
 def cartan_probe(sys: MagneticSystem, k: int, plane_samples: int,

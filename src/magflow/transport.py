@@ -1,10 +1,11 @@
 """Magnetic parallel transport, the frame-extension flow, and closed-orbit
 holonomy sampling.
 
-Transported vectors solve W' = -Gamma(xdot, W) + Y W along the orbit; this
-is integrated in one coupled system with the base flow (not post-hoc along a
-stored trajectory) to avoid interpolation error.  The diagnostic covariant
-derivative on stored grids lives in `magnetic_covariant_derivative`.
+Transported vectors solve W' = -Gamma(xdot, W) + Y W, a linear flow along
+`integrate`'s orbit; the two-pass driver of `flow`, which also solves the
+variational flow, advances them over the orbit's RK4 stages, so no stored
+trajectory is interpolated.  The diagnostic covariant derivative on stored
+grids lives in `magnetic_covariant_derivative`.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainExit, GridMismatch, NotPeriodic
-from .flow import (IntegratorConfig, PhaseState, Trajectory, _acceleration,
-                   _rk4_path, generator, integrate)
+from .flow import (IntegratorConfig, PhaseState, Trajectory, _linear_flow,
+                   generator, integrate)
 from .geometry import orthonormal_completion
 from .system import MagneticSystem
 
@@ -93,48 +94,32 @@ def magnetic_covariant_derivative(sys: MagneticSystem, traj: Trajectory,
     return out
 
 
-def _transport_rhs(sys, y, n, m):
-    """Coupled base + m transported vectors.  The base slice is computed by
-    the same code as `integrate`, keeping the base path bit-identical; the
-    transported vectors share its point geometry."""
-    x, v = y[:n], y[n:2 * n]
-    geo = sys.geometry(x)
-    out = np.empty_like(y)
-    out[:n] = v
-    out[n:2 * n] = _acceleration(sys, geo, v)
-    # Y - Gamma(v, .) = -g^-1 (gamma_low(v, .) + sigma)
-    B = -geo.ginv.dot(geo.gamma_low.dot(v) + geo.sigma)
-    out[2 * n:] = y[2 * n:].reshape(m, n).dot(B.T).ravel()
-    return out
-
-
 def _transport(sys: MagneticSystem, state: PhaseState, W: np.ndarray,
-               T: float, cfg: Optional[IntegratorConfig], what: str) -> np.ndarray:
-    """The end point x, v and W of the orbit of `state` run to T together
-    with the rows of W (m, n), D-parallel transported along it."""
-    n, m = sys.dim, W.shape[0]
-    y0 = np.concatenate([state.x, state.v, W.ravel()])
-    _, path, exited = _rk4_path(sys, y0, T, cfg or IntegratorConfig(),
-                                rhs=lambda y: _transport_rhs(sys, y, n, m))
-    if exited:
-        raise DomainExit(f"{what} orbit left the chart")
-    y = path[-1]
-    return y[:n], y[n:2 * n], y[2 * n:].reshape(m, n)
+               T: float, cfg: Optional[IntegratorConfig], what: str):
+    """The end state of the orbit of `state` run to T, and the rows of W
+    (m, n) D-parallel transported along it: W' = W B^T with
+    B = Y - Gamma(xdot, .) = -g^-1 (gamma_low(xdot, .) + sigma)."""
+    def matrices(geo, v, acc):
+        Gv = np.einsum("...ljk,...k->...lj", geo.gamma_low, v)
+        return -np.matmul(geo.ginv, Gv + geo.sigma)
+
+    Wt, end = _linear_flow(sys, state, T, cfg, matrices, W.T, what)
+    return end, Wt.T
 
 
 def parallel_transport(sys: MagneticSystem, state: PhaseState, w0, T: float,
                        cfg: Optional[IntegratorConfig] = None) -> np.ndarray:
     """Magnetic (D-)parallel transport of w0 along the orbit; returns W(T)."""
     W = np.asarray(w0, dtype=float)[None]
-    return _transport(sys, state, W, T, cfg, "transport")[2][0]
+    return _transport(sys, state, W, T, cfg, "transport")[1][0]
 
 
 def frame_flow(sys: MagneticSystem, frame: FrameState, T: float,
                cfg: Optional[IntegratorConfig] = None) -> FrameState:
     """Frame-extension flow: advance the base state and D-parallel-transport
     the completion vectors; the first frame vector stays the velocity."""
-    x, v, W = _transport(sys, frame.state, frame.completion, T, cfg, "frame")
-    return FrameState(state=PhaseState(x=x, v=v, s=frame.state.s), completion=W)
+    end, W = _transport(sys, frame.state, frame.completion, T, cfg, "frame")
+    return FrameState(state=end, completion=W)
 
 
 def _hermite_nearest(sys, t, y, z0) -> float:

@@ -34,8 +34,9 @@ def counted_system(name, form, **form_params):
             return fn(x)
         return wrapper
 
+    guard = chart.domain_guard
     chart = ChartSpec(dim=chart.dim,
-                      domain_guard=counted("guard", chart.domain_guard),
+                      domain_guard=None if guard is None else counted("guard", guard),
                       sample_bounds=chart.sample_bounds)
     metric = MetricField(counted("metric", metric.raw), dg=metric.dg,
                          d2g=metric.d2g, chart=chart)

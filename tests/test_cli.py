@@ -59,6 +59,23 @@ def test_integrate_larmor_closes(tmp_path):
     assert lines[0] == "t,x1,x2,v1,v2,speed_drift"
     last = [float(v) for v in lines[-1].split(",")]
     assert abs(last[1]) < 1e-6 and abs(last[2]) < 1e-6
+    assert "#" not in (tmp_path / "trajectory.csv").read_text()
+
+
+def test_integrate_escaping_orbit_flagged_partial(tmp_path):
+    # a disk geodesic leaves the chart before T: the rows stop there and a
+    # comment line, which np.loadtxt skips, flags the partial orbit
+    sc = _write_scenario(tmp_path, manifold={"name": "poincare_disk"},
+                         magnetic={"name": "zero"}, integrator={"step": 1e-2},
+                         params={"T": 30.0})
+    res = _run(["integrate", sc, "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    text = (tmp_path / "trajectory.csv").read_text()
+    assert text.endswith("\n# exited,True\n")
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    assert rows.shape[0] == text.count("\n") - 2
+    assert rows[-1, 0] < 30.0 - 1e-2
 
 
 def test_integrate_missing_file_exit_2(tmp_path):

@@ -4,11 +4,10 @@ import pytest
 from magflow import (IntegratorConfig, MagneticSystem, MetricField, PhaseState,
                      christoffel, connector_split, dynamical_exp, integrate,
                      make_form, make_manifold, oddness_residual,
-                     variational_flow)
+                     parallel_transport, variational_flow)
 from magflow.errors import DomainExit, StepLimitExceeded
 from magflow.flow import _BLOCK_STEPS, generator, generator_jacobian
 from magflow.geometry import dchristoffel
-from magflow.transport import _transport_rhs
 
 from conftest import counted_system, strength, system, unit
 
@@ -56,30 +55,32 @@ def test_semi_spray_consistency(rng):
     ("round_sphere", "zero", {}),
     ("poincare_disk", "area_form", {"b": 1.0}),
     ("poincare_ball", "constant", {"b": 2.0}),
+    ("euclidean", "constant", {"b": 1.0}),
 ])
 def test_geometry_evaluated_once_per_point(name, form, params):
     # one RK4 stage of every flow evaluates the metric and runs the chart
-    # guard exactly once, at its single point
+    # guard exactly once, at its single point; a chart without a guard runs
+    # none
     sys, calls = counted_system(name, form, **params)
+    guarded = sys.chart.domain_guard is not None
     n = sys.dim
     x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
     v = np.linspace(0.3, -0.4, n)
-    stages = {
-        "generator": lambda: generator(sys, x, v),
-        "transport": lambda: _transport_rhs(
-            sys, np.concatenate([x, v, np.eye(n)[1:].ravel()]), n, n - 1),
+    calls.update(metric=0, guard=0)
+    generator(sys, x, v)
+    assert calls == {"metric": 1, "guard": int(guarded)}, "generator"
+    # one RK4 step of the linear flows: one metric evaluation and one guard
+    # call at each of its four base stages, and the guard calls at the start
+    # point and the new node; the pass over the stages evaluates neither
+    st, cfg = PhaseState(x=x, v=v), IntegratorConfig(step=1e-2)
+    flows = {
+        "variational": lambda: variational_flow(sys, st, 1e-2, cfg),
+        "transport": lambda: parallel_transport(sys, st, np.eye(n)[1], 1e-2, cfg),
     }
-    for stage, run in stages.items():
+    for flow, run in flows.items():
         calls.update(metric=0, guard=0)
         run()
-        assert calls == {"metric": 1, "guard": 1}, stage
-    # one RK4 step of the variational flow: one metric evaluation and one
-    # guard call at each of its four base stages, and the integrator's guard
-    # calls at the start point and the new node; the Jacobian pass
-    # evaluates neither
-    calls.update(metric=0, guard=0)
-    variational_flow(sys, PhaseState(x=x, v=v), 1e-2, IntegratorConfig(step=1e-2))
-    assert calls == {"metric": 4, "guard": 6}, "variational"
+        assert calls == {"metric": 4, "guard": 6 * guarded}, flow
 
 
 def test_generator_and_jacobian_match_tensor_formulas(rng):

@@ -1,0 +1,41 @@
+"""Checks on the package source itself."""
+import ast
+from pathlib import Path
+
+import magflow
+
+SOURCES = sorted(Path(magflow.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names bound by the module's imports that it never references; a name
+    listed in its `__all__` counts as referenced."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    # no linter is part of the toolchain, so this is the check; the
+    # package's __init__ re-exports its names and is not checked
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _unused_imports(tree)]
+    assert not found, found

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from magflow import (IntegratorConfig, MagneticSystem, alpha_defect,
-                     augmented_exp, candidate_hypersurface,
+from magflow import (ChartSpec, IntegratorConfig, MagneticSystem, MetricField,
+                     alpha_defect, augmented_exp, candidate_hypersurface,
                      candidate_submanifold, cartan_probe, classical_II,
                      dynamic_consistency_check, dynamical_II,
                      invariance_defect, make_form, make_manifold,
@@ -365,6 +366,22 @@ def test_cartan_probe_magnetic_flags_noninvariant_planes():
     rep = cartan_probe(sys, 2, 8, seed=4, radius=0.3, defect_samples=2)
     assert max(rep.defects) > 1e-3
     assert "some planes fail" in rep.verdict
+
+
+def test_sigma_operator_norm_non_diagonal_metric():
+    # sup |Y v|_g / |v|_g, the square root of the largest eigenvalue of the
+    # generalised problem (Y^T g Y, g), on a constant metric that is far from
+    # diagonal; diagonal metrics cannot tell C Y C^-1 from C^T Y C^-T
+    G = np.array([[2.0, 1.9, 0.0], [1.9, 2.0, 0.3], [0.0, 0.3, 1.0]])
+    chart = ChartSpec(dim=3)
+    metric = MetricField(lambda x: G, dg=lambda x: np.zeros((3, 3, 3)),
+                         d2g=lambda x: np.zeros((3, 3, 3, 3)), chart=chart)
+    sys = MagneticSystem(chart, metric,
+                         make_form("constant", 3, metric, chart, b=1.0))
+    x = np.zeros(3)
+    Y = sys.lorentz(x)
+    oracle = np.sqrt(scipy.linalg.eigh(Y.T @ G @ Y, G, eigvals_only=True).max())
+    assert abs(submanifold._sigma_operator_norm(sys, x) - oracle) < 1e-12 * oracle
 
 
 def test_defect_consistency_equivalence(rng):

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magflow import (DomainExit, FrameState, GridMismatch, IntegratorConfig,
-                     MagneticSystem, NotPeriodic, PhaseState,
+                     MagneticSystem, NotPeriodic, PhaseState, christoffel,
                      closed_orbit_holonomy, frame_flow, integrate,
                      magnetic_covariant_derivative, make_form, make_manifold,
                      parallel_transport)
+from magflow.flow import _BLOCK_STEPS, generator
 
-from conftest import system, unit
+from conftest import MODEL_NAMES, strength, system, unit
 
 
 # ---------------------------------------------------------------------------
@@ -48,16 +49,13 @@ def test_cov_derivative_of_transported_field_vanishes():
     state = PhaseState(x=x0, v=v0, s=1.0)
     cfg = IntegratorConfig(step=1e-3)
     traj = integrate(sys, state, 1.0, cfg)
-    w0 = unit(sys.metric, x0, [0.0, 1.0])
-    # single coupled run so the base path matches the trajectory grid
-    from magflow.flow import _rk4_path
-    from magflow.transport import _transport_rhs
-    n = sys.dim
-    y0 = np.concatenate([x0, v0, w0])
-    _, path, _ = _rk4_path(sys, y0, 1.0, cfg,
-                           rhs=lambda y: _transport_rhs(sys, y, n, 1))
-    W = np.array(path)[:, 2 * n:]
-    D = magnetic_covariant_derivative(sys, traj, W)
+    # W at each node by one transport step from the node before; each step
+    # runs the trajectory's own RK4 step, so W lies on its grid
+    h = traj.times[1]
+    W = [unit(sys.metric, x0, [0.0, 1.0])]
+    for k in range(1, len(traj.times)):
+        W.append(parallel_transport(sys, traj.state(k - 1), W[-1], h, cfg))
+    D = magnetic_covariant_derivative(sys, traj, np.array(W))
     assert np.nanmax(np.abs(D)) < 1e-6
 
 
@@ -127,6 +125,55 @@ def test_transport_domain_exit():
     with pytest.raises(DomainExit):
         parallel_transport(sys, PhaseState(x=x0, v=v0, s=1.0),
                            [0.0, 1.0], 30.0, IntegratorConfig(step=1e-2))
+
+
+def _coupled_rk4(sys, state, T, step, W0):
+    """Reference: RK4 on the coupled state (x, v, W) with rows
+    W' = Y W - Gamma(xdot, W), Y and Gamma evaluated at every stage."""
+    n = sys.dim
+    nsteps = max(1, int(round(T / step)))
+    h = T / nsteps
+
+    def f(y):
+        x, v, W = y[:n], y[n:2 * n], y[2 * n:].reshape(-1, n)
+        B = sys.lorentz(x) - np.einsum("ijk,j->ik", christoffel(sys.metric, x), v)
+        return np.concatenate([generator(sys, x, v), (W @ B.T).ravel()])
+
+    y = np.concatenate([state.x, state.v, W0.ravel()])
+    for _ in range(nsteps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y[2 * n:].reshape(W0.shape)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_transport_matches_coupled_rk4(name, rng):
+    # the stage propagators applied along `integrate`'s orbit are the coupled
+    # RK4 of (x, v, W) rearranged: same W up to rounding over more than two
+    # blocks, and the end state of `integrate` to the bit
+    chart, metric = make_manifold(name)
+    n = chart.dim
+    for form in ["zero", "constant"] + (["area_form"] if n == 2 else []):
+        sys = MagneticSystem(chart, metric,
+                             make_form(form, n, metric, chart, **strength(form, 1.3)))
+        # a start well inside every chart, at half speed, so the orbit stays in
+        x = (np.pi / 2 if name == "round_sphere" else 0.0) + rng.uniform(-0.3, 0.3, n)
+        st = PhaseState(x=x, v=0.5 * unit(metric, x, rng.standard_normal(n)), s=0.5)
+        step = 1e-2
+        T = (2 * _BLOCK_STEPS + 5) * step
+        cfg = IntegratorConfig(step=step)
+        f0 = FrameState(state=st, completion=rng.standard_normal((n - 1, n)))
+        f1 = frame_flow(sys, f0, T, cfg)
+        ref = _coupled_rk4(sys, st, T, step, f0.completion)
+        assert np.abs(f1.completion - ref).max() <= 1e-12 * np.abs(ref).max(), form
+        w = parallel_transport(sys, st, f0.completion[0], T, cfg)
+        assert np.abs(w - ref[0]).max() <= 1e-12 * np.abs(ref).max(), form
+        final = integrate(sys, st, T, cfg).final
+        assert np.array_equal(f1.state.x, final.x), form
+        assert np.array_equal(f1.state.v, final.v), form
 
 
 # ---------------------------------------------------------------------------
