@@ -24,7 +24,8 @@ from .curvature import anosov_report, magnetic_operator, op_A, op_R, sample_sect
 from .errors import MagflowError
 from .flow import PhaseState, dynamical_exp, integrate
 from .scenario import (ScenarioInvalid, build_integrator, build_state,
-                       build_submanifold, build_system, load_scenario)
+                       build_submanifold, build_system, build_vector,
+                       load_scenario)
 from .submanifold import cartan_probe, invariance_defect
 
 log = logging.getLogger("magflow")
@@ -125,8 +126,7 @@ def cmd_exp(sc, out):
         sc["initial"]["v"] = [1.0] + [0.0] * (sysm.dim - 1)
     state = build_state(sc, sysm)
     cfg = build_integrator(sc)
-    u = sc["params"]["u"]
-    u = np.asarray(state.v if u is None else u, dtype=float)
+    u = build_vector(sc, "params/u", sysm, default=state.v)
     y = dynamical_exp(sysm, state.x, u, cfg)
     _write(out, "exp.json", _dump_json({
         "x": list(state.x), "u": list(u), "point": [float(c) for c in y]}))
@@ -196,8 +196,8 @@ def cmd_cartan(sc, out):
 def cmd_transport(sc, out):
     """Magnetic parallel transport along the orbit; writes transport.json."""
     sysm, state, cfg = _prepared(sc)
-    T, w0 = sc["params"]["T"], sc["params"]["w0"]
-    w0 = np.asarray(state.v if w0 is None else w0, dtype=float)
+    T = sc["params"]["T"]
+    w0 = build_vector(sc, "params/w0", sysm, default=state.v)
     W = tr.parallel_transport(sysm, state, w0, T, cfg)
     _write(out, "transport.json", _dump_json({
         "T": T, "w0": list(w0), "w": [float(c) for c in W]}))
@@ -246,8 +246,8 @@ def cmd_conjugate(sc, out):
     """Radial scan for conjugate points; writes conjugate_scan.csv."""
     sysm, state, cfg = _prepared(sc)
     p = sc["params"]
-    direction = np.asarray(
-        state.v if p["direction"] is None else p["direction"], dtype=float)
+    direction = build_vector(sc, "params/direction", sysm, default=state.v,
+                             nonzero=True)
     scan = dg.conjugate_point_scan(sysm, state.x, direction, p["t_max"],
                                    p["steps"], cfg)
     lines = ["t,sigma_min"]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonOrthonormalFrame, NonpositiveSpeed, NonUnitVector
-from .geometry import PointGeometry, _completion, gram_schmidt
+from .geometry import PointGeometry, _completion, _random_frame, gram_schmidt
 from .system import MagneticSystem
 
 __all__ = [
@@ -201,11 +201,7 @@ def sample_sectionals(sys: MagneticSystem, s: float, count: int,
         for i in range(m):
             X[i] = x = sys.chart.sample_point(rng)
             G[i] = g = sys.metric.raw(x)
-            while True:
-                frame = gram_schmidt(g, rng.standard_normal((2, n)))
-                if frame.shape[0] == 2:
-                    break
-            V[i], W[i] = frame
+            V[i], W[i] = _random_frame(rng, g, 2)
         geo = PointGeometry.batch(sys.metric, X[:m], G[:m], sys.sigma)
         vals[start:start + m] = _sectional(geo, s, V[:m], W[:m])
     return vals

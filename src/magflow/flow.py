@@ -11,10 +11,12 @@ indicator.
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
 solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The base
-orbit is integrated with `integrate`'s RK4, recording the `PointGeometry`
-of every stage; then M is evaluated at all recorded stages at once (for
-Df, with the second derivatives of the metric and the form taken on the
-whole batch), and Z is advanced by the RK4 propagator of each step,
+orbit is integrated with `integrate`'s RK4, whose stage function is
+`generator`, recording each stage's point, velocity and acceleration;
+then the block's geometry is rebuilt in one batch from the recorded
+points, M is evaluated at all its stages at once (for Df, with the second
+derivatives of the metric and the form taken on the whole batch), and Z
+is advanced by the RK4 propagator of each step,
     P = I + h/6 (D1 + 2 D2 Z2 + 2 D3 Z3 + D4 Z4),
     Z2 = I + h/2 D1,  Z3 = I + h/2 D2 Z2,  Z4 = I + h D3 Z3,
 where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
@@ -125,10 +127,10 @@ def _acceleration(sys: MagneticSystem, geo, v: np.ndarray) -> np.ndarray:
     return sys.x_vertical(geo.x, v) - geo.ginv.dot(geo.gamma_low.dot(v).dot(v))
 
 
-def _acceleration_jacobian(sys: MagneticSystem, geo: PointGeometry,
-                           v: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """The n x 2n block (d vdot/dx, d vdot/dv) at the point(s) of `geo`,
-    with v and acc there stacked alike; analytic for magnetic systems with
+def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
+                         v: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Df = [[0, I], [d vdot/dx, d vdot/dv]] at the point(s) of `geo`, with
+    v and acc there stacked alike; analytic for magnetic systems with
     derivative closures, finite differences for a custom vertical field.
 
     The analytic part is a = -g^-1 r with r = gamma_low(v, v) + sigma v
@@ -154,16 +156,9 @@ def _acceleration_jacobian(sys: MagneticSystem, geo: PointGeometry,
             for k, e in enumerate(h * np.eye(n)):
                 Lb[:, k] += (f(xb + e, vb) - f(xb - e, vb)) / (2 * h)
                 Lb[:, n + k] += (f(xb, vb + e) - f(xb, vb - e)) / (2 * h)
-    return L
-
-
-def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
-                         v: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Df = [[0, I], [d vdot/dx, d vdot/dv]] at the point(s) of `geo`."""
-    n = v.shape[-1]
     D = np.zeros(v.shape[:-1] + (2 * n, 2 * n))
     D[..., :n, n:] = np.eye(n)
-    D[..., n:, :] = _acceleration_jacobian(sys, geo, v, acc)
+    D[..., n:, :] = L
     return D
 
 
@@ -307,28 +302,27 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
     n = sys.dim
     sys.chart.require(state.x)
     _, h = _step_size(T, cfg.step, cfg.max_steps)
-    capacity = 4 * _BLOCK_STEPS
-    geos = PointGeometry.buffer(sys.metric, sys.sigma, n, capacity)
-    stages = np.empty((capacity, 2 * n))          # (v, acc) at each stage
+    stages = np.empty((4 * _BLOCK_STEPS, 3 * n))  # (x, v, acc) at each stage
     count = 0
 
     def advance():
+        # every recorded point passed the chart guard in `generator`
         nonlocal Z, count
-        M = matrices(geos.head(count), stages[:count, :n], stages[:count, n:])
-        Z = _advance(M, h, Z)
+        X, V, A = np.split(stages[:count], 3, axis=1)
+        geo = PointGeometry.batch(sys.metric, X, sys.metric.raw_batch(X),
+                                  sys.sigma)
+        Z = _advance(matrices(geo, V, A), h, Z)
         count = 0
 
     def rhs(y):
-        # the operations of `generator`, recording the stage; a full block
-        # of whole steps is first advanced over
+        # `generator`, recording the stage; a full block of whole steps is
+        # first advanced over
         nonlocal count
-        if count == capacity:
+        if count == len(stages):
             advance()
-        x, v = y[:n], y[n:]
-        geo = sys.geometry(x)
-        f = np.concatenate([v, _acceleration(sys, geo, v)])
-        stages[count] = f
-        geos.put(count, geo)
+        f = generator(sys, y[:n], y[n:])
+        stages[count, :n] = y[:n]
+        stages[count, n:] = f
         count += 1
         return f
 

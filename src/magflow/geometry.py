@@ -223,10 +223,6 @@ class TangentSplit:
     vertical: np.ndarray
 
 
-# the per-point arrays of a PointGeometry, stacked along axis 0 in a batch
-_ARRAYS = ("x", "g", "dg", "ginv", "gamma_low", "sigma")
-
-
 class PointGeometry:
     """The local geometry of a metric, and optionally of a 2-form, at one
     chart point, evaluated once and shared by everything computed there.
@@ -236,15 +232,16 @@ class PointGeometry:
     of g) and the lowered Christoffel symbols
     gamma_low[l, j, k] = g_li Gamma^i_{jk}.  With a 2-form it also evaluates
     sigma, handing it g so that a form built from the metric does not
-    evaluate the metric again.  `PointGeometry.batch` holds the same arrays
-    for a batch of points, stacked along a leading axis, and every method
-    then returns its tensors stacked alike; `PointGeometry.buffer` collects
-    such a batch point by point.  The methods derive the remaining tensors
-    on each call; a consumer calls each at most once per point, and an
-    instance is never reused at another point.
+    evaluate the metric again.  `PointGeometry.batch` evaluates the same
+    arrays on a batch of points that have already passed the guard (a
+    linear flow's recorded stage points, a block of curvature samples),
+    stacked along a leading axis, and every method then returns its tensors
+    stacked alike.  The methods derive the remaining tensors on each call;
+    a consumer calls each at most once per point, and an instance is never
+    reused at another point.
     """
 
-    __slots__ = ("metric", "form") + _ARRAYS
+    __slots__ = ("metric", "form", "x", "g", "dg", "ginv", "gamma_low", "sigma")
 
     def __init__(self, metric: MetricField, x, form=None,
                  chart: Optional[ChartSpec] = None):
@@ -276,34 +273,6 @@ class PointGeometry:
         geo.ginv = metric.inverse_batch(X, G)
         geo.gamma_low = _gamma_low(geo.dg)
         geo.sigma = None if form is None else form.at_batch(X, metric, G)
-        return geo
-
-    @classmethod
-    def buffer(cls, metric: MetricField, form, n: int,
-               capacity: int) -> "PointGeometry":
-        """Room for the geometry of a metric and a 2-form at `capacity`
-        points in dimension n, filled by `put` and read by `head`."""
-        geo = cls.__new__(cls)
-        geo.metric, geo.form = metric, form
-        for name, rank in zip(_ARRAYS, (1, 2, 3, 2, 3, 2)):
-            setattr(geo, name, np.empty((capacity,) + (n,) * rank))
-        return geo
-
-    def put(self, i: int, geo: "PointGeometry"):
-        """Copy the geometry `geo` at one point into row i of this buffer."""
-        self.x[i] = geo.x
-        self.g[i] = geo.g
-        self.dg[i] = geo.dg
-        self.ginv[i] = geo.ginv
-        self.gamma_low[i] = geo.gamma_low
-        self.sigma[i] = geo.sigma
-
-    def head(self, m: int) -> "PointGeometry":
-        """The first m rows of this buffer as a batch, sharing its arrays."""
-        geo = PointGeometry.__new__(PointGeometry)
-        geo.metric, geo.form = self.metric, self.form
-        for name in _ARRAYS:
-            setattr(geo, name, getattr(self, name)[:m])
         return geo
 
     def dgamma_low(self) -> np.ndarray:
@@ -435,6 +404,16 @@ def gram_schmidt(gx: np.ndarray, vectors) -> np.ndarray:
         if nrm > _GS_SKIP:
             out.append(v / nrm)
     return np.array(out)
+
+
+def _random_frame(rng: np.random.Generator, gx: np.ndarray,
+                  k: int) -> np.ndarray:
+    """k g-orthonormal rows, from Gram-Schmidt on a standard normal (k, n)
+    draw; a draw with a near-dependent row is replaced by the next one."""
+    while True:
+        frame = gram_schmidt(gx, rng.standard_normal((k, gx.shape[0])))
+        if frame.shape[0] == k:
+            return frame
 
 
 def orthonormal_completion(g: MetricField, x, v) -> np.ndarray:

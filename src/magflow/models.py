@@ -26,25 +26,24 @@ def _per_point(c):
     return c if c.ndim == 0 else c[..., None, None]
 
 
-def _euclidean(dim: int = 2):
-    chart = ChartSpec(dim=dim, sample_bounds=(-2 * np.ones(dim), 2 * np.ones(dim)))
+def _flat(dim: int, low: float, high: float):
+    """The flat metric g = id, sampled on the box [low, high]^dim."""
+    chart = ChartSpec(dim=dim, sample_bounds=(low * np.ones(dim),
+                                              high * np.ones(dim)))
     eye = np.eye(dim)
     zero1 = np.zeros((dim, dim, dim))
     zero2 = np.zeros((dim, dim, dim, dim))
     metric = MetricField(lambda x: eye, dg=lambda x: zero1, d2g=lambda x: zero2,
                          chart=chart, inv=lambda x, g: eye, broadcasts=True)
     return chart, metric
+
+
+def _euclidean(dim: int = 2):
+    return _flat(dim, -2.0, 2.0)
 
 
 def _flat_torus(dim: int = 2, period: float = 2 * np.pi):
-    chart = ChartSpec(dim=dim,
-                      sample_bounds=(np.zeros(dim), period * np.ones(dim)))
-    eye = np.eye(dim)
-    zero1 = np.zeros((dim, dim, dim))
-    zero2 = np.zeros((dim, dim, dim, dim))
-    metric = MetricField(lambda x: eye, dg=lambda x: zero1, d2g=lambda x: zero2,
-                         chart=chart, inv=lambda x, g: eye, broadcasts=True)
-    return chart, metric
+    return _flat(dim, 0.0, period)
 
 
 def _poincare(dim: int = 3, eps: float = 1e-3):

@@ -25,7 +25,8 @@ from .submanifold import ParamSubmanifold, make_submanifold
 from .system import MagneticSystem
 
 __all__ = ["ScenarioInvalid", "PARAMS", "load_scenario", "build_system",
-           "build_state", "build_integrator", "build_submanifold"]
+           "build_vector", "build_state", "build_integrator",
+           "build_submanifold"]
 
 
 class ScenarioInvalid(MagflowError):
@@ -191,18 +192,31 @@ def build_system(sc: dict) -> MagneticSystem:
     return MagneticSystem(chart, metric, sigma)
 
 
+def build_vector(sc: dict, path: str, sys: MagneticSystem, default=None,
+                 nonzero: bool = False) -> np.ndarray:
+    """The vector at `path` in `sc` ("params/w0"), or `default` where it is
+    absent (None: required), checked to have `sys.dim` components and, if
+    `nonzero`, a positive length."""
+    value = sc
+    for key in path.split("/"):
+        value = value[key]
+    if value is None:
+        if default is None:
+            _fail(path, "required")
+        value = default
+    u = np.asarray(value, dtype=float)
+    if len(u) != sys.dim:
+        _fail(path, f"expected {sys.dim} components, got {len(u)}")
+    if nonzero and not u @ u > 0:
+        _fail(path, "must be nonzero")
+    return u
+
+
 def build_state(sc: dict, sys: MagneticSystem) -> PhaseState:
-    for key in ("x", "v"):
-        if sc["initial"][key] is None:
-            _fail(f"initial/{key}", "required")
-        if len(sc["initial"][key]) != sys.dim:
-            _fail(f"initial/{key}", f"expected {sys.dim} components")
-    x, v = (np.asarray(sc["initial"][key], dtype=float) for key in ("x", "v"))
+    x = build_vector(sc, "initial/x", sys)
+    v = build_vector(sc, "initial/v", sys, nonzero=True)
     s = sc["speed"]
-    nrm = sys.metric.norm(x, v)
-    if nrm == 0:
-        _fail("initial/v", "must be nonzero")
-    return PhaseState(x=x, v=v * (s / nrm), s=s)
+    return PhaseState(x=x, v=v * (s / sys.metric.norm(x, v)), s=s)
 
 
 def build_integrator(sc: dict,

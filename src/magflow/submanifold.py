@@ -23,8 +23,8 @@ from .errors import (
     RankDeficient,
 )
 from .flow import IntegratorConfig, PhaseState, dynamical_exp, integrate, variational_flow
-from .geometry import (MetricField, PointGeometry, _sample_box, gram_schmidt,
-                       orthonormal_completion, sectional)
+from .geometry import (MetricField, PointGeometry, _random_frame, _sample_box,
+                       gram_schmidt, orthonormal_completion, sectional)
 from .system import MagneticSystem
 
 __all__ = [
@@ -503,11 +503,7 @@ def cartan_probe(sys: MagneticSystem, k: int, plane_samples: int,
         # those planes carry no information, so resample instead of failing
         for _ in range(50):
             x = sys.chart.sample_point(rng)
-            gx = sys.metric(x)
-            while True:
-                frame = gram_schmidt(gx, rng.standard_normal((k, n)))
-                if frame.shape[0] == k:
-                    break
+            frame = _random_frame(rng, sys.metric(x), k)
             try:
                 N = candidate_submanifold(sys, x, frame.T, radius, cfg)
                 rep = invariance_defect(sys, N, defect_samples,
@@ -560,10 +556,15 @@ def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
     if kind == "hyperplane":
         if "normal" in spec and "basis" in spec:
             raise ValueError("a hyperplane takes 'normal' or 'basis', not both")
-        point = np.asarray(spec["point"], dtype=float)
+        point = _spec_array(spec, "point", n)
         extent = float(spec.get("extent", 1.0))
-        B = (np.asarray(spec["basis"], dtype=float) if "basis" in spec
-             else _plane_basis(sys, point, spec["normal"]))
+        if "basis" in spec:
+            B = _spec_array(spec, "basis", n, planar=True)
+        else:
+            normal = _spec_array(spec, "normal", n)
+            if not normal @ normal > 0:
+                raise ValueError("'normal' must be nonzero")
+            B = _plane_basis(sys, point, normal)
         k = B.shape[1]
         return ParamSubmanifold(
             k=k, f=lambda p: point + B @ p,
@@ -573,7 +574,8 @@ def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
     if kind == "sphere":
         if n != 3:
             raise BadDimension("builtin sphere submanifold needs an ambient dim 3")
-        center = np.asarray(spec.get("center", np.zeros(3)), dtype=float)
+        center = (_spec_array(spec, "center", 3) if "center" in spec
+                  else np.zeros(3))
         r = float(spec["radius"])
 
         def f(p):
@@ -605,5 +607,19 @@ def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
             sample_bounds=(np.array([0.5, 0.0]),
                            np.array([np.pi - 0.5, 2 * np.pi])),
             name="sphere")
-    return candidate_submanifold(sys, spec["x"], spec["basis"],
+    return candidate_submanifold(sys, _spec_array(spec, "x", n),
+                                 _spec_array(spec, "basis", n, planar=True),
                                  float(spec.get("radius", 0.5)))
+
+
+def _spec_array(spec: dict, key: str, n: int, planar: bool = False):
+    """spec[key] as a vector of n components or, if `planar`, as the basis
+    of a k-plane: an (n, k) array with 1 <= k < n."""
+    a = np.asarray(spec[key], dtype=float)
+    if planar and not (a.ndim == 2 and a.shape[0] == n and 1 <= a.shape[1] < n):
+        raise ValueError(f"{key!r} must have shape (n, k) with n = {n} and "
+                         f"1 <= k < n, got shape {a.shape}")
+    if not planar and a.shape != (n,):
+        raise ValueError(f"{key!r} must have {n} components, "
+                         f"got shape {a.shape}")
+    return a

@@ -23,8 +23,9 @@ def unit(metric, x, v):
     return v / metric.norm(x, v)
 
 
-def counted_system(name, form, **form_params):
-    """A built-in model whose metric closure and chart guard count calls."""
+def counted_system(name, form, broadcasts=False, **form_params):
+    """A built-in model whose metric closure and chart guard count calls;
+    its metric evaluates a batch point by point unless it `broadcasts`."""
     chart, metric = make_manifold(name)
     calls = {"metric": 0, "guard": 0}
 
@@ -39,7 +40,7 @@ def counted_system(name, form, **form_params):
                       domain_guard=None if guard is None else counted("guard", guard),
                       sample_bounds=chart.sample_bounds)
     metric = MetricField(counted("metric", metric.raw), dg=metric.dg,
-                         d2g=metric.d2g, chart=chart)
+                         d2g=metric.d2g, chart=chart, broadcasts=broadcasts)
     sigma = make_form(form, chart.dim, metric, chart, **form_params)
     return MagneticSystem(chart, metric, sigma), calls
 

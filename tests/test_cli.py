@@ -162,6 +162,30 @@ def _defect_overrides(submanifold):
                                                   basis=[[1.0, 0.0], [0.0, 0.0],
                                                          [0.0, 1.0]])),
                  [], "params/submanifold", id="hyperplane-normal-and-basis"),
+    pytest.param("transport", {"params": {"w0": [1.0, 0.0, 0.0]}}, [],
+                 "params/w0", id="transport-w0-length"),
+    pytest.param("exp", {"params": {"u": [1.0]}}, [], "params/u",
+                 id="exp-u-length"),
+    pytest.param("conjugate-scan", {"params": {"direction": [1.0, 0.0, 0.0]}},
+                 [], "params/direction", id="conjugate-direction-length"),
+    pytest.param("conjugate-scan", {"params": {"direction": [0.0, 0.0]}},
+                 [], "params/direction", id="conjugate-zero-direction"),
+    pytest.param("defect", _defect_overrides(dict(_HYPERPLANE, point=[0.0] * 2)),
+                 [], "params/submanifold", id="hyperplane-point-length"),
+    pytest.param("defect", _defect_overrides(dict(_HYPERPLANE, point=[0.0] * 3,
+                                                  normal=[0.0] * 3)),
+                 [], "params/submanifold", id="hyperplane-zero-normal"),
+    pytest.param("defect", _defect_overrides({"type": "hyperplane",
+                                              "point": [0.0] * 3,
+                                              "basis": [[1.0, 0.0]] * 4}),
+                 [], "params/submanifold", id="hyperplane-basis-rows"),
+    pytest.param("defect", _defect_overrides({"type": "exp_plane",
+                                              "x": [0.0] * 2,
+                                              "basis": [[1.0], [0.0], [0.0]]}),
+                 [], "params/submanifold", id="exp-plane-x-length"),
+    pytest.param("defect", _defect_overrides({"type": "sphere", "radius": 1.0,
+                                              "center": [0.0] * 2}),
+                 [], "params/submanifold", id="sphere-center-length"),
 ])
 def test_invalid_input_exits_2_naming_field(tmp_path, command, overrides,
                                             flags, field):

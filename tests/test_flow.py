@@ -61,26 +61,32 @@ def test_geometry_evaluated_once_per_point(name, form, params):
     # one RK4 stage of every flow evaluates the metric and runs the chart
     # guard exactly once, at its single point; a chart without a guard runs
     # none
-    sys, calls = counted_system(name, form, **params)
-    guarded = sys.chart.domain_guard is not None
-    n = sys.dim
-    x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
-    v = np.linspace(0.3, -0.4, n)
-    calls.update(metric=0, guard=0)
-    generator(sys, x, v)
-    assert calls == {"metric": 1, "guard": int(guarded)}, "generator"
-    # one RK4 step of the linear flows: one metric evaluation and one guard
-    # call at each of its four base stages, and the guard calls at the start
-    # point and the new node; the pass over the stages evaluates neither
-    st, cfg = PhaseState(x=x, v=v), IntegratorConfig(step=1e-2)
-    flows = {
-        "variational": lambda: variational_flow(sys, st, 1e-2, cfg),
-        "transport": lambda: parallel_transport(sys, st, np.eye(n)[1], 1e-2, cfg),
-    }
-    for flow, run in flows.items():
+    for broadcasts in (False, True):
+        sys, calls = counted_system(name, form, broadcasts, **params)
+        guarded = sys.chart.domain_guard is not None
+        n = sys.dim
+        x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
+        v = np.linspace(0.3, -0.4, n)
         calls.update(metric=0, guard=0)
-        run()
-        assert calls == {"metric": 4, "guard": 6 * guarded}, flow
+        generator(sys, x, v)
+        assert calls == {"metric": 1, "guard": int(guarded)}, "generator"
+        # one RK4 step of the linear flows: one metric evaluation and one
+        # guard call at each of its four stages, and the guard calls at the
+        # start point and the new node; the block pass rebuilding the
+        # geometry at the four recorded stage points evaluates the metric
+        # once on the batch, or once per point when the metric does not
+        # broadcast, and runs no guard
+        st, cfg = PhaseState(x=x, v=v), IntegratorConfig(step=1e-2)
+        flows = {
+            "variational": lambda: variational_flow(sys, st, 1e-2, cfg),
+            "transport": lambda: parallel_transport(sys, st, np.eye(n)[1],
+                                                    1e-2, cfg),
+        }
+        for flow, run in flows.items():
+            calls.update(metric=0, guard=0)
+            run()
+            assert calls == {"metric": 4 + (1 if broadcasts else 4),
+                             "guard": 6 * guarded}, (flow, broadcasts)
 
 
 def test_generator_and_jacobian_match_tensor_formulas(rng):
