@@ -202,7 +202,7 @@ def sample_sectionals(sys: MagneticSystem, s: float, count: int,
             X[i] = x = sys.chart.sample_point(rng)
             G[i] = g = sys.metric.raw(x)
             V[i], W[i] = _random_frame(rng, g, 2)
-        geo = PointGeometry.batch(sys.metric, X[:m], G[:m], sys.sigma)
+        geo = PointGeometry(sys.metric, X[:m], sys.sigma, g=G[:m])
         vals[start:start + m] = _sectional(geo, s, V[:m], W[:m])
     return vals
 

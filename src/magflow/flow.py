@@ -13,10 +13,11 @@ The variational flow Jdot = Df J and magnetic parallel transport (see
 solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The base
 orbit is integrated with `integrate`'s RK4, whose stage function is
 `generator`, recording each stage's point, velocity and acceleration;
-then the block's geometry is rebuilt in one batch from the recorded
-points, M is evaluated at all its stages at once (for Df, with the second
-derivatives of the metric and the form taken on the whole batch), and Z
-is advanced by the RK4 propagator of each step,
+then one `PointGeometry` is built on the batch of the block's recorded
+points (unguarded, since each passed the guard in `generator`), M is
+evaluated at all its stages at once (for Df, with the second derivatives
+of the metric and the form taken on the whole batch), and Z is advanced
+by the RK4 propagator of each step,
     P = I + h/6 (D1 + 2 D2 Z2 + 2 D3 Z3 + D4 Z4),
     Z2 = I + h/2 D1,  Z3 = I + h/2 D2 Z2,  Z4 = I + h D3 Z3,
 where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                      StepLimitExceeded)
-from .geometry import PointGeometry
+from .geometry import PointGeometry, _central_difference
 from .system import MagneticSystem
 
 __all__ = [
@@ -153,9 +154,8 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
         f, h = sys.x_vertical, 1e-6
         for Lb, xb, vb in zip(L.reshape(-1, n, 2 * n), geo.x.reshape(-1, n),
                               v.reshape(-1, n)):
-            for k, e in enumerate(h * np.eye(n)):
-                Lb[:, k] += (f(xb + e, vb) - f(xb - e, vb)) / (2 * h)
-                Lb[:, n + k] += (f(xb, vb + e) - f(xb, vb - e)) / (2 * h)
+            Lb[:, :n] += _central_difference(lambda y: f(y, vb), xb, h)
+            Lb[:, n:] += _central_difference(partial(f, xb), vb, h)
     D = np.zeros(v.shape[:-1] + (2 * n, 2 * n))
     D[..., :n, n:] = np.eye(n)
     D[..., n:, :] = L
@@ -239,7 +239,7 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
         sys, np.concatenate([state.x, state.v]), T, cfg,
         speed=state.s if cfg.renormalize_speed else None)
     # every node passed the chart guard, so the metric is read unguarded
-    g = sys.metric.raw_batch(path[:, :n])
+    g = sys.metric.raw(path[:, :n])
     V = path[:, n:]
     speeds = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", V, g, V), 0.0))
     drifts = np.abs(speeds - state.s) / state.s
@@ -309,8 +309,7 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
         # every recorded point passed the chart guard in `generator`
         nonlocal Z, count
         X, V, A = np.split(stages[:count], 3, axis=1)
-        geo = PointGeometry.batch(sys.metric, X, sys.metric.raw_batch(X),
-                                  sys.sigma)
+        geo = PointGeometry(sys.metric, X, sys.sigma)
         Z = _advance(matrices(geo, V, A), h, Z)
         count = 0
 

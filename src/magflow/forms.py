@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ChartSpec, MetricField, _on_batch
+from .geometry import ChartSpec, MetricField, _central_difference, _on_batch
 
 __all__ = ["TwoFormField", "make_form", "FORMS"]
 
@@ -23,13 +23,15 @@ class TwoFormField:
     (x, g) and its dsigma (x, g, dg), with g and dg that metric's
     coefficients and first derivatives at x.  `at` and `dsigma_at` take them
     from a caller that holds them already, so that the metric is evaluated
-    once per point.  broadcasts declares that every closure (eval_fn and
-    dsigma) accepts x (and g, dg) of shape (..., n) (and (..., n, n),
+    once per point; they take a point x (n,) or a batch X (B, n), with g and
+    dg stacked alike, and return their values at each row of a batch
+    stacked along axis 0.  broadcasts declares that every closure (eval_fn
+    and dsigma) accepts x (and g, dg) of shape (..., n) (and (..., n, n),
     (..., n, n, n)), returning its values stacked along the same leading
-    axes, or one array for every point; only then do `at_batch` and
-    `dsigma_batch` call the closures on many points at once.  It takes
-    effect only when dsigma is given, since the finite differences are
-    taken point by point.
+    axes, or one array for every point; only then is a closure called on a
+    whole batch, and otherwise once per row.  It takes effect only when
+    dsigma is given, since the finite differences are taken point by point,
+    and not for a form paired with another metric than its own.
     """
 
     def __init__(self, eval_fn, dsigma=None,
@@ -54,7 +56,10 @@ class TwoFormField:
     def at(self, x: np.ndarray, metric: MetricField, g: np.ndarray) -> np.ndarray:
         """sigma at x, unguarded, given the coefficients g of `metric` at x;
         g is used only when this form is built from that very metric."""
-        return self._coeffs(x, g if metric is self.metric else None)
+        if x.ndim == 1:
+            return self._coeffs(x, g if metric is self.metric else None)
+        return _on_batch(lambda x, g: self.at(x, metric, g),
+                         self._broadcasts_with(metric) and self._coeffs, 2, x, g)
 
     def _coeffs(self, x, g):
         if self.metric is None:
@@ -70,39 +75,20 @@ class TwoFormField:
     def dsigma_at(self, x: np.ndarray, metric: MetricField, g: np.ndarray,
                   dg: np.ndarray) -> np.ndarray:
         """`dsigma` at x given `metric`'s g and dg there, as in `at`."""
-        if metric is not self.metric:
-            g = dg = None
-        return self._dcoeffs(x, g, dg)
-
-    # `at` and `dsigma_at` at each row of X (B, n), given `metric`'s g and
-    # dg there stacked as G and DG, stacked along axis 0.  A closure not
-    # declared broadcasting, the finite differences, and a form paired with
-    # another metric than its own are evaluated point by point.
-
-    def at_batch(self, X: np.ndarray, metric: MetricField,
-                 G: np.ndarray) -> np.ndarray:
-        """`at` at each row of X, shape (B, n, n)."""
-        return _on_batch(lambda x, g: self.at(x, metric, g),
-                         self._broadcasts_with(metric), 2, X, G)
-
-    def dsigma_batch(self, X: np.ndarray, metric: MetricField, G: np.ndarray,
-                     DG: np.ndarray) -> np.ndarray:
-        """`dsigma_at` at each row of X, shape (B, n, n, n)."""
+        if x.ndim == 1:
+            if metric is not self.metric:
+                g = dg = None
+            return self._dcoeffs(x, g, dg)
         return _on_batch(lambda x, g, dg: self.dsigma_at(x, metric, g, dg),
-                         self._broadcasts_with(metric), 3, X, G, DG)
+                         self._broadcasts_with(metric) and self._dcoeffs,
+                         3, x, g, dg)
 
     def _broadcasts_with(self, metric: MetricField) -> bool:
         return self.broadcasts and (self.metric is None or metric is self.metric)
 
     def _dcoeffs(self, x, g, dg):
         if self._dsigma is None:
-            n = x.size
-            out = np.empty((n, n, n))
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = _FD_STEP
-                out[:, :, k] = (self.raw(x + e) - self.raw(x - e)) / (2 * _FD_STEP)
-            return out
+            return _central_difference(self.raw, x, _FD_STEP)
         if self.metric is None:
             return np.asarray(self._dsigma(x), dtype=float)
         if g is None:

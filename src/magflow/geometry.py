@@ -89,15 +89,23 @@ def _sample_box(rng: np.random.Generator, lo, hi, accept,
     raise failure
 
 
-def _on_batch(point, broadcasts: bool, rank: int, X, *args) -> np.ndarray:
+def _on_batch(point, whole, rank: int, X, *args) -> np.ndarray:
     """`point(x, *a)` at each row x of X (B, n), with the rows a of the
-    arrays `args` alike, stacked to shape (B,) + (n,) * rank.  When its
-    closures broadcast, `point` is called once on the whole batch, and may
-    return one array for every row; otherwise once per row."""
-    X = np.asarray(X, dtype=float)
-    if not broadcasts:
+    arrays `args` alike, stacked to shape (B,) + (n,) * rank.  Given a
+    closure `whole` that broadcasts (rather than a false value), that is
+    called once on the whole batch instead, and may return one array for
+    every row."""
+    if not whole:
         return np.array([point(*row) for row in zip(X, *args)])
-    return np.broadcast_to(point(X, *args), X.shape[:1] + X.shape[-1:] * rank)
+    return np.broadcast_to(np.asarray(whole(X, *args), dtype=float),
+                           X.shape[:1] + X.shape[-1:] * rank)
+
+
+def _central_difference(f, x, h: float) -> np.ndarray:
+    """(f(x + h e_k) - f(x - h e_k)) / 2h for each coordinate k of x,
+    stacked along a last axis."""
+    return np.stack([(f(x + e) - f(x - e)) / (2 * h)
+                     for e in h * np.eye(x.size)], axis=-1)
 
 
 class MetricField:
@@ -107,12 +115,15 @@ class MetricField:
     differences with steps h1 (first order) and h2 (second order) are used.
     inv is an optional analytic closure (x, g) -> g^-1, given the
     coefficients g at x; when absent, g is inverted numerically.
-    broadcasts declares that every closure (eval_fn, dg, d2g and inv)
-    accepts points of shape (..., n), and inv coefficients of shape
-    (..., n, n), returning its values stacked along the same leading axes,
-    or one array for every point; only then do the `*_batch` methods call
-    the closures on many points at once.  It takes effect only when dg and
-    d2g are given, since the finite differences are taken point by point.
+    `raw`, `dg`, `d2g` and `inverse` take a point x (n,) or a batch X
+    (B, n), with g stacked alike, and return their values at each row of a
+    batch stacked along axis 0.  broadcasts declares that every closure
+    (eval_fn, dg, d2g and inv) accepts points of shape (..., n), and inv
+    coefficients of shape (..., n, n), returning its values stacked along
+    the same leading axes, or one array for every point; only then is a
+    closure called on a whole batch, and otherwise once per row.  It takes
+    effect only when dg and d2g are given, since the finite differences are
+    taken point by point.
     """
 
     def __init__(self, eval_fn, dg=None, d2g=None, h1: float = 1e-5,
@@ -136,67 +147,49 @@ class MetricField:
 
     def raw(self, x) -> np.ndarray:
         """Evaluate without the domain guard (used inside FD stencils)."""
-        return np.asarray(self._eval(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.asarray(self._eval(x), dtype=float)
+        return _on_batch(self.raw, self.broadcasts and self._eval, 2, x)
 
     def inverse(self, x, g: np.ndarray) -> np.ndarray:
         """g^-1 at x, given the coefficients g at x."""
-        if self._inv is not None:
+        if self._inv is None:
+            return np.linalg.inv(g)
+        if g.ndim == 2:
             return np.asarray(self._inv(x, g), dtype=float)
-        return np.linalg.inv(g)
+        return _on_batch(self.inverse, self.broadcasts and self._inv, 2, x, g)
 
     def dg(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self._dg is not None:
-            return np.asarray(self._dg(x), dtype=float)
-        n = x.size
-        out = np.empty((n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = self.h1
-            out[:, :, k] = (self.raw(x + e) - self.raw(x - e)) / (2 * self.h1)
-        return out
+        if x.ndim == 1:
+            if self._dg is not None:
+                return np.asarray(self._dg(x), dtype=float)
+            return _central_difference(self.raw, x, self.h1)
+        return _on_batch(self.dg, self.broadcasts and self._dg, 3, x)
 
     def d2g(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self._d2g is not None:
-            return np.asarray(self._d2g(x), dtype=float)
-        n = x.size
-        h = self.h2
-        out = np.empty((n, n, n, n))
-        g0 = self.raw(x)
-        for k in range(n):
-            ek = np.zeros(n)
-            ek[k] = h
-            out[:, :, k, k] = (self.raw(x + ek) - 2 * g0 + self.raw(x - ek)) / h**2
-            for l in range(k + 1, n):
-                el = np.zeros(n)
-                el[l] = h
-                mixed = (self.raw(x + ek + el) - self.raw(x + ek - el)
-                         - self.raw(x - ek + el) + self.raw(x - ek - el)) / (4 * h**2)
-                out[:, :, k, l] = mixed
-                out[:, :, l, k] = mixed
-        return out
-
-    # The values at each row of a batch X (B, n), stacked along axis 0; a
-    # closure not declared broadcasting, and the finite differences, are
-    # evaluated point by point.
-
-    def raw_batch(self, X) -> np.ndarray:
-        """`raw` at each row of X, shape (B, n, n)."""
-        return _on_batch(self.raw, self.broadcasts, 2, X)
-
-    def dg_batch(self, X) -> np.ndarray:
-        """`dg` at each row of X, shape (B, n, n, n)."""
-        return _on_batch(self.dg, self.broadcasts, 3, X)
-
-    def d2g_batch(self, X) -> np.ndarray:
-        """`d2g` at each row of X, shape (B, n, n, n, n)."""
-        return _on_batch(self.d2g, self.broadcasts, 4, X)
-
-    def inverse_batch(self, X, G) -> np.ndarray:
-        """`inverse` at each row of X given the coefficients G (B, n, n)
-        there, shape (B, n, n)."""
-        return _on_batch(self.inverse, self.broadcasts, 2, X, G)
+        if x.ndim == 1:
+            if self._d2g is not None:
+                return np.asarray(self._d2g(x), dtype=float)
+            n, h = x.size, self.h2
+            out = np.empty((n, n, n, n))
+            g0 = self.raw(x)
+            for k in range(n):
+                ek = np.zeros(n)
+                ek[k] = h
+                out[:, :, k, k] = (self.raw(x + ek) - 2 * g0 + self.raw(x - ek)) / h**2
+                for l in range(k + 1, n):
+                    el = np.zeros(n)
+                    el[l] = h
+                    mixed = (self.raw(x + ek + el) - self.raw(x + ek - el)
+                             - self.raw(x - ek + el)
+                             + self.raw(x - ek - el)) / (4 * h**2)
+                    out[:, :, k, l] = mixed
+                    out[:, :, l, k] = mixed
+            return out
+        return _on_batch(self.d2g, self.broadcasts and self._d2g, 4, x)
 
     def norm(self, x, v) -> float:
         v = np.asarray(v, dtype=float)
@@ -230,63 +223,44 @@ class PointGeometry:
     Construction runs the chart guard once (`chart` defaults to the
     metric's) and evaluates g, dg, g^-1 (analytic, or the one factorisation
     of g) and the lowered Christoffel symbols
-    gamma_low[l, j, k] = g_li Gamma^i_{jk}.  With a 2-form it also evaluates
-    sigma, handing it g so that a form built from the metric does not
-    evaluate the metric again.  `PointGeometry.batch` evaluates the same
-    arrays on a batch of points that have already passed the guard (a
-    linear flow's recorded stage points, a block of curvature samples),
-    stacked along a leading axis, and every method then returns its tensors
-    stacked alike.  The methods derive the remaining tensors on each call;
-    a consumer calls each at most once per point, and an instance is never
-    reused at another point.
+    gamma_low[l, j, k] = g_li Gamma^i_{jk}; g is taken as given when the
+    caller holds it already.  With a 2-form it also evaluates sigma, handing
+    it g so that a form built from the metric does not evaluate the metric
+    again.  At a batch of points X (B, n) that have already passed the guard
+    (a linear flow's recorded stage points, a block of curvature samples)
+    no guard runs; the same arrays are stacked along a leading axis, and
+    every method then returns its tensors stacked alike.  The methods derive
+    the remaining tensors on each call; a consumer calls each at most once
+    per point, and an instance is never reused at another point.
     """
 
     __slots__ = ("metric", "form", "x", "g", "dg", "ginv", "gamma_low", "sigma")
 
     def __init__(self, metric: MetricField, x, form=None,
-                 chart: Optional[ChartSpec] = None):
+                 chart: Optional[ChartSpec] = None, g=None):
         x = np.asarray(x, dtype=float)
-        chart = metric.chart if chart is None else chart
-        if chart is not None:
-            chart.require(x)
+        if x.ndim == 1:
+            chart = metric.chart if chart is None else chart
+            if chart is not None:
+                chart.require(x)
         self.metric = metric
         self.form = form
         self.x = x
-        self.g = g = metric.raw(x)
+        self.g = g = metric.raw(x) if g is None else g
         self.dg = metric.dg(x)
         self.ginv = metric.inverse(x, g)
         self.gamma_low = _gamma_low(self.dg)
         self.sigma = None if form is None else form.at(x, metric, g)
 
-    @classmethod
-    def batch(cls, metric: MetricField, X: np.ndarray, G: np.ndarray,
-              form=None) -> "PointGeometry":
-        """The geometry at each row of X (B, n), given the coefficients G
-        (B, n, n) of `metric` there.  The points must have passed the chart
-        guard already; no guard runs here."""
-        geo = cls.__new__(cls)
-        geo.metric = metric
-        geo.form = form
-        geo.x = X
-        geo.g = G
-        geo.dg = metric.dg_batch(X)
-        geo.ginv = metric.inverse_batch(X, G)
-        geo.gamma_low = _gamma_low(geo.dg)
-        geo.sigma = None if form is None else form.at_batch(X, metric, G)
-        return geo
-
     def dgamma_low(self) -> np.ndarray:
         """dgamma_low[l, j, k, m] = d gamma_low[l, j, k] / d x^m."""
-        x = self.x
-        d2g = self.metric.d2g(x) if x.ndim == 1 else self.metric.d2g_batch(x)
+        d2g = self.metric.d2g(self.x)
         t = d2g.swapaxes(-2, -3)
         return 0.5 * (t + d2g - t.swapaxes(-3, -4))
 
     def dsigma(self) -> np.ndarray:
         """dsigma[i, j, k] = d sigma_ij / d x^k."""
-        if self.x.ndim == 1:
-            return self.form.dsigma_at(self.x, self.metric, self.g, self.dg)
-        return self.form.dsigma_batch(self.x, self.metric, self.g, self.dg)
+        return self.form.dsigma_at(self.x, self.metric, self.g, self.dg)
 
     def christoffel(self) -> np.ndarray:
         """Gamma[i, j, k] = Gamma^i_{jk}."""

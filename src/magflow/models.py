@@ -43,11 +43,15 @@ def _euclidean(dim: int = 2):
 
 
 def _flat_torus(dim: int = 2, period: float = 2 * np.pi):
+    if not period > 0:
+        raise ValueError(f"period must be positive, got {period!r}")
     return _flat(dim, 0.0, period)
 
 
 def _poincare(dim: int = 3, eps: float = 1e-3):
     """Poincare disk/ball model: g = 4/(1 - |x|^2)^2 * id, curvature -1."""
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     r2 = (1.0 - eps) ** 2
     chart = ChartSpec(
         dim=dim,
@@ -85,6 +89,8 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
     g is diagonal with g_ii = prod_{j < i} sin^2(theta_j).  The chart guard
     keeps all polar angles away from the coordinate singularities.
     """
+    if not 0 < eps < np.pi / 2:
+        raise ValueError(f"eps must lie in (0, pi/2), got {eps!r}")
     lo = eps * np.ones(dim)
     hi = (np.pi - eps) * np.ones(dim)
 

@@ -214,9 +214,12 @@ def build_vector(sc: dict, path: str, sys: MagneticSystem, default=None,
 
 def build_state(sc: dict, sys: MagneticSystem) -> PhaseState:
     x = build_vector(sc, "initial/x", sys)
+    if not sys.chart.contains(x):
+        _fail("initial/x", f"point {x.tolist()} outside the chart domain")
     v = build_vector(sc, "initial/v", sys, nonzero=True)
     s = sc["speed"]
-    return PhaseState(x=x, v=v * (s / sys.metric.norm(x, v)), s=s)
+    g = sys.metric.raw(x)          # unguarded: x passed the guard above
+    return PhaseState(x=x, v=v * (s / np.sqrt(v @ g @ v)), s=s)
 
 
 def build_integrator(sc: dict,

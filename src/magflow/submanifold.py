@@ -23,8 +23,9 @@ from .errors import (
     RankDeficient,
 )
 from .flow import IntegratorConfig, PhaseState, dynamical_exp, integrate, variational_flow
-from .geometry import (MetricField, PointGeometry, _random_frame, _sample_box,
-                       gram_schmidt, orthonormal_completion, sectional)
+from .geometry import (MetricField, PointGeometry, _central_difference,
+                       _random_frame, _sample_box, gram_schmidt,
+                       orthonormal_completion, sectional)
 from .system import MagneticSystem
 
 __all__ = [
@@ -77,27 +78,14 @@ class ParamSubmanifold:
         p = np.asarray(p, dtype=float)
         if self._jac is not None:
             return np.asarray(self._jac(p), dtype=float)
-        h = _FD_STEP
-        cols = []
-        for a in range(self.k):
-            e = np.zeros(self.k)
-            e[a] = h
-            cols.append((self.point(p + e) - self.point(p - e)) / (2 * h))
-        return np.array(cols).T
+        return _central_difference(self.point, p, _FD_STEP)
 
     def hessian(self, p) -> np.ndarray:
         """H[i, a, b] = d^2 f^i / d p^a d p^b, shape (n, k, k)."""
         p = np.asarray(p, dtype=float)
         if self._hess is not None:
             return np.asarray(self._hess(p), dtype=float)
-        h = _FD_STEP
-        k = self.k
-        cols = []
-        for b in range(k):
-            e = np.zeros(k)
-            e[b] = h
-            cols.append((self.jacobian(p + e) - self.jacobian(p - e)) / (2 * h))
-        H = np.stack(cols, axis=2)               # (n, k, k)
+        H = _central_difference(self.jacobian, p, _FD_STEP)
         return 0.5 * (H + H.transpose(0, 2, 1))
 
     def sample_param(self, rng: np.random.Generator) -> np.ndarray:
@@ -558,6 +546,8 @@ def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
             raise ValueError("a hyperplane takes 'normal' or 'basis', not both")
         point = _spec_array(spec, "point", n)
         extent = float(spec.get("extent", 1.0))
+        if not extent > 0:
+            raise ValueError(f"'extent' must be positive, got {extent!r}")
         if "basis" in spec:
             B = _spec_array(spec, "basis", n, planar=True)
         else:
@@ -577,6 +567,8 @@ def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
         center = (_spec_array(spec, "center", 3) if "center" in spec
                   else np.zeros(3))
         r = float(spec["radius"])
+        if not r > 0:
+            raise ValueError(f"'radius' must be positive, got {r!r}")
 
         def f(p):
             th, ph = p

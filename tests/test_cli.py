@@ -186,6 +186,30 @@ def _defect_overrides(submanifold):
     pytest.param("defect", _defect_overrides({"type": "sphere", "radius": 1.0,
                                               "center": [0.0] * 2}),
                  [], "params/submanifold", id="sphere-center-length"),
+    pytest.param("integrate", {"manifold": {"name": "poincare_disk",
+                                            "params": {"eps": -0.5}},
+                               "initial": {"x": [1.2, 0.0], "v": [1.0, 0.0]}},
+                 [], "manifold/params: eps", id="disk-negative-eps"),
+    pytest.param("sec", {"manifold": {"name": "round_sphere",
+                                      "params": {"eps": 2.0}}},
+                 [], "manifold/params: eps", id="sphere-eps-beyond-half-pi"),
+    pytest.param("sec", {"manifold": {"name": "flat_torus",
+                                      "params": {"period": -1.0}}},
+                 [], "manifold/params: period", id="torus-negative-period-sec"),
+    pytest.param("transport", {"manifold": {"name": "flat_torus",
+                                            "params": {"period": -1.0}}},
+                 [], "manifold/params: period",
+                 id="torus-negative-period-transport"),
+    *[pytest.param(command, {"manifold": {"name": "poincare_disk"},
+                             "initial": {"x": [2.0, 0.0], "v": [1.0, 0.0]}},
+                   [], "initial/x", id=f"x-outside-disk-{command}")
+      for command in ("integrate", "lyapunov", "transport")],
+    pytest.param("defect", _defect_overrides({"type": "sphere", "radius": 0.0}),
+                 [], "params/submanifold: 'radius'", id="sphere-zero-radius"),
+    *[pytest.param("defect", _defect_overrides(dict(_HYPERPLANE, point=[0.0] * 3,
+                                                    extent=extent)),
+                   [], "params/submanifold: 'extent'", id=f"hyperplane-{sign}-extent")
+      for sign, extent in (("zero", 0.0), ("negative", -1.0))],
 ])
 def test_invalid_input_exits_2_naming_field(tmp_path, command, overrides,
                                             flags, field):

@@ -242,10 +242,10 @@ def test_sectional_checks_every_frame_and_the_speed():
     sys = system("poincare_ball", "constant", b=1.0)
     rng = np.random.default_rng(4)
     X = np.array([sys.chart.sample_point(rng) for _ in range(5)])
-    G = sys.metric.raw_batch(X)
+    G = sys.metric.raw(X)
     V, W = np.array([gram_schmidt(g, rng.standard_normal((2, 3)))
                      for g in G]).transpose(1, 0, 2)
-    geo = PointGeometry.batch(sys.metric, X, G, sys.sigma)
+    geo = PointGeometry(sys.metric, X, sys.sigma, g=G)
     assert _sectional(geo, 1.5, V, W).shape == (5,)
     W[3] = W[3] + 1e-9 * V[3]              # one frame slightly skew
     with pytest.raises(NonOrthonormalFrame):

@@ -57,7 +57,7 @@ def test_d2g_batch_matches_point_calls(rng):
         assert metric.broadcasts, name
         X = np.array([chart.sample_point(rng) for _ in range(7)])
         single = np.array([metric.d2g(x) for x in X])
-        batch = metric.d2g_batch(X)
+        batch = metric.d2g(X)
         assert batch.shape == single.shape, name
         assert np.abs(batch - single).max() <= 1e-15 * np.abs(single).max(), name
 
@@ -75,7 +75,7 @@ def test_d2g_batch_evaluates_undeclared_closures_point_by_point(rng):
     user = MetricField(metric.raw, dg=metric.dg, d2g=d2g, chart=chart)
     X = np.array([chart.sample_point(rng) for _ in range(4)])
     assert not user.broadcasts
-    assert np.array_equal(user.d2g_batch(X),
+    assert np.array_equal(user.d2g(X),
                           np.array([x[0] * metric.d2g(x) for x in X]))
     assert seen == [(2,)] * 4
 

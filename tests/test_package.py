@@ -1,5 +1,7 @@
 """Checks on the package source itself."""
 import ast
+import importlib
+from functools import reduce
 from pathlib import Path
 
 import magflow
@@ -39,3 +41,22 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}"
                   for line, name in _unused_imports(tree)]
     assert not found, found
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps the functions and methods its SPANS table
+    # names; one renamed away would break a traced run, so every entry must
+    # resolve.  The table is read from the source, without running it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["SPANS"])
+    assert spans
+    missing = []
+    for _, module, attr in spans:
+        try:
+            reduce(getattr, attr.split("."), importlib.import_module(module))
+        except (ImportError, AttributeError):
+            missing.append(f"{module}:{attr}")
+    assert not missing, missing

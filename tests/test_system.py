@@ -133,7 +133,7 @@ def test_dsigma_batch_matches_point_calls(rng):
         DG = np.array([sys.metric.dg(x) for x in X])
         single = np.array([sys.sigma.dsigma_at(x, sys.metric, g, dg)
                            for x, g, dg in zip(X, G, DG)])
-        assert np.array_equal(sys.sigma.dsigma_batch(X, sys.metric, G, DG),
+        assert np.array_equal(sys.sigma.dsigma_at(X, sys.metric, G, DG),
                               single)
 
 
@@ -156,11 +156,11 @@ def test_every_closure_batch_matches_point_calls(rng):
         X = np.array([sys.chart.sample_point(rng) for _ in range(6)])
         G = np.array([m.raw(x) for x in X])
         DG = np.array([m.dg(x) for x in X])
-        pairs = [(m.raw_batch(X), G), (m.dg_batch(X), DG),
-                 (m.d2g_batch(X), [m.d2g(x) for x in X]),
-                 (m.inverse_batch(X, G), [m.inverse(x, g) for x, g in zip(X, G)]),
-                 (f.at_batch(X, m, G), [f.at(x, m, g) for x, g in zip(X, G)]),
-                 (f.dsigma_batch(X, m, G, DG),
+        pairs = [(m.raw(X), G), (m.dg(X), DG),
+                 (m.d2g(X), [m.d2g(x) for x in X]),
+                 (m.inverse(X, G), [m.inverse(x, g) for x, g in zip(X, G)]),
+                 (f.at(X, m, G), [f.at(x, m, g) for x, g in zip(X, G)]),
+                 (f.dsigma_at(X, m, G, DG),
                   [f.dsigma_at(x, m, g, dg) for x, g, dg in zip(X, G, DG)])]
         for batch, single in pairs:
             single = np.array(single)
@@ -187,14 +187,14 @@ def test_batches_of_undeclared_closures_run_point_by_point(rng):
     assert not user.broadcasts and not fd.broadcasts
     X = np.array([chart.sample_point(rng) for _ in range(3)])
     for m in (user, fd):
-        m.d2g_batch(X)
-        m.inverse_batch(X, m.raw_batch(X))
+        m.d2g(X)
+        m.inverse(X, m.raw(X))
     # the area form of `user`, paired with `metric`, reads `user` point-wise
     area = make_form("area_form", 2, user, chart, b=1.0)
-    G, DG = metric.raw_batch(X), metric.dg_batch(X)
-    assert np.array_equal(area.at_batch(X, metric, G),
+    G, DG = metric.raw(X), metric.dg(X)
+    assert np.array_equal(area.at(X, metric, G),
                           np.array([area(x) for x in X]))
-    assert np.array_equal(area.dsigma_batch(X, metric, G, DG),
+    assert np.array_equal(area.dsigma_at(X, metric, G, DG),
                           np.array([area.dsigma(x) for x in X]))
     assert seen and set(seen) == {(2,)}
 
