@@ -208,6 +208,10 @@ def cmd_holonomy(sc, out):
     """Orthogonal frame holonomy around a closed orbit; writes holonomy.csv."""
     sysm, state, cfg = _prepared(sc)
     p = sc["params"]
+    if 0.9 * p["period_guess"] < 2 * cfg.step:
+        raise ScenarioInvalid(
+            f"scenario field params/period_guess: 0.9 times the guess must "
+            f"span two steps of {cfg.step}, got {p['period_guess']!r}")
     hol = tr.closed_orbit_holonomy(sysm, state, p["period_guess"], cfg,
                                    tol=p["tolerance"])
     _write(out, "holonomy.csv", hol.to_csv())

@@ -4,8 +4,12 @@ The chart form of the equation of motion is
     xdot^i = v^i
     vdot^i = -Gamma^i_{jk}(x) v^j v^k + X_V^i(x, v)
 with X_V = Y(x) v for a magnetic system.  It is integrated by fixed-step
-RK4.  Speed drift along the orbit is recorded, never silently corrected
-(unless renormalization is explicitly enabled), so it can serve as an error
+RK4, whose stage function is `generator`.  For a magnetic system on a
+diagonal metric (one that gives `MetricField.ddiag`, as every built-in
+model does) a stage reads only g, its diagonal derivative ddiag and sigma
+at its point; otherwise it builds the point's `PointGeometry`.  Speed drift
+along the orbit is recorded, never silently corrected (unless
+renormalization is explicitly enabled), so it can serve as an error
 indicator.
 
 The variational flow Jdot = Df J and magnetic parallel transport (see
@@ -163,9 +167,21 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
 
 
 def generator(sys: MagneticSystem, x, v) -> np.ndarray:
-    """The 2n generator (xdot, vdot) of the flow at (x, v)."""
+    """The 2n generator (xdot, vdot) of the flow at (x, v).
+
+    For a magnetic system on a diagonal metric (one that gives `ddiag`),
+    gamma_low(v, v)_l = v_l (ddiag v)_l - 1/2 sum_j v_j^2 ddiag[j, l], and
+    g^-1 divides by g's diagonal, so no `PointGeometry` is built."""
     v = np.asarray(v, dtype=float)
-    return np.concatenate([v, _acceleration(sys, sys.geometry(x), v)])
+    metric = sys.metric
+    if metric.ddiag is None or not sys.is_magnetic:
+        return np.concatenate([v, _acceleration(sys, sys.geometry(x), v)])
+    x = np.asarray(x, dtype=float)
+    sys.chart.require(x)
+    g = metric.raw(x)
+    dd = metric.ddiag(x)
+    r = v * dd.dot(v) - 0.5 * (v * v).dot(dd) + sys.sigma.at(x, metric, g).dot(v)
+    return np.concatenate([v, -r / g.diagonal()])
 
 
 def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
@@ -179,13 +195,13 @@ def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
 
 def _step_size(T, h, max_steps):
     """The number of fixed RK4 steps over T >= 0 for a nominal step h, and
-    their size."""
+    their size; at least one step for T > 0, none (of size 0) for T = 0."""
     if T < 0:
         raise ValueError(f"the horizon T must be nonnegative, got {T}")
-    nsteps = max(1, int(round(T / h)))
+    nsteps = max(int(T > 0), int(round(T / h)))
     if nsteps > max_steps:
         raise StepLimitExceeded(f"{nsteps} steps exceed the budget {max_steps}")
-    return nsteps, T / nsteps
+    return nsteps, T / max(nsteps, 1)
 
 
 def _rk4_path(sys, y0, T, cfg, rhs=None, speed=None):

@@ -124,15 +124,20 @@ class MetricField:
     closure called on a whole batch, and otherwise once per row.  It takes
     effect only when dg and d2g are given, since the finite differences are
     taken point by point.
+    ddiag is an optional closure x -> (n, n) with ddiag[i, k] = d g_ii / d x^k
+    at one point x (it need not broadcast); giving it declares that g is
+    diagonal, and lets `flow.generator` read the magnetic acceleration off
+    g's diagonal and ddiag without building a `PointGeometry`.
     """
 
     def __init__(self, eval_fn, dg=None, d2g=None, h1: float = 1e-5,
                  h2: float = 1e-4, chart: Optional[ChartSpec] = None,
-                 inv=None, broadcasts: bool = False):
+                 inv=None, broadcasts: bool = False, ddiag=None):
         self._eval = eval_fn
         self._dg = dg
         self._d2g = d2g
         self._inv = inv
+        self.ddiag = ddiag
         self.h1 = h1
         self.h2 = h2
         self.chart = chart

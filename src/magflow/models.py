@@ -4,7 +4,10 @@ Registry keys: "euclidean", "flat_torus", "poincare_disk", "poincare_ball",
 "round_sphere".  Each builder returns (ChartSpec, MetricField) with analytic
 first and second derivative closures, so the finite-difference scheme can be
 used as an independent cross-check, and an analytic inverse of g.  Every
-closure broadcasts over points of shape (..., dim).  Where the point axes
+closure but `ddiag` broadcasts over points of shape (..., dim).  All five
+metrics are diagonal, so each also gives `ddiag`, the n x n derivative
+ddiag[i, k] = d_k g_ii at one point, from which `flow.generator` reads the
+magnetic acceleration without the n x n x n dg.  Where the point axes
 are in the way, the closures work on x.T (or g.T) and write through out.T,
 in which the point axes come last: an integer index there selects a
 coordinate at every point, and a per-point scalar broadcasts.
@@ -31,10 +34,12 @@ def _flat(dim: int, low: float, high: float):
     chart = ChartSpec(dim=dim, sample_bounds=(low * np.ones(dim),
                                               high * np.ones(dim)))
     eye = np.eye(dim)
+    zero0 = np.zeros((dim, dim))
     zero1 = np.zeros((dim, dim, dim))
     zero2 = np.zeros((dim, dim, dim, dim))
     metric = MetricField(lambda x: eye, dg=lambda x: zero1, d2g=lambda x: zero2,
-                         chart=chart, inv=lambda x, g: eye, broadcasts=True)
+                         chart=chart, inv=lambda x, g: eye, broadcasts=True,
+                         ddiag=lambda x: zero0)
     return chart, metric
 
 
@@ -60,6 +65,7 @@ def _poincare(dim: int = 3, eps: float = 1e-3):
     )
     eye = np.eye(dim)
     eye3 = eye[:, :, None]
+    rows = np.ones((dim, 1))
 
     def eval_fn(x):
         return _per_point(4.0 / (1.0 - np.vecdot(x, x)) ** 2) * eye
@@ -78,8 +84,12 @@ def _poincare(dim: int = 3, eps: float = 1e-3):
         d2coef = np.multiply.outer(16.0 / u**3, eye) + ((96.0 / u**4) * xx.T).T
         return eye[:, :, None, None] * d2coef[..., None, None, :, :]
 
+    def ddiag(x):
+        # every g_ii is 4 u^-2, so each row is d_k (4 u^-2) = 16 x_k / u^3
+        return rows * ((16.0 / (1.0 - x.dot(x)) ** 3) * x)
+
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart, inv=inv,
-                         broadcasts=True)
+                         broadcasts=True, ddiag=ddiag)
     return chart, metric
 
 
@@ -131,9 +141,16 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
             outT[i, i] = 1.0 / gT[i, i]
         return out
 
+    tri = np.tri(dim - 1)
+
+    def ddiag(x):
+        # ddiag[i, k] = d_k g_ii = 2 g_ii cot_k for k < i, as in dg
+        out = np.zeros((dim, dim))
+        out[1:, :-1] = tri * ((2.0 * _sines(x)[1])[:, None] / np.tan(x[:-1]))
+        return out
+
     # d_k d_l g_ii = g_ii (4 cot_k cot_l - 2 delta_kl csc^2_k) for k, l < i:
     # mask[i - 1, j - 1, k, l] = 1 where i = j and k, l < i
-    tri = np.tri(dim - 1)
     mask = np.eye(dim - 1)[:, :, None, None] * (tri[:, None, :, None]
                                                 * tri[:, None, None, :])
     eye2 = 2.0 * np.eye(dim - 1)
@@ -148,7 +165,7 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
         return out
 
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart, inv=inv,
-                         broadcasts=True)
+                         broadcasts=True, ddiag=ddiag)
     return chart, metric
 
 

@@ -41,9 +41,10 @@ class Field:
     """One scenario field: the Python type of its JSON value (`float` also
     takes integers, `(int, float)` keeps a number as given), its default
     (None: optional without one), an inclusive (`low`) or exclusive
-    (`above`) lower bound, and the admissible values.  A `dict` with a
-    `fields` table is closed to its keys, one without is open; `of` checks
-    the items of a `list` and the values of an open `dict`."""
+    (`above`) lower bound (`low` bounds the length of a `list`), and the
+    admissible values.  A `dict` with a `fields` table is closed to its
+    keys, one without is open; `of` checks the items of a `list` and the
+    values of an open `dict`."""
 
     kind: object
     default: object = REQUIRED
@@ -84,7 +85,7 @@ PARAMS = {
                        "t_max": Field(float, 2.0, above=0),
                        "steps": Field(int, 40, low=1)},
     "regimes": {"s_grid": Field(list, [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0],
-                                of=Field(float, above=0)),
+                                low=1, of=Field(float, above=0)),
                 "samples": Field(int, 25, low=1),
                 "T": Field(float, 8.0, above=0)},
 }
@@ -136,7 +137,9 @@ def _check(value, spec: Field, path: str):
         _fail(path, f"expected a finite number, got {value!r}")
     if spec.kind is float:
         value = float(value)
-    if spec.low is not None and value < spec.low:
+    if spec.low is not None and spec.kind is list and len(value) < spec.low:
+        _fail(path, f"must have at least {spec.low} items, got {value!r}")
+    if spec.low is not None and spec.kind is not list and value < spec.low:
         _fail(path, f"must be at least {spec.low}, got {value!r}")
     if spec.above is not None and value <= spec.above:
         _fail(path, f"must be greater than {spec.above}, got {value!r}")

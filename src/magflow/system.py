@@ -90,7 +90,9 @@ class MagneticSystem:
                              d2g=lambda x: c * m.d2g(x),
                              h1=m.h1, h2=m.h2, chart=self.chart,
                              inv=lambda x, g: m.inverse(x, g / c) / c,
-                             broadcasts=m.broadcasts)
+                             broadcasts=m.broadcasts,
+                             ddiag=None if m.ddiag is None
+                             else (lambda x: c * m.ddiag(x)))
         sg = self.sigma
         # a form built from the metric reads the original coefficients g / c;
         # one paired with another metric would evaluate that one point-wise

@@ -160,11 +160,12 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
                           tol: float = 1e-6) -> OrthogonalHolonomy:
     """Holonomy of the frame flow around a numerically closed orbit.
 
-    The orbit is integrated once to 1.1 times the guess.  Of its nodes in
-    [0.9, 1.1] times the guess, the one nearest the start in phase space
-    and the steps on either side of it give the period: the time, clamped
-    to that window, at which the cubic Hermite interpolant of those nodes
-    comes nearest the start.  The frame flow then runs once to that period;
+    The window [0.9, 1.1] times the guess must begin at least two steps
+    after t = 0.  The orbit is integrated once to 1.1 times the guess.  Of
+    its nodes in the window, the one nearest the start in phase space and
+    the steps on either side of it give the period: the time, clamped to
+    the window, at which the cubic Hermite interpolant of those nodes comes
+    nearest the start.  The frame flow then runs once to that period;
     its final base state gives the return distance, and the transported
     completion is expressed in the initial orthonormal completion of
     v-perp.
@@ -172,8 +173,13 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     if not period_guess > 0:
         raise ValueError(f"the period guess must be positive, got {period_guess}")
     cfg = cfg or IntegratorConfig()
-    z0 = np.concatenate([state.x, state.v])
     lo, hi = 0.9 * period_guess, 1.1 * period_guess
+    # every orbit returns within O(t) of its start near t = 0, so a window
+    # that begins before two steps would find a spurious period there
+    if lo < 2 * cfg.step:
+        raise NotPeriodic(f"0.9 times the period guess {period_guess} is "
+                          f"shorter than two steps of {cfg.step}")
+    z0 = np.concatenate([state.x, state.v])
     # the frame flow does not renormalize, so neither does its dense orbit
     traj = integrate(sys, state, hi, replace(cfg, renormalize_speed=False))
     # the last node is at hi unless the orbit left the chart
@@ -185,8 +191,7 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     if not np.all(np.isfinite(traj.states[near])):
         raise NotPeriodic("the orbit is not finite near the guessed period")
     tau = _hermite_nearest(sys, traj.times[near], traj.states[near], z0)
-    # a guess below one step would otherwise let tau fall to t = 0, where the
-    # return distance is 0
+    # the step before the nearest node may begin before the window
     tau = min(max(tau, lo), hi)
     f0 = FrameState.from_state(sys, state)
     try:

@@ -23,11 +23,13 @@ def unit(metric, x, v):
     return v / metric.norm(x, v)
 
 
-def counted_system(name, form, broadcasts=False, **form_params):
-    """A built-in model whose metric closure and chart guard count calls;
-    its metric evaluates a batch point by point unless it `broadcasts`."""
+def counted_system(name, form, broadcasts=False, diagonal=True, **form_params):
+    """A built-in model whose metric closure, chart guard and diagonal
+    derivative `ddiag` count calls; its metric evaluates a batch point by
+    point unless it `broadcasts`, and declares no `ddiag` (so a stage takes
+    the `PointGeometry` path) unless it is `diagonal`."""
     chart, metric = make_manifold(name)
-    calls = {"metric": 0, "guard": 0}
+    calls = {"metric": 0, "ddiag": 0, "guard": 0}
 
     def counted(key, fn):
         def wrapper(x):
@@ -40,7 +42,8 @@ def counted_system(name, form, broadcasts=False, **form_params):
                       domain_guard=None if guard is None else counted("guard", guard),
                       sample_bounds=chart.sample_bounds)
     metric = MetricField(counted("metric", metric.raw), dg=metric.dg,
-                         d2g=metric.d2g, chart=chart, broadcasts=broadcasts)
+                         d2g=metric.d2g, chart=chart, broadcasts=broadcasts,
+                         ddiag=counted("ddiag", metric.ddiag) if diagonal else None)
     sigma = make_form(form, chart.dim, metric, chart, **form_params)
     return MagneticSystem(chart, metric, sigma), calls
 

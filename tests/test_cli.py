@@ -78,6 +78,28 @@ def test_integrate_escaping_orbit_flagged_partial(tmp_path):
     assert rows[-1, 0] < 30.0 - 1e-2
 
 
+def test_zero_horizon_keeps_the_initial_state(tmp_path):
+    # T = 0 takes no RK4 step: `integrate` writes the initial state as its
+    # one row, and `transport` returns w0
+    disk = {"manifold": {"name": "poincare_disk"},
+            "magnetic": {"name": "area_form", "params": {"b": 1.0}},
+            "initial": {"x": [0.1, 0.2], "v": [1.0, 0.0]},
+            "integrator": {"step": 1e-2}}
+    sc = _write_scenario(tmp_path, params={"T": 0.0}, **disk)
+    res = _run(["integrate", sc, "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    assert rows.shape[0] == 1
+    assert rows[0, 0] == 0.0 and list(rows[0, 1:3]) == [0.1, 0.2]
+    sc = _write_scenario(tmp_path, params={"T": 0.0, "w0": [0.3, -0.5]},
+                         **disk)
+    res = _run(["transport", sc, "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    data = json.loads((tmp_path / "transport.json").read_text())
+    assert data["w"] == [0.3, -0.5]
+
+
 def test_integrate_missing_file_exit_2(tmp_path):
     res = _run(["integrate", str(tmp_path / "missing.json")])
     assert res.exit_code == 2
@@ -210,6 +232,22 @@ def _defect_overrides(submanifold):
                                                     extent=extent)),
                    [], "params/submanifold: 'extent'", id=f"hyperplane-{sign}-extent")
       for sign, extent in (("zero", 0.0), ("negative", -1.0))],
+    pytest.param("regimes", {"params": {"s_grid": []}}, [], "params/s_grid",
+                 id="regimes-empty-s-grid"),
+    # a period window 0.9 x guess shorter than two steps: every orbit
+    # returns within O(t) of its start near t = 0
+    pytest.param("holonomy", {"manifold": {"name": "poincare_disk"},
+                              "magnetic": {"name": "area_form",
+                                           "params": {"b": 1.0}},
+                              "initial": {"x": [0.1, 0.0], "v": [1.0, 0.0]},
+                              "integrator": {"step": 1e-2},
+                              "params": {"period_guess": 1e-6}},
+                 [], "params/period_guess", id="holonomy-guess-near-zero"),
+    pytest.param("holonomy", {"magnetic": {"name": "constant",
+                                           "params": {"b": 2.0}},
+                              "integrator": {"step": 1e-2},
+                              "params": {"period_guess": 1e-3}},
+                 [], "params/period_guess", id="holonomy-guess-below-two-steps"),
 ])
 def test_invalid_input_exits_2_naming_field(tmp_path, command, overrides,
                                             flags, field):
@@ -250,9 +288,6 @@ def test_holonomy_not_periodic_exit_3(tmp_path):
 
 
 @pytest.mark.parametrize("overrides", [
-    pytest.param({"magnetic": {"name": "constant", "params": {"b": 2.0}},
-                  "integrator": {"step": 1e-2},
-                  "params": {"period_guess": 1e-3}}, id="guess-below-one-step"),
     pytest.param({"manifold": {"name": "poincare_disk"},
                   "magnetic": {"name": "area_form", "params": {"b": 1.0}},
                   "speed": 4.0, "integrator": {"step": 1e-2},

@@ -9,7 +9,7 @@ from magflow.errors import DomainExit, StepLimitExceeded
 from magflow.flow import _BLOCK_STEPS, generator, generator_jacobian
 from magflow.geometry import dchristoffel
 
-from conftest import counted_system, strength, system, unit
+from conftest import MODEL_NAMES, counted_system, strength, system, unit
 
 
 # -- generator -------------------------------------------------------------
@@ -60,33 +60,71 @@ def test_semi_spray_consistency(rng):
 def test_geometry_evaluated_once_per_point(name, form, params):
     # one RK4 stage of every flow evaluates the metric and runs the chart
     # guard exactly once, at its single point; a chart without a guard runs
-    # none
+    # none.  A diagonal metric's stage reads `ddiag` once and builds no
+    # `PointGeometry`, also on the rescaled system (s^-2 g, s^-2 sigma);
+    # without `ddiag` the stage takes the generic path
     for broadcasts in (False, True):
-        sys, calls = counted_system(name, form, broadcasts, **params)
-        guarded = sys.chart.domain_guard is not None
-        n = sys.dim
-        x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
-        v = np.linspace(0.3, -0.4, n)
-        calls.update(metric=0, guard=0)
-        generator(sys, x, v)
-        assert calls == {"metric": 1, "guard": int(guarded)}, "generator"
-        # one RK4 step of the linear flows: one metric evaluation and one
-        # guard call at each of its four stages, and the guard calls at the
-        # start point and the new node; the block pass rebuilding the
-        # geometry at the four recorded stage points evaluates the metric
-        # once on the batch, or once per point when the metric does not
-        # broadcast, and runs no guard
-        st, cfg = PhaseState(x=x, v=v), IntegratorConfig(step=1e-2)
-        flows = {
-            "variational": lambda: variational_flow(sys, st, 1e-2, cfg),
-            "transport": lambda: parallel_transport(sys, st, np.eye(n)[1],
-                                                    1e-2, cfg),
-        }
-        for flow, run in flows.items():
-            calls.update(metric=0, guard=0)
-            run()
-            assert calls == {"metric": 4 + (1 if broadcasts else 4),
-                             "guard": 6 * guarded}, (flow, broadcasts)
+        for diagonal in (True, False):
+            sys, calls = counted_system(name, form, broadcasts, diagonal,
+                                        **params)
+            guarded = sys.chart.domain_guard is not None
+            n = sys.dim
+            x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
+            v = np.linspace(0.3, -0.4, n)
+            for s in (1.0, 1.7):
+                calls.update(metric=0, ddiag=0, guard=0)
+                generator(sys.rescale(s), x, v)
+                assert calls == {"metric": 1, "ddiag": int(diagonal),
+                                 "guard": int(guarded)}, ("generator", s,
+                                                          diagonal)
+            # one RK4 step of the linear flows: one metric evaluation and
+            # one guard call at each of its four stages, and the guard calls
+            # at the start point and the new node; the block pass rebuilding
+            # the geometry at the four recorded stage points evaluates the
+            # metric once on the batch, or once per point when the metric
+            # does not broadcast, and runs no guard
+            st, cfg = PhaseState(x=x, v=v), IntegratorConfig(step=1e-2)
+            flows = {
+                "variational": lambda: variational_flow(sys, st, 1e-2, cfg),
+                "transport": lambda: parallel_transport(
+                    sys, st, np.eye(n)[1], 1e-2, cfg),
+            }
+            for flow, run in flows.items():
+                calls.update(metric=0, ddiag=0, guard=0)
+                run()
+                assert calls == {"metric": 4 + (1 if broadcasts else 4),
+                                 "ddiag": 4 * diagonal,
+                                 "guard": 6 * guarded}, (flow, broadcasts,
+                                                         diagonal)
+
+
+_PAIRS = [(name, form) for name in MODEL_NAMES
+          for form in ("zero", "constant", "area_form")
+          if form != "area_form" or make_manifold(name)[0].dim == 2]
+
+
+@pytest.mark.parametrize("name, form", _PAIRS)
+def test_lean_stage_matches_point_geometry_stage(name, form):
+    # the diagonal-metric stage and the `PointGeometry` stage (the same
+    # model with its `ddiag` withheld) give the same orbit and the same
+    # variational J over more than two blocks, on the model and rescaled
+    assert len(_PAIRS) == 14
+    lean, generic = (system(name, form, **strength(form, 1.3)) for _ in "ab")
+    generic.metric.ddiag = None
+    n = lean.dim
+    x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.1)
+    v = unit(lean.metric, x, np.linspace(0.3, -0.4, n))
+    cfg = IntegratorConfig(step=1e-2)
+    T = (2 * _BLOCK_STEPS + 10) * cfg.step
+    for s in (1.0, 1.7):
+        a, b = lean.rescale(s), generic.rescale(s)
+        assert a.metric.ddiag is not None and b.metric.ddiag is None
+        st = PhaseState(x=x, v=v)
+        ta, tb = integrate(a, st, T, cfg), integrate(b, st, T, cfg)
+        assert not ta.exited and ta.states.shape == tb.states.shape
+        Ja, Jb = variational_flow(a, st, T, cfg), variational_flow(b, st, T, cfg)
+        for p, q in ((ta.states, tb.states), (Ja, Jb)):
+            assert np.abs(p - q).max() <= 1e-12 * np.abs(q).max(), (s, p, q)
 
 
 def test_generator_and_jacobian_match_tensor_formulas(rng):

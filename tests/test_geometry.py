@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from magflow import (ChartSpec, MetricField, christoffel, connector_split,
                      make_manifold, orthonormal_completion, riemann, sectional)
@@ -178,6 +178,32 @@ def test_sectional_gl2_invariance(a, b, c, d):
     s1 = sectional(g, x, v, w)
     s2 = sectional(g, x, a * v + b * w, c * v + d * w)
     assert s2 == pytest.approx(s1, rel=1e-10)
+
+
+_BUILTINS = [("euclidean", {"dim": 2}), ("euclidean", {"dim": 3}),
+             ("flat_torus", {}), ("poincare_disk", {}), ("poincare_ball", {}),
+             ("round_sphere", {"dim": 2}), ("round_sphere", {"dim": 3}),
+             ("round_sphere", {"dim": 4})]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=st.sampled_from(_BUILTINS),
+       unit_point=st.lists(st.floats(0, 1), min_size=4, max_size=4))
+def test_builtin_metrics_are_diagonal_with_ddiag_from_dg(model, unit_point):
+    # `ddiag` declares a diagonal g and equals the diagonal of dg:
+    # ddiag[i, k] = dg[i, i, k]
+    name, params = model
+    chart, g = make_manifold(name, **params)
+    lo, hi = chart.sample_bounds
+    x = lo + (hi - lo) * np.array(unit_point[:chart.dim])
+    assume(chart.contains(x))
+    gx = g(x)
+    assert np.array_equal(gx, np.diag(np.diag(gx)))
+    dg = g.dg(x)
+    diag = np.einsum("iik->ik", dg)
+    dd = g.ddiag(x)
+    assert dd.shape == (chart.dim, chart.dim)
+    assert np.abs(dd - diag).max() <= 1e-14 * max(1.0, np.abs(diag).max())
 
 
 # -- projections and the connector -----------------------------------------

@@ -49,10 +49,11 @@ def test_valid_scenario_loads_with_defaults(command):
                        st.floats(allow_nan=False), st.text(max_size=4)))
 def test_unknown_key_at_any_level_is_named(command, level, key, value):
     sc = _valid(command)
-    obj = sc
+    # the loaded scenario holds every known key, the defaults filled in
+    obj, known = sc, _load(_valid(command), command)
     for part in level:
-        obj = obj[part]
-    assume(key not in obj)
+        obj, known = obj[part], known[part]
+    assume(key not in known)
     obj[key] = value
     path = "/".join(level + (key,))
     with pytest.raises(ScenarioInvalid,

@@ -275,8 +275,9 @@ def test_holonomy_integrates_once_and_flows_the_frame_once(monkeypatch):
 
 
 def test_holonomy_guess_below_one_step_not_periodic(monkeypatch):
-    # the period stays in [0.9, 1.1] x guess: it never falls to the start
-    # of the orbit, where the return distance is 0
+    # a window [0.9, 1.1] x guess that begins before two steps is rejected
+    # before the frame flow runs: the period would fall near the start of
+    # the orbit, where the return distance is 0
     from magflow import transport
     sys = system("euclidean", "constant", {"dim": 2}, b=2.0)
     state = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]), s=1.0)
@@ -290,7 +291,17 @@ def test_holonomy_guess_below_one_step_not_periodic(monkeypatch):
     monkeypatch.setattr(transport, "frame_flow", recorded)
     with pytest.raises(NotPeriodic):
         closed_orbit_holonomy(sys, state, guess, IntegratorConfig(step=1e-2))
-    assert all(0.9 * guess <= t <= 1.1 * guess for t in periods)
+    assert periods == []
+
+
+def test_holonomy_guess_near_zero_not_periodic():
+    # on the disk every orbit returns within O(t) of its start, so a guess
+    # of 1e-6 at step 0.01 would otherwise give a period near 9e-7
+    sys = system("poincare_disk", "area_form", b=1.0)
+    state = PhaseState(x=np.array([0.1, 0.0]),
+                       v=unit(sys.metric, [0.1, 0.0], [1.0, 0.0]), s=1.0)
+    with pytest.raises(NotPeriodic, match="two steps"):
+        closed_orbit_holonomy(sys, state, 1e-6, IntegratorConfig(step=1e-2))
 
 
 def test_holonomy_escaping_orbit_not_periodic():
