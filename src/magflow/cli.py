@@ -208,7 +208,7 @@ def cmd_holonomy(sc, out):
     """Orthogonal frame holonomy around a closed orbit; writes holonomy.csv."""
     sysm, state, cfg = _prepared(sc)
     p = sc["params"]
-    if 0.9 * p["period_guess"] < 2 * cfg.step:
+    if p["period_guess"] < tr._shortest_guess(cfg.step):
         raise ScenarioInvalid(
             f"scenario field params/period_guess: 0.9 times the guess must "
             f"span two steps of {cfg.step}, got {p['period_guess']!r}")

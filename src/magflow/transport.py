@@ -154,32 +154,37 @@ def _hermite_nearest(sys, t, y, z0) -> float:
     return tau
 
 
+def _shortest_guess(step: float) -> float:
+    """The shortest period guess at a step: every orbit returns within O(t)
+    of its start near t = 0, so the window [0.9, 1.1] times the guess must
+    begin at least two steps later, or it finds a spurious period there."""
+    return 2.0 * step / 0.9
+
+
 def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
                           period_guess: float,
                           cfg: Optional[IntegratorConfig] = None,
                           tol: float = 1e-6) -> OrthogonalHolonomy:
     """Holonomy of the frame flow around a numerically closed orbit.
 
-    The window [0.9, 1.1] times the guess must begin at least two steps
-    after t = 0.  The orbit is integrated once to 1.1 times the guess.  Of
-    its nodes in the window, the one nearest the start in phase space and
-    the steps on either side of it give the period: the time, clamped to
-    the window, at which the cubic Hermite interpolant of those nodes comes
-    nearest the start.  The frame flow then runs once to that period;
-    its final base state gives the return distance, and the transported
-    completion is expressed in the initial orthonormal completion of
-    v-perp.
+    The guess must be at least `_shortest_guess` of the step, so that the
+    window [0.9, 1.1] times the guess begins two steps after t = 0.  The
+    orbit is integrated once to 1.1 times the guess.  Of its nodes in the
+    window, the one nearest the start in phase space and the steps on
+    either side of it give the period: the time, clamped to the window, at
+    which the cubic Hermite interpolant of those nodes comes nearest the
+    start.  The frame flow then runs once to that period; its final base
+    state gives the return distance, and the transported completion is
+    expressed in the initial orthonormal completion of v-perp.
     """
     if not period_guess > 0:
         raise ValueError(f"the period guess must be positive, got {period_guess}")
     cfg = cfg or IntegratorConfig()
-    lo, hi = 0.9 * period_guess, 1.1 * period_guess
-    # every orbit returns within O(t) of its start near t = 0, so a window
-    # that begins before two steps would find a spurious period there
-    if lo < 2 * cfg.step:
+    if period_guess < _shortest_guess(cfg.step):
         raise NotPeriodic(f"0.9 times the period guess {period_guess} is "
                           f"shorter than two steps of {cfg.step}")
     z0 = np.concatenate([state.x, state.v])
+    lo, hi = 0.9 * period_guess, 1.1 * period_guess
     # the frame flow does not renormalize, so neither does its dense orbit
     traj = integrate(sys, state, hi, replace(cfg, renormalize_speed=False))
     # the last node is at hi unless the orbit left the chart
