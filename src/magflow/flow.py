@@ -3,25 +3,29 @@
 The chart form of the equation of motion is
     xdot^i = v^i
     vdot^i = -Gamma^i_{jk}(x) v^j v^k + X_V^i(x, v)
-with X_V = Y(x) v for a magnetic system.  It is integrated by fixed-step
-RK4, whose stage function is `generator`.  For a magnetic system on a
-diagonal metric (one that gives `MetricField.ddiag`, as every built-in
-model does) a stage reads only g, its diagonal derivative ddiag and sigma
-at its point; otherwise it builds the point's `PointGeometry`.  Speed drift
-along the orbit is recorded, never silently corrected (unless
-renormalization is explicitly enabled), so it can serve as an error
+with X_V = Y(x) v for a magnetic system.  It is integrated by one
+fixed-step RK4 driver on Python floats: at n <= 3 the cost of an array
+operation is its call, not its arithmetic.  The state is two lists of n
+floats, x and v, and a stage is a function acc(x, v) -> list of n floats
+that raises `DomainViolation` outside the chart.  For a magnetic system on
+a diagonal metric whose form gives its float closure (`MetricField.diagonal`
+and `TwoFormField.sigma_v`, as every built-in model and form does) a stage
+runs the chart guard and reads g's diagonal, its derivative and sigma v at
+its point as floats; otherwise it builds the point's `PointGeometry` on
+arrays.  `generator` evaluates the same stage.  Nodes are stored as float64
+rows.  Speed drift along the orbit is recorded, never silently corrected
+(unless renormalization is explicitly enabled), so it can serve as an error
 indicator.
 
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
 solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The base
-orbit is integrated with `integrate`'s RK4, whose stage function is
-`generator`, recording each stage's point, velocity and acceleration;
-then one `PointGeometry` is built on the batch of the block's recorded
-points (unguarded, since each passed the guard in `generator`), M is
-evaluated at all its stages at once (for Df, with the second derivatives
-of the metric and the form taken on the whole batch), and Z is advanced
-by the RK4 propagator of each step,
+orbit is integrated with `integrate`'s RK4 driver and stage, recording
+each stage's point, velocity and acceleration; then one `PointGeometry` is
+built on the batch of the block's recorded points (unguarded, since each
+passed the guard in its stage), M is evaluated at all its stages at once
+(for Df, with the second derivatives of the metric and the form taken on
+the whole batch), and Z is advanced by the RK4 propagator of each step,
     P = I + h/6 (D1 + 2 D2 Z2 + 2 D3 Z3 + D4 Z4),
     Z2 = I + h/2 D1,  Z3 = I + h/2 D2 Z2,  Z4 = I + h D3 Z3,
 where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
@@ -32,6 +36,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -111,12 +116,13 @@ class Trajectory:
         n = self.n
         cols = (["t"] + [f"x{i+1}" for i in range(n)]
                 + [f"v{i+1}" for i in range(n)] + ["speed_drift"])
+        table = np.column_stack([self.times, self.states, self.drift_per_node])
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
-        for t, y, d in zip(self.times, self.states, self.drift_per_node):
-            row = [repr(float(t))] + [repr(float(u)) for u in y]
-            row.append(repr(float(d)))
-            buf.write(",".join(row) + "\n")
+        # one row of Python floats at a time: a list of the whole table
+        # would raise the peak memory of a long orbit
+        buf.writelines(",".join(map(repr, row.tolist())) + "\n"
+                       for row in table)
         if self.exited:
             buf.write("# exited,True\n")
         return buf.getvalue()
@@ -166,22 +172,61 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
     return D
 
 
-def generator(sys: MagneticSystem, x, v) -> np.ndarray:
-    """The 2n generator (xdot, vdot) of the flow at (x, v).
+def _lean_acceleration(sys: MagneticSystem):
+    """The magnetic acceleration on Python floats, acc(x, v) -> list of n
+    floats at lists x, v of n floats, unguarded; None unless the system is
+    magnetic, its metric gives `diagonal` and its form gives `sigma_v` (a
+    form built from a metric, from this one).
 
-    For a magnetic system on a diagonal metric (one that gives `ddiag`),
-    gamma_low(v, v)_l = v_l (ddiag v)_l - 1/2 sum_j v_j^2 ddiag[j, l], and
-    g^-1 divides by g's diagonal, so no `PointGeometry` is built."""
-    v = np.asarray(v, dtype=float)
-    metric = sys.metric
-    if metric.ddiag is None or not sys.is_magnetic:
-        return np.concatenate([v, _acceleration(sys, sys.geometry(x), v)])
+    For a diagonal g, gamma_low(v, v)_l = v_l (dd v)_l - 1/2 sum_j v_j^2
+    dd[j][l] with dd[i][k] = d_k g_ii, and g^-1 divides by g's diagonal d."""
+    metric, form = sys.metric, sys.sigma
+    diagonal, sigma_v = metric.diagonal, form.sigma_v
+    if (not sys.is_magnetic or diagonal is None or sigma_v is None
+            or form.metric is not None and form.metric is not metric):
+        return None
+
+    def acc(x, v):
+        d, dd = diagonal(x)
+        w = [u * u for u in v]
+        return [-(vl * sum(map(mul, row, v)) - 0.5 * sum(map(mul, w, col))
+                  + sl) / dl
+                for vl, row, col, sl, dl in zip(v, dd, zip(*dd),
+                                                sigma_v(x, d, v), d)]
+    return acc
+
+
+def _stage(sys: MagneticSystem):
+    """The RK4 stage acc(x, v) -> list of n floats at lists x, v of n
+    floats, which raises `DomainViolation` at a point outside the chart:
+    the float acceleration behind the chart guard, or else the acceleration
+    from the point's `PointGeometry` (which runs the guard itself)."""
+    lean = _lean_acceleration(sys)
+    if lean is None:
+        return lambda x, v: _acceleration(sys, sys.geometry(x),
+                                          np.array(v)).tolist()
+    guard = sys.chart.domain_guard
+    if guard is None:
+        return lean
+
+    def acc(x, v):
+        if not guard(x):
+            raise DomainViolation(f"point {x} outside chart domain")
+        return lean(x, v)
+    return acc
+
+
+def generator(sys: MagneticSystem, x, v) -> np.ndarray:
+    """The 2n generator (xdot, vdot) of the flow at (x, v); the acceleration
+    is the RK4 stage's, on Python floats where the system allows it."""
     x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    lean = _lean_acceleration(sys)
+    if lean is None:
+        return np.concatenate([v, _acceleration(sys, sys.geometry(x), v)])
     sys.chart.require(x)
-    g = metric.raw(x)
-    dd = metric.ddiag(x)
-    r = v * dd.dot(v) - 0.5 * (v * v).dot(dd) + sys.sigma.at(x, metric, g).dot(v)
-    return np.concatenate([v, -r / g.diagonal()])
+    vl = v.tolist()
+    return np.array(vl + lean(x.tolist(), vl))
 
 
 def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
@@ -195,50 +240,65 @@ def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
 
 def _step_size(T, h, max_steps):
     """The number of fixed RK4 steps over T >= 0 for a nominal step h, and
-    their size; at least one step for T > 0, none (of size 0) for T = 0."""
+    their size, a Python float; at least one step for T > 0, none (of size
+    0) for T = 0."""
     if T < 0:
         raise ValueError(f"the horizon T must be nonnegative, got {T}")
     nsteps = max(int(T > 0), int(round(T / h)))
     if nsteps > max_steps:
         raise StepLimitExceeded(f"{nsteps} steps exceed the budget {max_steps}")
-    return nsteps, T / max(nsteps, 1)
+    return nsteps, float(T) / max(nsteps, 1)
 
 
-def _rk4_path(sys, y0, T, cfg, rhs=None, speed=None):
+def _rk4_path(sys, x, v, T, cfg, acc=None, speed=None):
     """Shared fixed-step RK4 driver over time T with the step and budget of
-    `cfg`.  `rhs(y) -> ydot` defaults to the plain generator; a `speed`
-    rescales v to that g-norm after every step."""
+    `cfg`, on the lists x, v of n floats.  `acc(x, v) -> list` is the stage
+    acceleration (`_stage` by default), which raises `DomainViolation` at a
+    point outside the chart; a `speed` rescales v to that g-norm after every
+    step.  Returns the node times, the nodes (x, v) as rows and whether the
+    orbit left the chart."""
     n = sys.dim
-    f = (lambda y: generator(sys, y[:n], y[n:])) if rhs is None else rhs
+    f = _stage(sys) if acc is None else acc
+    inside = sys.chart.domain_guard
     nsteps, hh = _step_size(T, cfg.step, cfg.max_steps)
-    y = np.array(y0, dtype=float)
-    times = [0.0]
-    path = [y.copy()]
+    half, sixth = 0.5 * hh, hh / 6.0
+    # rows of the nodes; the memory of rows never written is never touched
+    path = np.empty((nsteps + 1, 2 * n))
+    path[0] = x + v
+    nodes = 1
     exited = False
-    for k in range(1, nsteps + 1):
+    for _ in range(nsteps):
         try:
-            k1 = f(y)
-            k2 = f(y + 0.5 * hh * k1)
-            k3 = f(y + 0.5 * hh * k2)
-            k4 = f(y + hh * k3)
+            a1 = f(x, v)
+            x2 = [p + half * q for p, q in zip(x, v)]
+            v2 = [p + half * q for p, q in zip(v, a1)]
+            a2 = f(x2, v2)
+            x3 = [p + half * q for p, q in zip(x, v2)]
+            v3 = [p + half * q for p, q in zip(v, a2)]
+            a3 = f(x3, v3)
+            x4 = [p + hh * q for p, q in zip(x, v3)]
+            v4 = [p + hh * q for p, q in zip(v, a3)]
+            a4 = f(x4, v4)
         except DomainViolation:
             # a stage point crossed the chart guard: report a clean exit
             exited = True
             break
-        ynew = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs = ynew[:n]
-        if not sys.chart.contains(xs):
+        x = [p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+             for p, k1, k2, k3, k4 in zip(x, v, v2, v3, v4)]
+        v = [p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+             for p, k1, k2, k3, k4 in zip(v, a1, a2, a3, a4)]
+        if inside is not None and not inside(x):
             exited = True
             break
         if speed is not None:
-            nrm = sys.metric.norm(xs, ynew[n:2 * n])
+            nrm = sys.metric.norm(x, v)
             if nrm > 0:
-                ynew[n:2 * n] *= speed / nrm
-        y = ynew
-        t = k * hh               # not accumulated, so the last node is T
-        times.append(t)
-        path.append(y.copy())
-    return np.array(times), np.array(path), exited
+                scale = float(speed / nrm)
+                v = [u * scale for u in v]
+        path[nodes] = x + v
+        nodes += 1
+    # node k sits at k * hh, not at a running sum, so the last node is T
+    return np.arange(nodes) * hh, path[:nodes], exited
 
 
 def integrate(sys: MagneticSystem, state: PhaseState, T: float,
@@ -252,7 +312,7 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
     n = sys.dim
     sys.chart.require(state.x)
     times, path, exited = _rk4_path(
-        sys, np.concatenate([state.x, state.v]), T, cfg,
+        sys, state.x.tolist(), state.v.tolist(), T, cfg,
         speed=state.s if cfg.renormalize_speed else None)
     # every node passed the chart guard, so the metric is read unguarded
     g = sys.metric.raw(path[:, :n])
@@ -318,34 +378,31 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
     n = sys.dim
     sys.chart.require(state.x)
     _, h = _step_size(T, cfg.step, cfg.max_steps)
-    stages = np.empty((4 * _BLOCK_STEPS, 3 * n))  # (x, v, acc) at each stage
-    count = 0
+    stage = _stage(sys)
+    rows = []                       # (x, v, acc) at each recorded stage
 
     def advance():
-        # every recorded point passed the chart guard in `generator`
-        nonlocal Z, count
-        X, V, A = np.split(stages[:count], 3, axis=1)
+        # every recorded point passed the chart guard in the stage
+        nonlocal Z
+        X, V, A = np.split(np.array(rows), 3, axis=1)
+        rows.clear()
         geo = PointGeometry(sys.metric, X, sys.sigma)
         Z = _advance(matrices(geo, V, A), h, Z)
-        count = 0
 
-    def rhs(y):
-        # `generator`, recording the stage; a full block of whole steps is
-        # first advanced over
-        nonlocal count
-        if count == len(stages):
+    def acc(x, v):
+        # the stage, recording it; a full block of whole steps is first
+        # advanced over
+        if len(rows) == 4 * _BLOCK_STEPS:
             advance()
-        f = generator(sys, y[:n], y[n:])
-        stages[count, :n] = y[:n]
-        stages[count, n:] = f
-        count += 1
-        return f
+        a = stage(x, v)
+        rows.append(x + v + a)
+        return a
 
-    _, path, exited = _rk4_path(sys, np.concatenate([state.x, state.v]), T,
-                                cfg, rhs=rhs)
+    _, path, exited = _rk4_path(sys, state.x.tolist(), state.v.tolist(), T,
+                                cfg, acc=acc)
     if exited:
         raise DomainExit(f"{what} orbit left the chart")
-    if count:
+    if rows:
         advance()
     return Z, PhaseState(x=path[-1, :n], v=path[-1, n:], s=state.s)
 

@@ -5,6 +5,7 @@ Registry keys: "zero", "constant" (strength b on the x1x2-plane), and
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -32,17 +33,24 @@ class TwoFormField:
     whole batch, and otherwise once per row.  It takes effect only when
     dsigma is given, since the finite differences are taken point by point,
     and not for a form paired with another metric than its own.
+    sigma_v is an optional closure (x, d, v) -> list, sigma v at one point,
+    (sigma v)_i = sum_j sigma_ij v_j, with x, v and d lists of n floats; d
+    is g's diagonal at x, of this form's metric (a diagonal one, see
+    `MetricField.diagonal`) when it is built from one.  With the metric's
+    `diagonal` it lets an RK4 stage of `flow` run on Python floats.  A list
+    it returns is only read, so it may return the same list at every call.
     """
 
     def __init__(self, eval_fn, dsigma=None,
                  chart: Optional[ChartSpec] = None,
                  metric: Optional[MetricField] = None,
-                 broadcasts: bool = False):
+                 broadcasts: bool = False, sigma_v=None):
         self._eval = eval_fn
         self._dsigma = dsigma
         self.chart = chart
         self.metric = metric
         self.broadcasts = broadcasts and dsigma is not None
+        self.sigma_v = sigma_v
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -99,19 +107,23 @@ class TwoFormField:
 def _zero(dim: int, metric: MetricField = None, chart: ChartSpec = None):
     z1 = np.zeros((dim, dim))
     z2 = np.zeros((dim, dim, dim))
+    zeros = [0.0] * dim
     return TwoFormField(lambda x: z1, dsigma=lambda x: z2, chart=chart,
-                        broadcasts=True)
+                        broadcasts=True, sigma_v=lambda x, d, v: zeros)
 
 
 def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
               b: float = 1.0):
     """b * dx^1 ^ dx^2, extended by zero in any further coordinates."""
+    b = float(b)
     sig = np.zeros((dim, dim))
     sig[0, 1] = b
     sig[1, 0] = -b
     z2 = np.zeros((dim, dim, dim))
+    rest = [0.0] * (dim - 2)
     return TwoFormField(lambda x: sig, dsigma=lambda x: z2, chart=chart,
-                        broadcasts=True)
+                        broadcasts=True,
+                        sigma_v=lambda x, d, v: [b * v[1], -b * v[0]] + rest)
 
 
 def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
@@ -121,6 +133,7 @@ def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
         raise ValueError("area_form is only defined on surfaces")
     if metric is None:
         raise ValueError("area_form needs the metric")
+    b = float(b)
 
     def eval_fn(x, g):
         # on g.T and out.T, as the built-in metrics (see `models`)
@@ -146,8 +159,13 @@ def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
         dsq = (0.5 * b) * tr / np.sqrt(0.5 * np.vecdot(w, g4))[..., None]
         return rot * dsq[..., None, None, :]
 
+    def sigma_v(x, d, v):
+        # sqrt(det g) = sqrt(d0 d1) for a diagonal g
+        c = b * math.sqrt(d[0] * d[1])
+        return [c * v[1], -c * v[0]]
+
     return TwoFormField(eval_fn, dsigma=dsigma, chart=chart, metric=metric,
-                        broadcasts=True)
+                        broadcasts=True, sigma_v=sigma_v)
 
 
 FORMS = {

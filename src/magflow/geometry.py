@@ -46,10 +46,15 @@ _GS_SKIP = 1e-8  # near-parallel seed threshold for Gram-Schmidt
 
 @dataclass(frozen=True)
 class ChartSpec:
-    """A single coordinate chart with an optional domain guard."""
+    """A single coordinate chart with an optional domain guard.
+
+    The guard takes a point as a list of `dim` floats and says whether it
+    lies in the chart; `contains` hands it x.tolist(), and the RK4 driver of
+    `flow` its list state.  It must return False, not raise, at a point with
+    infinite or NaN coordinates."""
 
     dim: int
-    domain_guard: Optional[Callable[[np.ndarray], bool]] = None
+    domain_guard: Optional[Callable[[list], bool]] = None
     # box used by random samplers: (low, high) arrays
     sample_bounds: Optional[tuple] = None
 
@@ -63,7 +68,7 @@ class ChartSpec:
             return False
         if self.domain_guard is None:
             return True
-        return bool(self.domain_guard(x))
+        return bool(self.domain_guard(x.tolist()))
 
     def require(self, x):
         if not self.contains(x):
@@ -79,11 +84,13 @@ class ChartSpec:
 def _sample_box(rng: np.random.Generator, lo, hi, accept,
                 failure: Exception) -> np.ndarray:
     """A uniform draw from the box [lo, hi] that `accept` admits, within
-    1000 tries; raises `failure` when none is admitted."""
+    1000 tries; raises `failure` when none is admitted.  A draw is numpy's
+    own formula for rng.uniform(lo, hi), without its per-call checks of the
+    bounds: the same values and the same generator state after it."""
     lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    span = np.asarray(hi, dtype=float) - lo
     for _ in range(1000):
-        x = rng.uniform(lo, hi)
+        x = lo + span * rng.random(lo.shape)
         if accept(x):
             return x
     raise failure
@@ -124,20 +131,24 @@ class MetricField:
     closure called on a whole batch, and otherwise once per row.  It takes
     effect only when dg and d2g are given, since the finite differences are
     taken point by point.
-    ddiag is an optional closure x -> (n, n) with ddiag[i, k] = d g_ii / d x^k
-    at one point x (it need not broadcast); giving it declares that g is
-    diagonal, and lets `flow.generator` read the magnetic acceleration off
-    g's diagonal and ddiag without building a `PointGeometry`.
+    diagonal is an optional closure at one point, given as a list x of n
+    floats, that returns (d, dd): g's diagonal d[i] = g_ii and its
+    derivative dd[i][k] = d g_ii / d x^k, as a list of n floats and a list
+    of n such lists.  Giving it declares that g is diagonal, and lets an RK4
+    stage of `flow` read the magnetic acceleration on Python floats, with
+    no `PointGeometry`.  Its lists are only read, so it may return the same
+    lists at every call.  It multiplies state-dependent floats rather than
+    raising them to a power: a product overflows to inf, where ** raises.
     """
 
     def __init__(self, eval_fn, dg=None, d2g=None, h1: float = 1e-5,
                  h2: float = 1e-4, chart: Optional[ChartSpec] = None,
-                 inv=None, broadcasts: bool = False, ddiag=None):
+                 inv=None, broadcasts: bool = False, diagonal=None):
         self._eval = eval_fn
         self._dg = dg
         self._d2g = d2g
         self._inv = inv
-        self.ddiag = ddiag
+        self.diagonal = diagonal
         self.h1 = h1
         self.h2 = h2
         self.chart = chart

@@ -4,17 +4,21 @@ Registry keys: "euclidean", "flat_torus", "poincare_disk", "poincare_ball",
 "round_sphere".  Each builder returns (ChartSpec, MetricField) with analytic
 first and second derivative closures, so the finite-difference scheme can be
 used as an independent cross-check, and an analytic inverse of g.  Every
-closure but `ddiag` broadcasts over points of shape (..., dim).  All five
-metrics are diagonal, so each also gives `ddiag`, the n x n derivative
-ddiag[i, k] = d_k g_ii at one point, from which `flow.generator` reads the
-magnetic acceleration without the n x n x n dg.  Where the point axes
-are in the way, the closures work on x.T (or g.T) and write through out.T,
-in which the point axes come last: an integer index there selects a
-coordinate at every point, and a per-point scalar broadcasts.
+array closure broadcasts over points of shape (..., dim).  All five metrics
+are diagonal, so each also gives `diagonal`, a closure on Python floats at
+one point: g's diagonal d and its derivative dd[i][k] = d_k g_ii as lists,
+from which an RK4 stage of `flow` reads the magnetic acceleration without
+the n x n x n dg.  The chart guards take a list of floats too.  Where the
+point axes are in the way, the array closures work on x.T (or g.T) and
+write through out.T, in which the point axes come last: an integer index
+there selects a coordinate at every point, and a per-point scalar
+broadcasts.
 """
 from __future__ import annotations
 
+import math
 from functools import partial
+from operator import mul
 
 import numpy as np
 
@@ -34,12 +38,12 @@ def _flat(dim: int, low: float, high: float):
     chart = ChartSpec(dim=dim, sample_bounds=(low * np.ones(dim),
                                               high * np.ones(dim)))
     eye = np.eye(dim)
-    zero0 = np.zeros((dim, dim))
     zero1 = np.zeros((dim, dim, dim))
     zero2 = np.zeros((dim, dim, dim, dim))
+    diagonal = [1.0] * dim, [[0.0] * dim for _ in range(dim)]
     metric = MetricField(lambda x: eye, dg=lambda x: zero1, d2g=lambda x: zero2,
                          chart=chart, inv=lambda x, g: eye, broadcasts=True,
-                         ddiag=lambda x: zero0)
+                         diagonal=lambda x: diagonal)
     return chart, metric
 
 
@@ -60,12 +64,11 @@ def _poincare(dim: int = 3, eps: float = 1e-3):
     r2 = (1.0 - eps) ** 2
     chart = ChartSpec(
         dim=dim,
-        domain_guard=lambda x: x.dot(x) < r2,
+        domain_guard=lambda x: sum(map(mul, x, x)) < r2,
         sample_bounds=(-0.7 * np.ones(dim), 0.7 * np.ones(dim)),
     )
     eye = np.eye(dim)
     eye3 = eye[:, :, None]
-    rows = np.ones((dim, 1))
 
     def eval_fn(x):
         return _per_point(4.0 / (1.0 - np.vecdot(x, x)) ** 2) * eye
@@ -84,12 +87,14 @@ def _poincare(dim: int = 3, eps: float = 1e-3):
         d2coef = np.multiply.outer(16.0 / u**3, eye) + ((96.0 / u**4) * xx.T).T
         return eye[:, :, None, None] * d2coef[..., None, None, :, :]
 
-    def ddiag(x):
-        # every g_ii is 4 u^-2, so each row is d_k (4 u^-2) = 16 x_k / u^3
-        return rows * ((16.0 / (1.0 - x.dot(x)) ** 3) * x)
+    def diagonal(x):
+        # every g_ii is 4 u^-2, so each row of dd is d_k (4 u^-2) = 16 x_k / u^3
+        u = 1.0 - sum(map(mul, x, x))
+        row = [(16.0 / (u * u * u)) * t for t in x]
+        return [4.0 / (u * u)] * dim, [row] * dim
 
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart, inv=inv,
-                         broadcasts=True, ddiag=ddiag)
+                         broadcasts=True, diagonal=diagonal)
     return chart, metric
 
 
@@ -103,9 +108,10 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
         raise ValueError(f"eps must lie in (0, pi/2), got {eps!r}")
     lo = eps * np.ones(dim)
     hi = (np.pi - eps) * np.ones(dim)
+    top = np.pi - eps
 
     def guard(x):
-        return all(eps < t < np.pi - eps for t in x[:-1].tolist())
+        return all(eps < t < top for t in x[:-1])
 
     chart = ChartSpec(dim=dim, domain_guard=guard, sample_bounds=(lo, hi))
     pairs = [(i, k) for i in range(1, dim) for k in range(i)]
@@ -143,11 +149,17 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
 
     tri = np.tri(dim - 1)
 
-    def ddiag(x):
-        # ddiag[i, k] = d_k g_ii = 2 g_ii cot_k for k < i, as in dg
-        out = np.zeros((dim, dim))
-        out[1:, :-1] = tri * ((2.0 * _sines(x)[1])[:, None] / np.tan(x[:-1]))
-        return out
+    def diagonal(x):
+        # g_ii = prod_{j < i} sin^2(theta_j) and, as in dg,
+        # d_k g_ii = 2 g_ii cot_k for k < i
+        d = [1.0]
+        for t in x[:-1]:
+            s = math.sin(t)
+            d.append(d[-1] * (s * s))
+        tans = [math.tan(t) for t in x[:-1]]
+        dd = [[(2.0 * di) / tk for tk in tans[:i]] + [0.0] * (dim - i)
+              for i, di in enumerate(d)]
+        return d, dd
 
     # d_k d_l g_ii = g_ii (4 cot_k cot_l - 2 delta_kl csc^2_k) for k, l < i:
     # mask[i - 1, j - 1, k, l] = 1 where i = j and k, l < i
@@ -165,7 +177,7 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
         return out
 
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart, inv=inv,
-                         broadcasts=True, ddiag=ddiag)
+                         broadcasts=True, diagonal=diagonal)
     return chart, metric
 
 

@@ -83,23 +83,29 @@ class MagneticSystem:
             raise NonpositiveSpeed(f"speed must be positive, got {s}")
         if s == 1.0:
             return self
-        c = s ** -2
-        m = self.metric
+        c = float(s) ** -2            # a Python float, for the float closures
+        m, sg = self.metric, self.sigma
+        diagonal = sigma_v = None
+        if m.diagonal is not None:
+            def diagonal(x):
+                d, dd = m.diagonal(x)
+                return [c * u for u in d], [[c * u for u in row] for row in dd]
+        # a form built from the metric reads the original coefficients g / c;
+        # one paired with another metric would evaluate that one point-wise
+        own = sg.metric is None or sg.metric is m
+        if sg.sigma_v is not None and own:
+            def sigma_v(x, d, v):
+                return [c * u for u in sg.sigma_v(x, [e / c for e in d], v)]
         metric = MetricField(lambda x: c * m.raw(x),
                              dg=lambda x: c * m.dg(x),
                              d2g=lambda x: c * m.d2g(x),
                              h1=m.h1, h2=m.h2, chart=self.chart,
                              inv=lambda x, g: m.inverse(x, g / c) / c,
-                             broadcasts=m.broadcasts,
-                             ddiag=None if m.ddiag is None
-                             else (lambda x: c * m.ddiag(x)))
-        sg = self.sigma
-        # a form built from the metric reads the original coefficients g / c;
-        # one paired with another metric would evaluate that one point-wise
+                             broadcasts=m.broadcasts, diagonal=diagonal)
         sigma = TwoFormField(
             lambda x, g: c * sg.at(x, m, g / c),
             dsigma=lambda x, g, dg: c * sg.dsigma_at(x, m, g / c, dg / c),
             chart=self.chart, metric=metric,
-            broadcasts=sg.broadcasts and (sg.metric is None or sg.metric is m))
+            broadcasts=sg.broadcasts and own, sigma_v=sigma_v)
         return MagneticSystem(self.chart, metric, sigma,
                               vertical_field=self.vertical_field)

@@ -23,13 +23,14 @@ def unit(metric, x, v):
     return v / metric.norm(x, v)
 
 
-def counted_system(name, form, broadcasts=False, diagonal=True, **form_params):
-    """A built-in model whose metric closure, chart guard and diagonal
-    derivative `ddiag` count calls; its metric evaluates a batch point by
-    point unless it `broadcasts`, and declares no `ddiag` (so a stage takes
-    the `PointGeometry` path) unless it is `diagonal`."""
+def counted_system(name, form, broadcasts=False, lean=True, **form_params):
+    """A built-in model whose metric closure, chart guard and float closure
+    `diagonal` count calls; its metric evaluates a batch point by point
+    unless it `broadcasts`, and declares no `diagonal` (so an RK4 stage
+    takes the `PointGeometry` path) unless it is `lean`.  Its form is built
+    from the counted metric, with the form's own float closure `sigma_v`."""
     chart, metric = make_manifold(name)
-    calls = {"metric": 0, "ddiag": 0, "guard": 0}
+    calls = {"metric": 0, "diagonal": 0, "guard": 0}
 
     def counted(key, fn):
         def wrapper(x):
@@ -43,7 +44,8 @@ def counted_system(name, form, broadcasts=False, diagonal=True, **form_params):
                       sample_bounds=chart.sample_bounds)
     metric = MetricField(counted("metric", metric.raw), dg=metric.dg,
                          d2g=metric.d2g, chart=chart, broadcasts=broadcasts,
-                         ddiag=counted("ddiag", metric.ddiag) if diagonal else None)
+                         diagonal=counted("diagonal", metric.diagonal) if lean
+                         else None)
     sigma = make_form(form, chart.dim, metric, chart, **form_params)
     return MagneticSystem(chart, metric, sigma), calls
 

@@ -145,7 +145,7 @@ def test_curvature_evaluates_geometry_once(name, form, params):
                 lambda: magnetic_operator(sys, 1.5, x, v)):
         calls.update(metric=0, guard=0)
         run()
-        assert calls == {"metric": 1, "ddiag": 0, "guard": 1}
+        assert calls == {"metric": 1, "diagonal": 0, "guard": 1}
 
 
 @pytest.mark.parametrize("name, form, params", [
@@ -171,7 +171,7 @@ def test_sample_sectionals_evaluates_geometry_once(name, form, params,
     count = 20
     sample_sectionals(sys, 1.5, count, np.random.default_rng(3))
     assert len(sampling) == count
-    assert calls == {"metric": count, "ddiag": 0, "guard": sum(sampling)}
+    assert calls == {"metric": count, "diagonal": 0, "guard": sum(sampling)}
 
 
 def _user_metric_system(analytic):

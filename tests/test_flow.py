@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from magflow import (IntegratorConfig, MagneticSystem, MetricField, PhaseState,
                      christoffel, connector_split, dynamical_exp, integrate,
                      make_form, make_manifold, oddness_residual,
                      parallel_transport, variational_flow)
-from magflow.errors import DomainExit, StepLimitExceeded
-from magflow.flow import _BLOCK_STEPS, generator, generator_jacobian
+from magflow.errors import DomainExit, DomainViolation, StepLimitExceeded
+from magflow.flow import (_BLOCK_STEPS, _rk4_path, _stage, generator,
+                          generator_jacobian)
 from magflow.geometry import dchristoffel
 
 from conftest import MODEL_NAMES, counted_system, strength, system, unit
@@ -60,42 +63,47 @@ def test_semi_spray_consistency(rng):
 def test_geometry_evaluated_once_per_point(name, form, params):
     # one RK4 stage of every flow evaluates the metric and runs the chart
     # guard exactly once, at its single point; a chart without a guard runs
-    # none.  A diagonal metric's stage reads `ddiag` once and builds no
-    # `PointGeometry`, also on the rescaled system (s^-2 g, s^-2 sigma);
-    # without `ddiag` the stage takes the generic path
+    # none.  A lean stage reads the float closure `diagonal` in place of the
+    # metric and builds no `PointGeometry`, also on the rescaled system
+    # (s^-2 g, s^-2 sigma); without `diagonal` the stage takes the
+    # `PointGeometry` path and evaluates the metric itself
     for broadcasts in (False, True):
-        for diagonal in (True, False):
-            sys, calls = counted_system(name, form, broadcasts, diagonal,
-                                        **params)
+        for lean in (True, False):
+            sys, calls = counted_system(name, form, broadcasts, lean, **params)
             guarded = sys.chart.domain_guard is not None
             n = sys.dim
             x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
             v = np.linspace(0.3, -0.4, n)
-            for s in (1.0, 1.7):
-                calls.update(metric=0, ddiag=0, guard=0)
-                generator(sys.rescale(s), x, v)
-                assert calls == {"metric": 1, "ddiag": int(diagonal),
-                                 "guard": int(guarded)}, ("generator", s,
-                                                          diagonal)
-            # one RK4 step of the linear flows: one metric evaluation and
-            # one guard call at each of its four stages, and the guard calls
-            # at the start point and the new node; the block pass rebuilding
-            # the geometry at the four recorded stage points evaluates the
-            # metric once on the batch, or once per point when the metric
-            # does not broadcast, and runs no guard
             st, cfg = PhaseState(x=x, v=v), IntegratorConfig(step=1e-2)
-            flows = {
-                "variational": lambda: variational_flow(sys, st, 1e-2, cfg),
-                "transport": lambda: parallel_transport(
-                    sys, st, np.eye(n)[1], 1e-2, cfg),
-            }
-            for flow, run in flows.items():
-                calls.update(metric=0, ddiag=0, guard=0)
-                run()
-                assert calls == {"metric": 4 + (1 if broadcasts else 4),
-                                 "ddiag": 4 * diagonal,
-                                 "guard": 6 * guarded}, (flow, broadcasts,
-                                                         diagonal)
+            stage = {"metric": int(not lean), "diagonal": int(lean)}
+            # the metric on a batch of B points: once, or once per point
+            batch = (lambda B: 1) if broadcasts else (lambda B: B)
+            for s in (1.0, 1.7):
+                resc = sys.rescale(s)
+                calls.update(metric=0, diagonal=0, guard=0)
+                generator(resc, x, v)
+                assert calls == {**stage, "guard": int(guarded)}, (
+                    "generator", s, lean)
+                # one RK4 step: its four stages, and the guard calls at the
+                # start point and the new node.  `integrate` then reads the
+                # metric on its two nodes for the speed drift; the linear
+                # flows' block pass rebuilds the geometry at the four
+                # recorded stage points, and runs no guard
+                flows = {
+                    "integrate": (lambda: integrate(resc, st, 1e-2, cfg), 2),
+                    "variational": (lambda: variational_flow(
+                        resc, st, 1e-2, cfg), 4),
+                    "transport": (lambda: parallel_transport(
+                        resc, st, np.eye(n)[1], 1e-2, cfg), 4),
+                }
+                for flow, (run, points) in flows.items():
+                    calls.update(metric=0, diagonal=0, guard=0)
+                    run()
+                    assert calls == {"metric": 4 * stage["metric"]
+                                     + batch(points),
+                                     "diagonal": 4 * stage["diagonal"],
+                                     "guard": 6 * guarded}, (
+                                         flow, s, broadcasts, lean)
 
 
 _PAIRS = [(name, form) for name in MODEL_NAMES
@@ -105,12 +113,12 @@ _PAIRS = [(name, form) for name in MODEL_NAMES
 
 @pytest.mark.parametrize("name, form", _PAIRS)
 def test_lean_stage_matches_point_geometry_stage(name, form):
-    # the diagonal-metric stage and the `PointGeometry` stage (the same
-    # model with its `ddiag` withheld) give the same orbit and the same
-    # variational J over more than two blocks, on the model and rescaled
+    # the float stage and the `PointGeometry` stage (the same model with its
+    # `diagonal` withheld) give the same orbit and the same variational J
+    # over more than two blocks, on the model and rescaled
     assert len(_PAIRS) == 14
     lean, generic = (system(name, form, **strength(form, 1.3)) for _ in "ab")
-    generic.metric.ddiag = None
+    generic.metric.diagonal = None
     n = lean.dim
     x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.1)
     v = unit(lean.metric, x, np.linspace(0.3, -0.4, n))
@@ -118,13 +126,26 @@ def test_lean_stage_matches_point_geometry_stage(name, form):
     T = (2 * _BLOCK_STEPS + 10) * cfg.step
     for s in (1.0, 1.7):
         a, b = lean.rescale(s), generic.rescale(s)
-        assert a.metric.ddiag is not None and b.metric.ddiag is None
+        assert a.metric.diagonal is not None and b.metric.diagonal is None
         st = PhaseState(x=x, v=v)
         ta, tb = integrate(a, st, T, cfg), integrate(b, st, T, cfg)
         assert not ta.exited and ta.states.shape == tb.states.shape
         Ja, Jb = variational_flow(a, st, T, cfg), variational_flow(b, st, T, cfg)
-        for p, q in ((ta.states, tb.states), (Ja, Jb)):
+        # fast along the first coordinate, an orbit leaves a guarded chart,
+        # and both stages end it at the same node
+        fast = PhaseState(x=x, v=20.0 * unit(a.metric, x, np.eye(n)[0]))
+        ea, eb = integrate(a, fast, T, cfg), integrate(b, fast, T, cfg)
+        assert ea.exited == eb.exited == (a.chart.domain_guard is not None)
+        assert ea.states.shape == eb.states.shape
+        for p, q in ((ta.states, tb.states), (Ja, Jb), (ea.states, eb.states)):
             assert np.abs(p - q).max() <= 1e-12 * np.abs(q).max(), (s, p, q)
+        # T = 0 takes no step, and the step budget holds on both stages
+        for c in (a, b):
+            start = integrate(c, st, 0.0, cfg)
+            assert np.array_equal(start.states, [np.concatenate([x, v])])
+            assert np.array_equal(start.times, [0.0])
+            with pytest.raises(StepLimitExceeded):
+                integrate(c, st, T, IntegratorConfig(step=1e-2, max_steps=10))
 
 
 def test_generator_and_jacobian_match_tensor_formulas(rng):
@@ -219,12 +240,91 @@ def test_rk4_node_times_land_on_the_horizon():
         assert abs(times[-1] - T) <= np.spacing(T), (T, h)
 
 
+def _array_rk4(sys, acc, x, v, T, step):
+    """Reference: RK4 on the array y = (x, v), with the stage `acc` at each
+    stage's lists and the chart guard at each new node; returns the nodes
+    and whether the orbit left the chart."""
+    n = sys.dim
+    nsteps = max(int(T > 0), int(round(T / step)))
+    hh = T / max(nsteps, 1)
+
+    def f(y):
+        return np.concatenate([y[n:], acc(y[:n].tolist(), y[n:].tolist())])
+
+    y = np.concatenate([x, v])
+    path = [y]
+    for _ in range(nsteps):
+        try:
+            k1 = f(y)
+            k2 = f(y + 0.5 * hh * k1)
+            k3 = f(y + 0.5 * hh * k2)
+            k4 = f(y + hh * k3)
+        except DomainViolation:
+            return np.array(path), True
+        y = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not sys.chart.contains(y[:n]):
+            return np.array(path), True
+        path.append(y)
+    return np.array(path), False
+
+
+@pytest.mark.parametrize("case", ["poincare_disk-area_form", "round_sphere3-constant",
+                                  "rescaled-ball-constant", "fd-only-metric",
+                                  "custom-vertical-field", "escaping-disk"])
+def test_rk4_driver_matches_array_rk4(case):
+    # the list driver takes the array RK4's steps to the bit, given the same
+    # stage, and stops where it leaves the chart; the node times are k h
+    escaping = case == "escaping-disk"
+    sys = (system("poincare_disk", "zero") if escaping
+           else _VARIATIONAL_CASES[case]())
+    n = sys.dim
+    x = np.full(n, np.pi / 2 - 0.2) if "sphere" in case else np.full(n, 0.1)
+    v = (1.0 if escaping else 0.5) * unit(sys.metric, x, np.linspace(0.3, -0.4, n))
+    cfg = IntegratorConfig(step=1e-2)
+    T = 10.0 if escaping else 1.23
+    stage = _stage(sys)
+    times, path, exited = _rk4_path(sys, x.tolist(), v.tolist(), T, cfg)
+    ref, ref_exited = _array_rk4(sys, stage, x, v, T, cfg.step)
+    assert exited == ref_exited == escaping
+    assert np.array_equal(path, ref)
+    assert np.array_equal(times, np.arange(len(ref)) * (T / round(T / cfg.step)))
+
+
+def test_huge_speed_exits_without_a_warning():
+    # at speed 1e200 the float stage overflows to inf and nan, never to an
+    # exception or a floating-point warning, and the first stage step
+    # leaves the disk: a flagged partial trajectory of the initial node
+    sys = system("poincare_disk", "area_form", b=1.0)
+    x = np.array([0.1, 0.0])
+    st = PhaseState(x=x, v=1e200 * unit(sys.metric, x, [1.0, 0.5]), s=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(sys, st, 1.0, IntegratorConfig(step=1e-2))
+    assert traj.exited
+    assert np.array_equal(traj.states, [np.concatenate([st.x, st.v])])
+
+
 def test_negative_horizon_rejected():
     sys = system("euclidean", "constant", {"dim": 2}, b=1.0)
     st = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]))
     for run in (integrate, variational_flow):
         with pytest.raises(ValueError, match="nonnegative"):
             run(sys, st, -3.0, IntegratorConfig(step=1e-2))
+
+
+def test_trajectory_csv_matches_per_element_formatting():
+    # the rows are the repr of every float, as formatting each element on
+    # its own gives, and an exited orbit ends in `# exited,True`
+    sys = system("poincare_ball", "constant", b=0.5)
+    x = np.array([0.1, -0.2, 0.05])
+    st = PhaseState(x=x, v=unit(sys.metric, x, [0.3, 0.5, -0.2]))
+    traj = integrate(sys, st, 50.0, IntegratorConfig(step=1e-2))
+    assert traj.exited
+    rows = ["t,x1,x2,x3,v1,v2,v3,speed_drift"]
+    for t, y, d in zip(traj.times, traj.states, traj.drift_per_node):
+        rows.append(",".join([repr(float(t))] + [repr(float(u)) for u in y]
+                             + [repr(float(d))]))
+    assert traj.to_csv() == "\n".join(rows + ["# exited,True", ""])
 
 
 def test_trajectory_csv_header():

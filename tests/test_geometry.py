@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from magflow import (ChartSpec, MetricField, christoffel, connector_split,
-                     make_manifold, orthonormal_completion, riemann, sectional)
+from magflow import (ChartSpec, MagneticSystem, MetricField, christoffel,
+                     connector_split, make_form, make_manifold,
+                     orthonormal_completion, riemann, sectional)
 from magflow.errors import DegeneratePlane, DomainViolation, ZeroVector
 from magflow.geometry import PointGeometry, connector_reconstruct, project
 
-from conftest import unit
+from conftest import strength, unit
 
 
 # -- metric evaluation -----------------------------------------------------
@@ -186,24 +187,78 @@ _BUILTINS = [("euclidean", {"dim": 2}), ("euclidean", {"dim": 3}),
              ("round_sphere", {"dim": 4})]
 
 
+def _point_in(chart, unit_point):
+    """The point of the chart's sample box at the fractions `unit_point`."""
+    lo, hi = chart.sample_bounds
+    return lo + (hi - lo) * np.array(unit_point[:chart.dim])
+
+
+def _close(got, want):
+    got = np.array(got)
+    return (got.shape == want.shape
+            and np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max()))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(model=st.sampled_from(_BUILTINS),
-       unit_point=st.lists(st.floats(0, 1), min_size=4, max_size=4))
-def test_builtin_metrics_are_diagonal_with_ddiag_from_dg(model, unit_point):
-    # `ddiag` declares a diagonal g and equals the diagonal of dg:
-    # ddiag[i, k] = dg[i, i, k]
+       unit_point=st.lists(st.floats(0, 1), min_size=4, max_size=4),
+       s=st.sampled_from([1.0, 1.7]))
+def test_builtin_diagonal_closure_matches_raw_and_dg(model, unit_point, s):
+    # `diagonal` declares a diagonal g; on floats at one point it gives g's
+    # diagonal d[i] = g_ii and dd[i][k] = dg[i, i, k] as lists, also on the
+    # rescaled metric s^-2 g
     name, params = model
-    chart, g = make_manifold(name, **params)
-    lo, hi = chart.sample_bounds
-    x = lo + (hi - lo) * np.array(unit_point[:chart.dim])
+    chart, metric = make_manifold(name, **params)
+    g = MagneticSystem(chart, metric, make_form("zero", chart.dim)).rescale(
+        s).metric
+    x = _point_in(chart, unit_point)
     assume(chart.contains(x))
-    gx = g(x)
+    gx = g.raw(x)
     assert np.array_equal(gx, np.diag(np.diag(gx)))
-    dg = g.dg(x)
-    diag = np.einsum("iik->ik", dg)
-    dd = g.ddiag(x)
-    assert dd.shape == (chart.dim, chart.dim)
-    assert np.abs(dd - diag).max() <= 1e-14 * max(1.0, np.abs(diag).max())
+    d, dd = g.diagonal(x.tolist())
+    assert all(type(u) is float for u in d + [u for row in dd for u in row])
+    assert _close(d, np.diag(gx))
+    assert _close(dd, np.einsum("iik->ik", g.dg(x)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=st.sampled_from(_BUILTINS),
+       form=st.sampled_from(["zero", "constant", "area_form"]),
+       unit_point=st.lists(st.floats(0, 1), min_size=4, max_size=4),
+       v=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+       b=st.floats(-3, 3), s=st.sampled_from([1.0, 1.7]))
+def test_builtin_form_closure_matches_at(model, form, unit_point, v, b, s):
+    # `sigma_v` at one point, given g's diagonal there, is sigma v, also on
+    # the rescaled system (s^-2 g, s^-2 sigma)
+    name, params = model
+    chart, metric = make_manifold(name, **params)
+    assume(form != "area_form" or chart.dim == 2)
+    sys = MagneticSystem(chart, metric, make_form(
+        form, chart.dim, metric, chart, **strength(form, b))).rescale(s)
+    x = _point_in(chart, unit_point)
+    assume(chart.contains(x))
+    v = np.array(v[:chart.dim])
+    g, sigma = sys.metric, sys.sigma
+    d, _ = g.diagonal(x.tolist())
+    got = sigma.sigma_v(x.tolist(), d, v.tolist())
+    assert all(type(u) is float for u in got)
+    assert _close(got, sigma.at(x, g, g.raw(x)) @ v)
+
+
+def test_box_sampler_draws_as_uniform():
+    # a chart's sampler draws rng.uniform(lo, hi) to the bit until the guard
+    # admits a point (the ball's box has corners outside it), and leaves the
+    # generator in the same state
+    for name in ("poincare_ball", "round_sphere"):
+        chart, _ = make_manifold(name)
+        lo, hi = chart.sample_bounds
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            y = theirs.uniform(lo, hi)
+            while not chart.contains(y):
+                y = theirs.uniform(lo, hi)
+            assert np.array_equal(chart.sample_point(ours), y)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # -- projections and the connector -----------------------------------------
