@@ -59,8 +59,6 @@ _common = [
     click.option("--threads", type=click.IntRange(min=1), default=1,
                  help="accepted for interface stability; all computations "
                       "are deterministic and single-threaded"),
-    click.option("--tolerance", type=click.FloatRange(min=0, min_open=True),
-                 default=None, help="override params/tolerance"),
 ]
 
 
@@ -68,14 +66,12 @@ def scenario_command(name):
     """Register a subcommand with the shared flags and error-to-exit mapping."""
     def deco(fn):
         @wraps(fn)
-        def wrapper(scenario_file, out, seed, threads, tolerance):
+        def wrapper(scenario_file, out, seed, threads):
             _setup_logging()
             try:
                 sc = load_scenario(scenario_file, command=name)
                 if seed is not None:
                     sc["seed"] = seed
-                if tolerance is not None and "tolerance" in sc["params"]:
-                    sc["params"]["tolerance"] = tolerance
                 fn(sc, out)
             except ScenarioInvalid as exc:
                 click.echo(f"scenario error: {exc}", err=True)

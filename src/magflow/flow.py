@@ -175,15 +175,12 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
 def _lean_acceleration(sys: MagneticSystem):
     """The magnetic acceleration on Python floats, acc(x, v) -> list of n
     floats at lists x, v of n floats, unguarded; None unless the system is
-    magnetic, its metric gives `diagonal` and its form gives `sigma_v` (a
-    form built from a metric, from this one).
+    magnetic, its metric gives `diagonal` and its form gives `sigma_v`.
 
     For a diagonal g, gamma_low(v, v)_l = v_l (dd v)_l - 1/2 sum_j v_j^2
     dd[j][l] with dd[i][k] = d_k g_ii, and g^-1 divides by g's diagonal d."""
-    metric, form = sys.metric, sys.sigma
-    diagonal, sigma_v = metric.diagonal, form.sigma_v
-    if (not sys.is_magnetic or diagonal is None or sigma_v is None
-            or form.metric is not None and form.metric is not metric):
+    diagonal, sigma_v = sys.metric.diagonal, sys.sigma.sigma_v
+    if not sys.is_magnetic or diagonal is None or sigma_v is None:
         return None
 
     def acc(x, v):

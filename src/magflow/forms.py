@@ -24,21 +24,21 @@ class TwoFormField:
     (x, g) and its dsigma (x, g, dg), with g and dg that metric's
     coefficients and first derivatives at x.  `at` and `dsigma_at` take them
     from a caller that holds them already, so that the metric is evaluated
-    once per point; they take a point x (n,) or a batch X (B, n), with g and
-    dg stacked alike, and return their values at each row of a batch
-    stacked along axis 0.  broadcasts declares that every closure (eval_fn
-    and dsigma) accepts x (and g, dg) of shape (..., n) (and (..., n, n),
-    (..., n, n, n)), returning its values stacked along the same leading
-    axes, or one array for every point; only then is a closure called on a
-    whole batch, and otherwise once per row.  It takes effect only when
-    dsigma is given, since the finite differences are taken point by point,
-    and not for a form paired with another metric than its own.
+    once per point; a form not built from a metric ignores them.  They take
+    a point x (n,) or a batch X (B, n), with g and dg stacked alike, and
+    return their values at each row of a batch stacked along axis 0.
+    broadcasts declares that every closure (eval_fn and dsigma) accepts x
+    (and g, dg) of shape (..., n) (and (..., n, n), (..., n, n, n)),
+    returning its values stacked along the same leading axes, or one array
+    for every point; only then is a closure called on a whole batch, and
+    otherwise once per row.  It takes effect only when dsigma is given,
+    since the finite differences are taken point by point.
     sigma_v is an optional closure (x, d, v) -> list, sigma v at one point,
     (sigma v)_i = sum_j sigma_ij v_j, with x, v and d lists of n floats; d
-    is g's diagonal at x, of this form's metric (a diagonal one, see
-    `MetricField.diagonal`) when it is built from one.  With the metric's
-    `diagonal` it lets an RK4 stage of `flow` run on Python floats.  A list
-    it returns is only read, so it may return the same list at every call.
+    is g's diagonal at x (of a diagonal metric, see `MetricField.diagonal`).
+    With the metric's `diagonal` it lets an RK4 stage of `flow` run on
+    Python floats.  A list it returns is only read, so it may return the
+    same list at every call.
     """
 
     def __init__(self, eval_fn, dsigma=None,
@@ -61,13 +61,13 @@ class TwoFormField:
     def raw(self, x) -> np.ndarray:
         return self._coeffs(np.asarray(x, dtype=float), None)
 
-    def at(self, x: np.ndarray, metric: MetricField, g: np.ndarray) -> np.ndarray:
-        """sigma at x, unguarded, given the coefficients g of `metric` at x;
-        g is used only when this form is built from that very metric."""
+    def at(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """sigma at x, unguarded, given the coefficients g of this form's
+        metric at x."""
         if x.ndim == 1:
-            return self._coeffs(x, g if metric is self.metric else None)
-        return _on_batch(lambda x, g: self.at(x, metric, g),
-                         self._broadcasts_with(metric) and self._coeffs, 2, x, g)
+            return self._coeffs(x, g)
+        return _on_batch(self._coeffs, self.broadcasts and self._coeffs,
+                         2, x, g)
 
     def _coeffs(self, x, g):
         if self.metric is None:
@@ -80,19 +80,13 @@ class TwoFormField:
         """dsig[i, j, k] = d sigma_ij / d x^k."""
         return self._dcoeffs(np.asarray(x, dtype=float), None, None)
 
-    def dsigma_at(self, x: np.ndarray, metric: MetricField, g: np.ndarray,
+    def dsigma_at(self, x: np.ndarray, g: np.ndarray,
                   dg: np.ndarray) -> np.ndarray:
-        """`dsigma` at x given `metric`'s g and dg there, as in `at`."""
+        """`dsigma` at x given the metric's g and dg there, as in `at`."""
         if x.ndim == 1:
-            if metric is not self.metric:
-                g = dg = None
             return self._dcoeffs(x, g, dg)
-        return _on_batch(lambda x, g, dg: self.dsigma_at(x, metric, g, dg),
-                         self._broadcasts_with(metric) and self._dcoeffs,
+        return _on_batch(self._dcoeffs, self.broadcasts and self._dcoeffs,
                          3, x, g, dg)
-
-    def _broadcasts_with(self, metric: MetricField) -> bool:
-        return self.broadcasts and (self.metric is None or metric is self.metric)
 
     def _dcoeffs(self, x, g, dg):
         if self._dsigma is None:

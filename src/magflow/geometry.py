@@ -120,34 +120,31 @@ class MetricField:
 
     dg / d2g are optional analytic closures; when absent, central
     differences with steps h1 (first order) and h2 (second order) are used.
-    inv is an optional analytic closure (x, g) -> g^-1, given the
-    coefficients g at x; when absent, g is inverted numerically.
-    `raw`, `dg`, `d2g` and `inverse` take a point x (n,) or a batch X
-    (B, n), with g stacked alike, and return their values at each row of a
-    batch stacked along axis 0.  broadcasts declares that every closure
-    (eval_fn, dg, d2g and inv) accepts points of shape (..., n), and inv
-    coefficients of shape (..., n, n), returning its values stacked along
-    the same leading axes, or one array for every point; only then is a
-    closure called on a whole batch, and otherwise once per row.  It takes
-    effect only when dg and d2g are given, since the finite differences are
-    taken point by point.
+    `raw`, `dg` and `d2g` take a point x (n,) or a batch X (B, n) and
+    return their values at each row of a batch stacked along axis 0.
+    broadcasts declares that every closure (eval_fn, dg and d2g) accepts
+    points of shape (..., n), returning its values stacked along the same
+    leading axes, or one array for every point; only then is a closure
+    called on a whole batch, and otherwise once per row.  It takes effect
+    only when dg and d2g are given, since the finite differences are taken
+    point by point.
     diagonal is an optional closure at one point, given as a list x of n
     floats, that returns (d, dd): g's diagonal d[i] = g_ii and its
     derivative dd[i][k] = d g_ii / d x^k, as a list of n floats and a list
-    of n such lists.  Giving it declares that g is diagonal, and lets an RK4
-    stage of `flow` read the magnetic acceleration on Python floats, with
-    no `PointGeometry`.  Its lists are only read, so it may return the same
-    lists at every call.  It multiplies state-dependent floats rather than
-    raising them to a power: a product overflows to inf, where ** raises.
+    of n such lists.  Giving it declares that g is diagonal: `inverse` then
+    divides by g's diagonal, and an RK4 stage of `flow` reads the magnetic
+    acceleration on Python floats, with no `PointGeometry`.  Its lists are
+    only read, so it may return the same lists at every call.  It
+    multiplies state-dependent floats rather than raising them to a power:
+    a product overflows to inf, where ** raises.
     """
 
     def __init__(self, eval_fn, dg=None, d2g=None, h1: float = 1e-5,
                  h2: float = 1e-4, chart: Optional[ChartSpec] = None,
-                 inv=None, broadcasts: bool = False, diagonal=None):
+                 broadcasts: bool = False, diagonal=None):
         self._eval = eval_fn
         self._dg = dg
         self._d2g = d2g
-        self._inv = inv
         self.diagonal = diagonal
         self.h1 = h1
         self.h2 = h2
@@ -168,13 +165,13 @@ class MetricField:
             return np.asarray(self._eval(x), dtype=float)
         return _on_batch(self.raw, self.broadcasts and self._eval, 2, x)
 
-    def inverse(self, x, g: np.ndarray) -> np.ndarray:
-        """g^-1 at x, given the coefficients g at x."""
-        if self._inv is None:
+    def inverse(self, g: np.ndarray) -> np.ndarray:
+        """g^-1 from the coefficients g at a point (n, n) or a batch
+        (B, n, n): the reciprocal of g's diagonal where `diagonal` declares
+        g diagonal, otherwise numerically."""
+        if self.diagonal is None:
             return np.linalg.inv(g)
-        if g.ndim == 2:
-            return np.asarray(self._inv(x, g), dtype=float)
-        return _on_batch(self.inverse, self.broadcasts and self._inv, 2, x, g)
+        return np.eye(g.shape[-1]) / g.diagonal(0, -2, -1)[..., None, :]
 
     def dg(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -237,11 +234,11 @@ class PointGeometry:
     chart point, evaluated once and shared by everything computed there.
 
     Construction runs the chart guard once (`chart` defaults to the
-    metric's) and evaluates g, dg, g^-1 (analytic, or the one factorisation
-    of g) and the lowered Christoffel symbols
-    gamma_low[l, j, k] = g_li Gamma^i_{jk}; g is taken as given when the
-    caller holds it already.  With a 2-form it also evaluates sigma, handing
-    it g so that a form built from the metric does not evaluate the metric
+    metric's) and evaluates g, dg, g^-1 (see `MetricField.inverse`) and the
+    lowered Christoffel symbols gamma_low[l, j, k] = g_li Gamma^i_{jk}; g
+    is taken as given when the caller holds it already.  With a 2-form (one
+    built from this metric, if from any; see `MagneticSystem`) it also
+    evaluates sigma, handing it g so that the metric is not evaluated
     again.  At a batch of points X (B, n) that have already passed the guard
     (a linear flow's recorded stage points, a block of curvature samples)
     no guard runs; the same arrays are stacked along a leading axis, and
@@ -264,9 +261,9 @@ class PointGeometry:
         self.x = x
         self.g = g = metric.raw(x) if g is None else g
         self.dg = metric.dg(x)
-        self.ginv = metric.inverse(x, g)
+        self.ginv = metric.inverse(g)
         self.gamma_low = _gamma_low(self.dg)
-        self.sigma = None if form is None else form.at(x, metric, g)
+        self.sigma = None if form is None else form.at(x, g)
 
     def dgamma_low(self) -> np.ndarray:
         """dgamma_low[l, j, k, m] = d gamma_low[l, j, k] / d x^m."""
@@ -276,7 +273,7 @@ class PointGeometry:
 
     def dsigma(self) -> np.ndarray:
         """dsigma[i, j, k] = d sigma_ij / d x^k."""
-        return self.form.dsigma_at(self.x, self.metric, self.g, self.dg)
+        return self.form.dsigma_at(self.x, self.g, self.dg)
 
     def christoffel(self) -> np.ndarray:
         """Gamma[i, j, k] = Gamma^i_{jk}."""

@@ -3,16 +3,16 @@
 Registry keys: "euclidean", "flat_torus", "poincare_disk", "poincare_ball",
 "round_sphere".  Each builder returns (ChartSpec, MetricField) with analytic
 first and second derivative closures, so the finite-difference scheme can be
-used as an independent cross-check, and an analytic inverse of g.  Every
-array closure broadcasts over points of shape (..., dim).  All five metrics
-are diagonal, so each also gives `diagonal`, a closure on Python floats at
-one point: g's diagonal d and its derivative dd[i][k] = d_k g_ii as lists,
-from which an RK4 stage of `flow` reads the magnetic acceleration without
-the n x n x n dg.  The chart guards take a list of floats too.  Where the
-point axes are in the way, the array closures work on x.T (or g.T) and
-write through out.T, in which the point axes come last: an integer index
-there selects a coordinate at every point, and a per-point scalar
-broadcasts.
+used as an independent cross-check.  Every array closure broadcasts over
+points of shape (..., dim).  All five metrics are diagonal, so each also
+gives `diagonal`, a closure on Python floats at one point: g's diagonal d
+and its derivative dd[i][k] = d_k g_ii as lists.  It declares g diagonal,
+so that g^-1 is the reciprocal of g's diagonal, and from it an RK4 stage of
+`flow` reads the magnetic acceleration without the n x n x n dg.  The chart
+guards take a list of floats too.  Where the point axes are in the way,
+the array closures work on x.T (or g.T) and write through out.T, in which
+the point axes come last: an integer index there selects a coordinate at
+every point, and a per-point scalar broadcasts.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ def _flat(dim: int, low: float, high: float):
     zero2 = np.zeros((dim, dim, dim, dim))
     diagonal = [1.0] * dim, [[0.0] * dim for _ in range(dim)]
     metric = MetricField(lambda x: eye, dg=lambda x: zero1, d2g=lambda x: zero2,
-                         chart=chart, inv=lambda x, g: eye, broadcasts=True,
+                         chart=chart, broadcasts=True,
                          diagonal=lambda x: diagonal)
     return chart, metric
 
@@ -73,9 +73,6 @@ def _poincare(dim: int = 3, eps: float = 1e-3):
     def eval_fn(x):
         return _per_point(4.0 / (1.0 - np.vecdot(x, x)) ** 2) * eye
 
-    def inv(x, g):
-        return eye / _per_point(g.T[0, 0])
-
     def dg(x):
         u = 1.0 - np.vecdot(x, x)
         dcoef = (16.0 * x.T / u**3).T                # d_k (4 u^-2)
@@ -93,7 +90,7 @@ def _poincare(dim: int = 3, eps: float = 1e-3):
         row = [(16.0 / (u * u * u)) * t for t in x]
         return [4.0 / (u * u)] * dim, [row] * dim
 
-    metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart, inv=inv,
+    metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart,
                          broadcasts=True, diagonal=diagonal)
     return chart, metric
 
@@ -140,13 +137,6 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
             outT[k, i, i] = g2[i - 1] * cot[k]
         return out
 
-    def inv(x, g):
-        out = np.zeros(g.shape)
-        outT, gT = out.T, g.T
-        for i in range(dim):
-            outT[i, i] = 1.0 / gT[i, i]
-        return out
-
     tri = np.tri(dim - 1)
 
     def diagonal(x):
@@ -176,7 +166,7 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
                                              * inner[..., None, None, :, :])
         return out
 
-    metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart, inv=inv,
+    metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart,
                          broadcasts=True, diagonal=diagonal)
     return chart, metric
 

@@ -49,6 +49,9 @@ __all__ = [
 _RANK_TOL = 1e-8
 _TANGENT_TOL = 1e-8
 _FD_STEP = 1e-4  # finite-difference step of jacobian and hessian
+_ORBIT_NODES = 50  # orbit nodes projected by dynamic_consistency_check
+_ALPHA_DIRECTIONS = 2  # exp-image directions sampled by alpha_defect
+_ALPHA_QUAD = 64  # quadrature nodes on the unit tangent sphere of alpha_defect
 
 
 class ParamSubmanifold:
@@ -241,10 +244,11 @@ def _project_to_submanifold(N: ParamSubmanifold, y, q0, max_iter: int = 50):
 
 
 def dynamic_consistency_check(sys: MagneticSystem, N: ParamSubmanifold, p, v,
-                              T: float, cfg: Optional[IntegratorConfig] = None,
-                              nodes: int = 50) -> float:
-    """Integrate the flow from tangent data and return the max distance of
-    the sampled orbit to N (chart-coordinate distance via projection)."""
+                              T: float,
+                              cfg: Optional[IntegratorConfig] = None) -> float:
+    """Integrate the flow from tangent data and return the max distance to N
+    of `_ORBIT_NODES` evenly spaced orbit nodes (chart-coordinate distance
+    via projection)."""
     if not (0 < N.k < sys.dim):
         raise BadDimension("submanifold dimension must satisfy 0 < k < n")
     p = np.asarray(p, dtype=float)
@@ -254,7 +258,8 @@ def dynamic_consistency_check(sys: MagneticSystem, N: ParamSubmanifold, p, v,
     if abs(v @ gx @ v - 1.0) > 1e-8:
         raise NonUnitVector("direction must be g-unit")
     traj = integrate(sys, PhaseState(x=x, v=v, s=1.0), T, cfg)
-    idx = np.unique(np.linspace(0, len(traj.times) - 1, nodes).astype(int))
+    idx = np.unique(np.linspace(0, len(traj.times) - 1,
+                                _ORBIT_NODES).astype(int))
     worst = 0.0
     q = p.copy()
     for i in idx:
@@ -393,23 +398,22 @@ def _alpha_at(sys: MagneticSystem, N: ParamSubmanifold, p,
 
 
 def alpha_defect(sys: MagneticSystem, x, basis, radius: float = 0.5,
-                 radii=None, directions: int = 2, quad_count: int = 64,
                  cfg: Optional[IntegratorConfig] = None) -> DefectReport:
     """Quadrature defect of the exp-image hypersurface S_Pi.
 
-    Evaluates the fiber average of ||II^phi||^2 at x, and its pullback along
-    the augmented exponential at sampled (direction, t) pairs.  Zero (to
-    tolerance) exactly when S_Pi is totally invariant on the sample."""
+    Evaluates the fiber average of ||II^phi||^2 at x, with `_ALPHA_QUAD`
+    quadrature nodes, and its pullback along the augmented exponential in
+    `_ALPHA_DIRECTIONS` directions at t = 0.1, radius / 2 and radius.  Zero
+    (to tolerance) exactly when S_Pi is totally invariant on the sample."""
     x = np.asarray(x, dtype=float)
     B = np.asarray(basis, dtype=float)
     cfg = cfg or IntegratorConfig(step=1e-2)
     N = candidate_submanifold(sys, x, B, radius, cfg)
     k = N.k
-    sup0, mean0 = _alpha_at(sys, N, np.zeros(k), quad_count)
+    sup0, mean0 = _alpha_at(sys, N, np.zeros(k), _ALPHA_QUAD)
     sups, means = [sup0], [mean0]
-    if radii is None:
-        radii = [0.1, 0.5 * radius, radius]         # cutoff choice: t in [0.1, radius]
-    dirs = _unit_sphere_nodes(k, max(directions, 1))[:directions]
+    radii = [0.1, 0.5 * radius, radius]     # cutoff choice: t in [0.1, radius]
+    dirs = _unit_sphere_nodes(k, _ALPHA_DIRECTIONS)
     Bo = N.jacobian(np.zeros(k))
     for c in dirs:
         v = Bo @ c
@@ -421,14 +425,14 @@ def alpha_defect(sys: MagneticSystem, x, basis, radius: float = 0.5,
                 means.append(np.inf)
                 continue
             N2 = candidate_submanifold(sys, y, np.asarray(elem.basis), radius, cfg)
-            s2, m2 = _alpha_at(sys, N2, np.zeros(k), quad_count)
+            s2, m2 = _alpha_at(sys, N2, np.zeros(k), _ALPHA_QUAD)
             sups.append(s2)
             means.append(m2)
     return DefectReport(sup=float(np.max(sups)), mean=float(np.mean(means)),
                         samples=len(sups),
                         meta={"radius": radius, "radii": list(map(float, radii)),
-                              "directions": int(directions),
-                              "quad_count": quad_count})
+                              "directions": _ALPHA_DIRECTIONS,
+                              "quad_count": _ALPHA_QUAD})
 
 
 @dataclass

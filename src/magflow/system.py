@@ -25,11 +25,19 @@ def closedness_residual(sigma: TwoFormField, x) -> float:
 class MagneticSystem:
     """A chart, a metric, a closed 2-form, and an optional custom vertical
     field for general semi-spray flows (defaults to the Lorentz force Yv).
+
+    A form built from a metric must be built from this system's metric, so
+    that it reads the coefficients the system evaluates; one built from any
+    other metric raises `ValueError`.  A form that needs another metric's
+    coefficients is given as a closure of x alone, built from no metric.
     """
 
     def __init__(self, chart: ChartSpec, metric: MetricField,
                  sigma: TwoFormField,
                  vertical_field: Optional[Callable] = None):
+        if sigma.metric is not None and sigma.metric is not metric:
+            raise ValueError("the 2-form is built from another metric than "
+                             "the system's")
         self.chart = chart
         self.metric = metric
         self.sigma = sigma
@@ -90,22 +98,19 @@ class MagneticSystem:
             def diagonal(x):
                 d, dd = m.diagonal(x)
                 return [c * u for u in d], [[c * u for u in row] for row in dd]
-        # a form built from the metric reads the original coefficients g / c;
-        # one paired with another metric would evaluate that one point-wise
-        own = sg.metric is None or sg.metric is m
-        if sg.sigma_v is not None and own:
+        # a form built from the metric reads the original coefficients g / c
+        if sg.sigma_v is not None:
             def sigma_v(x, d, v):
                 return [c * u for u in sg.sigma_v(x, [e / c for e in d], v)]
         metric = MetricField(lambda x: c * m.raw(x),
                              dg=lambda x: c * m.dg(x),
                              d2g=lambda x: c * m.d2g(x),
                              h1=m.h1, h2=m.h2, chart=self.chart,
-                             inv=lambda x, g: m.inverse(x, g / c) / c,
                              broadcasts=m.broadcasts, diagonal=diagonal)
         sigma = TwoFormField(
-            lambda x, g: c * sg.at(x, m, g / c),
-            dsigma=lambda x, g, dg: c * sg.dsigma_at(x, m, g / c, dg / c),
-            chart=self.chart, metric=metric,
-            broadcasts=sg.broadcasts and own, sigma_v=sigma_v)
+            lambda x, g: c * sg.at(x, g / c),
+            dsigma=lambda x, g, dg: c * sg.dsigma_at(x, g / c, dg / c),
+            chart=self.chart, metric=metric, broadcasts=sg.broadcasts,
+            sigma_v=sigma_v)
         return MagneticSystem(self.chart, metric, sigma,
                               vertical_field=self.vertical_field)

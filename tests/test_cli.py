@@ -273,6 +273,14 @@ def test_command_mismatch_rejected(tmp_path):
     assert "command" in res.output
 
 
+def test_tolerance_is_not_an_option(tmp_path):
+    # a tolerance is set only through the scenario's params/tolerance
+    sc = _write_scenario(tmp_path, params={"T": 0.1})
+    res = _run(["lyapunov", sc, "--out", str(tmp_path), "--tolerance", "1e-3"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
 # ---------------------------------------------------------------------------
 # numerical failures
 

@@ -189,8 +189,7 @@ def _user_metric_system(analytic):
 
     if analytic:
         user = MetricField(point_only(metric.raw), dg=point_only(metric.dg),
-                           d2g=point_only(metric.d2g), chart=chart,
-                           inv=point_only(metric.inverse))
+                           d2g=point_only(metric.d2g), chart=chart)
     else:
         user = MetricField(point_only(metric.raw), chart=chart)
     return MagneticSystem(chart, user,

@@ -517,7 +517,7 @@ def test_variational_d2g_once_per_block():
         return metric.d2g(x)
 
     counted = MetricField(metric.raw, dg=metric.dg, d2g=d2g, chart=chart,
-                          inv=metric.inverse, broadcasts=True)
+                          broadcasts=True)
     sys = MagneticSystem(chart, counted,
                          make_form("constant", 3, counted, chart, b=1.0))
     x = np.array([0.1, -0.2, 0.05])

@@ -43,8 +43,18 @@ def test_analytic_inverse_matches_numerical(model, rng):
     for _ in range(5):
         x = chart.sample_point(rng)
         g = metric(x)
-        assert np.allclose(metric.inverse(x, g), np.linalg.inv(g),
+        assert np.allclose(metric.inverse(g), np.linalg.inv(g),
                            rtol=1e-14, atol=0), name
+
+
+def test_builtin_inverse_is_reciprocal_diagonal(model, rng):
+    # every built-in metric declares `diagonal`, so g^-1 is the reciprocal
+    # of g's diagonal to the bit, at one point and on a batch
+    name, chart, metric = model
+    G = metric.raw(np.array([chart.sample_point(rng) for _ in range(50)]))
+    want = np.array([np.diag(1.0 / np.diag(g)) for g in G])
+    assert np.array_equal(metric.inverse(G[0]), want[0]), name
+    assert np.array_equal(metric.inverse(G), want), name
 
 
 def test_d2g_batch_matches_point_calls(rng):
@@ -242,7 +252,7 @@ def test_builtin_form_closure_matches_at(model, form, unit_point, v, b, s):
     d, _ = g.diagonal(x.tolist())
     got = sigma.sigma_v(x.tolist(), d, v.tolist())
     assert all(type(u) is float for u in got)
-    assert _close(got, sigma.at(x, g, g.raw(x)) @ v)
+    assert _close(got, sigma.at(x, g.raw(x)) @ v)
 
 
 def test_box_sampler_draws_as_uniform():

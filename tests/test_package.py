@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 import ast
 import importlib
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -60,3 +61,15 @@ def test_traced_names_resolve():
         except (ImportError, AttributeError):
             missing.append(f"{module}:{attr}")
     assert not missing, missing
+
+
+def test_readme_names_every_subcommand():
+    # the README's list of subcommands, the CLI's and the scenario table's
+    # `params` name the same subcommands, so a rename shows up here
+    from magflow.cli import main
+    from magflow.scenario import PARAMS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Subcommands:(.*?)\.\s", readme, re.S).group(1)
+    names = re.findall(r"`([^`]+)`", listed)
+    assert len(names) == len(set(names)) == 14
+    assert set(names) == set(main.commands) == set(PARAMS)

@@ -345,6 +345,23 @@ def test_alpha_defect_misaligned_plane_positive():
     assert rep.sup > 1e-3
 
 
+def test_alpha_defect_hyperplanes_of_four_space():
+    # a 3-dimensional exp-image takes its directions on S^2 from a scrambled
+    # Sobol sequence pushed through the inverse normal: the same unit
+    # vectors at every call
+    nodes = submanifold._unit_sphere_nodes(3, 64)
+    assert nodes.shape == (64, 3)
+    assert np.array_equal(nodes, submanifold._unit_sphere_nodes(3, 64))
+    assert np.abs(np.linalg.norm(nodes, axis=1) - 1.0).max() < 1e-15
+    free = system("euclidean", "zero", {"dim": 4})
+    rep = alpha_defect(free, np.array([0.0, 0.0, 0.0, 1.0]), np.eye(4)[:, :3])
+    assert rep.sup < 1e-20
+    # under b dx^1 ^ dx^2, orbits tangent to e2 curl out of span{e2, e3, e4}
+    magnetic = system("euclidean", "constant", {"dim": 4}, b=1.0)
+    rep = alpha_defect(magnetic, np.zeros(4), np.eye(4)[:, 1:])
+    assert rep.sup > 0.5
+
+
 # -- Cartan probe ------------------------------------------------------------
 
 def test_cartan_probe_dimension_guard():

@@ -131,10 +131,9 @@ def test_dsigma_batch_matches_point_calls(rng):
         X = np.array([sys.chart.sample_point(rng) for _ in range(6)])
         G = np.array([sys.metric.raw(x) for x in X])
         DG = np.array([sys.metric.dg(x) for x in X])
-        single = np.array([sys.sigma.dsigma_at(x, sys.metric, g, dg)
+        single = np.array([sys.sigma.dsigma_at(x, g, dg)
                            for x, g, dg in zip(X, G, DG)])
-        assert np.array_equal(sys.sigma.dsigma_at(X, sys.metric, G, DG),
-                              single)
+        assert np.array_equal(sys.sigma.dsigma_at(X, G, DG), single)
 
 
 def test_every_closure_batch_matches_point_calls(rng):
@@ -158,10 +157,10 @@ def test_every_closure_batch_matches_point_calls(rng):
         DG = np.array([m.dg(x) for x in X])
         pairs = [(m.raw(X), G), (m.dg(X), DG),
                  (m.d2g(X), [m.d2g(x) for x in X]),
-                 (m.inverse(X, G), [m.inverse(x, g) for x, g in zip(X, G)]),
-                 (f.at(X, m, G), [f.at(x, m, g) for x, g in zip(X, G)]),
-                 (f.dsigma_at(X, m, G, DG),
-                  [f.dsigma_at(x, m, g, dg) for x, g, dg in zip(X, G, DG)])]
+                 (m.inverse(G), [m.inverse(g) for g in G]),
+                 (f.at(X, G), [f.at(x, g) for x, g in zip(X, G)]),
+                 (f.dsigma_at(X, G, DG),
+                  [f.dsigma_at(x, g, dg) for x, g, dg in zip(X, G, DG)])]
         for batch, single in pairs:
             single = np.array(single)
             assert batch.shape == single.shape
@@ -169,8 +168,8 @@ def test_every_closure_batch_matches_point_calls(rng):
 
 
 def test_batches_of_undeclared_closures_run_point_by_point(rng):
-    # closures not declared broadcasting, finite differences, and a form
-    # paired with another metric than its own are never handed a batch
+    # closures not declared broadcasting and finite differences are never
+    # handed a batch
     chart, metric = make_manifold("poincare_disk")
     seen = []
 
@@ -181,20 +180,18 @@ def test_batches_of_undeclared_closures_run_point_by_point(rng):
         return wrapper
 
     user = MetricField(point(metric.raw), dg=point(metric.dg),
-                       d2g=point(metric.d2g), inv=point(metric.inverse),
-                       chart=chart)
+                       d2g=point(metric.d2g), chart=chart)
     fd = MetricField(point(metric.raw), chart=chart, broadcasts=True)
     assert not user.broadcasts and not fd.broadcasts
     X = np.array([chart.sample_point(rng) for _ in range(3)])
     for m in (user, fd):
         m.d2g(X)
-        m.inverse(X, m.raw(X))
-    # the area form of `user`, paired with `metric`, reads `user` point-wise
+        m.inverse(m.raw(X))
+    # the area form of `user` reads `user`'s coefficients, taken point-wise
     area = make_form("area_form", 2, user, chart, b=1.0)
-    G, DG = metric.raw(X), metric.dg(X)
-    assert np.array_equal(area.at(X, metric, G),
-                          np.array([area(x) for x in X]))
-    assert np.array_equal(area.dsigma_at(X, metric, G, DG),
+    G, DG = user.raw(X), user.dg(X)
+    assert np.array_equal(area.at(X, G), np.array([area(x) for x in X]))
+    assert np.array_equal(area.dsigma_at(X, G, DG),
                           np.array([area.dsigma(x) for x in X]))
     assert seen and set(seen) == {(2,)}
 
@@ -242,18 +239,22 @@ def test_rescale_scales_metric_built_form(rng):
             assert np.array_equal(r.geometry(x).sigma, r.sigma(x))
 
 
-def test_metric_built_form_keeps_its_own_metric(rng):
-    # paired with another metric, the area form still reads the metric it
-    # was built from, not the coefficients of the system's metric
+def test_form_of_another_metric_is_rejected(rng):
+    # a form built from a metric belongs to that metric: paired with any
+    # other one, the system is refused, while a metric-free form and the
+    # form built from the system's own metric are accepted
     chart, metric = make_manifold("poincare_disk")
     area = make_form("area_form", 2, metric, chart, b=1.0)
     doubled = MetricField(lambda x: 2.0 * metric.raw(x),
                           dg=lambda x: 2.0 * metric.dg(x),
                           d2g=lambda x: 2.0 * metric.d2g(x), chart=chart)
-    geo = MagneticSystem(chart, doubled, area).geometry(
-        chart.sample_point(rng))
-    assert np.array_equal(geo.sigma, area(geo.x))
-    assert np.array_equal(geo.dsigma(), area.dsigma(geo.x))
+    with pytest.raises(ValueError, match="another metric"):
+        MagneticSystem(chart, doubled, area)
+    MagneticSystem(chart, doubled, make_form("constant", 2, doubled, chart))
+    own = MagneticSystem(chart, doubled,
+                         make_form("area_form", 2, doubled, chart, b=1.0))
+    x = chart.sample_point(rng)
+    assert np.array_equal(own.geometry(x).sigma, 2.0 * area(x))
 
 
 def test_rescale_preserves_christoffel(rng):
