@@ -18,9 +18,9 @@ from .geometry import (ChartSpec, CurvatureTensor, MetricField, TangentSplit,
                        christoffel, connector_split, gram_schmidt,
                        orthonormal_completion, riemann, sectional)
 from .models import MANIFOLDS, make_manifold
-from .submanifold import (CartanReport, DefectReport, HyperplaneElement,
-                          ParamSubmanifold, alpha_defect, augmented_exp,
-                          candidate_hypersurface,
+from .submanifold import (CartanReport, DefectReport, DynIIValue,
+                          HyperplaneElement, ParamSubmanifold, alpha_defect,
+                          augmented_exp, candidate_hypersurface,
                           candidate_submanifold, cartan_probe,
                           classical_II, dynamic_consistency_check,
                           dynamical_II, invariance_defect, make_submanifold)

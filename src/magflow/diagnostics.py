@@ -22,7 +22,6 @@ from .system import MagneticSystem
 
 __all__ = [
     "LyapunovReport",
-    "sasaki_frame_matrix",
     "lyapunov_spectrum",
     "transversality_angle",
     "volume_drift",
@@ -85,7 +84,7 @@ def _segmented_qr(sys, state, T, interval, cfg):
     Q = np.eye(2 * n)
     logs = np.zeros(2 * n)
     for _ in range(nseg):
-        Jseg, nxt = variational_flow(sys, cur, dt, cfg, return_final_state=True)
+        Jseg, nxt = variational_flow(sys, cur, dt, cfg)
         Tn = sasaki_frame_matrix(sys, nxt.x, nxt.v)
         A = Tn @ Jseg @ np.linalg.inv(Tm)
         Qn, R = np.linalg.qr(A @ Q)
@@ -114,11 +113,10 @@ def lyapunov_spectrum(sys: MagneticSystem, state: PhaseState, T: float,
     return LyapunovReport(exponents=exps, horizon=T, interval=interval)
 
 
-def _restricted_basis(sys, state):
-    """Euclidean-orthonormal (Sasaki coords) basis of the complement of the
-    flow direction and the speed-scaling direction."""
+def _restricted_basis(sys, state, T0):
+    """Euclidean-orthonormal basis, in the coordinates of the Sasaki frame T0
+    at `state`, of the complement of the flow and speed-scaling directions."""
     n = sys.dim
-    T0 = sasaki_frame_matrix(sys, state.x, state.v)
     X = T0 @ generator(sys, state.x, state.v)
     V = T0 @ np.concatenate([np.zeros(n), state.v])
     M = np.stack([X / np.linalg.norm(X), V / np.linalg.norm(V)])
@@ -138,11 +136,11 @@ def transversality_angle(sys: MagneticSystem, state: PhaseState, T: float,
     """
     cfg = cfg or IntegratorConfig(step=1e-2)
     n = sys.dim
-    J, end = variational_flow(sys, state, T, cfg, return_final_state=True)
+    J, end = variational_flow(sys, state, T, cfg)
     T0 = sasaki_frame_matrix(sys, state.x, state.v)
     T1 = sasaki_frame_matrix(sys, end.x, end.v)
     Jt = T1 @ J @ np.linalg.inv(T0)
-    P = _restricted_basis(sys, state)
+    P = _restricted_basis(sys, state, T0)
     A = Jt @ P
     U, S, Vt = np.linalg.svd(A)
     threshold = _GAP_FACTOR * (1.0 + T)
@@ -197,8 +195,7 @@ def conjugate_point_scan(sys: MagneticSystem, x, direction, t_max: float,
     J = np.eye(2 * n)
     t_prev = 0.0
     for i, t in enumerate(ts):
-        Jseg, cur = variational_flow(sys, cur, t - t_prev, cfg,
-                                     return_final_state=True)
+        Jseg, cur = variational_flow(sys, cur, t - t_prev, cfg)
         J = Jseg @ J
         t_prev = t
         gy = sys.metric(cur.x)

@@ -13,9 +13,9 @@ and `TwoFormField.sigma_v`, as every built-in model and form does) a stage
 runs the chart guard and reads g's diagonal, its derivative and sigma v at
 its point as floats; otherwise it builds the point's `PointGeometry` on
 arrays.  `generator` evaluates the same stage.  Nodes are stored as float64
-rows.  Speed drift along the orbit is recorded, never silently corrected
-(unless renormalization is explicitly enabled), so it can serve as an error
-indicator.
+rows.  Speed drift along the orbit, against the g-speed of its first node,
+is recorded, never silently corrected (unless renormalization is explicitly
+enabled), so it can serve as an error indicator.
 
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
@@ -34,6 +34,7 @@ where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
 from __future__ import annotations
 
 import io
+import logging
 from dataclasses import dataclass
 from functools import partial
 from operator import mul
@@ -57,6 +58,8 @@ __all__ = [
     "oddness_residual",
     "variational_flow",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,12 @@ class Trajectory:
     times: np.ndarray                 # (N,)
     states: np.ndarray                # (N, 2n)
     nominal_speed: float
-    speed_drift: float                # max relative g-norm deviation
     drift_per_node: np.ndarray        # (N,) relative g-norm deviation
     exited: bool = False              # orbit left the chart guard
+
+    @property
+    def speed_drift(self) -> float:   # max relative g-norm deviation
+        return float(self.drift_per_node.max())
 
     @property
     def n(self) -> int:
@@ -302,7 +308,9 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
               cfg: Optional[IntegratorConfig] = None) -> Trajectory:
     """Integrate the flow for time T.  On chart exit a partial trajectory is
     returned with `exited=True` rather than raising, since orbit escape is
-    informative for open-chart models."""
+    informative for open-chart models.  Drift is measured from the first
+    node's g-speed (or `state.s` if that is 0 or inf), which is logged as a
+    warning where it differs from `state.s`, the renormalization target."""
     cfg = cfg or IntegratorConfig()
     if not np.isfinite(T):
         raise ValueError("T must be finite")
@@ -315,9 +323,12 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
     g = sys.metric.raw(path[:, :n])
     V = path[:, n:]
     speeds = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", V, g, V), 0.0))
-    drifts = np.abs(speeds - state.s) / state.s
+    base = speeds[0] if 0.0 < speeds[0] < np.inf else state.s
+    if abs(speeds[0] - state.s) > 1e-8 * state.s:
+        log.warning("initial g-speed %r differs from the nominal speed %r",
+                    float(speeds[0]), state.s)
     return Trajectory(times=times, states=path, nominal_speed=state.s,
-                      speed_drift=float(drifts.max()), drift_per_node=drifts,
+                      drift_per_node=np.abs(speeds - base) / base,
                       exited=exited)
 
 
@@ -405,12 +416,9 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
 
 
 def variational_flow(sys: MagneticSystem, state: PhaseState, T: float,
-                     cfg: Optional[IntegratorConfig] = None,
-                     J0: Optional[np.ndarray] = None,
-                     return_final_state: bool = False):
-    """Solve Jdot = Df J along the orbit, J(0) = identity (or J0), in the
-    two passes of the module docstring; the orbit is `integrate`'s."""
-    J0 = np.eye(2 * sys.dim) if J0 is None else np.asarray(J0, dtype=float)
-    J, end = _linear_flow(sys, state, T, cfg,
-                          partial(_generator_jacobians, sys), J0, "variational")
-    return (J, end) if return_final_state else J
+                     cfg: Optional[IntegratorConfig] = None):
+    """Solve Jdot = Df J along the orbit, J(0) = identity, in the two passes
+    of the module docstring; returns J(T) and the end state of the orbit,
+    which is `integrate`'s."""
+    return _linear_flow(sys, state, T, cfg, partial(_generator_jacobians, sys),
+                        np.eye(2 * sys.dim), "variational")

@@ -24,7 +24,8 @@ class TwoFormField:
     (x, g) and its dsigma (x, g, dg), with g and dg that metric's
     coefficients and first derivatives at x.  `at` and `dsigma_at` take them
     from a caller that holds them already, so that the metric is evaluated
-    once per point; a form not built from a metric ignores them.  They take
+    once per point, or else evaluate them; a form of x alone ignores them.
+    These two are the form's evaluators.  They take
     a point x (n,) or a batch X (B, n), with g and dg stacked alike, and
     return their values at each row of a batch stacked along axis 0.
     broadcasts declares that every closure (eval_fn and dsigma) accepts x
@@ -56,46 +57,38 @@ class TwoFormField:
         x = np.asarray(x, dtype=float)
         if self.chart is not None:
             self.chart.require(x)
-        return self._coeffs(x, None)
+        return self.at(x)
 
     def raw(self, x) -> np.ndarray:
-        return self._coeffs(np.asarray(x, dtype=float), None)
+        return self.at(np.asarray(x, dtype=float))
 
-    def at(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """sigma at x, unguarded, given the coefficients g of this form's
-        metric at x."""
-        if x.ndim == 1:
-            return self._coeffs(x, g)
-        return _on_batch(self._coeffs, self.broadcasts and self._coeffs,
-                         2, x, g)
-
-    def _coeffs(self, x, g):
-        if self.metric is None:
-            return np.asarray(self._eval(x), dtype=float)
-        if g is None:
-            g = self.metric.raw(x)
-        return np.asarray(self._eval(x, g), dtype=float)
+    def at(self, x: np.ndarray, g: Optional[np.ndarray] = None) -> np.ndarray:
+        """sigma at x, unguarded."""
+        args = () if self.metric is None else (
+            self.metric.raw(x) if g is None else g,)
+        if x.ndim > 1:
+            return _on_batch(self.at, self.broadcasts and self._eval, 2, x,
+                             *args)
+        return np.asarray(self._eval(x, *args), dtype=float)
 
     def dsigma(self, x) -> np.ndarray:
         """dsig[i, j, k] = d sigma_ij / d x^k."""
-        return self._dcoeffs(np.asarray(x, dtype=float), None, None)
+        return self.dsigma_at(np.asarray(x, dtype=float))
 
-    def dsigma_at(self, x: np.ndarray, g: np.ndarray,
-                  dg: np.ndarray) -> np.ndarray:
-        """`dsigma` at x given the metric's g and dg there, as in `at`."""
-        if x.ndim == 1:
-            return self._dcoeffs(x, g, dg)
-        return _on_batch(self._dcoeffs, self.broadcasts and self._dcoeffs,
-                         3, x, g, dg)
-
-    def _dcoeffs(self, x, g, dg):
+    def dsigma_at(self, x: np.ndarray, g: Optional[np.ndarray] = None,
+                  dg: Optional[np.ndarray] = None) -> np.ndarray:
+        """`dsigma` at x, unguarded (by central differences of `raw` where
+        no dsigma closure is given)."""
+        args = ()
+        if self.metric is not None and self._dsigma is not None:
+            args = ((self.metric.raw(x), self.metric.dg(x)) if g is None
+                    else (g, dg))
+        if x.ndim > 1:
+            return _on_batch(self.dsigma_at, self.broadcasts and self._dsigma,
+                             3, x, *args)
         if self._dsigma is None:
             return _central_difference(self.raw, x, _FD_STEP)
-        if self.metric is None:
-            return np.asarray(self._dsigma(x), dtype=float)
-        if g is None:
-            g, dg = self.metric.raw(x), self.metric.dg(x)
-        return np.asarray(self._dsigma(x, g, dg), dtype=float)
+        return np.asarray(self._dsigma(x, *args), dtype=float)
 
 
 def _zero(dim: int, metric: MetricField = None, chart: ChartSpec = None):

@@ -14,6 +14,7 @@ Index conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 _GS_SKIP = 1e-8  # near-parallel seed threshold for Gram-Schmidt
+_FD_STEP1 = 1e-5  # central-difference step of dg without a closure
+_FD_STEP2 = 1e-4  # second-difference step of d2g without a closure
+_identity = cache(np.eye)  # the n x n identity, built once per n; only read
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ class MetricField:
     """Symmetric positive-definite coefficient field g_ij(x).
 
     dg / d2g are optional analytic closures; when absent, central
-    differences with steps h1 (first order) and h2 (second order) are used.
+    differences (steps `_FD_STEP1` and `_FD_STEP2`) are used.
     `raw`, `dg` and `d2g` take a point x (n,) or a batch X (B, n) and
     return their values at each row of a batch stacked along axis 0.
     broadcasts declares that every closure (eval_fn, dg and d2g) accepts
@@ -139,15 +143,13 @@ class MetricField:
     a product overflows to inf, where ** raises.
     """
 
-    def __init__(self, eval_fn, dg=None, d2g=None, h1: float = 1e-5,
-                 h2: float = 1e-4, chart: Optional[ChartSpec] = None,
-                 broadcasts: bool = False, diagonal=None):
+    def __init__(self, eval_fn, dg=None, d2g=None,
+                 chart: Optional[ChartSpec] = None, broadcasts: bool = False,
+                 diagonal=None):
         self._eval = eval_fn
         self._dg = dg
         self._d2g = d2g
         self.diagonal = diagonal
-        self.h1 = h1
-        self.h2 = h2
         self.chart = chart
         self.broadcasts = broadcasts and dg is not None and d2g is not None
 
@@ -155,8 +157,7 @@ class MetricField:
         x = np.asarray(x, dtype=float)
         if self.chart is not None:
             self.chart.require(x)
-        g = np.asarray(self._eval(x), dtype=float)
-        return g
+        return np.asarray(self._eval(x), dtype=float)
 
     def raw(self, x) -> np.ndarray:
         """Evaluate without the domain guard (used inside FD stencils)."""
@@ -171,14 +172,14 @@ class MetricField:
         g diagonal, otherwise numerically."""
         if self.diagonal is None:
             return np.linalg.inv(g)
-        return np.eye(g.shape[-1]) / g.diagonal(0, -2, -1)[..., None, :]
+        return _identity(g.shape[-1]) / g.diagonal(0, -2, -1)[..., None, :]
 
     def dg(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             if self._dg is not None:
                 return np.asarray(self._dg(x), dtype=float)
-            return _central_difference(self.raw, x, self.h1)
+            return _central_difference(self.raw, x, _FD_STEP1)
         return _on_batch(self.dg, self.broadcasts and self._dg, 3, x)
 
     def d2g(self, x) -> np.ndarray:
@@ -186,7 +187,7 @@ class MetricField:
         if x.ndim == 1:
             if self._d2g is not None:
                 return np.asarray(self._d2g(x), dtype=float)
-            n, h = x.size, self.h2
+            n, h = x.size, _FD_STEP2
             out = np.empty((n, n, n, n))
             g0 = self.raw(x)
             for k in range(n):
@@ -243,8 +244,9 @@ class PointGeometry:
     (a linear flow's recorded stage points, a block of curvature samples)
     no guard runs; the same arrays are stacked along a leading axis, and
     every method then returns its tensors stacked alike.  The methods derive
-    the remaining tensors on each call; a consumer calls each at most once
-    per point, and an instance is never reused at another point.
+    the remaining tensors on each call: `dlorentz` calls `lorentz` again and
+    `dchristoffel` `christoffel`, so `curvature`, needing all four, derives
+    each of those twice.  An instance is never reused at another point.
     """
 
     __slots__ = ("metric", "form", "x", "g", "dg", "ginv", "gamma_low", "sigma")

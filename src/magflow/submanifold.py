@@ -52,6 +52,8 @@ _FD_STEP = 1e-4  # finite-difference step of jacobian and hessian
 _ORBIT_NODES = 50  # orbit nodes projected by dynamic_consistency_check
 _ALPHA_DIRECTIONS = 2  # exp-image directions sampled by alpha_defect
 _ALPHA_QUAD = 64  # quadrature nodes on the unit tangent sphere of alpha_defect
+_ALPHA_RADIUS = 0.5  # largest exp-image radius of alpha_defect
+_PROJECT_ITER = 50  # Gauss-Newton iterations of a projection onto a submanifold
 
 
 class ParamSubmanifold:
@@ -217,12 +219,12 @@ def invariance_defect(sys: MagneticSystem, N: ParamSubmanifold,
                         meta={"seed": seed, "submanifold": N.name})
 
 
-def _project_to_submanifold(N: ParamSubmanifold, y, q0, max_iter: int = 50):
+def _project_to_submanifold(N: ParamSubmanifold, y, q0):
     """Damped Gauss-Newton projection of the chart point y onto N."""
     q = np.asarray(q0, dtype=float).copy()
     r = N.point(q) - y
     cost = r @ r
-    for _ in range(max_iter):
+    for _ in range(_PROJECT_ITER):
         J = N.jacobian(q)
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
         if np.linalg.norm(step) < 1e-14:
@@ -299,8 +301,7 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
         if t < 1e-12:
             return B.copy()
         uhat = w / t
-        J2n, end = variational_flow(sys, PhaseState(x=x, v=uhat, s=1.0), t,
-                                    cfg, return_final_state=True)
+        J2n, end = variational_flow(sys, PhaseState(x=x, v=uhat, s=1.0), t, cfg)
         n = sys.dim
         J_xv = J2n[:n, n:]
         v_end = end.v          # horizontal generator component at the endpoint
@@ -315,8 +316,8 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
         name=name)
 
 
-def candidate_hypersurface(sys: MagneticSystem, x, plane, radius: float,
-                           cfg: Optional[IntegratorConfig] = None) -> ParamSubmanifold:
+def candidate_hypersurface(sys: MagneticSystem, x, plane,
+                           radius: float) -> ParamSubmanifold:
     """Hyperplane case of `candidate_submanifold` (k = n - 1).
 
     `plane` is either a HyperplaneElement or an (n, n-1) basis array."""
@@ -326,7 +327,7 @@ def candidate_hypersurface(sys: MagneticSystem, x, plane, radius: float,
     basis = np.asarray(plane, dtype=float)
     if basis.shape != (sys.dim, sys.dim - 1):
         raise BadDimension("hyperplane basis must have shape (n, n-1)")
-    return candidate_submanifold(sys, x, basis, radius, cfg,
+    return candidate_submanifold(sys, x, basis, radius,
                                  name="candidate-hypersurface")
 
 
@@ -397,40 +398,40 @@ def _alpha_at(sys: MagneticSystem, N: ParamSubmanifold, p,
     return float(vals.max()), float(vals.mean())
 
 
-def alpha_defect(sys: MagneticSystem, x, basis, radius: float = 0.5,
-                 cfg: Optional[IntegratorConfig] = None) -> DefectReport:
+def alpha_defect(sys: MagneticSystem, x, basis) -> DefectReport:
     """Quadrature defect of the exp-image hypersurface S_Pi.
 
     Evaluates the fiber average of ||II^phi||^2 at x, with `_ALPHA_QUAD`
     quadrature nodes, and its pullback along the augmented exponential in
-    `_ALPHA_DIRECTIONS` directions at t = 0.1, radius / 2 and radius.  Zero
-    (to tolerance) exactly when S_Pi is totally invariant on the sample."""
+    `_ALPHA_DIRECTIONS` directions at t = 0.1, radius / 2 and radius (the
+    radius `_ALPHA_RADIUS`).  Zero (to tolerance) exactly when S_Pi is
+    totally invariant on the sample."""
     x = np.asarray(x, dtype=float)
     B = np.asarray(basis, dtype=float)
-    cfg = cfg or IntegratorConfig(step=1e-2)
-    N = candidate_submanifold(sys, x, B, radius, cfg)
+    N = candidate_submanifold(sys, x, B, _ALPHA_RADIUS)
     k = N.k
     sup0, mean0 = _alpha_at(sys, N, np.zeros(k), _ALPHA_QUAD)
     sups, means = [sup0], [mean0]
-    radii = [0.1, 0.5 * radius, radius]     # cutoff choice: t in [0.1, radius]
+    radii = [0.1, 0.5 * _ALPHA_RADIUS, _ALPHA_RADIUS]  # t in [0.1, radius]
     dirs = _unit_sphere_nodes(k, _ALPHA_DIRECTIONS)
     Bo = N.jacobian(np.zeros(k))
     for c in dirs:
         v = Bo @ c
         for t in radii:
             try:
-                y, elem = augmented_exp(sys, x, Bo, v, float(t), cfg)
+                y, elem = augmented_exp(sys, x, Bo, v, float(t))
             except DegenerateImage:
                 sups.append(np.inf)
                 means.append(np.inf)
                 continue
-            N2 = candidate_submanifold(sys, y, np.asarray(elem.basis), radius, cfg)
+            N2 = candidate_submanifold(sys, y, np.asarray(elem.basis),
+                                       _ALPHA_RADIUS)
             s2, m2 = _alpha_at(sys, N2, np.zeros(k), _ALPHA_QUAD)
             sups.append(s2)
             means.append(m2)
     return DefectReport(sup=float(np.max(sups)), mean=float(np.mean(means)),
                         samples=len(sups),
-                        meta={"radius": radius, "radii": list(map(float, radii)),
+                        meta={"radius": _ALPHA_RADIUS, "radii": radii,
                               "directions": _ALPHA_DIRECTIONS,
                               "quad_count": _ALPHA_QUAD})
 

@@ -105,7 +105,7 @@ class MagneticSystem:
         metric = MetricField(lambda x: c * m.raw(x),
                              dg=lambda x: c * m.dg(x),
                              d2g=lambda x: c * m.d2g(x),
-                             h1=m.h1, h2=m.h2, chart=self.chart,
+                             chart=self.chart,
                              broadcasts=m.broadcasts, diagonal=diagonal)
         sigma = TwoFormField(
             lambda x, g: c * sg.at(x, g / c),

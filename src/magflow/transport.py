@@ -55,7 +55,6 @@ class FrameState:
 class OrthogonalHolonomy:
     matrix: np.ndarray            # (n-1, n-1)
     period: float
-    start: PhaseState
     return_distance: float
 
     def to_csv(self) -> str:
@@ -210,5 +209,4 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     g = sys.metric(state.x)
     init = f0.completion                              # rows e_2 ... e_n
     Q = init @ g @ f1.completion.T                    # Q[a,b] = g(e_a, v_b(tau))
-    return OrthogonalHolonomy(matrix=Q, period=tau, start=state,
-                              return_distance=dist)
+    return OrthogonalHolonomy(matrix=Q, period=tau, return_distance=dist)

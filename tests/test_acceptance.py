@@ -253,7 +253,7 @@ def test_criterion_10_variational_correctness():
             v = unit(sys.metric, x, rng.standard_normal(n))
             state = PhaseState(x=x, v=v, s=1.0)
             try:
-                J = variational_flow(sys, state, T, cfg)
+                J, _ = variational_flow(sys, state, T, cfg)
                 y0 = np.concatenate([x, v])
                 Jfd = np.empty((2 * n, 2 * n))
                 for j in range(2 * n):

@@ -130,7 +130,7 @@ def test_lean_stage_matches_point_geometry_stage(name, form):
         st = PhaseState(x=x, v=v)
         ta, tb = integrate(a, st, T, cfg), integrate(b, st, T, cfg)
         assert not ta.exited and ta.states.shape == tb.states.shape
-        Ja, Jb = variational_flow(a, st, T, cfg), variational_flow(b, st, T, cfg)
+        Ja, Jb = (variational_flow(c, st, T, cfg)[0] for c in (a, b))
         # fast along the first coordinate, an orbit leaves a guarded chart,
         # and both stages end it at the same node
         fast = PhaseState(x=x, v=20.0 * unit(a.metric, x, np.eye(n)[0]))
@@ -208,6 +208,25 @@ def test_speed_drift_small_and_fourth_order():
     assert drift[1e-3] < 1e-7
     # RK4: halving the step shrinks the drift by ~2^4
     assert drift[5e-4] < drift[1e-3] / 8
+
+
+def test_speed_drift_is_measured_from_the_first_node(caplog):
+    # on the disk, v = (1, 0) at the origin has g-speed 2, not the nominal
+    # 1: the drift is measured from the first node's g-speed, and the
+    # mismatch is logged once
+    sys = system("poincare_disk", "zero")
+    st = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]), s=1.0)
+    with caplog.at_level("WARNING", logger="magflow.flow"):
+        traj = integrate(sys, st, 1.0, IntegratorConfig(step=1e-2))
+    assert traj.drift_per_node[0] == 0.0
+    assert traj.speed_drift < 1e-8
+    assert [(r.name, r.levelname) for r in caplog.records] == [
+        ("magflow.flow", "WARNING")]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="magflow.flow"):
+        integrate(sys, PhaseState(x=np.zeros(2), v=np.array([0.5, 0.0])),
+                  1.0, IntegratorConfig(step=1e-2))
+    assert not caplog.records
 
 
 def test_exit_returns_partial_trajectory():
@@ -392,7 +411,7 @@ def test_variational_free_flow_closed_form():
     sys = system("euclidean", "zero", {"dim": 2})
     st = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]))
     T = 1.7
-    J = variational_flow(sys, st, T, IntegratorConfig(step=1e-2))
+    J, _ = variational_flow(sys, st, T, IntegratorConfig(step=1e-2))
     expect = np.eye(4)
     expect[:2, 2:] = T * np.eye(2)
     assert np.abs(J - expect).max() < 1e-12
@@ -403,7 +422,7 @@ def test_variational_flow_direction_equivariance():
     x0 = np.array([0.1, 0.0])
     st = PhaseState(x=x0, v=unit(sys.metric, x0, np.array([1.0, 0.4])))
     cfg = IntegratorConfig(step=1e-3)
-    J, end = variational_flow(sys, st, 2.0, cfg, return_final_state=True)
+    J, end = variational_flow(sys, st, 2.0, cfg)
     lhs = J @ generator(sys, st.x, st.v)
     rhs = generator(sys, end.x, end.v)
     assert np.abs(lhs - rhs).max() < 1e-6
@@ -415,7 +434,7 @@ def test_variational_vs_finite_differences():
     st = PhaseState(x=x0, v=unit(sys.metric, x0, np.array([0.8, 0.5])))
     cfg = IntegratorConfig(step=5e-3)
     T, delta = 0.5, 1e-6
-    J = variational_flow(sys, st, T, cfg)
+    J, _ = variational_flow(sys, st, T, cfg)
     y0 = np.concatenate([st.x, st.v])
     for j in range(4):
         e = np.zeros(4)
@@ -487,7 +506,7 @@ _VARIATIONAL_CASES = {
 def test_variational_flow_matches_coupled_rk4(case, rng):
     # the two-pass scheme is the coupled RK4 of (state, J) rearranged: same
     # J up to rounding, and the orbit of `integrate` to the bit, over more
-    # than two blocks and with a J0 of fewer columns
+    # than two blocks; J J0 is the flow started at a J0 of fewer columns
     sys = _VARIATIONAL_CASES[case]()
     n = sys.dim
     # a start well inside every chart, at half speed, so the orbit stays in
@@ -497,11 +516,10 @@ def test_variational_flow_matches_coupled_rk4(case, rng):
     step = 1e-2
     T = (2 * _BLOCK_STEPS + 5) * step
     cfg = IntegratorConfig(step=step)
+    J, end = variational_flow(sys, st, T, cfg)
     for J0 in (np.eye(2 * n), rng.standard_normal((2 * n, n))):
-        J, end = variational_flow(sys, st, T, cfg, J0=J0,
-                                  return_final_state=True)
         ref = _coupled_rk4(sys, st, T, step, J0)
-        assert np.abs(J - ref).max() <= 1e-12 * np.abs(ref).max(), case
+        assert np.abs(J @ J0 - ref).max() <= 1e-12 * np.abs(ref).max(), case
     final = integrate(sys, st, T, cfg).final
     assert np.array_equal(end.x, final.x) and np.array_equal(end.v, final.v)
 

@@ -2,12 +2,12 @@
 import ast
 import importlib
 import re
-from functools import reduce
 from pathlib import Path
 
 import magflow
 
 SOURCES = sorted(Path(magflow.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -47,7 +47,9 @@ def test_no_unused_imports():
 def test_traced_names_resolve():
     # the benchmark's tracer wraps the functions and methods its SPANS table
     # names; one renamed away would break a traced run, so every entry must
-    # resolve.  The table is read from the source, without running it.
+    # resolve as the tracer looks it up: a function among the module's
+    # attributes, a method in its own class's namespace (an inherited one
+    # is not there).  The table is read from the source, without running it.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     spans = next(ast.literal_eval(node.value) for node in tree.body
@@ -57,10 +59,43 @@ def test_traced_names_resolve():
     missing = []
     for _, module, attr in spans:
         try:
-            reduce(getattr, attr.split("."), importlib.import_module(module))
-        except (ImportError, AttributeError):
+            owner = importlib.import_module(module)
+            *cls, name = attr.split(".")
+            for c in cls:
+                owner = getattr(owner, c)
+            vars(owner)[name]
+        except (ImportError, AttributeError, KeyError):
             missing.append(f"{module}:{attr}")
     assert not missing, missing
+
+
+def _imports(path: Path) -> set:
+    """(module, name) for each name that the `from ... import` statements of
+    a source file import; a star import stands for every name of its
+    module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = f"magflow.{node.module}" if node.level else node.module
+            for alias in node.names:
+                names = ([alias.name] if alias.name != "*"
+                         else dir(importlib.import_module(module)))
+                found |= {(module, name) for name in names}
+    return found
+
+
+def test_every_export_is_imported():
+    # a name in a module's `__all__` is imported by the package's __init__,
+    # by another module or by a test; one that nothing imports is a dead
+    # export
+    imported = set().union(*map(_imports, SOURCES + TESTS))
+    dead = []
+    for path in SOURCES:
+        module = f"magflow.{path.stem}"
+        dead += [f"{module}.{name}" for name in
+                 getattr(importlib.import_module(module), "__all__", ())
+                 if (module, name) not in imported]
+    assert not dead, dead
 
 
 def test_readme_names_every_subcommand():

@@ -326,14 +326,14 @@ def test_augmented_exp_geodesic_disk_normal():
 def test_alpha_defect_geodesic_disk():
     sys = system("poincare_ball", "zero")
     basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).T
-    rep = alpha_defect(sys, np.zeros(3), basis, radius=0.5)
+    rep = alpha_defect(sys, np.zeros(3), basis)
     assert rep.sup < 1e-8
 
 
 def test_alpha_defect_affine_plane_flat():
     sys = system("euclidean", "zero", {"dim": 3})
     basis = np.eye(3)[:, :2]
-    rep = alpha_defect(sys, np.array([0.0, 0.0, 1.0]), basis, radius=0.5)
+    rep = alpha_defect(sys, np.array([0.0, 0.0, 1.0]), basis)
     assert rep.sup < 1e-10
 
 
@@ -341,7 +341,7 @@ def test_alpha_defect_misaligned_plane_positive():
     # span{e1, e3} is not preserved: orbits tangent to e1 curl out of it
     sys = system("euclidean", "constant", {"dim": 3}, b=1.0)
     basis = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).T
-    rep = alpha_defect(sys, np.zeros(3), basis, radius=0.5)
+    rep = alpha_defect(sys, np.zeros(3), basis)
     assert rep.sup > 1e-3
 
 
