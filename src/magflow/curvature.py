@@ -74,7 +74,7 @@ class PerpEndomorphism:
 
 
 def _check_speed(s):
-    if s <= 0:
+    if not s > 0:
         raise NonpositiveSpeed(f"speed must be positive, got {s}")
 
 
@@ -113,8 +113,8 @@ def _ambient_A(Y, Pv):
 
 def _ambient_R(geo: PointGeometry, s, v, Y, Pv):
     Gamma = geo.christoffel()
-    dGamma = geo.dchristoffel()
-    dY = geo.dlorentz()
+    dGamma = geo.dchristoffel(Gamma)
+    dY = geo.dlorentz(Y)
     # Gamma(v), symmetric in j, k
     Gv = np.einsum("...ijk,...k->...ij", Gamma, v)
     jacobi = (np.einsum("...ijkm,...j,...k->...im", dGamma, v, v)

@@ -104,7 +104,7 @@ def lyapunov_spectrum(sys: MagneticSystem, state: PhaseState, T: float,
 
     The QR re-orthonormalization runs every `_QR_INTERVAL` time units, or
     on `steps` equal segments when given."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError("T must be positive")
     cfg = cfg or IntegratorConfig(step=1e-2)
     interval = _QR_INTERVAL if steps is None else T / steps
@@ -165,7 +165,7 @@ def volume_drift(sys: MagneticSystem, state: PhaseState, T: float,
     telescope, QR factors preserve |det|, and the running sum of log |R_ii|
     stays well conditioned where a single end-to-end determinant (condition
     ~ e^(2 lambda T)) loses the contracting factors to roundoff."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError("T must be positive")
     cfg = cfg or IntegratorConfig(step=1e-2)
     logs = _segmented_qr(sys, state, T, _QR_INTERVAL, cfg)
@@ -181,7 +181,7 @@ def conjugate_point_scan(sys: MagneticSystem, x, direction, t_max: float,
     is an isometry and never degenerates).  Zeros flag conjugate points.
 
     Returns an array of rows (t, sigma_min)."""
-    if t_max <= 0:
+    if not t_max > 0:
         raise ValueError("t_max must be positive")
     cfg = cfg or IntegratorConfig(step=1e-3)
     x = np.asarray(x, dtype=float)

@@ -8,10 +8,10 @@ fixed-step RK4 driver on Python floats: at n <= 3 the cost of an array
 operation is its call, not its arithmetic.  The state is two lists of n
 floats, x and v, and a stage is a function acc(x, v) -> list of n floats
 that raises `DomainViolation` outside the chart.  For a magnetic system on
-a diagonal metric whose form gives its float closure (`MetricField.diagonal`
-and `TwoFormField.sigma_v`, as every built-in model and form does) a stage
-runs the chart guard and reads g's diagonal, its derivative and sigma v at
-its point as floats; otherwise it builds the point's `PointGeometry` on
+a diagonal metric whose form gives its float closure (`MetricField.spray`
+and `TwoFormField.lorentz_v`, as every built-in model and form does) a
+stage runs the chart guard and adds the metric's -Gamma(v, v) and the
+form's Yv, as floats; otherwise it builds the point's `PointGeometry` on
 arrays.  `generator` evaluates the same stage.  Nodes are stored as float64
 rows.  Speed drift along the orbit, against the g-speed of its first node,
 is recorded, never silently corrected (unless renormalization is explicitly
@@ -37,7 +37,7 @@ import io
 import logging
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -73,7 +73,7 @@ class PhaseState:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.s <= 0:
+        if not self.s > 0:
             raise NonpositiveSpeed(f"nominal speed must be positive, got {self.s}")
 
 
@@ -87,7 +87,7 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("the step must be positive")
 
 
@@ -178,24 +178,21 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
     return D
 
 
-def _lean_acceleration(sys: MagneticSystem):
-    """The magnetic acceleration on Python floats, acc(x, v) -> list of n
-    floats at lists x, v of n floats, unguarded; None unless the system is
-    magnetic, its metric gives `diagonal` and its form gives `sigma_v`.
-
-    For a diagonal g, gamma_low(v, v)_l = v_l (dd v)_l - 1/2 sum_j v_j^2
-    dd[j][l] with dd[i][k] = d_k g_ii, and g^-1 divides by g's diagonal d."""
-    diagonal, sigma_v = sys.metric.diagonal, sys.sigma.sigma_v
-    if not sys.is_magnetic or diagonal is None or sigma_v is None:
+def _lean_acceleration(sys: MagneticSystem, guard=None):
+    """The magnetic acceleration -Gamma(v, v) + Yv on Python floats,
+    acc(x, v) -> list of n floats at lists x, v of n floats, which raises
+    `DomainViolation` at a point that fails the `guard`, if one is given;
+    None unless the system is magnetic, its metric gives `spray` and its
+    form gives `lorentz_v`."""
+    spray, lorentz_v = sys.metric.spray, sys.sigma.lorentz_v
+    if not sys.is_magnetic or spray is None or lorentz_v is None:
         return None
 
     def acc(x, v):
-        d, dd = diagonal(x)
-        w = [u * u for u in v]
-        return [-(vl * sum(map(mul, row, v)) - 0.5 * sum(map(mul, w, col))
-                  + sl) / dl
-                for vl, row, col, sl, dl in zip(v, dd, zip(*dd),
-                                                sigma_v(x, d, v), d)]
+        if guard is not None and not guard(x):
+            raise DomainViolation(f"point {x} outside chart domain")
+        a, d = spray(x, v)
+        return list(map(add, a, lorentz_v(x, d, v)))
     return acc
 
 
@@ -204,19 +201,11 @@ def _stage(sys: MagneticSystem):
     floats, which raises `DomainViolation` at a point outside the chart:
     the float acceleration behind the chart guard, or else the acceleration
     from the point's `PointGeometry` (which runs the guard itself)."""
-    lean = _lean_acceleration(sys)
-    if lean is None:
-        return lambda x, v: _acceleration(sys, sys.geometry(x),
-                                          np.array(v)).tolist()
-    guard = sys.chart.domain_guard
-    if guard is None:
+    lean = _lean_acceleration(sys, sys.chart.domain_guard)
+    if lean is not None:
         return lean
-
-    def acc(x, v):
-        if not guard(x):
-            raise DomainViolation(f"point {x} outside chart domain")
-        return lean(x, v)
-    return acc
+    return lambda x, v: _acceleration(sys, sys.geometry(x),
+                                      np.array(v)).tolist()
 
 
 def generator(sys: MagneticSystem, x, v) -> np.ndarray:

@@ -34,24 +34,24 @@ class TwoFormField:
     for every point; only then is a closure called on a whole batch, and
     otherwise once per row.  It takes effect only when dsigma is given,
     since the finite differences are taken point by point.
-    sigma_v is an optional closure (x, d, v) -> list, sigma v at one point,
-    (sigma v)_i = sum_j sigma_ij v_j, with x, v and d lists of n floats; d
-    is g's diagonal at x (of a diagonal metric, see `MetricField.diagonal`).
-    With the metric's `diagonal` it lets an RK4 stage of `flow` run on
-    Python floats.  A list it returns is only read, so it may return the
-    same list at every call.
+    lorentz_v is an optional closure (x, d, v) -> list, the Lorentz force
+    Yv = -g^-1 sigma v at one point, with x, v and d lists of n floats; d
+    is g's diagonal at x (of a diagonal metric, see `MetricField.spray`).
+    With the metric's `spray` it lets an RK4 stage of `flow` run on Python
+    floats.  A list it returns is only read, so it may return the same list
+    at every call.
     """
 
     def __init__(self, eval_fn, dsigma=None,
                  chart: Optional[ChartSpec] = None,
                  metric: Optional[MetricField] = None,
-                 broadcasts: bool = False, sigma_v=None):
+                 broadcasts: bool = False, lorentz_v=None):
         self._eval = eval_fn
         self._dsigma = dsigma
         self.chart = chart
         self.metric = metric
         self.broadcasts = broadcasts and dsigma is not None
-        self.sigma_v = sigma_v
+        self.lorentz_v = lorentz_v
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -96,7 +96,7 @@ def _zero(dim: int, metric: MetricField = None, chart: ChartSpec = None):
     z2 = np.zeros((dim, dim, dim))
     zeros = [0.0] * dim
     return TwoFormField(lambda x: z1, dsigma=lambda x: z2, chart=chart,
-                        broadcasts=True, sigma_v=lambda x, d, v: zeros)
+                        broadcasts=True, lorentz_v=lambda x, d, v: zeros)
 
 
 def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
@@ -110,7 +110,8 @@ def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
     rest = [0.0] * (dim - 2)
     return TwoFormField(lambda x: sig, dsigma=lambda x: z2, chart=chart,
                         broadcasts=True,
-                        sigma_v=lambda x, d, v: [b * v[1], -b * v[0]] + rest)
+                        lorentz_v=lambda x, d, v: [-b * v[1] / d[0],
+                                                   b * v[0] / d[1]] + rest)
 
 
 def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
@@ -146,13 +147,13 @@ def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
         dsq = (0.5 * b) * tr / np.sqrt(0.5 * np.vecdot(w, g4))[..., None]
         return rot * dsq[..., None, None, :]
 
-    def sigma_v(x, d, v):
-        # sqrt(det g) = sqrt(d0 d1) for a diagonal g
-        c = b * math.sqrt(d[0] * d[1])
-        return [c * v[1], -c * v[0]]
+    def lorentz_v(x, d, v):
+        # -g^-1 sigma v, with sqrt(det g) = sqrt(d0 d1) for a diagonal g
+        r = math.sqrt(d[1] / d[0])
+        return [-b * r * v[1], b / r * v[0]]
 
     return TwoFormField(eval_fn, dsigma=dsigma, chart=chart, metric=metric,
-                        broadcasts=True, sigma_v=sigma_v)
+                        broadcasts=True, lorentz_v=lorentz_v)
 
 
 FORMS = {

@@ -132,24 +132,24 @@ class MetricField:
     called on a whole batch, and otherwise once per row.  It takes effect
     only when dg and d2g are given, since the finite differences are taken
     point by point.
-    diagonal is an optional closure at one point, given as a list x of n
-    floats, that returns (d, dd): g's diagonal d[i] = g_ii and its
-    derivative dd[i][k] = d g_ii / d x^k, as a list of n floats and a list
-    of n such lists.  Giving it declares that g is diagonal: `inverse` then
-    divides by g's diagonal, and an RK4 stage of `flow` reads the magnetic
-    acceleration on Python floats, with no `PointGeometry`.  Its lists are
-    only read, so it may return the same lists at every call.  It
-    multiplies state-dependent floats rather than raising them to a power:
-    a product overflows to inf, where ** raises.
+    spray is an optional closure at one point, given as lists x and v of n
+    floats, that returns (a, d): the geodesic acceleration a = -Gamma(v, v)
+    at (x, v) and g's diagonal d[i] = g_ii at x, as two lists of n floats.
+    Giving it declares that g is diagonal: `inverse` then divides by g's
+    diagonal, and an RK4 stage of `flow` reads the magnetic acceleration
+    on Python floats, with no `PointGeometry`.  Its lists are only read, so
+    it may return the same lists at every call.  It multiplies
+    state-dependent floats rather than raising them to a power: a product
+    overflows to inf, where ** raises.
     """
 
     def __init__(self, eval_fn, dg=None, d2g=None,
                  chart: Optional[ChartSpec] = None, broadcasts: bool = False,
-                 diagonal=None):
+                 spray=None):
         self._eval = eval_fn
         self._dg = dg
         self._d2g = d2g
-        self.diagonal = diagonal
+        self.spray = spray
         self.chart = chart
         self.broadcasts = broadcasts and dg is not None and d2g is not None
 
@@ -168,9 +168,9 @@ class MetricField:
 
     def inverse(self, g: np.ndarray) -> np.ndarray:
         """g^-1 from the coefficients g at a point (n, n) or a batch
-        (B, n, n): the reciprocal of g's diagonal where `diagonal` declares
-        g diagonal, otherwise numerically."""
-        if self.diagonal is None:
+        (B, n, n): the reciprocal of g's diagonal where `spray` declares g
+        diagonal, otherwise numerically."""
+        if self.spray is None:
             return np.linalg.inv(g)
         return _identity(g.shape[-1]) / g.diagonal(0, -2, -1)[..., None, :]
 
@@ -244,9 +244,9 @@ class PointGeometry:
     (a linear flow's recorded stage points, a block of curvature samples)
     no guard runs; the same arrays are stacked along a leading axis, and
     every method then returns its tensors stacked alike.  The methods derive
-    the remaining tensors on each call: `dlorentz` calls `lorentz` again and
-    `dchristoffel` `christoffel`, so `curvature`, needing all four, derives
-    each of those twice.  An instance is never reused at another point.
+    the remaining tensors; `dchristoffel` and `dlorentz` take Gamma and Y
+    from a caller that holds them.  An instance is never reused at another
+    point.
     """
 
     __slots__ = ("metric", "form", "x", "g", "dg", "ginv", "gamma_low", "sigma")
@@ -281,11 +281,12 @@ class PointGeometry:
         """Gamma[i, j, k] = Gamma^i_{jk}."""
         return np.einsum("...il,...ljk->...ijk", self.ginv, self.gamma_low)
 
-    def dchristoffel(self) -> np.ndarray:
-        """dGamma[i, j, k, m] = d Gamma^i_{jk} / d x^m."""
+    def dchristoffel(self, Gamma=None) -> np.ndarray:
+        """dGamma[i, j, k, m] = d Gamma^i_{jk} / d x^m, given Gamma =
+        `christoffel()` or else deriving it."""
         # gamma_low = g Gamma  =>  d_m Gamma = g^-1 (d_m gamma_low - d_m g Gamma)
-        dg_Gamma = np.einsum("...lam,...ajk->...ljkm", self.dg,
-                             self.christoffel())
+        Gamma = self.christoffel() if Gamma is None else Gamma
+        dg_Gamma = np.einsum("...lam,...ajk->...ljkm", self.dg, Gamma)
         return np.einsum("...il,...ljkm->...ijkm", self.ginv,
                          self.dgamma_low() - dg_Gamma)
 
@@ -293,13 +294,14 @@ class PointGeometry:
         """Y with g(Yv, w) = sigma(v, w); as a matrix, g Y = sigma^T."""
         return -(self.ginv @ self.sigma)
 
-    def dlorentz(self) -> np.ndarray:
-        """dY[:, :, k] = d_k Y, from d_k(g Y) = d_k sigma^T."""
-        # Y = -g^-1 sigma  =>  d_k Y = g^-1 d_k g g^-1 sigma - g^-1 d_k sigma
-        ginv = self.ginv
-        return np.einsum("...ia,...abk,...bj->...ijk", ginv, self.dg,
-                         -self.lorentz()) \
-            - np.einsum("...ia,...ajk->...ijk", ginv, self.dsigma())
+    def dlorentz(self, Y=None) -> np.ndarray:
+        """dY[:, :, k] = d_k Y, from d_k(g Y) = d_k sigma^T, given Y =
+        `lorentz()` or else deriving it."""
+        # g Y = -sigma  =>  d_k Y = -g^-1 (d_k g Y + d_k sigma)
+        Y = self.lorentz() if Y is None else Y
+        dgY = np.einsum("...abk,...bj->...ajk", self.dg, Y)
+        return -np.einsum("...ia,...ajk->...ijk", self.ginv,
+                          dgY + self.dsigma())
 
 
 def _gamma_low(dg: np.ndarray) -> np.ndarray:
@@ -321,7 +323,7 @@ def dchristoffel(g: MetricField, x) -> np.ndarray:
 def riemann(g: MetricField, x) -> CurvatureTensor:
     geo = PointGeometry(g, x)
     Gamma = geo.christoffel()
-    dGamma = geo.dchristoffel()
+    dGamma = geo.dchristoffel(Gamma)
     # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
     #           + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
     up = (np.einsum("iljk->ijkl", dGamma)

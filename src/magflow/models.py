@@ -5,10 +5,10 @@ Registry keys: "euclidean", "flat_torus", "poincare_disk", "poincare_ball",
 first and second derivative closures, so the finite-difference scheme can be
 used as an independent cross-check.  Every array closure broadcasts over
 points of shape (..., dim).  All five metrics are diagonal, so each also
-gives `diagonal`, a closure on Python floats at one point: g's diagonal d
-and its derivative dd[i][k] = d_k g_ii as lists.  It declares g diagonal,
-so that g^-1 is the reciprocal of g's diagonal, and from it an RK4 stage of
-`flow` reads the magnetic acceleration without the n x n x n dg.  The chart
+gives `spray`, a closure on Python floats at one point: the geodesic
+acceleration -Gamma(v, v) in closed form and g's diagonal, as lists.  It
+declares g diagonal, so that g^-1 is the reciprocal of g's diagonal, and an
+RK4 stage of `flow` reads the magnetic acceleration from it.  The chart
 guards take a list of floats too.  Where the point axes are in the way,
 the array closures work on x.T (or g.T) and write through out.T, in which
 the point axes come last: an integer index there selects a coordinate at
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -40,10 +41,10 @@ def _flat(dim: int, low: float, high: float):
     eye = np.eye(dim)
     zero1 = np.zeros((dim, dim, dim))
     zero2 = np.zeros((dim, dim, dim, dim))
-    diagonal = [1.0] * dim, [[0.0] * dim for _ in range(dim)]
+    spray = [0.0] * dim, [1.0] * dim
     metric = MetricField(lambda x: eye, dg=lambda x: zero1, d2g=lambda x: zero2,
                          chart=chart, broadcasts=True,
-                         diagonal=lambda x: diagonal)
+                         spray=lambda x, v: spray)
     return chart, metric
 
 
@@ -84,14 +85,16 @@ def _poincare(dim: int = 3, eps: float = 1e-3):
         d2coef = np.multiply.outer(16.0 / u**3, eye) + ((96.0 / u**4) * xx.T).T
         return eye[:, :, None, None] * d2coef[..., None, None, :, :]
 
-    def diagonal(x):
-        # every g_ii is 4 u^-2, so each row of dd is d_k (4 u^-2) = 16 x_k / u^3
+    def spray(x, v):
+        # g = e^(2 phi) id with e^phi = 2 / u, so d phi = 2 x / u and
+        # -Gamma(v, v) = |v|^2 grad phi - 2 (d phi . v) v
         u = 1.0 - sum(map(mul, x, x))
-        row = [(16.0 / (u * u * u)) * t for t in x]
-        return [4.0 / (u * u)] * dim, [row] * dim
+        p = 2.0 * sum(map(mul, v, v)) / u
+        q = 4.0 * sum(map(mul, x, v)) / u
+        return [p * a - q * b for a, b in zip(x, v)], [4.0 / (u * u)] * dim
 
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart,
-                         broadcasts=True, diagonal=diagonal)
+                         broadcasts=True, spray=spray)
     return chart, metric
 
 
@@ -139,17 +142,20 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
 
     tri = np.tri(dim - 1)
 
-    def diagonal(x):
-        # g_ii = prod_{j < i} sin^2(theta_j) and, as in dg,
-        # d_k g_ii = 2 g_ii cot_k for k < i
+    def spray(x, v):
+        # from g_ii = prod_{j < i} sin^2(theta_j) and, as in dg,
+        # d_k g_ii = 2 g_ii cot_k for k < i, -Gamma(v, v)_i is
+        # (cot_i / g_ii) sum_{j > i} g_jj v_j^2 - 2 v_i sum_{k < i} cot_k v_k
         d = [1.0]
         for t in x[:-1]:
             s = math.sin(t)
             d.append(d[-1] * (s * s))
-        tans = [math.tan(t) for t in x[:-1]]
-        dd = [[(2.0 * di) / tk for tk in tans[:i]] + [0.0] * (dim - i)
-              for i, di in enumerate(d)]
-        return d, dd
+        cots = [1.0 / math.tan(t) for t in x[:-1]]
+        w = [di * (u * u) for di, u in zip(d, v)]
+        tails = list(accumulate([0.0] + w[:0:-1]))[::-1]
+        heads = accumulate([0.0] + list(map(mul, cots, v)))
+        return [c * t / di - 2.0 * u * h for c, t, di, u, h
+                in zip(cots + [0.0], tails, d, v, heads)], d
 
     # d_k d_l g_ii = g_ii (4 cot_k cot_l - 2 delta_kl csc^2_k) for k, l < i:
     # mask[i - 1, j - 1, k, l] = 1 where i = j and k, l < i
@@ -167,7 +173,7 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
         return out
 
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart,
-                         broadcasts=True, diagonal=diagonal)
+                         broadcasts=True, spray=spray)
     return chart, metric
 
 

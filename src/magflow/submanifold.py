@@ -279,7 +279,7 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
     Jacobian is computed from the variational flow (not finite differences
     of the exponential); the base point uses the exact tangent plane.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     x = np.asarray(x, dtype=float)
     B = np.asarray(basis, dtype=float)      # (n, k) g-orthonormal columns
@@ -342,7 +342,7 @@ def augmented_exp(sys: MagneticSystem, x, basis, v, t: float,
     """E(x, Pi, v, t) = (exp_x(t v), d_{tv} exp_x(Pi)).
 
     Returns (endpoint coordinates, HyperplaneElement of the pushed plane)."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
     B = np.asarray(basis, dtype=float)

@@ -71,7 +71,7 @@ class MagneticSystem:
         w = np.asarray(w, dtype=float)
         geo = self.geometry(x)
         Y = geo.lorentz()
-        dY = np.einsum("ijk,k->ij", geo.dlorentz(), w)
+        dY = np.einsum("ijk,k->ij", geo.dlorentz(Y), w)
         Gw = np.einsum("ikj,k->ij", geo.christoffel(), w)
         return dY + Gw @ Y - Y @ Gw
 
@@ -87,30 +87,31 @@ class MagneticSystem:
     def rescale(self, s: float) -> "MagneticSystem":
         """The system (s^-2 g, s^-2 sigma), whose unit-speed flow reproduces
         the original flow at speed s."""
-        if s <= 0:
+        if not s > 0:
             raise NonpositiveSpeed(f"speed must be positive, got {s}")
         if s == 1.0:
             return self
         c = float(s) ** -2            # a Python float, for the float closures
         m, sg = self.metric, self.sigma
-        diagonal = sigma_v = None
-        if m.diagonal is not None:
-            def diagonal(x):
-                d, dd = m.diagonal(x)
-                return [c * u for u in d], [[c * u for u in row] for row in dd]
-        # a form built from the metric reads the original coefficients g / c
-        if sg.sigma_v is not None:
-            def sigma_v(x, d, v):
-                return [c * u for u in sg.sigma_v(x, [e / c for e in d], v)]
+        # -Gamma(v, v) and Yv are unchanged, only g's diagonal scales; a form
+        # built from the metric reads the original coefficients g / c
+        spray = lorentz_v = None
+        if m.spray is not None:
+            def spray(x, v):
+                a, d = m.spray(x, v)
+                return a, [c * u for u in d]
+        if sg.lorentz_v is not None:
+            def lorentz_v(x, d, v):
+                return sg.lorentz_v(x, [e / c for e in d], v)
         metric = MetricField(lambda x: c * m.raw(x),
                              dg=lambda x: c * m.dg(x),
                              d2g=lambda x: c * m.d2g(x),
                              chart=self.chart,
-                             broadcasts=m.broadcasts, diagonal=diagonal)
+                             broadcasts=m.broadcasts, spray=spray)
         sigma = TwoFormField(
             lambda x, g: c * sg.at(x, g / c),
             dsigma=lambda x, g, dg: c * sg.dsigma_at(x, g / c, dg / c),
             chart=self.chart, metric=metric, broadcasts=sg.broadcasts,
-            sigma_v=sigma_v)
+            lorentz_v=lorentz_v)
         return MagneticSystem(self.chart, metric, sigma,
                               vertical_field=self.vertical_field)

@@ -25,17 +25,17 @@ def unit(metric, x, v):
 
 def counted_system(name, form, broadcasts=False, lean=True, **form_params):
     """A built-in model whose metric closure, chart guard and float closure
-    `diagonal` count calls; its metric evaluates a batch point by point
-    unless it `broadcasts`, and declares no `diagonal` (so an RK4 stage
-    takes the `PointGeometry` path) unless it is `lean`.  Its form is built
-    from the counted metric, with the form's own float closure `sigma_v`."""
+    `spray` count calls; its metric evaluates a batch point by point unless
+    it `broadcasts`, and declares no `spray` (so an RK4 stage takes the
+    `PointGeometry` path) unless it is `lean`.  Its form is built from the
+    counted metric, with the form's own float closure `lorentz_v`."""
     chart, metric = make_manifold(name)
-    calls = {"metric": 0, "diagonal": 0, "guard": 0}
+    calls = {"metric": 0, "spray": 0, "guard": 0}
 
     def counted(key, fn):
-        def wrapper(x):
+        def wrapper(*args):
             calls[key] += 1
-            return fn(x)
+            return fn(*args)
         return wrapper
 
     guard = chart.domain_guard
@@ -44,7 +44,7 @@ def counted_system(name, form, broadcasts=False, lean=True, **form_params):
                       sample_bounds=chart.sample_bounds)
     metric = MetricField(counted("metric", metric.raw), dg=metric.dg,
                          d2g=metric.d2g, chart=chart, broadcasts=broadcasts,
-                         diagonal=counted("diagonal", metric.diagonal) if lean
+                         spray=counted("spray", metric.spray) if lean
                          else None)
     sigma = make_form(form, chart.dim, metric, chart, **form_params)
     return MagneticSystem(chart, metric, sigma), calls

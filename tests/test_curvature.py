@@ -145,7 +145,7 @@ def test_curvature_evaluates_geometry_once(name, form, params):
                 lambda: magnetic_operator(sys, 1.5, x, v)):
         calls.update(metric=0, guard=0)
         run()
-        assert calls == {"metric": 1, "diagonal": 0, "guard": 1}
+        assert calls == {"metric": 1, "spray": 0, "guard": 1}
 
 
 @pytest.mark.parametrize("name, form, params", [
@@ -171,7 +171,41 @@ def test_sample_sectionals_evaluates_geometry_once(name, form, params,
     count = 20
     sample_sectionals(sys, 1.5, count, np.random.default_rng(3))
     assert len(sampling) == count
-    assert calls == {"metric": count, "diagonal": 0, "guard": sum(sampling)}
+    assert calls == {"metric": count, "spray": 0, "guard": sum(sampling)}
+
+
+@pytest.mark.parametrize("name, form, params", [
+    ("round_sphere", "constant", {"b": 1.0}),
+    ("poincare_disk", "area_form", {"b": 1.0}),
+    ("poincare_ball", "constant", {"b": 2.0}),
+])
+def test_curvature_derives_gamma_and_lorentz_once(name, form, params,
+                                                  monkeypatch):
+    # Gamma and Y are derived once per point, and once per chunk of
+    # `sample_sectionals`: `dchristoffel` and `dlorentz` take them from the
+    # caller rather than deriving them again
+    derived = {"christoffel": 0, "lorentz": 0}
+    for method in derived:
+        def counted(geo, method=method,
+                    original=getattr(PointGeometry, method)):
+            derived[method] += 1
+            return original(geo)
+        monkeypatch.setattr(PointGeometry, method, counted)
+    sys = system(name, form, **params)
+    n = sys.dim
+    x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
+    v, w = gram_schmidt(sys.metric(x), np.eye(n)[:2] + 0.3)
+    # (Gamma, Y) derivations of each run; two chunks of samples
+    for run, counts in (
+            (lambda: magnetic_sectional(sys, 1.5, x, v, w), (1, 1)),
+            (lambda: op_R(sys, 1.5, x, v), (1, 1)),
+            (lambda: magnetic_operator(sys, 1.5, x, v), (1, 1)),
+            (lambda: op_A(sys, x, v), (0, 1)),
+            (lambda: sample_sectionals(sys, 1.5, _CHUNK + 1,
+                                       np.random.default_rng(3)), (2, 2))):
+        derived.update(christoffel=0, lorentz=0)
+        run()
+        assert (derived["christoffel"], derived["lorentz"]) == counts
 
 
 def _user_metric_system(analytic):

@@ -2,12 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from magflow import (IntegratorConfig, MagneticSystem, MetricField, PhaseState,
-                     christoffel, connector_split, dynamical_exp, integrate,
-                     make_form, make_manifold, oddness_residual,
-                     parallel_transport, variational_flow)
-from magflow.errors import DomainExit, DomainViolation, StepLimitExceeded
+                     augmented_exp, candidate_submanifold, christoffel,
+                     conjugate_point_scan, connector_split, dynamical_exp,
+                     integrate, lyapunov_spectrum, make_form, make_manifold,
+                     oddness_residual, op_R, parallel_transport,
+                     variational_flow, volume_drift)
+from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
+                            StepLimitExceeded)
 from magflow.flow import (_BLOCK_STEPS, _rk4_path, _stage, generator,
                           generator_jacobian)
 from magflow.geometry import dchristoffel
@@ -63,9 +67,9 @@ def test_semi_spray_consistency(rng):
 def test_geometry_evaluated_once_per_point(name, form, params):
     # one RK4 stage of every flow evaluates the metric and runs the chart
     # guard exactly once, at its single point; a chart without a guard runs
-    # none.  A lean stage reads the float closure `diagonal` in place of the
+    # none.  A lean stage reads the float closure `spray` in place of the
     # metric and builds no `PointGeometry`, also on the rescaled system
-    # (s^-2 g, s^-2 sigma); without `diagonal` the stage takes the
+    # (s^-2 g, s^-2 sigma); without `spray` the stage takes the
     # `PointGeometry` path and evaluates the metric itself
     for broadcasts in (False, True):
         for lean in (True, False):
@@ -75,12 +79,12 @@ def test_geometry_evaluated_once_per_point(name, form, params):
             x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.2)
             v = np.linspace(0.3, -0.4, n)
             st, cfg = PhaseState(x=x, v=v), IntegratorConfig(step=1e-2)
-            stage = {"metric": int(not lean), "diagonal": int(lean)}
+            stage = {"metric": int(not lean), "spray": int(lean)}
             # the metric on a batch of B points: once, or once per point
             batch = (lambda B: 1) if broadcasts else (lambda B: B)
             for s in (1.0, 1.7):
                 resc = sys.rescale(s)
-                calls.update(metric=0, diagonal=0, guard=0)
+                calls.update(metric=0, spray=0, guard=0)
                 generator(resc, x, v)
                 assert calls == {**stage, "guard": int(guarded)}, (
                     "generator", s, lean)
@@ -97,11 +101,11 @@ def test_geometry_evaluated_once_per_point(name, form, params):
                         resc, st, np.eye(n)[1], 1e-2, cfg), 4),
                 }
                 for flow, (run, points) in flows.items():
-                    calls.update(metric=0, diagonal=0, guard=0)
+                    calls.update(metric=0, spray=0, guard=0)
                     run()
                     assert calls == {"metric": 4 * stage["metric"]
                                      + batch(points),
-                                     "diagonal": 4 * stage["diagonal"],
+                                     "spray": 4 * stage["spray"],
                                      "guard": 6 * guarded}, (
                                          flow, s, broadcasts, lean)
 
@@ -114,11 +118,11 @@ _PAIRS = [(name, form) for name in MODEL_NAMES
 @pytest.mark.parametrize("name, form", _PAIRS)
 def test_lean_stage_matches_point_geometry_stage(name, form):
     # the float stage and the `PointGeometry` stage (the same model with its
-    # `diagonal` withheld) give the same orbit and the same variational J
+    # `spray` withheld) give the same orbit and the same variational J
     # over more than two blocks, on the model and rescaled
     assert len(_PAIRS) == 14
     lean, generic = (system(name, form, **strength(form, 1.3)) for _ in "ab")
-    generic.metric.diagonal = None
+    generic.metric.spray = None
     n = lean.dim
     x = np.full(n, 1.0) if name == "round_sphere" else np.full(n, 0.1)
     v = unit(lean.metric, x, np.linspace(0.3, -0.4, n))
@@ -126,7 +130,7 @@ def test_lean_stage_matches_point_geometry_stage(name, form):
     T = (2 * _BLOCK_STEPS + 10) * cfg.step
     for s in (1.0, 1.7):
         a, b = lean.rescale(s), generic.rescale(s)
-        assert a.metric.diagonal is not None and b.metric.diagonal is None
+        assert a.metric.spray is not None and b.metric.spray is None
         st = PhaseState(x=x, v=v)
         ta, tb = integrate(a, st, T, cfg), integrate(b, st, T, cfg)
         assert not ta.exited and ta.states.shape == tb.states.shape
@@ -146,6 +150,36 @@ def test_lean_stage_matches_point_geometry_stage(name, form):
             assert np.array_equal(start.times, [0.0])
             with pytest.raises(StepLimitExceeded):
                 integrate(c, st, T, IntegratorConfig(step=1e-2, max_steps=10))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(_PAIRS),
+       unit_point=st.lists(st.floats(0.25, 0.75), min_size=3, max_size=3),
+       v=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+       b=st.floats(-3, 3))
+def test_time_reversal(pair, unit_point, v, b):
+    # the orbit of (x(T), -v(T)) under -sigma returns to (x0, -v0) at T.
+    # RK4 is of order 4, so each leg errs by O(T h^4) and the round trip by
+    # at most their sum: halving h shrinks the defect at least 16-fold, down
+    # to roundoff.  From the middle of the sample box, a unit-speed orbit
+    # stays in the chart up to T = 0.5
+    name, form = pair
+    fw, bw = (system(name, form, **strength(form, c)) for c in (b, -b))
+    lo, hi = fw.chart.sample_bounds
+    x = lo + (hi - lo) * np.array(unit_point[:fw.dim])
+    assume(np.abs(v[:fw.dim]).max() > 0.1)
+    v0 = unit(fw.metric, x, v[:fw.dim])
+    defects = []
+    for h in (0.05, 0.025):
+        cfg = IntegratorConfig(step=h)
+        end = integrate(fw, PhaseState(x=x, v=v0), 0.5, cfg).final
+        back = integrate(bw, PhaseState(x=end.x, v=-end.v,
+                                        s=fw.metric.norm(end.x, end.v)),
+                         0.5, cfg)
+        assert not back.exited
+        defects.append(np.abs(np.concatenate([back.final.x - x,
+                                              back.final.v + v0])).max())
+    assert defects[1] <= defects[0] / 16 + 1e-12, defects
 
 
 def test_generator_and_jacobian_match_tensor_formulas(rng):
@@ -329,6 +363,30 @@ def test_negative_horizon_rejected():
     for run in (integrate, variational_flow):
         with pytest.raises(ValueError, match="nonnegative"):
             run(sys, st, -3.0, IntegratorConfig(step=1e-2))
+
+
+_NAN = float("nan")
+_X, _V, _E = [0.1, 0.0], [0.5, 0.0], np.eye(2)[:, :1]
+
+
+@pytest.mark.parametrize("check, error", [
+    (lambda sys: PhaseState(x=_X, v=_V, s=_NAN), NonpositiveSpeed),
+    (lambda sys: sys.rescale(_NAN), NonpositiveSpeed),
+    (lambda sys: IntegratorConfig(step=_NAN), ValueError),
+    (lambda sys: op_R(sys, _NAN, _X, _V), NonpositiveSpeed),
+    (lambda sys: lyapunov_spectrum(sys, PhaseState(x=_X, v=_V), _NAN),
+     ValueError),
+    (lambda sys: volume_drift(sys, PhaseState(x=_X, v=_V), _NAN), ValueError),
+    (lambda sys: conjugate_point_scan(sys, _X, _V, _NAN, 4), ValueError),
+    (lambda sys: candidate_submanifold(sys, _X, _E, _NAN), ValueError),
+    (lambda sys: augmented_exp(sys, _X, _E, _V, _NAN), ValueError),
+], ids=["state_speed", "rescale", "step", "op_R_speed", "lyapunov_T",
+        "volume_T", "conjugate_t_max", "radius", "augmented_t"])
+def test_nan_fails_every_positivity_check(check, error):
+    # each check is written so that NaN, which compares false with 0 both
+    # ways, is not taken for a positive number
+    with pytest.raises(error, match="positive"):
+        check(system("poincare_disk", "area_form", b=1.0))
 
 
 def test_trajectory_csv_matches_per_element_formatting():

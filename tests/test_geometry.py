@@ -48,7 +48,7 @@ def test_analytic_inverse_matches_numerical(model, rng):
 
 
 def test_builtin_inverse_is_reciprocal_diagonal(model, rng):
-    # every built-in metric declares `diagonal`, so g^-1 is the reciprocal
+    # every built-in metric declares `spray`, so g^-1 is the reciprocal
     # of g's diagonal to the bit, at one point and on a batch
     name, chart, metric = model
     G = metric.raw(np.array([chart.sample_point(rng) for _ in range(50)]))
@@ -212,23 +212,26 @@ def _close(got, want):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(model=st.sampled_from(_BUILTINS),
        unit_point=st.lists(st.floats(0, 1), min_size=4, max_size=4),
+       v=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
        s=st.sampled_from([1.0, 1.7]))
-def test_builtin_diagonal_closure_matches_raw_and_dg(model, unit_point, s):
-    # `diagonal` declares a diagonal g; on floats at one point it gives g's
-    # diagonal d[i] = g_ii and dd[i][k] = dg[i, i, k] as lists, also on the
-    # rescaled metric s^-2 g
+def test_builtin_diagonal_closure_matches_raw_and_dg(model, unit_point, v, s):
+    # `spray` declares a diagonal g; on floats at one point it gives the
+    # geodesic acceleration a = -Gamma(v, v), with Gamma from raw and dg,
+    # and g's diagonal d[i] = g_ii as lists, also on the rescaled metric
+    # s^-2 g
     name, params = model
     chart, metric = make_manifold(name, **params)
     g = MagneticSystem(chart, metric, make_form("zero", chart.dim)).rescale(
         s).metric
     x = _point_in(chart, unit_point)
     assume(chart.contains(x))
+    v = np.array(v[:chart.dim])
     gx = g.raw(x)
     assert np.array_equal(gx, np.diag(np.diag(gx)))
-    d, dd = g.diagonal(x.tolist())
-    assert all(type(u) is float for u in d + [u for row in dd for u in row])
+    a, d = g.spray(x.tolist(), v.tolist())
+    assert all(type(u) is float for u in a + d)
+    assert _close(a, -np.einsum("ijk,j,k->i", christoffel(g, x), v, v))
     assert _close(d, np.diag(gx))
-    assert _close(dd, np.einsum("iik->ik", g.dg(x)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -238,7 +241,8 @@ def test_builtin_diagonal_closure_matches_raw_and_dg(model, unit_point, s):
        v=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
        b=st.floats(-3, 3), s=st.sampled_from([1.0, 1.7]))
 def test_builtin_form_closure_matches_at(model, form, unit_point, v, b, s):
-    # `sigma_v` at one point, given g's diagonal there, is sigma v, also on
+    # `lorentz_v` at one point, given g's diagonal there from `spray`, is
+    # the Lorentz force Yv = -g^-1 sigma v, with sigma from `at`, also on
     # the rescaled system (s^-2 g, s^-2 sigma)
     name, params = model
     chart, metric = make_manifold(name, **params)
@@ -248,11 +252,10 @@ def test_builtin_form_closure_matches_at(model, form, unit_point, v, b, s):
     x = _point_in(chart, unit_point)
     assume(chart.contains(x))
     v = np.array(v[:chart.dim])
-    g, sigma = sys.metric, sys.sigma
-    d, _ = g.diagonal(x.tolist())
-    got = sigma.sigma_v(x.tolist(), d, v.tolist())
+    _, d = sys.metric.spray(x.tolist(), v.tolist())
+    got = sys.sigma.lorentz_v(x.tolist(), d, v.tolist())
     assert all(type(u) is float for u in got)
-    assert _close(got, sigma.at(x, g.raw(x)) @ v)
+    assert _close(got, sys.lorentz(x) @ v)
 
 
 def test_box_sampler_draws_as_uniform():

@@ -2,6 +2,9 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
+import tomllib
 from pathlib import Path
 
 import magflow
@@ -108,3 +111,25 @@ def test_readme_names_every_subcommand():
     names = re.findall(r"`([^`]+)`", listed)
     assert len(names) == len(set(names)) == 14
     assert set(names) == set(main.commands) == set(PARAMS)
+
+
+def test_failing_property_test_is_reported_as_a_failure(tmp_path):
+    # under the project's warning filters a failing `@given` test is one
+    # failed test (exit code 1), not an internal error that ends the session
+    # before the tests after it run (exit code 3)
+    root = Path(__file__).resolve().parents[1]
+    ini = tomllib.loads((root / "pyproject.toml").read_text())
+    filters = ini["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    (tmp_path / "pytest.ini").write_text(
+        "[pytest]\nfilterwarnings =\n"
+        + "".join(f"    {f}\n" for f in filters))
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(i):\n"
+        "    assert i < 5\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                          "-p", "no:cacheprovider", "test_fails.py"],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed" in run.stdout
