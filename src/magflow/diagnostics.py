@@ -5,6 +5,14 @@ volume drift, and conjugate-point scans of the dynamical exponential.
 All growth rates are measured in the Sasaki-type inner product induced by
 the connector splitting (|xi|^2 = |d pi xi|_g^2 + |K xi|_g^2); chart
 coordinates alone would mix in the conformal factor of the chart.
+
+A spectrum, a volume drift and a conjugate-point scan each integrate their
+orbit once: one `variational_segments` call gives J over every QR segment
+or scan radius and the orbit's nodes at the segment ends, the Sasaki
+frames at all nodes are built and inverted as one batch, and only the QR
+(or the composition of J over the radii) runs segment by segment.  The
+step budget of `IntegratorConfig.max_steps` therefore bounds the whole
+horizon.
 """
 from __future__ import annotations
 
@@ -16,7 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnreliableSplitting
-from .flow import IntegratorConfig, PhaseState, generator, variational_flow
+from .flow import (IntegratorConfig, PhaseState, _require_count,
+                   _require_horizon, generator, variational_flow,
+                   variational_segments)
 from .geometry import PointGeometry, orthonormal_completion
 from .system import MagneticSystem
 
@@ -34,17 +44,19 @@ _GAP_FACTOR = 10.0  # least expansion over free-flow growth for an angle
 
 def sasaki_frame_matrix(sys: MagneticSystem, x, v) -> np.ndarray:
     """Linear map taking chart phase-tangents (dx, dv) to coordinates that
-    are Euclidean-orthonormal for the Sasaki-type metric."""
+    are Euclidean-orthonormal for the Sasaki-type metric, at a point (n,)
+    or a batch (B, n) of points x with velocities v stacked alike."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     geo = PointGeometry(sys.metric, x)
-    C = np.linalg.cholesky(geo.g).T                 # |C xi|_2^2 = xi^T g xi
-    Gv = np.einsum("ijk,k->ij", geo.christoffel(), v)
-    T = np.zeros((2 * n, 2 * n))
-    T[:n, :n] = C
-    T[n:, :n] = C @ Gv
-    T[n:, n:] = C
+    # |C xi|_2^2 = xi^T g xi
+    C = np.swapaxes(np.linalg.cholesky(geo.g), -1, -2)
+    Gv = np.einsum("...ijk,...k->...ij", geo.christoffel(), v)
+    T = np.zeros(x.shape[:-1] + (2 * n, 2 * n))
+    T[..., :n, :n] = C
+    T[..., n:, :n] = C @ Gv
+    T[..., n:, n:] = C
     return T
 
 
@@ -73,27 +85,29 @@ class LyapunovReport:
         return buf.getvalue()
 
 
-def _segmented_qr(sys, state, T, interval, cfg):
-    """Run the QR method over segments of length about `interval`; returns
-    the accumulated log |R_ii|, one per phase direction."""
+def _qr_segments(T):
+    """The number of equal QR segments of length about `_QR_INTERVAL`
+    over T."""
+    return max(1, int(round(T / _QR_INTERVAL)))
+
+
+def _segmented_qr(sys, state, T, nseg, cfg):
+    """Run the QR method over `nseg` equal segments of one orbit, integrated
+    once; returns the accumulated log |R_ii|, one per phase direction."""
     n = sys.dim
-    nseg = max(1, int(round(T / interval)))
-    dt = T / nseg
-    cur = state
-    Tm = sasaki_frame_matrix(sys, cur.x, cur.v)
+    Js, nodes = variational_segments(sys, state, T, nseg, cfg)
+    frames = sasaki_frame_matrix(sys, nodes[:, :n], nodes[:, n:])
+    # J over each segment in the Sasaki frames at its two ends
+    A = frames[1:] @ Js @ np.linalg.inv(frames[:-1])
     Q = np.eye(2 * n)
     logs = np.zeros(2 * n)
-    for _ in range(nseg):
-        Jseg, nxt = variational_flow(sys, cur, dt, cfg)
-        Tn = sasaki_frame_matrix(sys, nxt.x, nxt.v)
-        A = Tn @ Jseg @ np.linalg.inv(Tm)
-        Qn, R = np.linalg.qr(A @ Q)
+    for Aseg in A:
+        Q, R = np.linalg.qr(Aseg @ Q)
         sign = np.sign(np.diag(R))
         sign[sign == 0] = 1.0
-        Qn *= sign
+        Q *= sign
         R = (R.T * sign).T
         logs += np.log(np.abs(np.diag(R)))
-        Q, Tm, cur = Qn, Tn, nxt
     return logs
 
 
@@ -103,14 +117,16 @@ def lyapunov_spectrum(sys: MagneticSystem, state: PhaseState, T: float,
     """Finite-time Lyapunov exponents of the phase flow (all 2n of them).
 
     The QR re-orthonormalization runs every `_QR_INTERVAL` time units, or
-    on `steps` equal segments when given."""
-    if not T > 0:
-        raise ValueError("T must be positive")
+    on `steps` equal segments when given; the report's interval is the
+    segment length used."""
+    _require_horizon("T", T)
+    if steps is not None:
+        _require_count("steps", steps)
     cfg = cfg or IntegratorConfig(step=1e-2)
-    interval = _QR_INTERVAL if steps is None else T / steps
-    logs = _segmented_qr(sys, state, T, interval, cfg)
+    nseg = _qr_segments(T) if steps is None else steps
+    logs = _segmented_qr(sys, state, T, nseg, cfg)
     exps = np.sort(logs / T)[::-1]
-    return LyapunovReport(exponents=exps, horizon=T, interval=interval)
+    return LyapunovReport(exponents=exps, horizon=T, interval=T / nseg)
 
 
 def _restricted_basis(sys, state, T0):
@@ -134,6 +150,7 @@ def transversality_angle(sys: MagneticSystem, state: PhaseState, T: float,
     Raises UnreliableSplitting when the top expansion over the horizon does
     not exceed free-flow (polynomial) growth by `_GAP_FACTOR`.
     """
+    _require_horizon("T", T)
     cfg = cfg or IntegratorConfig(step=1e-2)
     n = sys.dim
     J, end = variational_flow(sys, state, T, cfg)
@@ -165,10 +182,9 @@ def volume_drift(sys: MagneticSystem, state: PhaseState, T: float,
     telescope, QR factors preserve |det|, and the running sum of log |R_ii|
     stays well conditioned where a single end-to-end determinant (condition
     ~ e^(2 lambda T)) loses the contracting factors to roundoff."""
-    if not T > 0:
-        raise ValueError("T must be positive")
+    _require_horizon("T", T)
     cfg = cfg or IntegratorConfig(step=1e-2)
-    logs = _segmented_qr(sys, state, T, _QR_INTERVAL, cfg)
+    logs = _segmented_qr(sys, state, T, _qr_segments(T), cfg)
     return float(abs(logs.sum()) / T)
 
 
@@ -181,8 +197,8 @@ def conjugate_point_scan(sys: MagneticSystem, x, direction, t_max: float,
     is an isometry and never degenerates).  Zeros flag conjugate points.
 
     Returns an array of rows (t, sigma_min)."""
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    _require_horizon("t_max", t_max)
+    _require_count("steps", steps)
     cfg = cfg or IntegratorConfig(step=1e-3)
     x = np.asarray(x, dtype=float)
     u = np.asarray(direction, dtype=float)
@@ -190,16 +206,15 @@ def conjugate_point_scan(sys: MagneticSystem, x, direction, t_max: float,
     n = sys.dim
     perp = orthonormal_completion(sys.metric, x, u)[1:].T   # (n, n-1)
     ts = np.linspace(t_max / steps, t_max, steps)
+    Js, nodes = variational_segments(sys, PhaseState(x=x, v=u, s=1.0), t_max,
+                                     steps, cfg)
+    # g-weights at the radii's end points, which passed the chart guard
+    Cends = np.swapaxes(np.linalg.cholesky(sys.metric.raw(nodes[1:, :n])),
+                        -1, -2)
     out = np.empty((steps, 2))
-    cur = PhaseState(x=x, v=u, s=1.0)
     J = np.eye(2 * n)
-    t_prev = 0.0
-    for i, t in enumerate(ts):
-        Jseg, cur = variational_flow(sys, cur, t - t_prev, cfg)
+    for i, (t, Jseg, Cend) in enumerate(zip(ts, Js, Cends)):
         J = Jseg @ J
-        t_prev = t
-        gy = sys.metric(cur.x)
-        Cend = np.linalg.cholesky(gy).T
         # d exp restricted to direction-perp: J_xv P / t, g-weighted
         M = Cend @ (J[:n, n:] @ perp) / t
         out[i] = (t, np.linalg.svd(M, compute_uv=False).min())

@@ -30,6 +30,14 @@ the whole batch), and Z is advanced by the RK4 propagator of each step,
     Z2 = I + h/2 D1,  Z3 = I + h/2 D2 Z2,  Z4 = I + h D3 Z3,
 where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
 (state, Z) rearranged: M depends only on the base orbit.
+
+`variational_segments` cuts one such flow at segment ends that fall on RK4
+nodes (the discrete QR method of Dieci, Russell & Van Vleck, SIAM J.
+Numer. Anal. 34, 1997): the orbit runs on a grid of equal segments of k
+whole steps, and the propagator loop appends Z and restarts it at the
+identity after every k-th step, counted across blocks, which keep their
+`_BLOCK_STEPS` whatever k is.  `IntegratorConfig.max_steps` bounds the
+steps of a whole call, all segments together.
 """
 from __future__ import annotations
 
@@ -57,6 +65,7 @@ __all__ = [
     "dynamical_exp",
     "oddness_residual",
     "variational_flow",
+    "variational_segments",
 ]
 
 log = logging.getLogger(__name__)
@@ -230,29 +239,33 @@ def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
     return _generator_jacobians(sys, geo, v, _acceleration(sys, geo, v))
 
 
-def _step_size(T, h, max_steps):
+def _step_size(T, h, max_steps, segments=1):
     """The number of fixed RK4 steps over T >= 0 for a nominal step h, and
-    their size, a Python float; at least one step for T > 0, none (of size
-    0) for T = 0."""
+    their size, a Python float: `segments` equal segments of k whole steps
+    each, k = round(T / segments / h), at least one for T > 0 and none (of
+    size 0) for T = 0.  The budget `max_steps` bounds all segments * k."""
     if T < 0:
         raise ValueError(f"the horizon T must be nonnegative, got {T}")
-    nsteps = max(int(T > 0), int(round(T / h)))
+    dt = float(T) / segments
+    k = max(int(T > 0), int(round(dt / h)))
+    nsteps = segments * k
     if nsteps > max_steps:
         raise StepLimitExceeded(f"{nsteps} steps exceed the budget {max_steps}")
-    return nsteps, float(T) / max(nsteps, 1)
+    return nsteps, dt / max(k, 1)
 
 
-def _rk4_path(sys, x, v, T, cfg, acc=None, speed=None):
+def _rk4_path(sys, x, v, T, cfg, acc=None, speed=None, segments=1):
     """Shared fixed-step RK4 driver over time T with the step and budget of
-    `cfg`, on the lists x, v of n floats.  `acc(x, v) -> list` is the stage
-    acceleration (`_stage` by default), which raises `DomainViolation` at a
-    point outside the chart; a `speed` rescales v to that g-norm after every
-    step.  Returns the node times, the nodes (x, v) as rows and whether the
-    orbit left the chart."""
+    `cfg`, on the grid of `segments` equal segments of whole steps
+    (`_step_size`), on the lists x, v of n floats.  `acc(x, v) -> list` is
+    the stage acceleration (`_stage` by default), which raises
+    `DomainViolation` at a point outside the chart; a `speed` rescales v to
+    that g-norm after every step.  Returns the node times, the nodes (x, v)
+    as rows and whether the orbit left the chart."""
     n = sys.dim
     f = _stage(sys) if acc is None else acc
     inside = sys.chart.domain_guard
-    nsteps, hh = _step_size(T, cfg.step, cfg.max_steps)
+    nsteps, hh = _step_size(T, cfg.step, cfg.max_steps, segments)
     half, sixth = 0.5 * hh, hh / 6.0
     # rows of the nodes; the memory of rows never written is never touched
     path = np.empty((nsteps + 1, 2 * n))
@@ -289,7 +302,8 @@ def _rk4_path(sys, x, v, T, cfg, acc=None, speed=None):
                 v = [u * scale for u in v]
         path[nodes] = x + v
         nodes += 1
-    # node k sits at k * hh, not at a running sum, so the last node is T
+    # node k sits at k * hh, not at a running sum, so the last node of one
+    # segment is T
     return np.arange(nodes) * hh, path[:nodes], exited
 
 
@@ -351,40 +365,60 @@ def oddness_residual(sys: MagneticSystem, x, v) -> float:
 _BLOCK_STEPS = 64
 
 
-def _advance(D: np.ndarray, h: float, Z: np.ndarray) -> np.ndarray:
+def _advance(D: np.ndarray, h: float, Z: np.ndarray, k=None, done=0,
+             cuts=None) -> np.ndarray:
     """Z advanced over the RK4 steps whose stage matrices M are
-    D[4k], ..., D[4k + 3], by the step propagators of the module docstring."""
+    D[4j], ..., D[4j + 3], by the step propagators of the module docstring.
+    With a segment length of k steps, these steps follow `done` steps of
+    the flow, and after every k-th step of the flow Z is appended to `cuts`
+    and restarts at the identity."""
     eye = np.eye(D.shape[-1])
     D1, D2, D3, D4 = D[0::4], D[1::4], D[2::4], D[3::4]
     K2 = D2 @ (eye + (0.5 * h) * D1)
     K3 = D3 @ (eye + (0.5 * h) * K2)
     K4 = D4 @ (eye + h * K3)
-    for P in eye + (h / 6.0) * (D1 + 2.0 * K2 + 2.0 * K3 + K4):
-        Z = P.dot(Z)
+    P = eye + (h / 6.0) * (D1 + 2.0 * K2 + 2.0 * K3 + K4)
+    if k is None:
+        for Pj in P:
+            Z = Pj.dot(Z)
+        return Z
+    for step, Pj in enumerate(P, done + 1):
+        Z = Pj.dot(Z)
+        if step % k == 0:
+            cuts.append(Z)
+            Z = eye
     return Z
 
 
 def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
                  cfg: Optional[IntegratorConfig], matrices, Z: np.ndarray,
-                 what: str):
+                 what: str, segments=None):
     """Z advanced over T by Zdot = M Z along `integrate`'s (unrenormalized)
     orbit of `state`, in the two passes of the module docstring, and the
-    end state of that orbit.  `matrices(geo, v, acc)` gives M at a block of
-    stages from their `PointGeometry` batch, velocities and accelerations."""
+    orbit's nodes as rows.  `matrices(geo, v, acc)` gives M at a block of
+    stages from their `PointGeometry` batch, velocities and accelerations.
+    With a number of `segments`, the orbit runs on the grid of that many
+    equal segments of k whole steps (`_step_size`), Z (square) restarts at
+    the identity at each segment end, and the stack of Z over each segment
+    is returned in place of Z; the blocks stay `_BLOCK_STEPS` long, whatever
+    k is."""
     cfg = cfg or IntegratorConfig()
-    n = sys.dim
     sys.chart.require(state.x)
-    _, h = _step_size(T, cfg.step, cfg.max_steps)
+    nsteps, h = _step_size(T, cfg.step, cfg.max_steps, segments or 1)
+    k = None if segments is None else nsteps // segments
     stage = _stage(sys)
     rows = []                       # (x, v, acc) at each recorded stage
+    cuts = []                       # Z at each segment end
+    done = 0                        # steps Z has been advanced over
 
     def advance():
         # every recorded point passed the chart guard in the stage
-        nonlocal Z
+        nonlocal Z, done
         X, V, A = np.split(np.array(rows), 3, axis=1)
         rows.clear()
         geo = PointGeometry(sys.metric, X, sys.sigma)
-        Z = _advance(matrices(geo, V, A), h, Z)
+        Z = _advance(matrices(geo, V, A), h, Z, k, done, cuts)
+        done += len(X) // 4
 
     def acc(x, v):
         # the stage, recording it; a full block of whole steps is first
@@ -396,12 +430,18 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
         return a
 
     _, path, exited = _rk4_path(sys, state.x.tolist(), state.v.tolist(), T,
-                                cfg, acc=acc)
+                                cfg, acc=acc, segments=segments or 1)
     if exited:
         raise DomainExit(f"{what} orbit left the chart")
     if rows:
         advance()
-    return Z, PhaseState(x=path[-1, :n], v=path[-1, n:], s=state.s)
+    return (Z if k is None else np.array(cuts)), path
+
+
+def _end_state(path: np.ndarray, state: PhaseState) -> PhaseState:
+    """The last node of a path of `state`'s orbit, with its nominal speed."""
+    n = state.x.size
+    return PhaseState(x=path[-1, :n], v=path[-1, n:], s=state.s)
 
 
 def variational_flow(sys: MagneticSystem, state: PhaseState, T: float,
@@ -409,5 +449,35 @@ def variational_flow(sys: MagneticSystem, state: PhaseState, T: float,
     """Solve Jdot = Df J along the orbit, J(0) = identity, in the two passes
     of the module docstring; returns J(T) and the end state of the orbit,
     which is `integrate`'s."""
-    return _linear_flow(sys, state, T, cfg, partial(_generator_jacobians, sys),
-                        np.eye(2 * sys.dim), "variational")
+    J, path = _linear_flow(sys, state, T, cfg, partial(_generator_jacobians, sys),
+                           np.eye(2 * sys.dim), "variational")
+    return J, _end_state(path, state)
+
+
+def variational_segments(sys: MagneticSystem, state: PhaseState, T: float,
+                         segments: int, cfg: Optional[IntegratorConfig] = None):
+    """The variational flow over `segments` equal segments of [0, T] along
+    one orbit of `state`, integrated once: each segment is
+    k = max(1, round(T / segments / h)) RK4 steps of size T / segments / k,
+    and the step budget bounds all segments * k of them.  Returns `Js`
+    (segments, 2n, 2n), J over each segment from the identity, and `nodes`
+    (segments + 1, 2n), the orbit's nodes (x, v) at the segment ends, the
+    start first."""
+    _require_horizon("T", T)
+    _require_count("segments", segments)
+    Js, path = _linear_flow(sys, state, T, cfg, partial(_generator_jacobians, sys),
+                            np.eye(2 * sys.dim), "variational", segments)
+    return Js, path[::(len(path) - 1) // segments]
+
+
+def _require_horizon(name: str, value) -> None:
+    """Reject a horizon that is not a finite positive number, naming it."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_count(name: str, value) -> None:
+    """Reject a count that is not a positive int, naming it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be a positive int, got {value!r}")

@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainExit, GridMismatch, NotPeriodic
-from .flow import (IntegratorConfig, PhaseState, Trajectory, _linear_flow,
-                   generator, integrate)
+from .flow import (IntegratorConfig, PhaseState, Trajectory, _end_state,
+                   _linear_flow, generator, integrate)
 from .geometry import orthonormal_completion
 from .system import MagneticSystem
 
@@ -102,8 +102,8 @@ def _transport(sys: MagneticSystem, state: PhaseState, W: np.ndarray,
         Gv = np.einsum("...ljk,...k->...lj", geo.gamma_low, v)
         return -np.matmul(geo.ginv, Gv + geo.sigma)
 
-    Wt, end = _linear_flow(sys, state, T, cfg, matrices, W.T, what)
-    return end, Wt.T
+    Wt, path = _linear_flow(sys, state, T, cfg, matrices, W.T, what)
+    return _end_state(path, state), Wt.T
 
 
 def parallel_transport(sys: MagneticSystem, state: PhaseState, w0, T: float,

@@ -459,6 +459,29 @@ def test_angle_unreliable_exit_3(tmp_path):
     assert "UnreliableSplitting" in res.output
 
 
+@pytest.mark.parametrize("command, integrator, params, error", [
+    # a unit-speed geodesic leaves the disk chart near t = 7.6
+    ("lyapunov", {"step": 1e-2}, {"T": 10.0}, "DomainExit"),
+    ("conjugate-scan", {"step": 1e-2},
+     {"direction": [1.0, 0.0], "t_max": 10.0, "steps": 10}, "DomainExit"),
+    # the budget bounds the whole horizon (100 steps), not one segment (10)
+    ("volume", {"step": 1e-2, "max_steps": 50}, {"T": 1.0}, "StepLimitExceeded"),
+    ("lyapunov", {"step": 1e-2, "max_steps": 50}, {"T": 1.0},
+     "StepLimitExceeded"),
+])
+def test_segmented_diagnostics_exit_3(tmp_path, command, integrator, params,
+                                      error):
+    sc = _write_scenario(
+        tmp_path,
+        manifold={"name": "poincare_disk"},
+        magnetic={"name": "zero"},
+        integrator=integrator,
+        params=params)
+    res = _run([command, sc, "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    assert error in res.output
+
+
 # ---------------------------------------------------------------------------
 # submanifold commands
 

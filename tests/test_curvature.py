@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magflow import (ChartSpec, MetricField, anosov_report, magnetic_operator,
                      magnetic_sectional, make_manifold, op_A, op_R,
@@ -81,6 +82,23 @@ def test_magnetic_operator_disk_area_form(rng):
         v = unit(sys.metric, x, rng.standard_normal(2))
         M = magnetic_operator(sys, s, x, v)
         assert M.matrix == pytest.approx(np.array([[1 - s * s]]), abs=1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(unit_point=st.lists(st.floats(0, 1), min_size=2, max_size=2),
+       angle=st.floats(0, 2 * np.pi), side=st.sampled_from([1.0, -1.0]),
+       s=st.floats(0.05, 4.0))
+def test_sectional_on_hyperbolic_plane_is_one_minus_s_squared(unit_point,
+                                                              angle, side, s):
+    # the hyperbolic plane with its area form: Sec_s = 1 - s^2 at every
+    # point, on every g-orthonormal plane (v, w) of either orientation
+    sys = system("poincare_disk", "area_form", b=1.0)
+    lo, hi = sys.chart.sample_bounds
+    x = lo + (hi - lo) * np.array(unit_point)
+    v = unit(sys.metric, x, [np.cos(angle), np.sin(angle)])
+    w = side * unit(sys.metric, x, [-np.sin(angle), np.cos(angle)])
+    sec = magnetic_sectional(sys, s, x, v, w)
+    assert abs(sec - (1.0 - s * s)) <= 1e-12 * (1.0 + s * s)
 
 
 def _reference_operators(sys, s, x, v):

@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from magflow import (IntegratorConfig, MagneticSystem, PhaseState,
-                     UnreliableSplitting, conjugate_point_scan,
-                     lyapunov_spectrum, transversality_angle, volume_drift)
+import magflow.flow
+from magflow import (DomainExit, IntegratorConfig, MagneticSystem, PhaseState,
+                     StepLimitExceeded, UnreliableSplitting,
+                     conjugate_point_scan, lyapunov_spectrum,
+                     transversality_angle, variational_flow, volume_drift)
+from magflow.diagnostics import sasaki_frame_matrix
 
 from conftest import system, unit
 
@@ -82,6 +85,128 @@ def test_spectrum_steps_override(disk):
 def test_spectrum_rejects_nonpositive_horizon(disk):
     with pytest.raises(ValueError):
         lyapunov_spectrum(disk, _disk_state(disk), 0.0)
+
+
+@pytest.mark.parametrize("T, interval", [(0.04, 0.04), (0.25, 0.125),
+                                         (5.0, 0.1), (8.0, 0.1), (10.0, 0.1)])
+def test_spectrum_reports_interval_used(disk, T, interval):
+    # T / round(T / 0.1) segments: one of 0.04, two of 0.125, and exactly
+    # the default 0.1 where T is a whole number of them
+    rep = lyapunov_spectrum(disk, _disk_state(disk), T,
+                            cfg=IntegratorConfig(step=1e-2))
+    assert rep.interval == interval
+
+
+_BAD_ARGUMENTS = {
+    "lyapunov-negative-steps": ("steps", lambda sys, st: lyapunov_spectrum(
+        sys, st, 2.0, steps=-4)),
+    "lyapunov-fractional-steps": ("steps", lambda sys, st: lyapunov_spectrum(
+        sys, st, 2.0, steps=2.5)),
+    "lyapunov-zero-steps": ("steps", lambda sys, st: lyapunov_spectrum(
+        sys, st, 2.0, steps=0)),
+    "lyapunov-infinite-T": ("T", lambda sys, st: lyapunov_spectrum(
+        sys, st, np.inf)),
+    "volume-infinite-T": ("T", lambda sys, st: volume_drift(sys, st, np.inf)),
+    "scan-zero-steps": ("steps", lambda sys, st: conjugate_point_scan(
+        sys, st.x, st.v, 1.0, 0)),
+    "scan-infinite-t_max": ("t_max", lambda sys, st: conjugate_point_scan(
+        sys, st.x, st.v, np.inf, 10)),
+    "angle-nan-T": ("T", lambda sys, st: transversality_angle(
+        sys, st, np.nan)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_diagnostics_reject_bad_counts_and_horizons(disk, case):
+    # a count that is not a positive int and a horizon that is not finite
+    # are rejected before any flow, naming the argument
+    name, call = _BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(disk, _disk_state(disk))
+
+
+def _segmented_qr_reference(sys, state, T, nseg, cfg):
+    """The QR method with one `variational_flow` per segment, each started
+    at the last one's end state, and one Sasaki frame per segment end."""
+    n = sys.dim
+    dt = T / nseg
+    cur = state
+    Tm = sasaki_frame_matrix(sys, cur.x, cur.v)
+    Q = np.eye(2 * n)
+    logs = np.zeros(2 * n)
+    for _ in range(nseg):
+        Jseg, nxt = variational_flow(sys, cur, dt, cfg)
+        Tn = sasaki_frame_matrix(sys, nxt.x, nxt.v)
+        Qn, R = np.linalg.qr(Tn @ Jseg @ np.linalg.inv(Tm) @ Q)
+        sign = np.sign(np.diag(R))
+        sign[sign == 0] = 1.0
+        Qn *= sign
+        R = (R.T * sign).T
+        logs += np.log(np.abs(np.diag(R)))
+        Q, Tm, cur = Qn, Tn, nxt
+    return logs
+
+
+@pytest.mark.parametrize("model", ["poincare_disk-area_form", "round_sphere-constant"])
+@pytest.mark.parametrize("T, interval, step", [
+    (6.0, 1.0, 1e-2),       # 100 steps a segment, longer than a block
+    (4.0, 0.1, 1e-2),       # 10 steps a segment, which does not divide a block
+    (3.0, 0.1, 0.03),       # 3 steps of 1/30 a segment: interval / h is not whole
+])
+def test_one_flow_qr_matches_per_segment_flows(model, T, interval, step):
+    # one orbit cut at the segment ends gives the spectrum and the volume
+    # drift of one flow per segment
+    name, form = model.split("-")
+    # the deep disk chart keeps the hyperbolic orbit inside up to T = 6
+    sys = system(name, form, {"eps": 1e-10} if name == "poincare_disk" else None,
+                 b=1.5)
+    x = np.array([np.pi / 2, 0.3] if name == "round_sphere" else [0.1, -0.2])
+    state = PhaseState(x=x, v=2.0 * unit(sys.metric, x, [0.6, 0.8]), s=2.0)
+    cfg = IntegratorConfig(step=step)
+    nseg = round(T / interval)
+    ref = _segmented_qr_reference(sys, state, T, nseg, cfg)
+    rep = lyapunov_spectrum(sys, state, T, steps=nseg, cfg=cfg)
+    assert np.abs(rep.exponents - np.sort(ref / T)[::-1]).max() <= 1e-12
+    if interval == 0.1:
+        assert abs(volume_drift(sys, state, T, cfg) - abs(ref.sum()) / T) <= 1e-12
+
+
+def test_diagnostics_integrate_their_orbit_once(disk, monkeypatch):
+    # a spectrum, a volume drift and a scan each integrate their orbit
+    # once (one `_rk4_path`), whatever their number of segments
+    calls = []
+    path = magflow.flow._rk4_path
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return path(*args, **kwargs)
+
+    monkeypatch.setattr(magflow.flow, "_rk4_path", counted)
+    cfg = IntegratorConfig(step=1e-2)
+    lyapunov_spectrum(disk, _disk_state(disk), 2.0, cfg=cfg)
+    assert len(calls) == 1
+    volume_drift(disk, _disk_state(disk), 2.0, cfg)
+    assert len(calls) == 2
+    conjugate_point_scan(disk, [0.0, 0.0], [1.0, 0.0], 1.0, 10, cfg)
+    assert len(calls) == 3
+
+
+def test_diagnostics_keep_exit_and_whole_horizon_budget():
+    # a chart exit in mid-horizon raises; the step budget bounds the whole
+    # horizon (100 steps), not one segment (10 steps)
+    sys = system("poincare_disk")
+    st = _disk_state(sys)
+    cfg = IntegratorConfig(step=1e-2)
+    with pytest.raises(DomainExit):
+        lyapunov_spectrum(sys, st, 10.0, cfg=cfg)
+    with pytest.raises(DomainExit):
+        conjugate_point_scan(sys, st.x, st.v, 10.0, 10, cfg)
+    tight = IntegratorConfig(step=1e-2, max_steps=50)
+    for call in (lambda: lyapunov_spectrum(sys, st, 1.0, cfg=tight),
+                 lambda: volume_drift(sys, st, 1.0, tight),
+                 lambda: conjugate_point_scan(sys, st.x, st.v, 1.0, 10, tight)):
+        with pytest.raises(StepLimitExceeded):
+            call()
 
 
 # ---------------------------------------------------------------------------

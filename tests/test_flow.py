@@ -9,7 +9,7 @@ from magflow import (IntegratorConfig, MagneticSystem, MetricField, PhaseState,
                      conjugate_point_scan, connector_split, dynamical_exp,
                      integrate, lyapunov_spectrum, make_form, make_manifold,
                      oddness_residual, op_R, parallel_transport,
-                     variational_flow, volume_drift)
+                     variational_flow, variational_segments, volume_drift)
 from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                             StepLimitExceeded)
 from magflow.flow import (_BLOCK_STEPS, _rk4_path, _stage, generator,
@@ -607,12 +607,104 @@ def test_variational_d2g_once_per_block():
 
 
 def test_variational_flow_keeps_exit_and_step_limit():
+    # the step budget bounds the whole horizon, not one segment: 10
+    # segments of 10 steps exceed a budget of 50
     sys = system("poincare_disk", "zero")
     st = PhaseState(x=np.zeros(2), v=np.array([0.5, 0.0]))
     with pytest.raises(DomainExit):
         variational_flow(sys, st, 50.0, IntegratorConfig(step=1e-2))
+    with pytest.raises(DomainExit):
+        variational_segments(sys, st, 50.0, 500, IntegratorConfig(step=1e-2))
     with pytest.raises(StepLimitExceeded):
         variational_flow(sys, st, 1.0, IntegratorConfig(step=1e-2, max_steps=10))
+    with pytest.raises(StepLimitExceeded):
+        variational_segments(sys, st, 1.0, 10,
+                             IntegratorConfig(step=1e-2, max_steps=50))
+
+
+@pytest.mark.parametrize("case", ["poincare_disk-area_form", "round_sphere3-constant",
+                                  "custom-vertical-field"])
+@pytest.mark.parametrize("T, segments, step", [
+    (1.3, 13, 1e-2),        # 10 steps a segment, which does not divide a block
+    (2.0, 2, 1e-2),         # 100 steps a segment, longer than a block
+    (1.3, 13, 0.03),        # 3 steps of 1/30 a segment: T / h is not whole
+])
+def test_variational_segments_match_one_flow(case, T, segments, step, rng):
+    # the segments' J compose to the flow over the same grid, and the nodes
+    # are `integrate`'s on that grid, over more than two blocks
+    sys = _VARIATIONAL_CASES[case]()
+    n = sys.dim
+    x = (np.pi / 2 if "sphere" in case else 0.0) + rng.uniform(-0.3, 0.3, n)
+    st = PhaseState(x=x, v=0.5 * unit(sys.metric, x, rng.standard_normal(n)),
+                    s=0.5)
+    Js, nodes = variational_segments(sys, st, T, segments,
+                                     IntegratorConfig(step=step))
+    k = max(1, round(T / segments / step))
+    cfg = IntegratorConfig(step=T / (segments * k))
+    J, _ = variational_flow(sys, st, T, cfg)
+    prod = np.eye(2 * n)
+    for Jseg in Js:
+        prod = Jseg @ prod
+    assert Js.shape == (segments, 2 * n, 2 * n)
+    assert np.abs(prod - J).max() <= 1e-12 * np.abs(J).max()
+    ref = integrate(sys, st, T, cfg).states[::k]
+    assert nodes.shape == (segments + 1, 2 * n)
+    assert np.array_equal(nodes[0], np.concatenate([st.x, st.v]))
+    assert np.abs(nodes - ref).max() <= 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(_PAIRS),
+       unit_point=st.lists(st.floats(0.25, 0.75), min_size=3, max_size=3),
+       v=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+       b=st.floats(-3, 3))
+def test_speed_conservation(pair, unit_point, v, b):
+    # Y is g-skew, so the flow keeps the g-speed; RK4 keeps it to O(T h^4),
+    # so halving h shrinks the drift at least 8-fold, down to roundoff.
+    # From the middle of the sample box a unit-speed orbit stays in the
+    # chart up to T = 0.5
+    name, form = pair
+    sys = system(name, form, **strength(form, b))
+    lo, hi = sys.chart.sample_bounds
+    x = lo + (hi - lo) * np.array(unit_point[:sys.dim])
+    assume(np.abs(v[:sys.dim]).max() > 0.1)
+    st0 = PhaseState(x=x, v=unit(sys.metric, x, v[:sys.dim]))
+    drift = [integrate(sys, st0, 0.5, IntegratorConfig(step=h)).speed_drift
+             for h in (0.05, 0.025)]
+    assert drift[0] <= 1e-4
+    assert drift[1] <= drift[0] / 8 + 1e-13, drift
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pair=st.sampled_from([p for p in _PAIRS if p[1] != "zero"]),
+       unit_point=st.lists(st.floats(0.25, 0.75), min_size=3, max_size=3),
+       v=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+       b=st.floats(-3, 3), s=st.floats(0.25, 2.0))
+def test_rescaling_lemma(pair, unit_point, v, b, s):
+    # the speed-s orbit of (g, sigma) is the unit-speed orbit of
+    # `rescale(s)` = (g / s^2, sigma / s^2), and the unit-speed orbit of
+    # (g, sigma / s) run s times as long: x(t) = y(s t), v(t) = s y'(s t),
+    # node by node on the step h and s h
+    name, form = pair
+    sys = system(name, form, **strength(form, b))
+    slow = system(name, form, **strength(form, b / s))
+    lo, hi = sys.chart.sample_bounds
+    x = lo + (hi - lo) * np.array(unit_point[:sys.dim])
+    assume(np.abs(v[:sys.dim]).max() > 0.1)
+    u = unit(sys.metric, x, v[:sys.dim])
+    T, h = 0.5 / s, 0.025 / s
+    fast = integrate(sys, PhaseState(x=x, v=s * u, s=s), T,
+                     IntegratorConfig(step=h)).states
+    resc = integrate(sys.rescale(s), PhaseState(x=x, v=s * u), T,
+                     IntegratorConfig(step=h)).states
+    unit_orbit = integrate(slow, PhaseState(x=x, v=u), s * T,
+                           IntegratorConfig(step=s * h)).states
+    n = sys.dim
+    unit_orbit[:, n:] *= s
+    scale = np.abs(fast).max()
+    assert fast.shape == resc.shape == unit_orbit.shape
+    assert np.abs(resc - fast).max() <= 1e-12 * scale
+    assert np.abs(unit_orbit - fast).max() <= 1e-12 * scale
 
 
 # -- rescaling equivalence -------------------------------------------------

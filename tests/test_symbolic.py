@@ -7,8 +7,8 @@ definition instead: the flat metric, the Poincare conformal factor
 4 / (1 - |x|^2)^2, and the round sphere as the pullback of the Euclidean
 metric along its embedding in hyperspherical angles; the forms are 0,
 b dx1 ^ dx2 and b sqrt(det g) dx1 ^ dx2.  Checked are the array closures
-(`raw`, `dg`, `d2g`, `at`, `dsigma_at`) and the float closures of an RK4
-stage (`spray`, `lorentz_v`), within 1e-10 relative.
+(`raw`, `dg`, `d2g`, `at`, `dsigma_at`), g's `inverse` and the float
+closures of an RK4 stage (`spray`, `lorentz_v`), within 1e-10 relative.
 """
 from functools import cache
 
@@ -104,6 +104,31 @@ def test_metric_closures_match_symbolic_metric(model, unit_point):
     assert _close(metric.raw(x), g_of(x))
     assert _close(metric.dg(x), dg_of(x))
     assert _close(metric.d2g(x), d2g_of(x))
+
+
+@cache
+def _inverse(name: str, dim=None):
+    """A numeric function of a chart point for the symbolic g^-1 (of g
+    simplified first: the sphere's pullback metric is a sum of trigonometric
+    products)."""
+    _, _, x, g, *_ = _model(name, dim)
+    return sp.lambdify([x], g.applyfunc(sp.trigsimp).inv().tolist())
+
+
+@pytest.mark.parametrize("model", _MODELS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(unit_points=st.lists(_unit_points, min_size=2, max_size=2))
+def test_inverse_matches_symbolic_metric(model, unit_points):
+    # `inverse` of g at a point and at a batch of two is sympy's g^-1
+    name, params = model
+    chart, metric, *_ = _model(name, params.get("dim"))
+    inv_of = _inverse(name, params.get("dim"))
+    X = np.array([_point_in(chart, p) for p in unit_points])
+    assume(all(chart.contains(x) for x in X))
+    want = np.array([inv_of(x) for x in X])
+    assert _close(metric.inverse(metric.raw(X[0])), want[0])
+    got = metric.inverse(metric.raw(X))
+    assert all(_close(got[i], want[i]) for i in range(2))
 
 
 @pytest.mark.parametrize("model", _MODELS)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from magflow import (MagneticSystem, MetricField, christoffel,
                      closedness_residual, make_form, make_manifold)
 from magflow.errors import NonpositiveSpeed
 
-from conftest import strength, system
+from conftest import MODEL_NAMES, strength, system
 
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -42,6 +43,34 @@ def test_lorentz_matches_sigma_and_is_skew(rng):
             v, w = rng.standard_normal((2, sys.dim))
             assert abs(v @ g @ (Y @ w) + (Y @ v) @ g @ w) < 1e-10
             assert abs((Y @ v) @ g @ w - sig @ w @ v) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(MODEL_NAMES),
+       form=st.sampled_from(["zero", "constant", "area_form"]),
+       unit_point=st.lists(st.floats(0, 1), min_size=3, max_size=3),
+       u=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+       w=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+       b=st.floats(-3, 3))
+def test_lorentz_is_g_skew_adjoint(name, form, unit_point, u, w, b):
+    # g(Yu, w) = -g(u, Yw) for the array Y and for the float closure
+    # `lorentz_v` of the RK4 stage, which is why Y does no work
+    sys = system(name, form, **strength(form, b))
+    assume(form != "area_form" or sys.dim == 2)
+    n = sys.dim
+    lo, hi = sys.chart.sample_bounds
+    x = lo + (hi - lo) * np.array(unit_point[:n])
+    assume(sys.chart.contains(x))
+    u, w = np.array(u[:n]), np.array(w[:n])
+    g, Y = sys.metric(x), sys.lorentz(x)
+    _, d = sys.metric.spray(x.tolist(), u.tolist())
+
+    def Yv(v):
+        return np.array(sys.sigma.lorentz_v(x.tolist(), d, v.tolist()))
+
+    size = np.abs(g).max() * (1.0 + np.abs(Y).max()) * (1.0 + u @ u + w @ w)
+    for Yu, Yw in ((Y @ u, Y @ w), (Yv(u), Yv(w))):
+        assert abs(Yu @ g @ w + u @ g @ Yw) <= 1e-13 * size
 
 
 # -- covariant derivative of Y ---------------------------------------------
