@@ -12,8 +12,7 @@ from .diagnostics import (LyapunovReport, conjugate_point_scan,
                           volume_drift)
 from .errors import *            # noqa: F401,F403  (exception hierarchy)
 from .flow import (IntegratorConfig, PhaseState, Trajectory, dynamical_exp,
-                   integrate, oddness_residual, variational_flow,
-                   variational_segments)
+                   integrate, oddness_residual, variational_flow)
 from .forms import FORMS, TwoFormField, make_form
 from .geometry import (ChartSpec, CurvatureTensor, MetricField, TangentSplit,
                        christoffel, connector_split, gram_schmidt,

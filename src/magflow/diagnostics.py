@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnreliableSplitting
-from .flow import (IntegratorConfig, PhaseState, _require_count,
-                   _require_horizon, generator, variational_flow,
+from .flow import (IntegratorConfig, PhaseState, generator, variational_flow,
                    variational_segments)
 from .geometry import PointGeometry, orthonormal_completion
 from .system import MagneticSystem
@@ -83,6 +82,19 @@ class LyapunovReport:
         for i, e in enumerate(self.exponents):
             buf.write(f"{i},{float(e)!r}\n")
         return buf.getvalue()
+
+
+def _require_horizon(name: str, value) -> None:
+    """Reject a horizon that is not a finite positive number, naming it."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_count(name: str, value) -> None:
+    """Reject a count that is not a positive int, naming it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 def _qr_segments(T):

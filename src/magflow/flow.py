@@ -65,7 +65,6 @@ __all__ = [
     "dynamical_exp",
     "oddness_residual",
     "variational_flow",
-    "variational_segments",
 ]
 
 log = logging.getLogger(__name__)
@@ -365,29 +364,15 @@ def oddness_residual(sys: MagneticSystem, x, v) -> float:
 _BLOCK_STEPS = 64
 
 
-def _advance(D: np.ndarray, h: float, Z: np.ndarray, k=None, done=0,
-             cuts=None) -> np.ndarray:
-    """Z advanced over the RK4 steps whose stage matrices M are
-    D[4j], ..., D[4j + 3], by the step propagators of the module docstring.
-    With a segment length of k steps, these steps follow `done` steps of
-    the flow, and after every k-th step of the flow Z is appended to `cuts`
-    and restarts at the identity."""
+def _advance(D: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step propagators of the module docstring, one for each step
+    whose stage matrices M are D[4j], ..., D[4j + 3]."""
     eye = np.eye(D.shape[-1])
     D1, D2, D3, D4 = D[0::4], D[1::4], D[2::4], D[3::4]
     K2 = D2 @ (eye + (0.5 * h) * D1)
     K3 = D3 @ (eye + (0.5 * h) * K2)
     K4 = D4 @ (eye + h * K3)
-    P = eye + (h / 6.0) * (D1 + 2.0 * K2 + 2.0 * K3 + K4)
-    if k is None:
-        for Pj in P:
-            Z = Pj.dot(Z)
-        return Z
-    for step, Pj in enumerate(P, done + 1):
-        Z = Pj.dot(Z)
-        if step % k == 0:
-            cuts.append(Z)
-            Z = eye
-    return Z
+    return eye + (h / 6.0) * (D1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
@@ -412,13 +397,17 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
     done = 0                        # steps Z has been advanced over
 
     def advance():
-        # every recorded point passed the chart guard in the stage
+        # every recorded point passed the chart guard in the stage; after
+        # every k-th step of the flow Z is cut and restarts at the identity
         nonlocal Z, done
         X, V, A = np.split(np.array(rows), 3, axis=1)
         rows.clear()
         geo = PointGeometry(sys.metric, X, sys.sigma)
-        Z = _advance(matrices(geo, V, A), h, Z, k, done, cuts)
-        done += len(X) // 4
+        for done, Pj in enumerate(_advance(matrices(geo, V, A), h), done + 1):
+            Z = Pj.dot(Z)
+            if k and done % k == 0:
+                cuts.append(Z)
+                Z = np.eye(len(Z))
 
     def acc(x, v):
         # the stage, recording it; a full block of whole steps is first
@@ -463,21 +452,7 @@ def variational_segments(sys: MagneticSystem, state: PhaseState, T: float,
     (segments, 2n, 2n), J over each segment from the identity, and `nodes`
     (segments + 1, 2n), the orbit's nodes (x, v) at the segment ends, the
     start first."""
-    _require_horizon("T", T)
-    _require_count("segments", segments)
     Js, path = _linear_flow(sys, state, T, cfg, partial(_generator_jacobians, sys),
                             np.eye(2 * sys.dim), "variational", segments)
     return Js, path[::(len(path) - 1) // segments]
 
-
-def _require_horizon(name: str, value) -> None:
-    """Reject a horizon that is not a finite positive number, naming it."""
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _require_count(name: str, value) -> None:
-    """Reject a count that is not a positive int, naming it."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1):
-        raise ValueError(f"{name} must be a positive int, got {value!r}")

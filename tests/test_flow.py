@@ -9,11 +9,11 @@ from magflow import (IntegratorConfig, MagneticSystem, MetricField, PhaseState,
                      conjugate_point_scan, connector_split, dynamical_exp,
                      integrate, lyapunov_spectrum, make_form, make_manifold,
                      oddness_residual, op_R, parallel_transport,
-                     variational_flow, variational_segments, volume_drift)
+                     variational_flow, volume_drift)
 from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                             StepLimitExceeded)
 from magflow.flow import (_BLOCK_STEPS, _rk4_path, _stage, generator,
-                          generator_jacobian)
+                          generator_jacobian, variational_segments)
 from magflow.geometry import dchristoffel
 
 from conftest import MODEL_NAMES, counted_system, strength, system, unit
