@@ -167,7 +167,7 @@ def cmd_anosov(sc, out):
 def cmd_defect(sc, out):
     """Totally-invariant defect of a declared submanifold; writes defect.json."""
     sysm = build_system(sc)
-    N = build_submanifold(sc, sysm)
+    N = build_submanifold(sc, sysm, build_integrator(sc, default_step=1e-2))
     rep = invariance_defect(sysm, N, sc["params"]["samples"], seed=sc["seed"])
     _write(out, "defect.json", rep.to_json())
 
@@ -261,11 +261,16 @@ def cmd_regimes(sc, out):
     report (s, max sectional curvature, top Lyapunov exponent) per row.
 
     The sign of both columns flips at s = 1: below it orbits are bounded and
-    the curvature criterion fails, above it the flow is hyperbolic."""
+    the curvature criterion fails, above it the flow is hyperbolic.  The
+    scenario must name that system, `poincare_disk` with `area_form`; its
+    `eps` and `b` are taken as given."""
+    for field, name in (("manifold", "poincare_disk"), ("magnetic", "area_form")):
+        if sc[field]["name"] != name:
+            raise ScenarioInvalid(
+                f"scenario field {field}/name: regimes sweeps {name}, "
+                f"got {sc[field]['name']!r}")
     p = sc["params"]
-    sysm = build_system({
-        "manifold": {"name": "poincare_disk", "params": {"eps": 1e-10}},
-        "magnetic": {"name": "area_form", "params": {"b": 1.0}}})
+    sysm = build_system(sc)
     cfg = build_integrator(sc, default_step=1e-2)
     rng = np.random.default_rng(sc["seed"])
     lines = ["s,max_sec,top_exponent"]

@@ -31,13 +31,15 @@ the whole batch), and Z is advanced by the RK4 propagator of each step,
 where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
 (state, Z) rearranged: M depends only on the base orbit.
 
-`variational_segments` cuts one such flow at segment ends that fall on RK4
-nodes (the discrete QR method of Dieci, Russell & Van Vleck, SIAM J.
-Numer. Anal. 34, 1997): the orbit runs on a grid of equal segments of k
-whole steps, and the propagator loop appends Z and restarts it at the
-identity after every k-th step, counted across blocks, which keep their
-`_BLOCK_STEPS` whatever k is.  `IntegratorConfig.max_steps` bounds the
-steps of a whole call, all segments together.
+The driver cuts the flow at segment ends that fall on RK4 nodes (the
+discrete QR method of Dieci, Russell & Van Vleck, SIAM J. Numer. Anal. 34,
+1997): the orbit runs on a grid of equal segments of k whole steps, and
+the propagator loop appends Z and restarts it at the identity after every
+k-th step, counted across blocks, which keep their `_BLOCK_STEPS` whatever
+k is.  It returns the stack of Z over each segment and the orbit's nodes
+at the segment ends, as `variational_segments` does; `variational_flow`
+and transport are the one-segment case.  `IntegratorConfig.max_steps`
+bounds the steps of a whole call, all segments together.
 """
 from __future__ import annotations
 
@@ -377,20 +379,20 @@ def _advance(D: np.ndarray, h: float) -> np.ndarray:
 
 def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
                  cfg: Optional[IntegratorConfig], matrices, Z: np.ndarray,
-                 what: str, segments=None):
-    """Z advanced over T by Zdot = M Z along `integrate`'s (unrenormalized)
-    orbit of `state`, in the two passes of the module docstring, and the
-    orbit's nodes as rows.  `matrices(geo, v, acc)` gives M at a block of
-    stages from their `PointGeometry` batch, velocities and accelerations.
-    With a number of `segments`, the orbit runs on the grid of that many
-    equal segments of k whole steps (`_step_size`), Z (square) restarts at
-    the identity at each segment end, and the stack of Z over each segment
-    is returned in place of Z; the blocks stay `_BLOCK_STEPS` long, whatever
-    k is."""
+                 what: str, segments: int = 1):
+    """Z advanced by Zdot = M Z along `integrate`'s (unrenormalized) orbit
+    of `state` over `segments` equal segments of k whole steps
+    (`_step_size`), in the two passes and with the cuts of the module
+    docstring (so Z is square unless there is one segment).
+    `matrices(geo, v, acc)` gives M at a block of stages from their
+    `PointGeometry` batch, velocities and accelerations.  Returns the stack
+    of Z over each segment and the orbit's nodes (x, v) at the segment ends
+    as rows, the start first; at T = 0 every segment is empty, so each Z is
+    the given one and each node the start."""
     cfg = cfg or IntegratorConfig()
     sys.chart.require(state.x)
-    nsteps, h = _step_size(T, cfg.step, cfg.max_steps, segments or 1)
-    k = None if segments is None else nsteps // segments
+    nsteps, h = _step_size(T, cfg.step, cfg.max_steps, segments)
+    k = nsteps // segments
     stage = _stage(sys)
     rows = []                       # (x, v, acc) at each recorded stage
     cuts = []                       # Z at each segment end
@@ -405,7 +407,7 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
         geo = PointGeometry(sys.metric, X, sys.sigma)
         for done, Pj in enumerate(_advance(matrices(geo, V, A), h), done + 1):
             Z = Pj.dot(Z)
-            if k and done % k == 0:
+            if done % k == 0:
                 cuts.append(Z)
                 Z = np.eye(len(Z))
 
@@ -419,12 +421,12 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
         return a
 
     _, path, exited = _rk4_path(sys, state.x.tolist(), state.v.tolist(), T,
-                                cfg, acc=acc, segments=segments or 1)
+                                cfg, acc=acc, segments=segments)
     if exited:
         raise DomainExit(f"{what} orbit left the chart")
     if rows:
         advance()
-    return (Z if k is None else np.array(cuts)), path
+    return np.array(cuts or [Z] * segments), path[np.arange(segments + 1) * k]
 
 
 def _end_state(path: np.ndarray, state: PhaseState) -> PhaseState:
@@ -438,9 +440,8 @@ def variational_flow(sys: MagneticSystem, state: PhaseState, T: float,
     """Solve Jdot = Df J along the orbit, J(0) = identity, in the two passes
     of the module docstring; returns J(T) and the end state of the orbit,
     which is `integrate`'s."""
-    J, path = _linear_flow(sys, state, T, cfg, partial(_generator_jacobians, sys),
-                           np.eye(2 * sys.dim), "variational")
-    return J, _end_state(path, state)
+    Js, nodes = variational_segments(sys, state, T, 1, cfg)
+    return Js[0], _end_state(nodes, state)
 
 
 def variational_segments(sys: MagneticSystem, state: PhaseState, T: float,
@@ -452,7 +453,6 @@ def variational_segments(sys: MagneticSystem, state: PhaseState, T: float,
     (segments, 2n, 2n), J over each segment from the identity, and `nodes`
     (segments + 1, 2n), the orbit's nodes (x, v) at the segment ends, the
     start first."""
-    Js, path = _linear_flow(sys, state, T, cfg, partial(_generator_jacobians, sys),
-                            np.eye(2 * sys.dim), "variational", segments)
-    return Js, path[::(len(path) - 1) // segments]
+    return _linear_flow(sys, state, T, cfg, partial(_generator_jacobians, sys),
+                        np.eye(2 * sys.dim), "variational", segments)
 

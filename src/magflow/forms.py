@@ -10,11 +10,10 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ChartSpec, MetricField, _central_difference, _on_batch
+from .geometry import (ChartSpec, MetricField, _FD_STEP1, _central_difference,
+                       _on_batch)
 
 __all__ = ["TwoFormField", "make_form", "FORMS"]
-
-_FD_STEP = 1e-5  # central-difference step of dsigma without a closure
 
 
 class TwoFormField:
@@ -87,7 +86,7 @@ class TwoFormField:
             return _on_batch(self.dsigma_at, self.broadcasts and self._dsigma,
                              3, x, *args)
         if self._dsigma is None:
-            return _central_difference(self.raw, x, _FD_STEP)
+            return _central_difference(self.raw, x, _FD_STEP1)
         return np.asarray(self._dsigma(x, *args), dtype=float)
 
 

@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 _GS_SKIP = 1e-8  # near-parallel seed threshold for Gram-Schmidt
-_FD_STEP1 = 1e-5  # central-difference step of dg without a closure
-_FD_STEP2 = 1e-4  # second-difference step of d2g without a closure
+_FD_STEP1 = 1e-5  # central-difference step of dg and dsigma without a closure
+_FD_STEP2 = 1e-4  # central-difference step of d2g (of dg) without a closure
 _identity = cache(np.eye)  # the n x n identity, built once per n; only read
 
 
@@ -119,11 +119,20 @@ def _central_difference(f, x, h: float) -> np.ndarray:
                      for e in h * np.eye(x.size)], axis=-1)
 
 
+def _second_difference(first, x, h: float) -> np.ndarray:
+    """Second derivatives as the `_central_difference` of the first
+    derivatives `first`, symmetrised in the last two axes."""
+    H = _central_difference(first, x, h)
+    return 0.5 * (H + H.swapaxes(-1, -2))
+
+
 class MetricField:
     """Symmetric positive-definite coefficient field g_ij(x).
 
-    dg / d2g are optional analytic closures; when absent, central
-    differences (steps `_FD_STEP1` and `_FD_STEP2`) are used.
+    dg / d2g are optional analytic closures.  Without dg, dg is the central
+    difference of `raw` (step `_FD_STEP1`); without d2g, d2g is the
+    central difference of `dg` (step `_FD_STEP2`), symmetrised in its last
+    two axes, the rule `ParamSubmanifold.hessian` applies to its Jacobian.
     `raw`, `dg` and `d2g` take a point x (n,) or a batch X (B, n) and
     return their values at each row of a batch stacked along axis 0.
     broadcasts declares that every closure (eval_fn, dg and d2g) accepts
@@ -187,22 +196,7 @@ class MetricField:
         if x.ndim == 1:
             if self._d2g is not None:
                 return np.asarray(self._d2g(x), dtype=float)
-            n, h = x.size, _FD_STEP2
-            out = np.empty((n, n, n, n))
-            g0 = self.raw(x)
-            for k in range(n):
-                ek = np.zeros(n)
-                ek[k] = h
-                out[:, :, k, k] = (self.raw(x + ek) - 2 * g0 + self.raw(x - ek)) / h**2
-                for l in range(k + 1, n):
-                    el = np.zeros(n)
-                    el[l] = h
-                    mixed = (self.raw(x + ek + el) - self.raw(x + ek - el)
-                             - self.raw(x - ek + el)
-                             + self.raw(x - ek - el)) / (4 * h**2)
-                    out[:, :, k, l] = mixed
-                    out[:, :, l, k] = mixed
-            return out
+            return _second_difference(self.dg, x, _FD_STEP2)
         return _on_batch(self.d2g, self.broadcasts and self._d2g, 4, x)
 
     def norm(self, x, v) -> float:

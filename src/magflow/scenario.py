@@ -234,10 +234,12 @@ def build_integrator(sc: dict,
         max_steps=cfg["max_steps"])
 
 
-def build_submanifold(sc: dict, sys: MagneticSystem) -> ParamSubmanifold:
-    """The submanifold declared in params/submanifold."""
+def build_submanifold(sc: dict, sys: MagneticSystem,
+                      cfg: Optional[IntegratorConfig] = None) -> ParamSubmanifold:
+    """The submanifold declared in params/submanifold, whose orbits (of an
+    exp_plane) are integrated with `cfg`."""
     try:
-        return make_submanifold(sc["params"]["submanifold"], sys)
+        return make_submanifold(sc["params"]["submanifold"], sys, cfg)
     except KeyError as exc:
         _fail("params/submanifold", f"missing {exc}")
     except (TypeError, ValueError, BadDimension) as exc:

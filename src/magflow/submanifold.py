@@ -24,8 +24,8 @@ from .errors import (
 )
 from .flow import IntegratorConfig, PhaseState, dynamical_exp, integrate, variational_flow
 from .geometry import (MetricField, PointGeometry, _central_difference,
-                       _random_frame, _sample_box, gram_schmidt,
-                       orthonormal_completion, sectional)
+                       _random_frame, _sample_box, _second_difference,
+                       gram_schmidt, orthonormal_completion, sectional)
 from .system import MagneticSystem
 
 __all__ = [
@@ -90,8 +90,7 @@ class ParamSubmanifold:
         p = np.asarray(p, dtype=float)
         if self._hess is not None:
             return np.asarray(self._hess(p), dtype=float)
-        H = _central_difference(self.jacobian, p, _FD_STEP)
-        return 0.5 * (H + H.transpose(0, 2, 1))
+        return _second_difference(self.jacobian, p, _FD_STEP)
 
     def sample_param(self, rng: np.random.Generator) -> np.ndarray:
         lo, hi = (self.sample_bounds if self.sample_bounds is not None
@@ -533,12 +532,14 @@ _SUBMANIFOLD_KEYS = {"hyperplane": ("type", "point", "normal", "basis", "extent"
                      "exp_plane": ("type", "x", "basis", "radius")}
 
 
-def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
+def make_submanifold(spec: dict, sys: MagneticSystem,
+                     cfg: Optional[IntegratorConfig] = None) -> ParamSubmanifold:
     """Build a submanifold from a declarative spec.
 
     Supported types: "hyperplane" {point, normal|basis, extent},
-    "sphere" {center, radius}, "exp_plane" {x, basis, radius}.  A key the
-    type does not read raises ValueError naming it."""
+    "sphere" {center, radius}, "exp_plane" {x, basis, radius}; an exp_plane
+    integrates its orbits with `cfg` (see `candidate_submanifold`).  A key
+    the type does not read raises ValueError naming it."""
     kind = spec.get("type")
     if kind not in _SUBMANIFOLD_KEYS:
         raise ValueError(f"unknown submanifold type {kind!r}")
@@ -606,7 +607,7 @@ def make_submanifold(spec: dict, sys: MagneticSystem) -> ParamSubmanifold:
             name="sphere")
     return candidate_submanifold(sys, _spec_array(spec, "x", n),
                                  _spec_array(spec, "basis", n, planar=True),
-                                 float(spec.get("radius", 0.5)))
+                                 float(spec.get("radius", 0.5)), cfg)
 
 
 def _spec_array(spec: dict, key: str, n: int, planar: bool = False):

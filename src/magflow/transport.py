@@ -102,8 +102,8 @@ def _transport(sys: MagneticSystem, state: PhaseState, W: np.ndarray,
         Gv = np.einsum("...ljk,...k->...lj", geo.gamma_low, v)
         return -np.matmul(geo.ginv, Gv + geo.sigma)
 
-    Wt, path = _linear_flow(sys, state, T, cfg, matrices, W.T, what)
-    return _end_state(path, state), Wt.T
+    Wts, nodes = _linear_flow(sys, state, T, cfg, matrices, W.T, what)
+    return _end_state(nodes, state), Wts[0].T
 
 
 def parallel_transport(sys: MagneticSystem, state: PhaseState, w0, T: float,

@@ -234,6 +234,13 @@ def _defect_overrides(submanifold):
       for sign, extent in (("zero", 0.0), ("negative", -1.0))],
     pytest.param("regimes", {"params": {"s_grid": []}}, [], "params/s_grid",
                  id="regimes-empty-s-grid"),
+    # the sweep runs on the hyperbolic disk with its area form only
+    pytest.param("regimes", {"manifold": {"name": "round_sphere"},
+                             "magnetic": {"name": "zero"}},
+                 [], "manifold/name", id="regimes-on-sphere"),
+    pytest.param("regimes", {"manifold": {"name": "poincare_disk"},
+                             "magnetic": {"name": "zero"}},
+                 [], "magnetic/name", id="regimes-without-area-form"),
     # a period window 0.9 x guess shorter than two steps: every orbit
     # returns within O(t) of its start near t = 0
     pytest.param("holonomy", {"manifold": {"name": "poincare_disk"},
@@ -480,6 +487,37 @@ def test_segmented_diagnostics_exit_3(tmp_path, command, integrator, params,
     res = _run([command, sc, "--out", str(tmp_path)])
     assert res.exit_code == 3
     assert error in res.output
+
+
+_EUCLIDEAN3 = {"manifold": {"name": "euclidean", "params": {"dim": 3}},
+               "initial": {"x": [0.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]}}
+_DISK_AREA = {"manifold": {"name": "poincare_disk"},
+              "magnetic": {"name": "area_form", "params": {"b": 1.0}},
+              "initial": {"x": [0.1, 0.0], "v": [1.0, 0.0]}}
+
+
+# the scenario of each subcommand that integrates, as overrides of
+# `_write_scenario`'s, on which it takes more than one RK4 step
+_INTEGRATING = {
+    "integrate": {}, "exp": {}, "transport": {}, "holonomy": {},
+    "lyapunov": _DISK_AREA, "angle": _DISK_AREA, "volume": _DISK_AREA,
+    "conjugate-scan": _DISK_AREA, "regimes": _DISK_AREA,
+    "cartan-probe": _EUCLIDEAN3,
+    "defect": dict(_EUCLIDEAN3, params={"submanifold": {
+        "type": "exp_plane", "x": [0.0, 0.0, 0.0],
+        "basis": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}}),
+}
+
+
+@pytest.mark.parametrize("command", list(_INTEGRATING))
+def test_every_integrating_command_keeps_the_step_budget(tmp_path, command):
+    # one RK4 step is fewer than any of these runs takes, at the command's
+    # default step
+    sc = _write_scenario(tmp_path, **dict({"integrator": {"max_steps": 1}},
+                                          **_INTEGRATING[command]))
+    res = _run([command, sc, "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    assert "StepLimitExceeded" in res.output
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from magflow import (IntegratorConfig, MagneticSystem, MetricField, PhaseState,
-                     augmented_exp, candidate_submanifold, christoffel,
-                     conjugate_point_scan, connector_split, dynamical_exp,
-                     integrate, lyapunov_spectrum, make_form, make_manifold,
-                     oddness_residual, op_R, parallel_transport,
-                     variational_flow, volume_drift)
+from magflow import (FrameState, IntegratorConfig, MagneticSystem, MetricField,
+                     PhaseState, augmented_exp, candidate_submanifold,
+                     christoffel, conjugate_point_scan, connector_split,
+                     dynamical_exp, frame_flow, integrate, lyapunov_spectrum,
+                     make_form, make_manifold, oddness_residual, op_R,
+                     parallel_transport, variational_flow, volume_drift)
 from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                             StepLimitExceeded)
 from magflow.flow import (_BLOCK_STEPS, _rk4_path, _stage, generator,
@@ -150,6 +150,43 @@ def test_lean_stage_matches_point_geometry_stage(name, form):
             assert np.array_equal(start.times, [0.0])
             with pytest.raises(StepLimitExceeded):
                 integrate(c, st, T, IntegratorConfig(step=1e-2, max_steps=10))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_linear_flows_at_zero_horizon_return_their_start(name, rng):
+    # T = 0 takes no RK4 step: J over every (empty) segment is the
+    # identity, a transported vector and frame are the given ones, and the
+    # orbit stays at its start
+    sys = system(name, "constant", b=1.0)
+    x = sys.chart.sample_point(rng)
+    st = PhaseState(x=x, v=unit(sys.metric, x, rng.standard_normal(sys.dim)))
+    J, end = variational_flow(sys, st, 0.0)
+    assert np.array_equal(J, np.eye(2 * sys.dim))
+    assert np.array_equal(end.x, st.x) and np.array_equal(end.v, st.v)
+    Js, nodes = variational_segments(sys, st, 0.0, 3)
+    assert np.array_equal(Js, [np.eye(2 * sys.dim)] * 3)
+    assert np.array_equal(nodes, [np.concatenate([st.x, st.v])] * 4)
+    w0 = rng.standard_normal(sys.dim)
+    assert np.array_equal(parallel_transport(sys, st, w0, 0.0), w0)
+    frame = FrameState.from_state(sys, st)
+    moved = frame_flow(sys, frame, 0.0)
+    assert np.array_equal(moved.completion, frame.completion)
+    assert np.array_equal(moved.state.x, st.x)
+
+
+@pytest.mark.parametrize("case", ["poincare_disk-area_form", "round_sphere3-constant",
+                                  "custom-vertical-field"])
+def test_variational_flow_is_the_one_segment_case(case, rng):
+    sys = _VARIATIONAL_CASES[case]()
+    n = sys.dim
+    x = (np.pi / 2 if "sphere" in case else 0.0) + rng.uniform(-0.3, 0.3, n)
+    st = PhaseState(x=x, v=unit(sys.metric, x, rng.standard_normal(n)))
+    cfg = IntegratorConfig(step=1e-2)
+    J, end = variational_flow(sys, st, 1.3, cfg)
+    Js, nodes = variational_segments(sys, st, 1.3, 1, cfg)
+    assert Js.shape == (1, 2 * n, 2 * n) and np.array_equal(Js[0], J)
+    assert np.array_equal(nodes, [np.concatenate([st.x, st.v]),
+                                  np.concatenate([end.x, end.v])])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

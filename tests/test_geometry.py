@@ -117,6 +117,28 @@ def test_christoffel_symmetry_and_fd_agreement(model, rng):
         assert np.allclose(G, christoffel(g_fd, x), atol=1e-6)
 
 
+# the largest error of the finite-difference d2g, relative to 1 + max|d2g|.
+# On the Poincare models the central difference of dg at step 1e-4 errs by
+# O((1e-4 / u)^2) at u = 1 - |x|^2; the ball's draws reach u = 0.0077,
+# where that is 1.04e-3
+_D2G_FD_TOL = {"euclidean": 0.0, "flat_torus": 0.0, "poincare_disk": 1e-3,
+               "poincare_ball": 2e-3, "round_sphere": 1e-6}
+
+
+def test_finite_difference_d2g_matches_analytic(model, rng):
+    # d2g is the symmetrised central difference of dg, whether dg is the
+    # analytic closure or itself a central difference of raw
+    name, chart, g = model
+    fds = (MetricField(g.raw, chart=chart),
+           MetricField(g.raw, dg=g.dg, chart=chart))
+    for _ in range(200):
+        x = chart.sample_point(rng)
+        ref = g.d2g(x)
+        for fd in fds:
+            err = np.abs(fd.d2g(x) - ref).max() / (1.0 + np.abs(ref).max())
+            assert err <= _D2G_FD_TOL[name], name
+
+
 # -- curvature -------------------------------------------------------------
 
 def test_dchristoffel_matches_inverse_derivative_formula(model, rng):
