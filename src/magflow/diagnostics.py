@@ -214,7 +214,10 @@ def conjugate_point_scan(sys: MagneticSystem, x, direction, t_max: float,
     cfg = cfg or IntegratorConfig(step=1e-3)
     x = np.asarray(x, dtype=float)
     u = np.asarray(direction, dtype=float)
-    u = u / sys.metric.norm(x, u)
+    norm = sys.metric.norm(x, u)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"direction must have a positive g-norm, got {norm}")
+    u = u / norm
     n = sys.dim
     perp = orthonormal_completion(sys.metric, x, u)[1:].T   # (n, n-1)
     ts = np.linspace(t_max / steps, t_max, steps)

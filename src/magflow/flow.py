@@ -13,9 +13,10 @@ and `TwoFormField.lorentz_v`, as every built-in model and form does) a
 stage runs the chart guard and adds the metric's -Gamma(v, v) and the
 form's Yv, as floats; otherwise it builds the point's `PointGeometry` on
 arrays.  `generator` evaluates the same stage.  Nodes are stored as float64
-rows.  Speed drift along the orbit, against the g-speed of its first node,
-is recorded, never silently corrected (unless renormalization is explicitly
-enabled), so it can serve as an error indicator.
+rows.  Every orbit, linear flows' included, runs through this one driver,
+which checks the horizon and the start point.  Speed drift along the
+orbit, against the g-speed of its first node, is recorded and never
+corrected, so it serves as an error indicator.
 
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
@@ -89,11 +90,10 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings: the nominal step, whether `integrate`
-    rescales v to the nominal speed after every step, and the step budget."""
+    """Fixed-step RK4 settings: the nominal step and the step budget.  No
+    setting corrects the orbit; its speed drift is recorded instead."""
 
     step: float = 1e-3
-    renormalize_speed: bool = False
     max_steps: int = 10_000_000
 
     def __post_init__(self):
@@ -241,12 +241,12 @@ def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
 
 
 def _step_size(T, h, max_steps, segments=1):
-    """The number of fixed RK4 steps over T >= 0 for a nominal step h, and
-    their size, a Python float: `segments` equal segments of k whole steps
-    each, k = round(T / segments / h), at least one for T > 0 and none (of
-    size 0) for T = 0.  The budget `max_steps` bounds all segments * k."""
-    if T < 0:
-        raise ValueError(f"the horizon T must be nonnegative, got {T}")
+    """The number of fixed RK4 steps over a finite T >= 0 for a nominal step
+    h, and their size, a Python float: `segments` equal segments of k whole
+    steps each, k = round(T / segments / h), at least one for T > 0 and none
+    (of size 0) for T = 0.  The budget `max_steps` bounds all segments * k."""
+    if not 0 <= T < np.inf:
+        raise ValueError(f"horizon T must be finite and nonnegative: {T}")
     dt = float(T) / segments
     k = max(int(T > 0), int(round(dt / h)))
     nsteps = segments * k
@@ -255,18 +255,20 @@ def _step_size(T, h, max_steps, segments=1):
     return nsteps, dt / max(k, 1)
 
 
-def _rk4_path(sys, x, v, T, cfg, acc=None, speed=None, segments=1):
-    """Shared fixed-step RK4 driver over time T with the step and budget of
-    `cfg`, on the grid of `segments` equal segments of whole steps
-    (`_step_size`), on the lists x, v of n floats.  `acc(x, v) -> list` is
-    the stage acceleration (`_stage` by default), which raises
-    `DomainViolation` at a point outside the chart; a `speed` rescales v to
-    that g-norm after every step.  Returns the node times, the nodes (x, v)
-    as rows and whether the orbit left the chart."""
+def _rk4_path(sys, state, T, cfg, acc=None, segments=1):
+    """The one RK4 driver: the orbit of `state`, whose start must pass the
+    chart guard, over time T with the step and budget of `cfg`, on the grid
+    of `segments` equal segments of whole steps (`_step_size`), stepping
+    lists x, v of n floats.  `acc(x, v) -> list` is the stage acceleration
+    (`_stage` by default), which raises `DomainViolation` at a point outside
+    the chart.  Returns the node times, the nodes (x, v) as rows and
+    whether the orbit left the chart."""
     n = sys.dim
     f = _stage(sys) if acc is None else acc
     inside = sys.chart.domain_guard
     nsteps, hh = _step_size(T, cfg.step, cfg.max_steps, segments)
+    sys.chart.require(state.x)
+    x, v = state.x.tolist(), state.v.tolist()
     half, sixth = 0.5 * hh, hh / 6.0
     # rows of the nodes; the memory of rows never written is never touched
     path = np.empty((nsteps + 1, 2 * n))
@@ -296,11 +298,6 @@ def _rk4_path(sys, x, v, T, cfg, acc=None, speed=None, segments=1):
         if inside is not None and not inside(x):
             exited = True
             break
-        if speed is not None:
-            nrm = sys.metric.norm(x, v)
-            if nrm > 0:
-                scale = float(speed / nrm)
-                v = [u * scale for u in v]
         path[nodes] = x + v
         nodes += 1
     # node k sits at k * hh, not at a running sum, so the last node of one
@@ -314,15 +311,11 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
     returned with `exited=True` rather than raising, since orbit escape is
     informative for open-chart models.  Drift is measured from the first
     node's g-speed (or `state.s` if that is 0 or inf), which is logged as a
-    warning where it differs from `state.s`, the renormalization target."""
+    warning where it differs from `state.s`; it is recorded per node and
+    never corrected."""
     cfg = cfg or IntegratorConfig()
-    if not np.isfinite(T):
-        raise ValueError("T must be finite")
     n = sys.dim
-    sys.chart.require(state.x)
-    times, path, exited = _rk4_path(
-        sys, state.x.tolist(), state.v.tolist(), T, cfg,
-        speed=state.s if cfg.renormalize_speed else None)
+    times, path, exited = _rk4_path(sys, state, T, cfg)
     # every node passed the chart guard, so the metric is read unguarded
     g = sys.metric.raw(path[:, :n])
     V = path[:, n:]
@@ -380,17 +373,16 @@ def _advance(D: np.ndarray, h: float) -> np.ndarray:
 def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
                  cfg: Optional[IntegratorConfig], matrices, Z: np.ndarray,
                  what: str, segments: int = 1):
-    """Z advanced by Zdot = M Z along `integrate`'s (unrenormalized) orbit
-    of `state` over `segments` equal segments of k whole steps
-    (`_step_size`), in the two passes and with the cuts of the module
-    docstring (so Z is square unless there is one segment).
+    """Z advanced by Zdot = M Z along `integrate`'s orbit of `state` (the
+    same driver, its drift never corrected) over `segments` equal segments
+    of k whole steps (`_step_size`), in the two passes and with the cuts of
+    the module docstring (so Z is square unless there is one segment).
     `matrices(geo, v, acc)` gives M at a block of stages from their
     `PointGeometry` batch, velocities and accelerations.  Returns the stack
     of Z over each segment and the orbit's nodes (x, v) at the segment ends
     as rows, the start first; at T = 0 every segment is empty, so each Z is
     the given one and each node the start."""
     cfg = cfg or IntegratorConfig()
-    sys.chart.require(state.x)
     nsteps, h = _step_size(T, cfg.step, cfg.max_steps, segments)
     k = nsteps // segments
     stage = _stage(sys)
@@ -420,8 +412,8 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
         rows.append(x + v + a)
         return a
 
-    _, path, exited = _rk4_path(sys, state.x.tolist(), state.v.tolist(), T,
-                                cfg, acc=acc, segments=segments)
+    _, path, exited = _rk4_path(sys, state, T, cfg, acc=acc,
+                                segments=segments)
     if exited:
         raise DomainExit(f"{what} orbit left the chart")
     if rows:

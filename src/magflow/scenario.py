@@ -103,7 +103,6 @@ _COMMON = {
     "initial": Field(dict, {}, fields={"x": _VECTOR, "v": _VECTOR}),
     "integrator": Field(dict, {}, fields={
         "step": Field(float, None, above=0),
-        "renormalize_speed": Field(bool, IntegratorConfig.renormalize_speed),
         "max_steps": Field(int, IntegratorConfig.max_steps, low=1)}),
     "seed": Field(int, 0, low=0),
 }
@@ -230,7 +229,6 @@ def build_integrator(sc: dict,
     cfg = sc["integrator"]
     return IntegratorConfig(
         step=default_step if cfg["step"] is None else cfg["step"],
-        renormalize_speed=cfg["renormalize_speed"],
         max_steps=cfg["max_steps"])
 
 

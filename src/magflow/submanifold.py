@@ -12,6 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .diagnostics import _require_count
 from .errors import (
     BadDimension,
     DegenerateImage,
@@ -206,6 +207,7 @@ def invariance_defect(sys: MagneticSystem, N: ParamSubmanifold,
 
     Zero (to tolerance) exactly when N is totally invariant on the sample.
     """
+    _require_count("sample_count", sample_count)
     rng = np.random.default_rng(seed)
     vals = np.empty(sample_count)
     for i in range(sample_count):
@@ -485,6 +487,8 @@ def cartan_probe(sys: MagneticSystem, k: int, plane_samples: int,
     n = sys.dim
     if not (1 < k < n):
         raise BadDimension(f"need 1 < k < n, got k={k}, n={n}")
+    _require_count("plane_samples", plane_samples)
+    _require_count("defect_samples", defect_samples)
     rng = np.random.default_rng(seed)
     cfg = cfg or IntegratorConfig(step=1e-2)
     defects = []

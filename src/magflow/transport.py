@@ -9,7 +9,7 @@ grids lives in `magnetic_covariant_derivative`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -184,8 +184,7 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
                           f"shorter than two steps of {cfg.step}")
     z0 = np.concatenate([state.x, state.v])
     lo, hi = 0.9 * period_guess, 1.1 * period_guess
-    # the frame flow does not renormalize, so neither does its dense orbit
-    traj = integrate(sys, state, hi, replace(cfg, renormalize_speed=False))
+    traj = integrate(sys, state, hi, cfg)
     # the last node is at hi unless the orbit left the chart
     window = np.flatnonzero(traj.times >= lo)
     if window.size == 0:

@@ -255,6 +255,10 @@ def _defect_overrides(submanifold):
                               "integrator": {"step": 1e-2},
                               "params": {"period_guess": 1e-3}},
                  [], "params/period_guess", id="holonomy-guess-below-two-steps"),
+    # the integrator has no setting that corrects the orbit's speed
+    pytest.param("integrate", {"integrator": {"renormalize_speed": True}},
+                 [], "integrator/renormalize_speed",
+                 id="renormalize-speed-unknown"),
 ])
 def test_invalid_input_exits_2_naming_field(tmp_path, command, overrides,
                                             flags, field):

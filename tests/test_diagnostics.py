@@ -109,6 +109,8 @@ _BAD_ARGUMENTS = {
     "volume-infinite-T": ("T", lambda sys, st: volume_drift(sys, st, np.inf)),
     "scan-zero-steps": ("steps", lambda sys, st: conjugate_point_scan(
         sys, st.x, st.v, 1.0, 0)),
+    "scan-zero-direction": ("direction", lambda sys, st: conjugate_point_scan(
+        sys, st.x, np.zeros(2), 1.0, 10)),
     "scan-infinite-t_max": ("t_max", lambda sys, st: conjugate_point_scan(
         sys, st.x, st.v, np.inf, 10)),
     "angle-nan-T": ("T", lambda sys, st: transversality_angle(

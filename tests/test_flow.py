@@ -309,15 +309,6 @@ def test_exit_returns_partial_trajectory():
     assert np.abs(traj.states[-1, :2]).max() < 1.0
 
 
-def test_renormalization_pins_speed():
-    sys = system("poincare_disk", "area_form", b=2.0)
-    x0 = np.array([0.1, 0.0])
-    st = PhaseState(x=x0, v=unit(sys.metric, x0, np.array([1.0, 0.4])))
-    traj = integrate(sys, st, 5.0,
-                     IntegratorConfig(step=1e-2, renormalize_speed=True))
-    assert traj.speed_drift < 1e-13
-
-
 def test_rk4_node_times_land_on_the_horizon():
     # node k sits at k * (T / nsteps), not at a running sum of steps, so the
     # last node is T to within one ulp
@@ -373,7 +364,7 @@ def test_rk4_driver_matches_array_rk4(case):
     cfg = IntegratorConfig(step=1e-2)
     T = 10.0 if escaping else 1.23
     stage = _stage(sys)
-    times, path, exited = _rk4_path(sys, x.tolist(), v.tolist(), T, cfg)
+    times, path, exited = _rk4_path(sys, PhaseState(x=x, v=v), T, cfg)
     ref, ref_exited = _array_rk4(sys, stage, x, v, T, cfg.step)
     assert exited == ref_exited == escaping
     assert np.array_equal(path, ref)
@@ -395,11 +386,20 @@ def test_huge_speed_exits_without_a_warning():
 
 
 def test_negative_horizon_rejected():
+    # every orbit, linear flows' included, takes its horizon through one
+    # rule: a negative, infinite or NaN horizon fails with one message
     sys = system("euclidean", "constant", {"dim": 2}, b=1.0)
     st = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]))
-    for run in (integrate, variational_flow):
-        with pytest.raises(ValueError, match="nonnegative"):
-            run(sys, st, -3.0, IntegratorConfig(step=1e-2))
+    frame = FrameState.from_state(sys, st)
+    cfg = IntegratorConfig(step=1e-2)
+    runs = [lambda T: integrate(sys, st, T, cfg),
+            lambda T: variational_flow(sys, st, T, cfg),
+            lambda T: parallel_transport(sys, st, [0.0, 1.0], T, cfg),
+            lambda T: frame_flow(sys, frame, T, cfg)]
+    for T in (-3.0, np.inf, np.nan):
+        for run in runs:
+            with pytest.raises(ValueError, match="nonnegative"):
+                run(T)
 
 
 _NAN = float("nan")

@@ -1,4 +1,5 @@
 """The scenario table and its validator."""
+import dataclasses
 import json
 import re
 import tempfile
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from magflow.flow import IntegratorConfig
 from magflow.scenario import PARAMS, ScenarioInvalid, load_scenario
 
 # the closed objects of a scenario, as paths from the top level
@@ -37,8 +39,14 @@ def _load(sc, command):
 def test_valid_scenario_loads_with_defaults(command):
     sc = _load(_valid(command), command)
     assert set(sc["params"]) == set(PARAMS[command])
-    assert sc["integrator"] == {"step": 1e-2, "renormalize_speed": False,
-                                "max_steps": 10_000_000}
+    assert sc["integrator"] == {"step": 1e-2, "max_steps": 10_000_000}
+
+
+def test_integrator_table_is_the_integrator_config():
+    # a setting of the integrator exists in both places or in neither
+    known = _load(_valid("integrate"), "integrate")["integrator"]
+    assert ({f.name for f in dataclasses.fields(IntegratorConfig)}
+            == set(known) == {"step", "max_steps"})
 
 
 @settings(max_examples=60, deadline=None)

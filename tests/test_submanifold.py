@@ -227,6 +227,32 @@ def test_candidate_totally_magnetic_plane():
     assert rep.sup < 1e-10
 
 
+@pytest.mark.parametrize("step", [1e-2, 3e-3])
+@pytest.mark.parametrize("manifold, form, x, basis", [
+    ("poincare_ball", "zero", [0.1, 0.0, 0.05], np.eye(3)[:, :2]),
+    ("poincare_disk", "area_form", [0.1, -0.05], np.eye(2)[:, :1])])
+def test_exp_image_point_is_its_jacobian_flows_end(monkeypatch, manifold, form,
+                                                   x, basis, step):
+    # a point of an exp-image and its Jacobian come from one orbit: N.point(u)
+    # is the end point of the variational flow behind N.jacobian(u), to the bit
+    sys = system(manifold, form, **({"b": 1.5} if form != "zero" else {}))
+    N = candidate_submanifold(sys, np.array(x), basis, radius=0.6,
+                              cfg=IntegratorConfig(step=step))
+    ends = []
+    flow_of = submanifold.variational_flow
+
+    def recorded(*args):
+        J, end = flow_of(*args)
+        ends.append(end)
+        return J, end
+
+    monkeypatch.setattr(submanifold, "variational_flow", recorded)
+    for u in (np.full(N.k, 0.3), np.linspace(-0.4, 0.2, N.k)):
+        N.jacobian(u)
+        assert np.array_equal(N.point(u), ends[-1].x)
+    assert len(ends) == 2
+
+
 def _counting(monkeypatch, module, name, calls):
     orig = getattr(module, name)
 
@@ -363,6 +389,34 @@ def test_alpha_defect_hyperplanes_of_four_space():
 
 
 # -- Cartan probe ------------------------------------------------------------
+
+_BAD_COUNTS = {
+    "defect-zero-samples": ("sample_count", lambda sys: invariance_defect(
+        sys, _plane_e12(sys), 0)),
+    "defect-negative-samples": ("sample_count", lambda sys: invariance_defect(
+        sys, _plane_e12(sys), -1)),
+    "defect-fractional-samples": ("sample_count", lambda sys: invariance_defect(
+        sys, _plane_e12(sys), 2.5)),
+    "cartan-zero-planes": ("plane_samples", lambda sys: cartan_probe(
+        sys, 2, 0)),
+    "cartan-negative-planes": ("plane_samples", lambda sys: cartan_probe(
+        sys, 2, -1)),
+    "cartan-zero-defect-samples": ("defect_samples", lambda sys: cartan_probe(
+        sys, 2, 1, defect_samples=0)),
+    "cartan-negative-defect-samples": ("defect_samples",
+                                       lambda sys: cartan_probe(
+                                           sys, 2, 1, defect_samples=-1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COUNTS))
+def test_sample_counts_must_be_positive_ints(case):
+    # a sample count that is not a positive int is rejected, naming the
+    # argument, before numpy reduces over an empty or negative sample
+    name, call = _BAD_COUNTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be a positive int"):
+        call(system("euclidean", "zero", {"dim": 3}))
+
 
 def test_cartan_probe_dimension_guard():
     sys = system("euclidean", "zero", {"dim": 3})
