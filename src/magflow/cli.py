@@ -102,8 +102,9 @@ def _prepared(sc):
 def _unit_state(sc, sysm):
     """Initial state with g-unit velocity (curvature operators separate the
     speed dependence into the parameter s)."""
-    st = build_state(sc, sysm)
-    return st.x, st.v / sysm.metric.norm(st.x, st.v)
+    x = build_state(sc, sysm).x
+    v = np.asarray(sc["initial"]["v"], dtype=float)  # checked by build_state
+    return x, v / sysm.metric.norm(x, v)
 
 
 @scenario_command("integrate")

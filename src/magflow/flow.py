@@ -334,10 +334,12 @@ def dynamical_exp(sys: MagneticSystem, x, u,
     """exp_x(u): footpoint of the time-|u| flow of (x, u/|u|); x for u = 0."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    sys.chart.require(x)
-    t = sys.metric.norm(x, u)
-    if t == 0.0:
-        return x.copy()
+    # the driver checks the start; where no orbit is run, it is checked here
+    t = float(np.sqrt(max(u @ sys.metric.raw(x) @ u, 0.0)))
+    if not 0.0 < t < np.inf:
+        sys.chart.require(x)
+        if t == 0.0:
+            return x.copy()
     traj = integrate(sys, PhaseState(x=x, v=u / t, s=1.0), t, cfg)
     if traj.exited:
         raise DomainExit("dynamical exponential left the chart", partial=traj)

@@ -62,16 +62,21 @@ class ParamSubmanifold:
 
     Derivatives come from closures when provided, otherwise from central
     finite differences of f (Jacobian) and of the Jacobian (Hessian).
+    An optional `point_jac(p) -> (f(p), J(p))` gives both from one
+    evaluation (an exp-image's one flow).  `hessian(p, a)` is the directional
+    H(a, a); the full H serves only `classical_II` and the alpha quadrature.
     """
 
     def __init__(self, k: int, f: Callable, jac: Optional[Callable] = None,
                  hess: Optional[Callable] = None,
                  guard: Optional[Callable] = None,
-                 sample_bounds=None, name: str = "submanifold"):
+                 sample_bounds=None, name: str = "submanifold",
+                 point_jac: Optional[Callable] = None):
         self.k = k
         self._f = f
         self._jac = jac
         self._hess = hess
+        self._point_jac = point_jac
         self.guard = guard
         self.sample_bounds = sample_bounds
         self.name = name
@@ -86,12 +91,24 @@ class ParamSubmanifold:
             return np.asarray(self._jac(p), dtype=float)
         return _central_difference(self.point, p, _FD_STEP)
 
-    def hessian(self, p) -> np.ndarray:
-        """H[i, a, b] = d^2 f^i / d p^a d p^b, shape (n, k, k)."""
+    def point_and_jacobian(self, p) -> tuple:
+        """(f(p), J(p)), from `point_jac` where it is given."""
+        if self._point_jac is not None:
+            return self._point_jac(np.asarray(p, dtype=float))
+        return self.point(p), self.jacobian(p)
+
+    def hessian(self, p, a=None) -> np.ndarray:
+        """H[i, a, b] = d^2 f^i / d p^a d p^b, shape (n, k, k); given a
+        direction a, H(a, a), shape (n,): the closure's H contracted with a,
+        or else (J(p + h a) - J(p - h a)) a / 2h, two Jacobians."""
         p = np.asarray(p, dtype=float)
         if self._hess is not None:
-            return np.asarray(self._hess(p), dtype=float)
-        return _second_difference(self.jacobian, p, _FD_STEP)
+            H = np.asarray(self._hess(p), dtype=float)
+            return H if a is None else np.einsum("iab,a,b->i", H, a, a)
+        if a is None:
+            return _second_difference(self.jacobian, p, _FD_STEP)
+        e = _FD_STEP * np.asarray(a, dtype=float)
+        return (self.jacobian(p + e) - self.jacobian(p - e)) @ a / (2 * _FD_STEP)
 
     def sample_param(self, rng: np.random.Generator) -> np.ndarray:
         lo, hi = (self.sample_bounds if self.sample_bounds is not None
@@ -153,31 +170,38 @@ def _normal_part(gx: np.ndarray, frame: np.ndarray, w: np.ndarray) -> np.ndarray
 
 
 class _LocalData:
-    """N at f(p), evaluated once for every tangent direction there: x, the
-    Jacobian J and Hessian H of f, g, Gamma, the Lorentz force Y (None
-    without a 2-form) and the g-orthonormal tangent frame (rows)."""
+    """N at f(p), evaluated once for every tangent direction there: N, p,
+    x and the Jacobian J of f (from one `point_and_jacobian`), g, Gamma,
+    the Lorentz force Y (None without a 2-form), the g-orthonormal tangent
+    frame (rows) and, if `full`, the full Hessian H of f (else None, and
+    II(v, v) takes the directional H(a, a))."""
 
-    def __init__(self, N: ParamSubmanifold, p, geometry: Callable):
-        self.x = N.point(p)
+    def __init__(self, N: ParamSubmanifold, p, geometry: Callable,
+                 full: bool = False):
+        self.N, self.p = N, p
+        self.x, self.J = N.point_and_jacobian(p)
         geo = geometry(self.x)
         self.g, self.Gamma = geo.g, geo.christoffel()
         self.Y = None if geo.sigma is None else geo.lorentz()
-        self.J = N.jacobian(p)
         self.frame = _tangent_frame(self.g, self.J)
-        self.H = N.hessian(p)
+        self.H = N.hessian(p) if full else None
 
 
 def _classical_II(loc: _LocalData, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """II(u, w) at loc; without loc.H, u must be w."""
     a, *_ = np.linalg.lstsq(loc.J, u, rcond=None)
-    b, *_ = np.linalg.lstsq(loc.J, w, rcond=None)
-    second = (np.einsum("iab,a,b->i", loc.H, a, b)
-              + np.einsum("ijk,j,k->i", loc.Gamma, u, w))
+    if loc.H is None:
+        second = loc.N.hessian(loc.p, a)
+    else:
+        b, *_ = np.linalg.lstsq(loc.J, w, rcond=None)
+        second = np.einsum("iab,a,b->i", loc.H, a, b)
+    second = second + np.einsum("ijk,j,k->i", loc.Gamma, u, w)
     return _normal_part(loc.g, loc.frame, second)
 
 
 def classical_II(g: MetricField, N: ParamSubmanifold, p, u, w) -> np.ndarray:
     """Second fundamental form II(u, w) at f(p), as an ambient normal vector."""
-    return _classical_II(_LocalData(N, p, lambda x: PointGeometry(g, x)),
+    return _classical_II(_LocalData(N, p, lambda x: PointGeometry(g, x), True),
                          np.asarray(u, dtype=float), np.asarray(w, dtype=float))
 
 
@@ -277,8 +301,10 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
     """The k-dimensional exp-image of a tangent k-plane at x.
 
     Parametrized by u in the plane, |u| <= radius, u -> exp_x(B u).  The
-    Jacobian is computed from the variational flow (not finite differences
-    of the exponential); the base point uses the exact tangent plane.
+    point and the Jacobian come from one variational flow (not finite
+    differences of the exponential), whose end state is the point; the
+    base point uses the exact tangent plane.  `point` alone is one orbit
+    of `dynamical_exp`.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
@@ -295,12 +321,11 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
     def f(u):
         return dynamical_exp(sys, x, B @ u, cfg)
 
-    def jac(u):
-        u = np.asarray(u, dtype=float)
+    def point_jac(u):
         w = B @ u
         t = float(np.sqrt(w @ gx @ w))
         if t < 1e-12:
-            return B.copy()
+            return x.copy(), B.copy()
         uhat = w / t
         J2n, end = variational_flow(sys, PhaseState(x=x, v=uhat, s=1.0), t, cfg)
         n = sys.dim
@@ -308,11 +333,12 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
         v_end = end.v          # horizontal generator component at the endpoint
         g_uhat_B = (gx @ uhat) @ B                  # row of d|u| per parameter
         Duhat = (B - np.outer(uhat, g_uhat_B)) / t
-        return J_xv @ Duhat + np.outer(v_end, g_uhat_B)
+        return end.x, J_xv @ Duhat + np.outer(v_end, g_uhat_B)
 
     bound = radius / np.sqrt(k)
     return ParamSubmanifold(
-        k=k, f=f, jac=jac, guard=lambda u: float(u @ u) <= radius**2,
+        k=k, f=f, jac=lambda u: point_jac(u)[1], point_jac=point_jac,
+        guard=lambda u: float(u @ u) <= radius**2,
         sample_bounds=(-bound * np.ones(k) * 0.9, bound * np.ones(k) * 0.9),
         name=name)
 
@@ -358,8 +384,7 @@ def augmented_exp(sys: MagneticSystem, x, basis, v, t: float,
     # candidate_submanifold re-orthonormalizes the basis; recompute coords
     Bo = N.jacobian(np.zeros(B.shape[1]))
     c, *_ = np.linalg.lstsq(Bo, v, rcond=None)
-    y = N.point(t * c)
-    P = N.jacobian(t * c)
+    y, P = N.point_and_jacobian(t * c)
     sv = np.linalg.svd(P, compute_uv=False)
     if sv.min() < 1e-10:
         raise DegenerateImage("pushed basis is rank-deficient")
@@ -392,7 +417,7 @@ def _alpha_at(sys: MagneticSystem, N: ParamSubmanifold, p,
 
     The measure is the round measure in the g-orthonormal tangent frame; the
     reported mean is the normalized average over the fiber sphere."""
-    loc = _LocalData(N, p, sys.geometry)
+    loc = _LocalData(N, p, sys.geometry, full=True)
     nodes = _unit_sphere_nodes(loc.frame.shape[0], quad_count)
     vals = np.array([_dynamical_II(sys, loc, loc.frame.T @ c).norm_sq(loc.g)
                      for c in nodes])

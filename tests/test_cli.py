@@ -353,6 +353,24 @@ def test_curvature_matrices(tmp_path):
     assert np.allclose(data["M"], -3.0 * np.eye(1), atol=1e-6)
 
 
+def test_curvature_tiny_speed_stays_finite(tmp_path):
+    # the g-unit direction is normalised from initial/v itself, so a speed
+    # whose scaled velocity underflows in the g-norm gives no Infinity
+    sc = _write_scenario(
+        tmp_path,
+        manifold={"name": "poincare_disk"},
+        magnetic={"name": "area_form", "params": {"b": 1.0}},
+        speed=1e-300,
+        initial={"x": [0.1, 0.2], "v": [1.0, 0.0]})
+    res = _run(["curvature", sc, "--out", str(tmp_path)])
+    assert res.exit_code in (0, 3)
+    if res.exit_code == 0:
+        data = json.loads((tmp_path / "curvature.json").read_text())
+        assert np.isfinite(np.array(data["v"])).all()
+        for key in ("A", "R", "M"):
+            assert np.isfinite(np.array(data[key])).all()
+
+
 def test_sec_and_anosov_report_sample_alike(tmp_path):
     # one sampling loop: the same scenario and seed give the same statistics
     sc = _write_scenario(

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from magflow import (FrameState, IntegratorConfig, MagneticSystem, MetricField,
-                     PhaseState, augmented_exp, candidate_submanifold,
-                     christoffel, conjugate_point_scan, connector_split,
+from magflow import (ChartSpec, FrameState, IntegratorConfig, MagneticSystem,
+                     MetricField, PhaseState, augmented_exp,
+                     candidate_submanifold, christoffel,
+                     conjugate_point_scan, connector_split,
                      dynamical_exp, frame_flow, integrate, lyapunov_spectrum,
                      make_form, make_manifold, oddness_residual, op_R,
                      parallel_transport, variational_flow, volume_drift)
@@ -456,6 +457,20 @@ def test_exp_zero_vector_is_identity():
     sys = system("poincare_disk", "area_form", b=1.0)
     x = np.array([0.2, -0.1])
     assert np.array_equal(dynamical_exp(sys, x, np.zeros(2)), x)
+
+
+def test_exp_checks_its_start_once(monkeypatch):
+    # the driver checks the start of an orbit; at u = 0 no orbit is run,
+    # so the start is checked there and a point outside the chart rejected
+    sys = system("poincare_disk", "area_form", b=1.0)
+    calls = []
+    require = ChartSpec.require
+    monkeypatch.setattr(ChartSpec, "require",
+                        lambda self, x: calls.append(1) or require(self, x))
+    dynamical_exp(sys, np.array([0.2, -0.1]), np.array([0.3, 0.1]))
+    assert len(calls) == 1
+    with pytest.raises(DomainViolation):
+        dynamical_exp(sys, np.array([1.5, 0.0]), np.zeros(2))
 
 
 def test_exp_larmor_quarter_circle():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from magflow import (ChartSpec, IntegratorConfig, MagneticSystem, MetricField,
                      alpha_defect, augmented_exp, candidate_hypersurface,
@@ -11,7 +12,7 @@ from magflow import (ChartSpec, IntegratorConfig, MagneticSystem, MetricField,
 from magflow.errors import BadDimension, NonUnitVector, NotTangent
 from magflow.geometry import gram_schmidt
 from magflow import flow, submanifold
-from magflow.submanifold import HyperplaneElement, ParamSubmanifold
+from magflow.submanifold import _FD_STEP, HyperplaneElement, ParamSubmanifold
 
 from conftest import system, unit
 
@@ -264,16 +265,81 @@ def _counting(monkeypatch, module, name, calls):
 
 
 def test_defect_sample_evaluates_exp_image_once(monkeypatch):
-    # one sample: f(p) is one orbit, J(p) one variational flow, and the
-    # finite-difference Hessian two Jacobians per parameter
+    # one sample: f(p) and J(p) are one variational flow, and the
+    # directional second derivative H(a, a) two Jacobians, for any k
     sys = system("poincare_ball", "zero")
-    basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).T
-    N = candidate_submanifold(sys, np.array([0.1, 0.0, 0.05]), basis, radius=0.3)
     calls = {"integrate": 0, "variational_flow": 0}
     _counting(monkeypatch, flow, "integrate", calls)
     _counting(monkeypatch, submanifold, "variational_flow", calls)
-    invariance_defect(sys, N, 1, seed=3)
-    assert calls == {"integrate": 1, "variational_flow": 1 + 2 * N.k}
+    for k in (1, 2):
+        N = candidate_submanifold(sys, np.array([0.1, 0.0, 0.05]),
+                                  np.eye(3)[:, :k], radius=0.3)
+        calls.update(integrate=0, variational_flow=0)
+        invariance_defect(sys, N, 1, seed=3)
+        assert calls == {"integrate": 0, "variational_flow": 3}
+
+
+def test_augmented_exp_runs_one_flow(monkeypatch):
+    # the pushed point and plane (y, P) come from one variational flow
+    sys = system("euclidean", "constant", {"dim": 3}, b=1.0)
+    calls = {"integrate": 0, "variational_flow": 0}
+    _counting(monkeypatch, flow, "integrate", calls)
+    _counting(monkeypatch, submanifold, "variational_flow", calls)
+    augmented_exp(sys, np.zeros(3), np.eye(3)[:, :2],
+                  np.array([1.0, 0.0, 0.0]), 0.5)
+    assert calls == {"integrate": 0, "variational_flow": 1}
+
+
+def test_closure_hessian_takes_no_jacobian(monkeypatch):
+    # with a Hessian closure, H(a, a) is the closure contracted with a
+    sys = system("euclidean", "constant", {"dim": 3}, b=1.0)
+    N = _unit_sphere(sys)
+    p = np.array([1.0, 0.5])
+    J = N.jacobian(p)
+    calls = {"jacobian": 0}
+    _counting(monkeypatch, ParamSubmanifold, "jacobian", calls)
+    N.hessian(p, np.array([0.3, -0.8]))
+    assert calls == {"jacobian": 0}
+    dynamical_II(sys, N, p, J[:, 0] / np.linalg.norm(J[:, 0]))
+    assert calls == {"jacobian": 1}     # J at p itself
+
+
+def _hessian_cases():
+    ball = system("poincare_ball", "zero")
+    disk = system("poincare_disk", "area_form", b=1.0)
+    euclid = system("euclidean", "zero", {"dim": 3})
+    return {
+        "hyperplane": make_submanifold(
+            {"type": "hyperplane", "point": [0.1, 0, 0],
+             "normal": [1, 1, 1]}, euclid),
+        "sphere": _unit_sphere(euclid),
+        "exp-plane-ball": make_submanifold(
+            {"type": "exp_plane", "x": [0.1, -0.2, 0.05],
+             "basis": [[1, 0], [0, 1], [0.2, 0.3]], "radius": 0.4}, ball),
+        "exp-plane-disk": make_submanifold(
+            {"type": "exp_plane", "x": [0.2, 0.1], "basis": [[1], [0.5]],
+             "radius": 0.4}, disk),
+    }
+
+
+_HESSIAN_CASES = _hessian_cases()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(_HESSIAN_CASES)),
+       unit_p=st.lists(st.floats(-1, 1), min_size=2, max_size=2),
+       a=st.lists(st.floats(-1, 1), min_size=2, max_size=2))
+def test_directional_hessian_agrees_with_full(case, unit_p, a):
+    N = _HESSIAN_CASES[case]
+    lo, hi = N.sample_bounds
+    p = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.array(unit_p[:N.k])
+    # with a nonzero form an exp-image is C^1 but not C^2 at u = 0, where
+    # its second derivative jumps by the Lorentz force: no stencil of an
+    # exp-image straddles u = 0
+    assume(not case.startswith("exp") or p @ p > (2 * _FD_STEP) ** 2)
+    a = np.array(a[:N.k])
+    full = np.einsum("iab,a,b->i", N.hessian(p), a, a)
+    assert np.abs(N.hessian(p, a) - full).max() < 1e-6
 
 
 def test_alpha_quadrature_evaluates_hessian_once(monkeypatch):
