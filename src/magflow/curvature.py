@@ -24,10 +24,12 @@ frame; the `matrix` of a `PerpEndomorphism` is F g M F^T in the
 deterministic orthonormal completion frame F of v.
 
 The ambient matrices are formed over any leading batch axes.
-`sample_sectionals` draws its samples one at a time, in a fixed order, and
-evaluates the sectional curvatures of each chunk of them on one batched
-`PointGeometry`; `magnetic_sectional` and the operators are the same code
-on one point.
+`sample_sectionals` runs only its random draws one sample at a time, in a
+fixed order: a point, then a pair of vectors.  The metric, the Gram-Schmidt
+frames and the sectional curvatures of each chunk of samples are evaluated
+once per chunk, the curvatures on one batched `PointGeometry`, and a pair
+with a near-dependent row is redrawn after its chunk's draws.
+`magnetic_sectional` and the operators are the same code on one point.
 """
 from __future__ import annotations
 
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonOrthonormalFrame, NonpositiveSpeed, NonUnitVector
-from .geometry import PointGeometry, _completion, _random_frame, gram_schmidt
+from .geometry import (PointGeometry, _completion, _gram_schmidt_pairs,
+                       _random_frame)
 from .system import MagneticSystem
 
 __all__ = [
@@ -46,7 +49,6 @@ __all__ = [
     "op_R",
     "magnetic_operator",
     "magnetic_sectional",
-    "orthonormalize_pair",
     "sample_sectionals",
     "AnosovReport",
     "anosov_report",
@@ -170,16 +172,8 @@ def _sectional(geo: PointGeometry, s: float, v, w):
     return np.vecdot(gw, _gdot(_ambient_M(geo, s, v), w))
 
 
-def orthonormalize_pair(sys: MagneticSystem, x, v, w):
-    """Helper wrapping Gram-Schmidt so callers can build a valid frame."""
-    frame = gram_schmidt(sys.metric(x), [v, w])
-    if frame.shape[0] < 2:
-        raise NonOrthonormalFrame("vectors do not span a plane")
-    return frame[0], frame[1]
-
-
-# samples drawn before their sectional curvatures are evaluated together;
-# bounds the memory of a large sample count
+# samples drawn before their metric, frames and sectional curvatures are
+# evaluated together; bounds the memory of a large sample count
 _CHUNK = 256
 
 
@@ -188,22 +182,29 @@ def sample_sectionals(sys: MagneticSystem, s: float, count: int,
     """`count` s-magnetic sectional curvatures, each at a chart point drawn
     from `rng` on a g-orthonormal pair drawn from it after the point.
 
-    The draws run in order, one sample at a time; the curvatures of each
-    chunk of `_CHUNK` samples are then evaluated on one batched geometry,
-    whose points the sampler has already checked against the chart guard."""
+    The draws run in order, one sample at a time: its point, which the
+    sampler checks against the chart guard, then a standard normal (2, n)
+    draw.  Each chunk of `_CHUNK` samples then evaluates the metric at its
+    points once, orthonormalises its pairs by the batched Gram-Schmidt, and
+    its curvatures on one batched geometry.  A pair with a near-dependent
+    row (probability of order 1e-16 per sample) is redrawn by
+    `_random_frame` after all of its chunk's draws, not at once: only then
+    does the draw order differ from completing each sample in turn."""
     n = sys.dim
     vals = np.empty(count)
-    size = min(count, _CHUNK)
-    X, G = np.empty((size, n)), np.empty((size, n, n))
-    V, W = np.empty((size, n)), np.empty((size, n))
+    sample, normal = sys.chart.sample_point, rng.standard_normal
     for start in range(0, count, _CHUNK):
-        m = min(size, count - start)
+        m = min(_CHUNK, count - start)
+        X, P = np.empty((m, n)), np.empty((m, 2, n))
         for i in range(m):
-            X[i] = x = sys.chart.sample_point(rng)
-            G[i] = g = sys.metric.raw(x)
-            V[i], W[i] = _random_frame(rng, g, 2)
-        geo = PointGeometry(sys.metric, X[:m], sys.sigma, g=G[:m])
-        vals[start:start + m] = _sectional(geo, s, V[:m], W[:m])
+            X[i] = sample(rng)
+            normal(out=P[i])
+        G = sys.metric.raw(X)
+        V, W, rejected = _gram_schmidt_pairs(G, P)
+        for i in np.flatnonzero(rejected):
+            V[i], W[i] = _random_frame(rng, G[i], 2)
+        geo = PointGeometry(sys.metric, X, sys.sigma, g=G)
+        vals[start:start + m] = _sectional(geo, s, V, W)
     return vals
 
 

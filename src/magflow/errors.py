@@ -49,6 +49,12 @@ class DomainExit(MagflowError):
         self.partial = partial
 
 
+class NonFiniteState(MagflowError):
+    """An orbit reached a state with an infinite or NaN coordinate, as
+    when the step is past the RK4 stability limit of a strong field.  Not
+    a `DomainViolation`: a chart-free blow-up is no exit from the chart."""
+
+
 class StepLimitExceeded(MagflowError):
     """The integrator hit its step budget."""
 

@@ -53,8 +53,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DomainExit, DomainViolation, NonpositiveSpeed,
-                     StepLimitExceeded)
+from .errors import (DomainExit, DomainViolation, NonFiniteState,
+                     NonpositiveSpeed, StepLimitExceeded)
 from .geometry import PointGeometry, _central_difference
 from .system import MagneticSystem
 
@@ -262,7 +262,8 @@ def _rk4_path(sys, state, T, cfg, acc=None, segments=1):
     lists x, v of n floats.  `acc(x, v) -> list` is the stage acceleration
     (`_stage` by default), which raises `DomainViolation` at a point outside
     the chart.  Returns the node times, the nodes (x, v) as rows and
-    whether the orbit left the chart."""
+    whether the orbit left the chart; raises `NonFiniteState` if a node it
+    wrote is not finite (a chart without a guard never stops a blow-up)."""
     n = sys.dim
     f = _stage(sys) if acc is None else acc
     inside = sys.chart.domain_guard
@@ -300,9 +301,14 @@ def _rk4_path(sys, state, T, cfg, acc=None, segments=1):
             break
         path[nodes] = x + v
         nodes += 1
+    path = path[:nodes]
+    if not np.isfinite(path).all():
+        first = np.argmin(np.isfinite(path).all(axis=1))
+        raise NonFiniteState(
+            f"the orbit reached a non-finite state at t = {first * hh}")
     # node k sits at k * hh, not at a running sum, so the last node of one
     # segment is T
-    return np.arange(nodes) * hh, path[:nodes], exited
+    return np.arange(nodes) * hh, path, exited
 
 
 def integrate(sys: MagneticSystem, state: PhaseState, T: float,

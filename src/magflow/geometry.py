@@ -14,7 +14,7 @@ Index conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,9 +53,10 @@ class ChartSpec:
     """A single coordinate chart with an optional domain guard.
 
     The guard takes a point as a list of `dim` floats and says whether it
-    lies in the chart; `contains` hands it x.tolist(), and the RK4 driver of
-    `flow` its list state.  It must return False, not raise, at a point with
-    infinite or NaN coordinates."""
+    lies in the chart; `contains` hands it x.tolist(), `sample_point` the
+    list of its drawn point, and the RK4 driver of `flow` its list state.
+    It must return False, not raise, at a point with infinite or NaN
+    coordinates."""
 
     dim: int
     domain_guard: Optional[Callable[[list], bool]] = None
@@ -78,26 +79,39 @@ class ChartSpec:
         if not self.contains(x):
             raise DomainViolation(f"point {x} outside chart domain")
 
-    def sample_point(self, rng: np.random.Generator) -> np.ndarray:
+    @cached_property
+    def _sampler(self):
+        """`sample_point`'s box as float arrays (lo, hi - lo), and its test
+        of a drawn point: the guard on the point's list.  Built once per
+        chart."""
         lo, hi = self.sample_bounds if self.sample_bounds is not None else (
             -np.ones(self.dim), np.ones(self.dim))
-        return _sample_box(rng, lo, hi, self.contains, DomainViolation(
-            "could not sample a point inside the guard"))
+        lo = np.asarray(lo, dtype=float)
+        guard = self.domain_guard
+        accept = ((lambda x: True) if guard is None
+                  else (lambda x: guard(x.tolist())))
+        return lo, np.asarray(hi, dtype=float) - lo, accept
+
+    def sample_point(self, rng: np.random.Generator) -> np.ndarray:
+        """A uniform draw from `sample_bounds` ([-1, 1]^dim without them)
+        that the guard admits, within 1000 tries; `DomainViolation` when
+        none is admitted."""
+        return _sample_box(rng, *self._sampler, DomainViolation,
+                           "could not sample a point inside the guard")
 
 
-def _sample_box(rng: np.random.Generator, lo, hi, accept,
-                failure: Exception) -> np.ndarray:
-    """A uniform draw from the box [lo, hi] that `accept` admits, within
-    1000 tries; raises `failure` when none is admitted.  A draw is numpy's
-    own formula for rng.uniform(lo, hi), without its per-call checks of the
-    bounds: the same values and the same generator state after it."""
-    lo = np.asarray(lo, dtype=float)
-    span = np.asarray(hi, dtype=float) - lo
+def _sample_box(rng: np.random.Generator, lo: np.ndarray, span: np.ndarray,
+                accept, error: type, message: str) -> np.ndarray:
+    """A uniform draw from the box [lo, lo + span] that `accept` admits,
+    within 1000 tries; raises error(message) when none is admitted.  A draw
+    is numpy's own formula for rng.uniform(lo, lo + span), without its
+    per-call checks of the bounds: the same values and the same generator
+    state after it."""
     for _ in range(1000):
         x = lo + span * rng.random(lo.shape)
         if accept(x):
             return x
-    raise failure
+    raise error(message)
 
 
 def _on_batch(point, whole, rank: int, X, *args) -> np.ndarray:
@@ -389,6 +403,29 @@ def gram_schmidt(gx: np.ndarray, vectors) -> np.ndarray:
         if nrm > _GS_SKIP:
             out.append(v / nrm)
     return np.array(out)
+
+
+def _bilinear(U: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """u @ g @ w for each row u of U (B, n), g of G (B, n, n) and w of W,
+    as stacked products, with the bits of `gram_schmidt`'s `u @ gx @ v`."""
+    return np.vecdot(np.matmul(U[:, None, :], G)[:, 0], W)
+
+
+def _gram_schmidt_pairs(G: np.ndarray, P: np.ndarray):
+    """`gram_schmidt` of each pair of rows P[i] (B, 2, n) in the metric
+    G[i] (B, n, n), with its arithmetic and its `_GS_SKIP` rule: the first
+    and second rows U, W (B, n) of the pairs, and a mask of the pairs with a
+    near-dependent row, for which `gram_schmidt` returns fewer than two
+    rows and U, W hold no frame."""
+    U, W = P[:, 0], P[:, 1]
+    # a rejected first row divides by zero here; the mask covers it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = np.sqrt(np.maximum(_bilinear(U, G, U), 0.0))
+        U = U / nu[:, None]
+        W = W - _bilinear(U, G, W)[:, None] * U
+        nw = np.sqrt(np.maximum(_bilinear(W, G, W), 0.0))
+        W = W / nw[:, None]
+    return U, W, ~((nu > _GS_SKIP) & (nw > _GS_SKIP))
 
 
 def _random_frame(rng: np.random.Generator, gx: np.ndarray,

@@ -113,9 +113,11 @@ class ParamSubmanifold:
     def sample_param(self, rng: np.random.Generator) -> np.ndarray:
         lo, hi = (self.sample_bounds if self.sample_bounds is not None
                   else (-0.5 * np.ones(self.k), 0.5 * np.ones(self.k)))
+        lo = np.asarray(lo, dtype=float)
         return _sample_box(
-            rng, lo, hi, lambda p: self.guard is None or self.guard(p),
-            ProjectionFailure("could not sample a parameter inside the guard"))
+            rng, lo, np.asarray(hi, dtype=float) - lo,
+            lambda p: self.guard is None or self.guard(p),
+            ProjectionFailure, "could not sample a parameter inside the guard")
 
 
 @dataclass

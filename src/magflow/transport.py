@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainExit, GridMismatch, NotPeriodic
+from .errors import DomainExit, GridMismatch, NonFiniteState, NotPeriodic
 from .flow import (IntegratorConfig, PhaseState, Trajectory, _end_state,
                    _linear_flow, generator, integrate)
 from .geometry import orthonormal_completion
@@ -184,15 +184,16 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
                           f"shorter than two steps of {cfg.step}")
     z0 = np.concatenate([state.x, state.v])
     lo, hi = 0.9 * period_guess, 1.1 * period_guess
-    traj = integrate(sys, state, hi, cfg)
+    try:
+        traj = integrate(sys, state, hi, cfg)
+    except NonFiniteState as exc:
+        raise NotPeriodic(f"{exc}, before 1.1 times the guessed period") from exc
     # the last node is at hi unless the orbit left the chart
     window = np.flatnonzero(traj.times >= lo)
     if window.size == 0:
         raise NotPeriodic("the orbit left the chart before the guessed period")
     i = window[np.argmin(np.linalg.norm(traj.states[window] - z0, axis=1))]
     near = slice(i - 1, i + 2)                      # t[0] = 0 < lo, so i >= 1
-    if not np.all(np.isfinite(traj.states[near])):
-        raise NotPeriodic("the orbit is not finite near the guessed period")
     tau = _hermite_nearest(sys, traj.times[near], traj.states[near], z0)
     # the step before the nearest node may begin before the window
     tau = min(max(tau, lo), hi)

@@ -511,6 +511,38 @@ def test_segmented_diagnostics_exit_3(tmp_path, command, integrator, params,
     assert error in res.output
 
 
+@pytest.mark.parametrize("command", ["integrate", "transport"])
+@pytest.mark.parametrize("manifold", [{"name": "flat_torus"},
+                                      {"name": "euclidean",
+                                       "params": {"dim": 2}}],
+                         ids=["flat_torus", "euclidean"])
+def test_blown_up_orbit_exits_3(tmp_path, command, manifold):
+    # h b = 10 is past RK4's stability limit: the state overflows to NaN,
+    # and neither flat chart has a guard to stop it
+    sc = _write_scenario(tmp_path, manifold=manifold,
+                         magnetic={"name": "constant", "params": {"b": 1e4}},
+                         initial={"x": [0.5, 0.5], "v": [1.0, 0.0]},
+                         params={"T": 1.0})
+    out = tmp_path / "out"
+    res = _run([command, sc, "--out", str(out)])
+    assert res.exit_code == 3
+    assert "NonFiniteState" in res.output
+    assert not out.exists()
+
+
+def test_blown_up_exp_image_exits_3(tmp_path):
+    # the probe redraws a plane whose exp-image leaves the chart, but not
+    # one whose orbit blows up
+    sc = _write_scenario(
+        tmp_path, **_EUCLIDEAN3,
+        magnetic={"name": "constant", "params": {"b": 1e12}},
+        integrator={"step": 2e-2},
+        params={"k": 2, "planes": 1, "defect_samples": 2})
+    res = _run(["cartan-probe", sc, "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    assert "NonFiniteState" in res.output
+
+
 _EUCLIDEAN3 = {"manifold": {"name": "euclidean", "params": {"dim": 3}},
                "initial": {"x": [0.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]}}
 _DISK_AREA = {"manifold": {"name": "poincare_disk"},

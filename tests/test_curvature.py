@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from magflow import (ChartSpec, MetricField, anosov_report, magnetic_operator,
                      magnetic_sectional, make_manifold, op_A, op_R,
                      orthonormal_completion, riemann, sectional)
-from magflow.curvature import (_CHUNK, _sectional, orthonormalize_pair,
-                               sample_sectionals)
+from magflow import curvature
+from magflow.curvature import _CHUNK, _gdot, _sectional, sample_sectionals
 from magflow.errors import NonOrthonormalFrame, NonpositiveSpeed, NonUnitVector
 from magflow.geometry import PointGeometry, gram_schmidt, project
 
@@ -197,6 +197,21 @@ def test_sample_sectionals_evaluates_geometry_once(name, form, params,
     ("poincare_disk", "area_form", {"b": 1.0}),
     ("poincare_ball", "constant", {"b": 2.0}),
 ])
+def test_sample_sectionals_evaluates_a_broadcasting_metric_once_per_chunk(
+        name, form, params):
+    # a metric that broadcasts is evaluated once per chunk of samples
+    sys, calls = counted_system(name, form, broadcasts=True, **params)
+    for count, chunks in ((20, 1), (_CHUNK + 9, 2)):
+        calls.update(metric=0)
+        sample_sectionals(sys, 1.5, count, np.random.default_rng(3))
+        assert calls["metric"] == chunks
+
+
+@pytest.mark.parametrize("name, form, params", [
+    ("round_sphere", "constant", {"b": 1.0}),
+    ("poincare_disk", "area_form", {"b": 1.0}),
+    ("poincare_ball", "constant", {"b": 2.0}),
+])
 def test_curvature_derives_gamma_and_lorentz_once(name, form, params,
                                                   monkeypatch):
     # Gamma and Y are derived once per point, and once per chunk of
@@ -248,23 +263,44 @@ def _user_metric_system(analytic):
                           make_form("area_form", 2, user, chart, b=1.2))
 
 
+_MODELS = [("euclidean", {"dim": 3}), ("flat_torus", {}), ("poincare_disk", {}),
+           ("poincare_ball", {}), ("round_sphere", {}), ("round_sphere", {"dim": 3})]
+_SAMPLED_SYSTEMS = [
+    pytest.param(lambda n=n, f=f, p=p: system(n, f, p, **strength(f, 1.3)),
+                 id=f"{n}{p.get('dim', '')}-{f}")
+    for n, p in _MODELS for f in ("zero", "constant", "area_form")
+    if f != "area_form" or (n in ("poincare_disk", "round_sphere") and not p)
+] + [
+    pytest.param(lambda: system("poincare_disk", "area_form",
+                                b=1.3).rescale(1.6), id="rescaled"),
+    pytest.param(lambda: _user_metric_system(analytic=True), id="user"),
+    pytest.param(lambda: _user_metric_system(analytic=False),
+                 id="finite-differences"),
+]
+
+
 def _sampled_cases():
-    models = [("euclidean", {"dim": 3}), ("flat_torus", {}), ("poincare_disk", {}),
-              ("poincare_ball", {}), ("round_sphere", {}), ("round_sphere", {"dim": 3})]
-    cases = [pytest.param(lambda n=n, f=f, p=p: system(n, f, p, **strength(f, 1.3)),
-                          40, id=f"{n}{p.get('dim', '')}-{f}")
-             for n, p in models for f in ("zero", "constant", "area_form")
-             if f != "area_form" or (n in ("poincare_disk", "round_sphere")
-                                     and not p)]
-    return cases + [
-        pytest.param(lambda: system("poincare_disk", "area_form",
-                                    b=1.3).rescale(1.6), 40, id="rescaled"),
-        pytest.param(lambda: _user_metric_system(analytic=True), 40, id="user"),
-        pytest.param(lambda: _user_metric_system(analytic=False), 40,
-                     id="finite-differences"),
+    return [pytest.param(*case.values, 40, id=case.id)
+            for case in _SAMPLED_SYSTEMS] + [
         pytest.param(lambda: system("round_sphere", "constant", b=0.8),
                      _CHUNK + 9, id="more-than-one-chunk"),
     ]
+
+
+def _drawn_one_at_a_time(sys, count, rng):
+    """The (x, v, w) of `count` samples, each drawn to completion in turn:
+    its point, then standard normal pairs until Gram-Schmidt keeps both
+    rows."""
+    samples = []
+    for _ in range(count):
+        x = sys.chart.sample_point(rng)
+        while True:
+            frame = gram_schmidt(sys.metric(x),
+                                 rng.standard_normal((2, sys.dim)))
+            if frame.shape[0] == 2:
+                break
+        samples.append((x, frame[0], frame[1]))
+    return samples
 
 
 @pytest.mark.parametrize("build, count", _sampled_cases())
@@ -273,20 +309,62 @@ def test_sample_sectionals_matches_point_sectionals(build, count):
     # the same draws made one at a time, in the same order
     sys = build()
     for s in (0.6, 1.7):
-        vals = sample_sectionals(sys, s, count, np.random.default_rng(9))
-        rng = np.random.default_rng(9)
-        ref = []
-        for _ in range(count):
-            x = sys.chart.sample_point(rng)
-            while True:
-                frame = gram_schmidt(sys.metric(x),
-                                     rng.standard_normal((2, sys.dim)))
-                if frame.shape[0] == 2:
-                    break
-            ref.append(magnetic_sectional(sys, s, x, frame[0], frame[1]))
-        ref = np.array(ref)
+        rng, ours = np.random.default_rng(9), np.random.default_rng(9)
+        vals = sample_sectionals(sys, s, count, ours)
+        ref = np.array([magnetic_sectional(sys, s, x, v, w) for x, v, w in
+                        _drawn_one_at_a_time(sys, count, rng)])
+        assert ours.bit_generator.state == rng.bit_generator.state
         assert vals.shape == (count,)
         assert np.abs(vals - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("count", [1, 40, _CHUNK + 9])
+@pytest.mark.parametrize("build", _SAMPLED_SYSTEMS)
+def test_sample_sectionals_keeps_the_draw_order(build, count):
+    # the generator ends where drawing each sample to completion in turn
+    # leaves it, across chunk ends
+    sys = build()
+    rng, ours = np.random.default_rng(2), np.random.default_rng(2)
+    sample_sectionals(sys, 1.2, count, ours)
+    _drawn_one_at_a_time(sys, count, rng)
+    assert ours.bit_generator.state == rng.bit_generator.state
+
+
+class _ZeroFirstPair:
+    """A generator whose first standard normal draw has a zero first row."""
+
+    def __init__(self, seed):
+        self.rng, self.zeroed = np.random.default_rng(seed), False
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        if not self.zeroed:
+            out[0], self.zeroed = 0.0, True
+        return out
+
+
+@pytest.mark.parametrize("count", [1, 40])
+def test_sample_sectionals_redraws_a_dependent_pair(count, monkeypatch):
+    # the first sample's pair has a zero row; it is redrawn, and every pair
+    # the curvatures are taken on is g-orthonormal
+    sys = system("poincare_ball", "constant", b=1.0)
+    seen = []
+
+    def recorded(geo, s, V, W):
+        seen.append((geo.g, V, W))
+        return _sectional(geo, s, V, W)
+
+    monkeypatch.setattr(curvature, "_sectional", recorded)
+    rng = _ZeroFirstPair(4)
+    vals = sample_sectionals(sys, 1.5, count, rng)
+    assert rng.zeroed
+    assert vals.shape == (count,) and np.isfinite(vals).all()
+    (G, V, W), = seen
+    for a, b, expect in ((V, V, 1.0), (W, W, 1.0), (V, W, 0.0)):
+        assert np.abs(np.vecdot(a, _gdot(G, b)) - expect).max() < 1e-12
 
 
 def test_sectional_checks_every_frame_and_the_speed():
@@ -332,17 +410,6 @@ def test_magnetic_sectional_rejects_skew_frames():
     with pytest.raises(NonOrthonormalFrame):
         magnetic_sectional(sys, 1.0, np.zeros(2), np.array([1.0, 0.0]),
                            np.array([0.5, 1.0]))
-
-
-def test_orthonormalize_pair_helper(rng):
-    sys = system("poincare_disk", "zero")
-    x = np.array([0.2, 0.1])
-    v, w = orthonormalize_pair(sys, x, rng.standard_normal(2),
-                               rng.standard_normal(2))
-    g = sys.metric(x)
-    assert abs(v @ g @ v - 1) < 1e-12
-    assert abs(w @ g @ w - 1) < 1e-12
-    assert abs(v @ g @ w) < 1e-12
 
 
 def test_geodesic_reduction_sectional(rng):

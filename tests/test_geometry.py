@@ -6,7 +6,8 @@ from magflow import (ChartSpec, MagneticSystem, MetricField, christoffel,
                      connector_split, make_form, make_manifold,
                      orthonormal_completion, riemann, sectional)
 from magflow.errors import DegeneratePlane, DomainViolation, ZeroVector
-from magflow.geometry import PointGeometry, connector_reconstruct, project
+from magflow.geometry import (PointGeometry, _gram_schmidt_pairs,
+                              connector_reconstruct, gram_schmidt, project)
 
 from conftest import strength, unit
 
@@ -296,6 +297,25 @@ def test_box_sampler_draws_as_uniform():
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def test_box_sampler_gives_up_after_1000_draws():
+    # a guard that admits nothing sees exactly 1000 points, the lists of
+    # 1000 draws of rng.uniform(lo, hi), before the sampler raises
+    seen = []
+
+    def reject(x):
+        seen.append(x)
+        return False
+
+    chart = ChartSpec(dim=2, domain_guard=reject,
+                      sample_bounds=(np.array([-1.0, 0.0]), np.array([1.0, 3.0])))
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(DomainViolation):
+        chart.sample_point(ours)
+    draws = [theirs.uniform(*chart.sample_bounds) for _ in range(1000)]
+    assert seen == [y.tolist() for y in draws]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 # -- projections and the connector -----------------------------------------
 
 def test_project_along_self():
@@ -349,7 +369,37 @@ def test_connector_round_trip(model, rng):
         assert np.abs(back - xi).max() < 1e-12 * max(1.0, np.abs(xi).max())
 
 
-# -- orthonormal completion ------------------------------------------------
+# -- Gram-Schmidt and the orthonormal completion ---------------------------
+
+def test_gram_schmidt_pair_is_g_orthonormal(rng):
+    _, g = make_manifold("poincare_disk")
+    gx = g(np.array([0.2, 0.1]))
+    v, w = gram_schmidt(gx, rng.standard_normal((2, 2)))
+    assert abs(v @ gx @ v - 1) < 1e-12
+    assert abs(w @ gx @ w - 1) < 1e-12
+    assert abs(v @ gx @ w) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_pairs_match_gram_schmidt_bit_for_bit(n, rng):
+    # 1000 random SPD metrics; some pairs with a zero or a parallel row,
+    # which both reject
+    B = 1000
+    A = rng.standard_normal((B, n, n))
+    G = A @ A.swapaxes(1, 2) + 0.1 * np.eye(n)
+    P = rng.standard_normal((B, 2, n))
+    P[::70, 0] = 0.0
+    P[5::50, 1] = 2.0 * P[5::50, 0]
+    U, W, rejected = _gram_schmidt_pairs(G, P)
+    for i in range(B):
+        frame = gram_schmidt(G[i], P[i])
+        assert rejected[i] == (frame.shape[0] < 2)
+        if not rejected[i]:
+            assert np.array_equal(U[i], frame[0])
+            assert np.array_equal(W[i], frame[1])
+    assert 0 < rejected.sum() < B
+
+
 
 def test_completion_euclidean_standard():
     _, g = make_manifold("euclidean", dim=3)
