@@ -22,7 +22,8 @@ from . import diagnostics as dg
 from . import transport as tr
 from .curvature import anosov_report, magnetic_operator, op_A, op_R, sample_sectionals
 from .errors import MagflowError
-from .flow import PhaseState, dynamical_exp, integrate
+from .flow import (DIAGNOSTIC_STEP, IntegratorConfig, PhaseState,
+                   dynamical_exp, integrate)
 from .scenario import (ScenarioInvalid, build_integrator, build_state,
                        build_submanifold, build_system, build_vector,
                        load_scenario)
@@ -92,10 +93,13 @@ def main():
     """Magnetic geodesic flows: integration, curvature, and diagnostics."""
 
 
-def _prepared(sc):
+def _prepared(sc, default_step):
+    """The scenario's system, initial state and integrator settings; without
+    `integrator/step` it steps by `default_step`, which each subcommand
+    takes from the library entry point that it calls."""
     sysm = build_system(sc)
     state = build_state(sc, sysm)
-    cfg = build_integrator(sc)
+    cfg = build_integrator(sc, default_step)
     return sysm, state, cfg
 
 
@@ -110,7 +114,7 @@ def _unit_state(sc, sysm):
 @scenario_command("integrate")
 def cmd_integrate(sc, out):
     """Integrate the magnetic flow; writes trajectory.csv."""
-    sysm, state, cfg = _prepared(sc)
+    sysm, state, cfg = _prepared(sc, IntegratorConfig.step)
     traj = integrate(sysm, state, sc["params"]["T"], cfg)
     _write(out, "trajectory.csv", traj.to_csv())
 
@@ -122,7 +126,7 @@ def cmd_exp(sc, out):
     if sc["initial"]["v"] is None:
         sc["initial"]["v"] = [1.0] + [0.0] * (sysm.dim - 1)
     state = build_state(sc, sysm)
-    cfg = build_integrator(sc)
+    cfg = build_integrator(sc, IntegratorConfig.step)
     u = build_vector(sc, "params/u", sysm, default=state.v)
     y = dynamical_exp(sysm, state.x, u, cfg)
     _write(out, "exp.json", _dump_json({
@@ -168,7 +172,7 @@ def cmd_anosov(sc, out):
 def cmd_defect(sc, out):
     """Totally-invariant defect of a declared submanifold; writes defect.json."""
     sysm = build_system(sc)
-    N = build_submanifold(sc, sysm, build_integrator(sc, default_step=1e-2))
+    N = build_submanifold(sc, sysm, build_integrator(sc, DIAGNOSTIC_STEP))
     rep = invariance_defect(sysm, N, sc["params"]["samples"], seed=sc["seed"])
     _write(out, "defect.json", rep.to_json())
 
@@ -184,7 +188,7 @@ def cmd_cartan(sc, out):
     rep = cartan_probe(
         sysm, k=p["k"], plane_samples=p["planes"], seed=sc["seed"],
         radius=p["radius"], defect_samples=p["defect_samples"],
-        tol=p["tolerance"], cfg=build_integrator(sc, default_step=1e-2))
+        tol=p["tolerance"], cfg=build_integrator(sc, DIAGNOSTIC_STEP))
     _write(out, "cartan.json", rep.to_json())
     _write(out, "cartan.csv", rep.to_csv())
 
@@ -192,7 +196,7 @@ def cmd_cartan(sc, out):
 @scenario_command("transport")
 def cmd_transport(sc, out):
     """Magnetic parallel transport along the orbit; writes transport.json."""
-    sysm, state, cfg = _prepared(sc)
+    sysm, state, cfg = _prepared(sc, IntegratorConfig.step)
     T = sc["params"]["T"]
     w0 = build_vector(sc, "params/w0", sysm, default=state.v)
     W = tr.parallel_transport(sysm, state, w0, T, cfg)
@@ -203,7 +207,7 @@ def cmd_transport(sc, out):
 @scenario_command("holonomy")
 def cmd_holonomy(sc, out):
     """Orthogonal frame holonomy around a closed orbit; writes holonomy.csv."""
-    sysm, state, cfg = _prepared(sc)
+    sysm, state, cfg = _prepared(sc, IntegratorConfig.step)
     p = sc["params"]
     if p["period_guess"] < tr._shortest_guess(cfg.step):
         raise ScenarioInvalid(
@@ -217,7 +221,7 @@ def cmd_holonomy(sc, out):
 @scenario_command("lyapunov")
 def cmd_lyapunov(sc, out):
     """Finite-time Lyapunov spectrum; writes lyapunov.json and lyapunov.csv."""
-    sysm, state, cfg = _prepared(sc)
+    sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
     p = sc["params"]
     rep = dg.lyapunov_spectrum(sysm, state, p["T"], steps=p["steps"], cfg=cfg)
     _write(out, "lyapunov.json", rep.to_json())
@@ -227,7 +231,7 @@ def cmd_lyapunov(sc, out):
 @scenario_command("angle")
 def cmd_angle(sc, out):
     """Vertical-vs-contracting transversality angle; writes angle.json."""
-    sysm, state, cfg = _prepared(sc)
+    sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
     T = sc["params"]["T"]
     ang = dg.transversality_angle(sysm, state, T, cfg)
     _write(out, "angle.json", _dump_json({"T": T, "angle": ang}))
@@ -236,7 +240,7 @@ def cmd_angle(sc, out):
 @scenario_command("volume")
 def cmd_volume(sc, out):
     """Liouville volume drift per unit time; writes volume.json."""
-    sysm, state, cfg = _prepared(sc)
+    sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
     T = sc["params"]["T"]
     drift = dg.volume_drift(sysm, state, T, cfg)
     _write(out, "volume.json", _dump_json({"T": T, "drift": drift}))
@@ -245,7 +249,7 @@ def cmd_volume(sc, out):
 @scenario_command("conjugate-scan")
 def cmd_conjugate(sc, out):
     """Radial scan for conjugate points; writes conjugate_scan.csv."""
-    sysm, state, cfg = _prepared(sc)
+    sysm, state, cfg = _prepared(sc, IntegratorConfig.step)
     p = sc["params"]
     direction = build_vector(sc, "params/direction", sysm, default=state.v,
                              nonzero=True)
@@ -272,7 +276,7 @@ def cmd_regimes(sc, out):
                 f"got {sc[field]['name']!r}")
     p = sc["params"]
     sysm = build_system(sc)
-    cfg = build_integrator(sc, default_step=1e-2)
+    cfg = build_integrator(sc, DIAGNOSTIC_STEP)
     rng = np.random.default_rng(sc["seed"])
     lines = ["s,max_sec,top_exponent"]
     for s in p["s_grid"]:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import _require_count
 from .errors import NonOrthonormalFrame, NonpositiveSpeed, NonUnitVector
 from .geometry import (PointGeometry, _completion, _gram_schmidt_pairs,
                        _random_frame)
@@ -166,7 +167,7 @@ def _sectional(geo: PointGeometry, s: float, v, w):
     gv, gw = _gdot(geo.g, v), _gdot(geo.g, w)
     worst = np.max(np.abs([np.vecdot(v, gv) - 1.0, np.vecdot(w, gw) - 1.0,
                            np.vecdot(gv, w)]))
-    if worst > _FRAME_TOL:
+    if not worst <= _FRAME_TOL:          # a NaN frame fails too
         raise NonOrthonormalFrame("(v, w) must be g-orthonormal")
     _check_speed(s)
     return np.vecdot(gw, _gdot(_ambient_M(geo, s, v), w))
@@ -233,8 +234,7 @@ def anosov_report(sys: MagneticSystem, s: float, sample_count: int,
     criterion **on the sample only**; this is a sampling certificate, not a
     proof.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    _require_count("sample_count", sample_count)
     vals = sample_sectionals(sys, s, sample_count, np.random.default_rng(seed))
     mx = float(vals.max())
     verdict = ("criterion satisfied on sample" if mx < 0

@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnreliableSplitting
-from .flow import (IntegratorConfig, PhaseState, generator, variational_flow,
-                   variational_segments)
+from .flow import (DIAGNOSTIC_STEP, IntegratorConfig, PhaseState, generator,
+                   variational_flow, variational_segments)
 from .geometry import PointGeometry, orthonormal_completion
 from .system import MagneticSystem
 
@@ -130,15 +130,23 @@ def lyapunov_spectrum(sys: MagneticSystem, state: PhaseState, T: float,
 
     The QR re-orthonormalization runs every `_QR_INTERVAL` time units, or
     on `steps` equal segments when given; the report's interval is the
-    segment length used."""
+    segment length used.  The default `cfg` steps by `DIAGNOSTIC_STEP`."""
     _require_horizon("T", T)
     if steps is not None:
         _require_count("steps", steps)
-    cfg = cfg or IntegratorConfig(step=1e-2)
+    cfg = cfg or IntegratorConfig(step=DIAGNOSTIC_STEP)
     nseg = _qr_segments(T) if steps is None else steps
     logs = _segmented_qr(sys, state, T, nseg, cfg)
     exps = np.sort(logs / T)[::-1]
     return LyapunovReport(exponents=exps, horizon=T, interval=T / nseg)
+
+
+def _unit(w):
+    """w / |w|, with w first scaled by the power of two of its largest
+    entry.  The scaling is exact, so the quotient is unchanged, but |w|
+    cannot underflow to 0 at a tiny speed."""
+    w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+    return w / np.linalg.norm(w)
 
 
 def _restricted_basis(sys, state, T0):
@@ -147,7 +155,7 @@ def _restricted_basis(sys, state, T0):
     n = sys.dim
     X = T0 @ generator(sys, state.x, state.v)
     V = T0 @ np.concatenate([np.zeros(n), state.v])
-    M = np.stack([X / np.linalg.norm(X), V / np.linalg.norm(V)])
+    M = np.stack([_unit(X), _unit(V)])
     # orthonormal complement via SVD
     _, _, Vt = np.linalg.svd(M)
     return Vt[2:].T                                  # (2n, 2n-2)
@@ -160,10 +168,11 @@ def transversality_angle(sys: MagneticSystem, state: PhaseState, T: float,
     speed-preserving complement) and the vertical distribution.
 
     Raises UnreliableSplitting when the top expansion over the horizon does
-    not exceed free-flow (polynomial) growth by `_GAP_FACTOR`.
+    not exceed free-flow (polynomial) growth by `_GAP_FACTOR`.  The default
+    `cfg` steps by `DIAGNOSTIC_STEP`.
     """
     _require_horizon("T", T)
-    cfg = cfg or IntegratorConfig(step=1e-2)
+    cfg = cfg or IntegratorConfig(step=DIAGNOSTIC_STEP)
     n = sys.dim
     J, end = variational_flow(sys, state, T, cfg)
     T0 = sasaki_frame_matrix(sys, state.x, state.v)
@@ -193,9 +202,10 @@ def volume_drift(sys: MagneticSystem, state: PhaseState, T: float,
     accumulated segment by segment: the per-segment conjugation frames
     telescope, QR factors preserve |det|, and the running sum of log |R_ii|
     stays well conditioned where a single end-to-end determinant (condition
-    ~ e^(2 lambda T)) loses the contracting factors to roundoff."""
+    ~ e^(2 lambda T)) loses the contracting factors to roundoff.  The
+    default `cfg` steps by `DIAGNOSTIC_STEP`."""
     _require_horizon("T", T)
-    cfg = cfg or IntegratorConfig(step=1e-2)
+    cfg = cfg or IntegratorConfig(step=DIAGNOSTIC_STEP)
     logs = _segmented_qr(sys, state, T, _qr_segments(T), cfg)
     return float(abs(logs.sum()) / T)
 
@@ -208,10 +218,10 @@ def conjugate_point_scan(sys: MagneticSystem, x, direction, t_max: float,
     to the hyperplane g-orthogonal to the direction (the radial derivative
     is an isometry and never degenerates).  Zeros flag conjugate points.
 
-    Returns an array of rows (t, sigma_min)."""
+    Returns an array of rows (t, sigma_min).  The default `cfg` is
+    `IntegratorConfig()`."""
     _require_horizon("t_max", t_max)
     _require_count("steps", steps)
-    cfg = cfg or IntegratorConfig(step=1e-3)
     x = np.asarray(x, dtype=float)
     u = np.asarray(direction, dtype=float)
     norm = sys.metric.norm(x, u)

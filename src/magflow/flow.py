@@ -61,6 +61,7 @@ from .system import MagneticSystem
 __all__ = [
     "PhaseState",
     "IntegratorConfig",
+    "DIAGNOSTIC_STEP",
     "Trajectory",
     "generator",
     "generator_jacobian",
@@ -91,7 +92,10 @@ class PhaseState:
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step RK4 settings: the nominal step and the step budget.  No
-    setting corrects the orbit; its speed drift is recorded instead."""
+    setting corrects the orbit; its speed drift is recorded instead.  The
+    default step is that of the orbit entry points: `integrate`,
+    `dynamical_exp`, the linear flows, `closed_orbit_holonomy` and
+    `conjugate_point_scan`."""
 
     step: float = 1e-3
     max_steps: int = 10_000_000
@@ -99,6 +103,13 @@ class IntegratorConfig:
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("the step must be positive")
+
+
+# The coarser default step of the tangent diagnostics and the exp-images,
+# whose orbits carry a variational flow: `lyapunov_spectrum`,
+# `transversality_angle`, `volume_drift`, `candidate_submanifold` and
+# `cartan_probe`
+DIAGNOSTIC_STEP = 1e-2
 
 
 @dataclass
@@ -318,7 +329,7 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
     informative for open-chart models.  Drift is measured from the first
     node's g-speed (or `state.s` if that is 0 or inf), which is logged as a
     warning where it differs from `state.s`; it is recorded per node and
-    never corrected."""
+    never corrected.  The default `cfg` is `IntegratorConfig()`."""
     cfg = cfg or IntegratorConfig()
     n = sys.dim
     times, path, exited = _rk4_path(sys, state, T, cfg)
@@ -337,7 +348,8 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
 
 def dynamical_exp(sys: MagneticSystem, x, u,
                   cfg: Optional[IntegratorConfig] = None) -> np.ndarray:
-    """exp_x(u): footpoint of the time-|u| flow of (x, u/|u|); x for u = 0."""
+    """exp_x(u): footpoint of the time-|u| flow of (x, u/|u|); x for u = 0.
+    The default `cfg` is `IntegratorConfig()`."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     # the driver checks the start; where no orbit is run, it is checked here
@@ -439,7 +451,7 @@ def variational_flow(sys: MagneticSystem, state: PhaseState, T: float,
                      cfg: Optional[IntegratorConfig] = None):
     """Solve Jdot = Df J along the orbit, J(0) = identity, in the two passes
     of the module docstring; returns J(T) and the end state of the orbit,
-    which is `integrate`'s."""
+    which is `integrate`'s.  The default `cfg` is `IntegratorConfig()`."""
     Js, nodes = variational_segments(sys, state, T, 1, cfg)
     return Js[0], _end_state(nodes, state)
 
@@ -452,7 +464,7 @@ def variational_segments(sys: MagneticSystem, state: PhaseState, T: float,
     and the step budget bounds all segments * k of them.  Returns `Js`
     (segments, 2n, 2n), J over each segment from the identity, and `nodes`
     (segments + 1, 2n), the orbit's nodes (x, v) at the segment ends, the
-    start first."""
+    start first.  The default `cfg` is `IntegratorConfig()`."""
     return _linear_flow(sys, state, T, cfg, partial(_generator_jacobians, sys),
                         np.eye(2 * sys.dim), "variational", segments)
 

@@ -21,8 +21,9 @@ from .errors import BadDimension, MagflowError
 from .flow import IntegratorConfig, PhaseState
 from .forms import FORMS
 from .models import MANIFOLDS
-from .submanifold import ParamSubmanifold, make_submanifold
+from .submanifold import ParamSubmanifold, cartan_probe, make_submanifold
 from .system import MagneticSystem
+from .transport import closed_orbit_holonomy
 
 __all__ = ["ScenarioInvalid", "PARAMS", "load_scenario", "build_system",
            "build_vector", "build_state", "build_integrator",
@@ -59,8 +60,19 @@ class Field:
 _BUILDER_PARAMS = Field(dict, {}, of=Field((int, float)))
 _VECTOR = Field(list, None, of=Field(float))
 
+
+def _defaults(fn) -> dict:
+    """The default of each parameter of the library function `fn`."""
+    return {name: param.default
+            for name, param in inspect.signature(fn).parameters.items()}
+
+
+_CARTAN, _HOLONOMY = _defaults(cartan_probe), _defaults(closed_orbit_holonomy)
+
 # The `params` of each subcommand.  A default of None stands for a value
-# the command derives from the scenario, such as the initial velocity.
+# the command derives from the scenario, such as the initial velocity; a
+# parameter the command passes on to a library keyword takes its default
+# from there.
 PARAMS = {
     "integrate": {"T": Field(float, 1.0, low=0)},
     "exp": {"u": _VECTOR},
@@ -71,12 +83,13 @@ PARAMS = {
                "samples": Field(int, 32, low=1)},
     "cartan-probe": {"k": Field(int, 2, low=2),
                      "planes": Field(int, 20, low=1),
-                     "radius": Field(float, 0.4, above=0),
-                     "defect_samples": Field(int, 4, low=1),
-                     "tolerance": Field(float, 1e-6, above=0)},
+                     "radius": Field(float, _CARTAN["radius"], above=0),
+                     "defect_samples": Field(int, _CARTAN["defect_samples"],
+                                             low=1),
+                     "tolerance": Field(float, _CARTAN["tol"], above=0)},
     "transport": {"T": Field(float, 1.0, low=0), "w0": _VECTOR},
     "holonomy": {"period_guess": Field(float, 2 * math.pi, above=0),
-                 "tolerance": Field(float, 1e-6, above=0)},
+                 "tolerance": Field(float, _HOLONOMY["tol"], above=0)},
     "lyapunov": {"T": Field(float, 10.0, above=0),
                  "steps": Field(int, None, low=1)},
     "angle": {"T": Field(float, 10.0, above=0)},
@@ -91,7 +104,8 @@ PARAMS = {
 }
 
 # The fields every scenario shares; `command` and `params` depend on the
-# subcommand.  A step of None takes the command's default step.
+# subcommand.  A step of None takes the default step of the library entry
+# point that the command calls.
 _COMMON = {
     "manifold": Field(dict, fields={
         "name": Field(str, choices=tuple(sorted(MANIFOLDS))),
@@ -224,8 +238,9 @@ def build_state(sc: dict, sys: MagneticSystem) -> PhaseState:
     return PhaseState(x=x, v=v * (s / np.sqrt(v @ g @ v)), s=s)
 
 
-def build_integrator(sc: dict,
-                     default_step: float = IntegratorConfig.step) -> IntegratorConfig:
+def build_integrator(sc: dict, default_step: float) -> IntegratorConfig:
+    """The scenario's integrator settings; without `integrator/step` it
+    steps by `default_step`."""
     cfg = sc["integrator"]
     return IntegratorConfig(
         step=default_step if cfg["step"] is None else cfg["step"],

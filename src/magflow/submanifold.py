@@ -23,7 +23,8 @@ from .errors import (
     ProjectionFailure,
     RankDeficient,
 )
-from .flow import IntegratorConfig, PhaseState, dynamical_exp, integrate, variational_flow
+from .flow import (DIAGNOSTIC_STEP, IntegratorConfig, PhaseState,
+                   dynamical_exp, integrate, variational_flow)
 from .geometry import (MetricField, PointGeometry, _central_difference,
                        _random_frame, _sample_box, _second_difference,
                        gram_schmidt, orthonormal_completion, sectional)
@@ -277,7 +278,7 @@ def dynamic_consistency_check(sys: MagneticSystem, N: ParamSubmanifold, p, v,
                               cfg: Optional[IntegratorConfig] = None) -> float:
     """Integrate the flow from tangent data and return the max distance to N
     of `_ORBIT_NODES` evenly spaced orbit nodes (chart-coordinate distance
-    via projection)."""
+    via projection).  The default `cfg` is `IntegratorConfig()`."""
     if not (0 < N.k < sys.dim):
         raise BadDimension("submanifold dimension must satisfy 0 < k < n")
     p = np.asarray(p, dtype=float)
@@ -306,7 +307,7 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
     point and the Jacobian come from one variational flow (not finite
     differences of the exponential), whose end state is the point; the
     base point uses the exact tangent plane.  `point` alone is one orbit
-    of `dynamical_exp`.
+    of `dynamical_exp`.  The default `cfg` steps by `DIAGNOSTIC_STEP`.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
@@ -318,7 +319,7 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
         raise DegenerateImage("plane basis is rank-deficient")
     B = frame.T
     k = B.shape[1]
-    cfg = cfg or IntegratorConfig(step=1e-2)
+    cfg = cfg or IntegratorConfig(step=DIAGNOSTIC_STEP)
 
     def f(u):
         return dynamical_exp(sys, x, B @ u, cfg)
@@ -370,7 +371,8 @@ def augmented_exp(sys: MagneticSystem, x, basis, v, t: float,
                   cfg: Optional[IntegratorConfig] = None):
     """E(x, Pi, v, t) = (exp_x(t v), d_{tv} exp_x(Pi)).
 
-    Returns (endpoint coordinates, HyperplaneElement of the pushed plane)."""
+    Returns (endpoint coordinates, HyperplaneElement of the pushed plane).
+    The default `cfg` steps by `DIAGNOSTIC_STEP`."""
     if not t > 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
@@ -510,14 +512,14 @@ def cartan_probe(sys: MagneticSystem, k: int, plane_samples: int,
 
     A sample is 'consistent' with the rigidity statement when either all
     defects vanish alongside constant curvature and vanishing form, or some
-    defect is genuinely nonzero (no contradiction either way)."""
+    defect is genuinely nonzero (no contradiction either way).  The default
+    `cfg` steps by `DIAGNOSTIC_STEP`, as `candidate_submanifold`'s."""
     n = sys.dim
     if not (1 < k < n):
         raise BadDimension(f"need 1 < k < n, got k={k}, n={n}")
     _require_count("plane_samples", plane_samples)
     _require_count("defect_samples", defect_samples)
     rng = np.random.default_rng(seed)
-    cfg = cfg or IntegratorConfig(step=1e-2)
     defects = []
     secs = []
     sigmas = []
@@ -569,8 +571,9 @@ def make_submanifold(spec: dict, sys: MagneticSystem,
 
     Supported types: "hyperplane" {point, normal|basis, extent},
     "sphere" {center, radius}, "exp_plane" {x, basis, radius}; an exp_plane
-    integrates its orbits with `cfg` (see `candidate_submanifold`).  A key
-    the type does not read raises ValueError naming it."""
+    integrates its orbits with `cfg` (see `candidate_submanifold`; by
+    default at `DIAGNOSTIC_STEP`).  A key the type does not read raises
+    ValueError naming it."""
     kind = spec.get("type")
     if kind not in _SUBMANIFOLD_KEYS:
         raise ValueError(f"unknown submanifold type {kind!r}")

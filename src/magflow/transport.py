@@ -108,7 +108,8 @@ def _transport(sys: MagneticSystem, state: PhaseState, W: np.ndarray,
 
 def parallel_transport(sys: MagneticSystem, state: PhaseState, w0, T: float,
                        cfg: Optional[IntegratorConfig] = None) -> np.ndarray:
-    """Magnetic (D-)parallel transport of w0 along the orbit; returns W(T)."""
+    """Magnetic (D-)parallel transport of w0 along the orbit; returns W(T).
+    The default `cfg` is `IntegratorConfig()`."""
     W = np.asarray(w0, dtype=float)[None]
     return _transport(sys, state, W, T, cfg, "transport")[1][0]
 
@@ -116,7 +117,8 @@ def parallel_transport(sys: MagneticSystem, state: PhaseState, w0, T: float,
 def frame_flow(sys: MagneticSystem, frame: FrameState, T: float,
                cfg: Optional[IntegratorConfig] = None) -> FrameState:
     """Frame-extension flow: advance the base state and D-parallel-transport
-    the completion vectors; the first frame vector stays the velocity."""
+    the completion vectors; the first frame vector stays the velocity.
+    The default `cfg` is `IntegratorConfig()`."""
     end, W = _transport(sys, frame.state, frame.completion, T, cfg, "frame")
     return FrameState(state=end, completion=W)
 
@@ -174,7 +176,8 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     which the cubic Hermite interpolant of those nodes comes nearest the
     start.  The frame flow then runs once to that period; its final base
     state gives the return distance, and the transported completion is
-    expressed in the initial orthonormal completion of v-perp.
+    expressed in the initial orthonormal completion of v-perp.  The
+    default `cfg` is `IntegratorConfig()`.
     """
     if not period_guess > 0:
         raise ValueError(f"the period guess must be positive, got {period_guess}")

@@ -9,7 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 import magflow
-from magflow.cli import main
+from magflow.cli import _dump_json, main
+from magflow.curvature import sample_sectionals
+from magflow.scenario import build_state, build_system, load_scenario
 
 
 def _write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -476,16 +478,20 @@ def test_angle_and_volume(tmp_path):
 
 
 def test_angle_unreliable_exit_3(tmp_path):
-    sc = _write_scenario(
-        tmp_path,
-        manifold={"name": "flat_torus"},
-        magnetic={"name": "zero"},
-        initial={"x": [0.0, 0.0], "v": [0.6, 0.8]},
-        integrator={"step": 1e-2},
-        params={"T": 10.0})
-    res = _run(["angle", sc, "--out", str(tmp_path)])
-    assert res.exit_code == 3
-    assert "UnreliableSplitting" in res.output
+    # neither a torus geodesic nor a disk orbit at a tiny speed grows fast
+    # enough for a reliable splitting; at the tiny speed the flow and speed
+    # directions are normalised without their norms underflowing to 0, so
+    # no NaN reaches the SVD
+    for overrides in ({"manifold": {"name": "flat_torus"},
+                       "initial": {"x": [0.0, 0.0], "v": [0.6, 0.8]},
+                       "params": {"T": 10.0}},
+                      {"manifold": {"name": "poincare_disk"},
+                       "speed": 1e-300, "params": {"T": 5.0}}):
+        sc = _write_scenario(tmp_path, magnetic={"name": "zero"},
+                             integrator={"step": 1e-2}, **overrides)
+        res = _run(["angle", sc, "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "UnreliableSplitting" in res.output
 
 
 @pytest.mark.parametrize("command, integrator, params, error", [
@@ -572,6 +578,88 @@ def test_every_integrating_command_keeps_the_step_budget(tmp_path, command):
     res = _run([command, sc, "--out", str(tmp_path)])
     assert res.exit_code == 3
     assert "StepLimitExceeded" in res.output
+
+
+# each integrating subcommand's scenario, as overrides of `_write_scenario`'s
+# with no `integrator/step`, at a speed above 1 for the tangent diagnostics
+# of the disk with its area form, where the angle's splitting is reliable
+_HYPERBOLIC = dict(_DISK_AREA, speed=2.0, params={"T": 2.0})
+_DEFAULT_STEP = {
+    "integrate": {"params": {"T": 0.5}}, "exp": {},
+    "transport": {"params": {"T": 0.5}}, "holonomy": {},
+    "lyapunov": _HYPERBOLIC, "angle": _HYPERBOLIC, "volume": _HYPERBOLIC,
+    "conjugate-scan": dict(_DISK_AREA, params={"steps": 4}),
+    "defect": dict(_INTEGRATING["defect"], params=dict(
+        _INTEGRATING["defect"]["params"], samples=2)),
+    "cartan-probe": dict(_EUCLIDEAN3, params={"planes": 2,
+                                              "defect_samples": 2}),
+    "regimes": dict(_DISK_AREA, params={"s_grid": [2.0], "samples": 4,
+                                        "T": 2.0}),
+}
+
+
+def _library_files(command, sc):
+    """The files `command` writes for the checked scenario `sc`, as its
+    library entry point gives them when called without `cfg`."""
+    m = build_system(sc)
+    st = build_state(sc, m)
+    p, seed = sc["params"], sc["seed"]
+    if command == "integrate":
+        return {"trajectory.csv": magflow.integrate(m, st, p["T"]).to_csv()}
+    if command == "exp":
+        y = magflow.dynamical_exp(m, st.x, st.v)
+        return {"exp.json": _dump_json({"x": list(st.x), "u": list(st.v),
+                                        "point": [float(c) for c in y]})}
+    if command == "transport":
+        w = magflow.parallel_transport(m, st, st.v, p["T"])
+        return {"transport.json": _dump_json({
+            "T": p["T"], "w0": list(st.v), "w": [float(c) for c in w]})}
+    if command == "holonomy":
+        hol = magflow.closed_orbit_holonomy(m, st, p["period_guess"])
+        return {"holonomy.csv": hol.to_csv()}
+    if command == "lyapunov":
+        rep = magflow.lyapunov_spectrum(m, st, p["T"])
+        return {"lyapunov.json": rep.to_json(), "lyapunov.csv": rep.to_csv()}
+    if command == "angle":
+        return {"angle.json": _dump_json({
+            "T": p["T"], "angle": magflow.transversality_angle(m, st, p["T"])})}
+    if command == "volume":
+        return {"volume.json": _dump_json({
+            "T": p["T"], "drift": magflow.volume_drift(m, st, p["T"])})}
+    if command == "conjugate-scan":
+        scan = magflow.conjugate_point_scan(m, st.x, st.v, p["t_max"],
+                                            p["steps"])
+        return {"conjugate_scan.csv": "t,sigma_min\n" + "".join(
+            f"{float(t)!r},{float(v)!r}\n" for t, v in scan)}
+    if command == "defect":
+        N = magflow.make_submanifold(p["submanifold"], m)
+        rep = magflow.invariance_defect(m, N, p["samples"], seed=seed)
+        return {"defect.json": rep.to_json()}
+    if command == "cartan-probe":
+        rep = magflow.cartan_probe(m, p["k"], p["planes"], seed=seed,
+                                   defect_samples=p["defect_samples"])
+        return {"cartan.json": rep.to_json(), "cartan.csv": rep.to_csv()}
+    # regimes, at its one speed s > 1, whose horizon is T / s
+    [s] = p["s_grid"]
+    sec = sample_sectionals(m, s, p["samples"], np.random.default_rng(seed))
+    start = magflow.PhaseState(x=np.zeros(2), v=np.array([0.5 * s, 0.0]), s=s)
+    top = magflow.lyapunov_spectrum(m, start, p["T"] / s).exponents[0]
+    return {"regimes.csv": f"s,max_sec,top_exponent\n"
+                           f"{s!r},{float(sec.max())!r},{float(top)!r}\n"}
+
+
+@pytest.mark.parametrize("command", list(_DEFAULT_STEP))
+def test_default_step_is_the_library_default(tmp_path, command):
+    # a scenario without `integrator/step` runs at the default step of the
+    # library entry point that the subcommand calls: byte for byte the
+    # files of that entry point called without `cfg`
+    path = _write_scenario(tmp_path, **dict({"integrator": {}},
+                                            **_DEFAULT_STEP[command]))
+    out = tmp_path / "out"
+    res = _run([command, path, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    expected = _library_files(command, load_scenario(path, command))
+    assert {name: (out / name).read_text() for name in expected} == expected
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,12 @@ def test_magnetic_sectional_rejects_skew_frames():
     with pytest.raises(NonOrthonormalFrame):
         magnetic_sectional(sys, 1.0, np.zeros(2), np.array([1.0, 0.0]),
                            np.array([0.5, 1.0]))
+    # a NaN frame has a NaN orthonormality defect, which fails the check
+    # rather than giving a NaN curvature
+    sys = system("poincare_disk", "area_form", b=1.0)
+    with pytest.raises(NonOrthonormalFrame):
+        magnetic_sectional(sys, 1.0, np.zeros(2), np.array([np.nan, 0.0]),
+                           np.array([0.0, 0.5]))
 
 
 def test_geodesic_reduction_sectional(rng):

@@ -47,6 +47,55 @@ def test_no_unused_imports():
     assert not found, found
 
 
+def _is_number(node) -> bool:
+    return (isinstance(node, ast.Constant) and not isinstance(node.value, bool)
+            and isinstance(node.value, (int, float)))
+
+
+# the argument that holds an integrator step, by position and keyword, in a
+# call of each of these
+_STEP_SLOTS = {"IntegratorConfig": (0, "step"),
+               "build_integrator": (1, "default_step"),
+               "_prepared": (1, "default_step")}
+
+
+def _literal_steps(tree: ast.Module) -> list:
+    """Lines that write an integrator step as a number: in a slot of
+    `_STEP_SLOTS`, as a `default_step` keyword of any call, or as the
+    default of a `default_step` parameter."""
+    found = []
+    for node in ast.walk(tree):
+        values = []
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            pos, key = _STEP_SLOTS.get(name, (None, "default_step"))
+            values += [kw.value for kw in node.keywords
+                       if kw.arg in (key, "default_step")]
+            if pos is not None and len(node.args) > pos:
+                values.append(node.args[pos])
+        elif isinstance(node, ast.FunctionDef):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaults = ([None] * (len(positional) - len(a.defaults))
+                        + a.defaults + a.kw_defaults)
+            values += [d for p, d in zip(positional + a.kwonlyargs, defaults)
+                       if p.arg == "default_step"]
+        found += [node.lineno for v in values if _is_number(v)]
+    return found
+
+
+def test_only_flow_states_a_default_step():
+    # the orbit step (`IntegratorConfig.step`) and the diagnostics' step
+    # (`DIAGNOSTIC_STEP`) are numbers in `flow` alone; every other module,
+    # the CLI included, names them
+    found = []
+    for path in SOURCES:
+        if path.name != "flow.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _literal_steps(tree)]
+    assert not found, found
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer wraps the functions and methods its SPANS table
     # names; one renamed away would break a traced run, so every entry must

@@ -4,8 +4,9 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from magflow import (ChartSpec, IntegratorConfig, MagneticSystem, MetricField,
-                     alpha_defect, augmented_exp, candidate_hypersurface,
-                     candidate_submanifold, cartan_probe, classical_II,
+                     alpha_defect, anosov_report, augmented_exp,
+                     candidate_hypersurface, candidate_submanifold,
+                     cartan_probe, classical_II,
                      dynamic_consistency_check, dynamical_II,
                      invariance_defect, make_form, make_manifold,
                      make_submanifold)
@@ -472,6 +473,12 @@ _BAD_COUNTS = {
     "cartan-negative-defect-samples": ("defect_samples",
                                        lambda sys: cartan_probe(
                                            sys, 2, 1, defect_samples=-1)),
+    "anosov-zero-samples": ("sample_count", lambda sys: anosov_report(
+        sys, 1.0, 0)),
+    "anosov-fractional-samples": ("sample_count", lambda sys: anosov_report(
+        sys, 1.0, 2.5)),
+    "anosov-boolean-samples": ("sample_count", lambda sys: anosov_report(
+        sys, 1.0, True)),
 }
 
 
