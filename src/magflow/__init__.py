@@ -14,9 +14,9 @@ from .errors import *            # noqa: F401,F403  (exception hierarchy)
 from .flow import (IntegratorConfig, PhaseState, Trajectory, dynamical_exp,
                    integrate, oddness_residual, variational_flow)
 from .forms import FORMS, TwoFormField, make_form
-from .geometry import (ChartSpec, CurvatureTensor, MetricField, TangentSplit,
-                       christoffel, connector_split, gram_schmidt,
-                       orthonormal_completion, riemann, sectional)
+from .geometry import (ChartSpec, CurvatureTensor, MetricField, christoffel,
+                       gram_schmidt, orthonormal_completion, riemann,
+                       sectional)
 from .models import MANIFOLDS, make_manifold
 from .submanifold import (CartanReport, DefectReport, DynIIValue,
                           HyperplaneElement, ParamSubmanifold, alpha_defect,

@@ -1,18 +1,23 @@
 """Command-line front end.
 
 Each subcommand reads a JSON scenario, dispatches to the library, and emits
-CSV/JSON files into the output directory.  Outputs contain no timestamps and
-all floats round-trip through shortest-representation decimals, so re-running
-a scenario with the same seed reproduces the payloads byte for byte.
+CSV/JSON files into the output directory.  This module alone writes files and
+owns their format: every JSON file goes through `_dump_json` and every CSV
+file through `_csv`; the library's result classes hold data only.  Outputs
+contain no timestamps and all floats round-trip through shortest-representation
+decimals, so re-running a scenario with the same seed reproduces the payloads
+byte for byte.
 
 Exit codes: 0 success, 2 scenario validation error, 3 numerical failure.
 """
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
 import sys as _sys
+from dataclasses import asdict
 from functools import wraps
 
 import click
@@ -41,6 +46,18 @@ def _setup_logging():
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _csv(head, rows, tail=()) -> str:
+    """The lines `head`, then one line per row holding the repr of each of
+    its Python scalars, then the lines `tail`.  Rows are formatted one at a
+    time, so a generator of rows never holds a long orbit's whole table as
+    Python floats."""
+    buf = io.StringIO()
+    buf.writelines(line + "\n" for line in head)
+    buf.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    buf.writelines(line + "\n" for line in tail)
+    return buf.getvalue()
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -116,7 +133,13 @@ def cmd_integrate(sc, out):
     """Integrate the magnetic flow; writes trajectory.csv."""
     sysm, state, cfg = _prepared(sc, IntegratorConfig.step)
     traj = integrate(sysm, state, sc["params"]["T"], cfg)
-    _write(out, "trajectory.csv", traj.to_csv())
+    n = traj.n
+    cols = (["t"] + [f"x{i+1}" for i in range(n)]
+            + [f"v{i+1}" for i in range(n)] + ["speed_drift"])
+    table = np.column_stack([traj.times, traj.states, traj.drift_per_node])
+    _write(out, "trajectory.csv", _csv(
+        [",".join(cols)], (row.tolist() for row in table),
+        ["# exited,True"] if traj.exited else []))
 
 
 @scenario_command("exp")
@@ -165,7 +188,7 @@ def cmd_anosov(sc, out):
     sysm = build_system(sc)
     rep = anosov_report(sysm, sc["speed"], sc["params"]["samples"],
                         seed=sc["seed"])
-    _write(out, "anosov.json", rep.to_json())
+    _write(out, "anosov.json", _dump_json(asdict(rep)))
 
 
 @scenario_command("defect")
@@ -174,7 +197,7 @@ def cmd_defect(sc, out):
     sysm = build_system(sc)
     N = build_submanifold(sc, sysm, build_integrator(sc, DIAGNOSTIC_STEP))
     rep = invariance_defect(sysm, N, sc["params"]["samples"], seed=sc["seed"])
-    _write(out, "defect.json", rep.to_json())
+    _write(out, "defect.json", _dump_json(asdict(rep)))
 
 
 @scenario_command("cartan-probe")
@@ -189,8 +212,15 @@ def cmd_cartan(sc, out):
         sysm, k=p["k"], plane_samples=p["planes"], seed=sc["seed"],
         radius=p["radius"], defect_samples=p["defect_samples"],
         tol=p["tolerance"], cfg=build_integrator(sc, DIAGNOSTIC_STEP))
-    _write(out, "cartan.json", rep.to_json())
-    _write(out, "cartan.csv", rep.to_csv())
+    _write(out, "cartan.json", _dump_json({
+        "k": rep.k, "planes": rep.planes,
+        "fraction_invariant": rep.fraction_invariant,
+        "sec_variance": rep.sec_variance,
+        "sigma_norm_max": rep.sigma_norm_max,
+        "verdict": rep.verdict, "tol": rep.tol}))
+    _write(out, "cartan.csv", _csv(
+        ["plane_id,defect,sec_variance"],
+        ((i, d, rep.sec_variance) for i, d in enumerate(rep.defects))))
 
 
 @scenario_command("transport")
@@ -215,7 +245,9 @@ def cmd_holonomy(sc, out):
             f"span two steps of {cfg.step}, got {p['period_guess']!r}")
     hol = tr.closed_orbit_holonomy(sysm, state, p["period_guess"], cfg,
                                    tol=p["tolerance"])
-    _write(out, "holonomy.csv", hol.to_csv())
+    _write(out, "holonomy.csv", _csv(
+        [f"# period,{hol.period!r}",
+         f"# return_distance,{hol.return_distance!r}"], hol.matrix.tolist()))
 
 
 @scenario_command("lyapunov")
@@ -224,8 +256,11 @@ def cmd_lyapunov(sc, out):
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
     p = sc["params"]
     rep = dg.lyapunov_spectrum(sysm, state, p["T"], steps=p["steps"], cfg=cfg)
-    _write(out, "lyapunov.json", rep.to_json())
-    _write(out, "lyapunov.csv", rep.to_csv())
+    exponents = rep.exponents.tolist()
+    _write(out, "lyapunov.json", _dump_json({
+        "exponents": exponents, "sum": rep.total, "horizon": rep.horizon,
+        "interval": rep.interval}))
+    _write(out, "lyapunov.csv", _csv(["index,exponent"], enumerate(exponents)))
 
 
 @scenario_command("angle")
@@ -255,9 +290,7 @@ def cmd_conjugate(sc, out):
                              nonzero=True)
     scan = dg.conjugate_point_scan(sysm, state.x, direction, p["t_max"],
                                    p["steps"], cfg)
-    lines = ["t,sigma_min"]
-    lines += [f"{float(t)!r},{float(s)!r}" for t, s in scan]
-    _write(out, "conjugate_scan.csv", "\n".join(lines) + "\n")
+    _write(out, "conjugate_scan.csv", _csv(["t,sigma_min"], scan.tolist()))
 
 
 @scenario_command("regimes")
@@ -278,7 +311,7 @@ def cmd_regimes(sc, out):
     sysm = build_system(sc)
     cfg = build_integrator(sc, DIAGNOSTIC_STEP)
     rng = np.random.default_rng(sc["seed"])
-    lines = ["s,max_sec,top_exponent"]
+    rows = []
     for s in p["s_grid"]:
         max_sec = float(sample_sectionals(sysm, s, p["samples"], rng).max())
         state = PhaseState(x=np.zeros(2), v=np.array([0.5 * s, 0.0]), s=s)
@@ -286,8 +319,8 @@ def cmd_regimes(sc, out):
         # is free and damps the finite-time bias toward positive exponents
         horizon = (5.0 * p["T"] if s <= 1.0 else p["T"]) / max(s, 1.0)
         rep = dg.lyapunov_spectrum(sysm, state, horizon, cfg=cfg)
-        lines.append(f"{s!r},{max_sec!r},{float(rep.exponents[0])!r}")
-    _write(out, "regimes.csv", "\n".join(lines) + "\n")
+        rows.append((s, max_sec, float(rep.exponents[0])))
+    _write(out, "regimes.csv", _csv(["s,max_sec,top_exponent"], rows))
 
 
 if __name__ == "__main__":

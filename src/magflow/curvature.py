@@ -33,7 +33,6 @@ with a near-dependent row is redrawn after its chunk's draws.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +69,6 @@ class PerpEndomorphism:
     frame: np.ndarray          # (n-1, n) rows spanning v-perp
     matrix: np.ndarray         # (n-1, n-1)
     ambient: np.ndarray        # (n, n)
-
-    def apply(self, w) -> np.ndarray:
-        """Action on an ambient vector w in v-perp."""
-        return self.ambient @ np.asarray(w, dtype=float)
 
 
 def _check_speed(s):
@@ -217,13 +212,6 @@ class AnosovReport:
     samples: int
     speed: float
     verdict: str
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "min": self.min, "max": self.max, "mean": self.mean,
-            "samples": self.samples, "speed": self.speed,
-            "verdict": self.verdict,
-        }, indent=2, sort_keys=True)
 
 
 def anosov_report(sys: MagneticSystem, s: float, sample_count: int,

@@ -16,8 +16,6 @@ horizon.
 """
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,20 +66,6 @@ class LyapunovReport:
     @property
     def total(self) -> float:
         return float(self.exponents.sum())
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "exponents": [float(e) for e in self.exponents],
-            "sum": self.total, "horizon": self.horizon,
-            "interval": self.interval,
-        }, indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("index,exponent\n")
-        for i, e in enumerate(self.exponents):
-            buf.write(f"{i},{float(e)!r}\n")
-        return buf.getvalue()
 
 
 def _require_horizon(name: str, value) -> None:

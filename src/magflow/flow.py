@@ -44,7 +44,6 @@ bounds the steps of a whole call, all segments together.
 """
 from __future__ import annotations
 
-import io
 import logging
 from dataclasses import dataclass
 from functools import partial
@@ -136,23 +135,6 @@ class Trajectory:
     @property
     def final(self) -> PhaseState:
         return self.state(len(self.times) - 1)
-
-    def to_csv(self) -> str:
-        """Header `t, x1..xn, v1..vn, speed_drift`; one row per node, and a
-        last line `# exited,True` when the orbit left the chart."""
-        n = self.n
-        cols = (["t"] + [f"x{i+1}" for i in range(n)]
-                + [f"v{i+1}" for i in range(n)] + ["speed_drift"])
-        table = np.column_stack([self.times, self.states, self.drift_per_node])
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        # one row of Python floats at a time: a list of the whole table
-        # would raise the peak memory of a long orbit
-        buf.writelines(",".join(map(repr, row.tolist())) + "\n"
-                       for row in table)
-        if self.exited:
-            buf.write("# exited,True\n")
-        return buf.getvalue()
 
 
 def _acceleration(sys: MagneticSystem, geo, v: np.ndarray) -> np.ndarray:

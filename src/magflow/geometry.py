@@ -29,15 +29,12 @@ __all__ = [
     "ChartSpec",
     "MetricField",
     "CurvatureTensor",
-    "TangentSplit",
     "PointGeometry",
     "christoffel",
     "dchristoffel",
     "riemann",
     "sectional",
     "project",
-    "connector_split",
-    "connector_reconstruct",
     "orthonormal_completion",
     "gram_schmidt",
 ]
@@ -95,23 +92,15 @@ class ChartSpec:
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         """A uniform draw from `sample_bounds` ([-1, 1]^dim without them)
         that the guard admits, within 1000 tries; `DomainViolation` when
-        none is admitted."""
-        return _sample_box(rng, *self._sampler, DomainViolation,
-                           "could not sample a point inside the guard")
-
-
-def _sample_box(rng: np.random.Generator, lo: np.ndarray, span: np.ndarray,
-                accept, error: type, message: str) -> np.ndarray:
-    """A uniform draw from the box [lo, lo + span] that `accept` admits,
-    within 1000 tries; raises error(message) when none is admitted.  A draw
-    is numpy's own formula for rng.uniform(lo, lo + span), without its
-    per-call checks of the bounds: the same values and the same generator
-    state after it."""
-    for _ in range(1000):
-        x = lo + span * rng.random(lo.shape)
-        if accept(x):
-            return x
-    raise error(message)
+        none is admitted.  A draw is numpy's own formula for
+        rng.uniform(lo, hi), without its per-call checks of the bounds: the
+        same values and the same generator state after it."""
+        lo, span, accept = self._sampler
+        for _ in range(1000):
+            x = lo + span * rng.random(lo.shape)
+            if accept(x):
+                return x
+        raise DomainViolation("could not sample a point inside the guard")
 
 
 def _on_batch(point, whole, rank: int, X, *args) -> np.ndarray:
@@ -228,14 +217,6 @@ class CurvatureTensor:
     def apply(self, u, v, w) -> np.ndarray:
         """(R(v, w) u)^i = R^i_{jkl} u^j v^k w^l."""
         return np.einsum("ijkl,j,k,l->i", self.up, u, v, w)
-
-
-@dataclass
-class TangentSplit:
-    """Horizontal/vertical components of a 2n phase-tangent vector."""
-
-    horizontal: np.ndarray
-    vertical: np.ndarray
 
 
 class PointGeometry:
@@ -371,25 +352,6 @@ def project(g: MetricField, x, v, w):
         raise ZeroVector("projection direction must be nonzero")
     tang = (v @ gx @ w) / vv * v
     return tang, w - tang
-
-
-def connector_split(g: MetricField, x, v, xi) -> TangentSplit:
-    """Split a 2n-vector xi = (dx, dv) into (d pi (xi), K(xi))."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    n = x.size
-    Gamma = christoffel(g, x)
-    hor = xi[:n]
-    vert = xi[n:] + np.einsum("ijk,j,k->i", Gamma, hor, v)
-    return TangentSplit(horizontal=hor, vertical=vert)
-
-
-def connector_reconstruct(g: MetricField, x, v, split: TangentSplit) -> np.ndarray:
-    Gamma = christoffel(g, np.asarray(x, dtype=float))
-    hor = split.horizontal
-    dv = split.vertical - np.einsum("ijk,j,k->i", Gamma, hor, np.asarray(v, dtype=float))
-    return np.concatenate([hor, dv])
 
 
 def gram_schmidt(gx: np.ndarray, vectors) -> np.ndarray:

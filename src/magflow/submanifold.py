@@ -5,8 +5,6 @@ k-plane (Cartan-type) probe.
 """
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,8 +24,8 @@ from .errors import (
 from .flow import (DIAGNOSTIC_STEP, IntegratorConfig, PhaseState,
                    dynamical_exp, integrate, variational_flow)
 from .geometry import (MetricField, PointGeometry, _central_difference,
-                       _random_frame, _sample_box, _second_difference,
-                       gram_schmidt, orthonormal_completion, sectional)
+                       _random_frame, _second_difference, gram_schmidt,
+                       orthonormal_completion, sectional)
 from .system import MagneticSystem
 
 __all__ = [
@@ -70,7 +68,6 @@ class ParamSubmanifold:
 
     def __init__(self, k: int, f: Callable, jac: Optional[Callable] = None,
                  hess: Optional[Callable] = None,
-                 guard: Optional[Callable] = None,
                  sample_bounds=None, name: str = "submanifold",
                  point_jac: Optional[Callable] = None):
         self.k = k
@@ -78,7 +75,6 @@ class ParamSubmanifold:
         self._jac = jac
         self._hess = hess
         self._point_jac = point_jac
-        self.guard = guard
         self.sample_bounds = sample_bounds
         self.name = name
 
@@ -112,13 +108,12 @@ class ParamSubmanifold:
         return (self.jacobian(p + e) - self.jacobian(p - e)) @ a / (2 * _FD_STEP)
 
     def sample_param(self, rng: np.random.Generator) -> np.ndarray:
+        """A uniform draw from `sample_bounds` ([-0.5, 0.5]^k without them),
+        by the formula of `ChartSpec.sample_point`."""
         lo, hi = (self.sample_bounds if self.sample_bounds is not None
                   else (-0.5 * np.ones(self.k), 0.5 * np.ones(self.k)))
         lo = np.asarray(lo, dtype=float)
-        return _sample_box(
-            rng, lo, np.asarray(hi, dtype=float) - lo,
-            lambda p: self.guard is None or self.guard(p),
-            ProjectionFailure, "could not sample a parameter inside the guard")
+        return lo + (np.asarray(hi, dtype=float) - lo) * rng.random(lo.shape)
 
 
 @dataclass
@@ -149,11 +144,6 @@ class DefectReport:
     mean: float
     samples: int
     meta: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({"sup": self.sup, "mean": self.mean,
-                           "samples": self.samples, "meta": self.meta},
-                          indent=2, sort_keys=True, default=str)
 
 
 def _tangent_frame(gx: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -341,7 +331,6 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
     bound = radius / np.sqrt(k)
     return ParamSubmanifold(
         k=k, f=f, jac=lambda u: point_jac(u)[1], point_jac=point_jac,
-        guard=lambda u: float(u @ u) <= radius**2,
         sample_bounds=(-bound * np.ones(k) * 0.9, bound * np.ones(k) * 0.9),
         name=name)
 
@@ -476,21 +465,6 @@ class CartanReport:
     sigma_norm_max: float
     verdict: str
     tol: float
-
-    def to_json(self) -> str:
-        d = {"k": self.k, "planes": self.planes,
-             "fraction_invariant": self.fraction_invariant,
-             "sec_variance": self.sec_variance,
-             "sigma_norm_max": self.sigma_norm_max,
-             "verdict": self.verdict, "tol": self.tol}
-        return json.dumps(d, indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("plane_id,defect,sec_variance\n")
-        for i, d in enumerate(self.defects):
-            buf.write(f"{i},{d!r},{self.sec_variance!r}\n")
-        return buf.getvalue()
 
 
 def _sigma_operator_norm(sys: MagneticSystem, x) -> float:

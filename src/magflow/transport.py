@@ -57,13 +57,6 @@ class OrthogonalHolonomy:
     period: float
     return_distance: float
 
-    def to_csv(self) -> str:
-        lines = [f"# period,{self.period!r}",
-                 f"# return_distance,{self.return_distance!r}"]
-        for row in self.matrix:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def magnetic_covariant_derivative(sys: MagneticSystem, traj: Trajectory,
                                   W_samples: np.ndarray) -> np.ndarray:

@@ -9,9 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 import magflow
-from magflow.cli import _dump_json, main
+from magflow.cli import _csv, _dump_json, main
 from magflow.curvature import sample_sectionals
 from magflow.scenario import build_state, build_system, load_scenario
+
+from conftest import system
 
 
 def _write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -78,6 +80,40 @@ def test_integrate_escaping_orbit_flagged_partial(tmp_path):
                       ndmin=2)
     assert rows.shape[0] == text.count("\n") - 2
     assert rows[-1, 0] < 30.0 - 1e-2
+
+
+def test_trajectory_csv_matches_per_element_formatting(tmp_path):
+    # the rows are the repr of every float, as formatting each element on
+    # its own gives, and an exited orbit ends in `# exited,True`
+    path = _write_scenario(
+        tmp_path, manifold={"name": "poincare_ball"},
+        magnetic={"name": "constant", "params": {"b": 0.5}},
+        initial={"x": [0.1, -0.2, 0.05], "v": [0.3, 0.5, -0.2]},
+        integrator={"step": 1e-2}, params={"T": 50.0})
+    assert _run(["integrate", path, "--out", str(tmp_path)]).exit_code == 0
+    sc = load_scenario(path, "integrate")
+    m = build_system(sc)
+    traj = magflow.integrate(m, build_state(sc, m), 50.0,
+                             magflow.IntegratorConfig(step=1e-2))
+    assert traj.exited
+    rows = ["t,x1,x2,x3,v1,v2,v3,speed_drift"]
+    for t, y, d in zip(traj.times, traj.states, traj.drift_per_node):
+        rows.append(",".join([repr(float(t))] + [repr(float(u)) for u in y]
+                             + [repr(float(d))]))
+    assert ((tmp_path / "trajectory.csv").read_text()
+            == "\n".join(rows + ["# exited,True", ""]))
+
+
+def test_trajectory_csv_header(tmp_path):
+    path = _write_scenario(tmp_path, params={"T": 0.01})
+    assert _run(["integrate", path, "--out", str(tmp_path)]).exit_code == 0
+    sys = system("euclidean", "constant", {"dim": 2}, b=1.0)
+    traj = magflow.integrate(
+        sys, magflow.PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0])),
+        0.01, magflow.IntegratorConfig(step=1e-3))
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t,x1,x2,v1,v2,speed_drift"
+    assert len(lines) == len(traj.times) + 1
 
 
 def test_zero_horizon_keeps_the_initial_state(tmp_path):
@@ -390,6 +426,22 @@ def test_sec_and_anosov_report_sample_alike(tmp_path):
     assert all(sec[key] == rep[key] for key in ("min", "max", "mean"))
 
 
+def test_anosov_report_deterministic_json(tmp_path):
+    path = _write_scenario(
+        tmp_path,
+        manifold={"name": "poincare_disk"},
+        magnetic={"name": "area_form", "params": {"b": 1.0}},
+        speed=2.0, seed=5,
+        params={"samples": 10})
+    texts = []
+    for sub in ("a", "b"):
+        assert _run(["anosov-report", path, "--out",
+                     str(tmp_path / sub)]).exit_code == 0
+        texts.append((tmp_path / sub / "anosov.json").read_text())
+    a, b = texts
+    assert a == b
+
+
 def test_anosov_report_verdict(tmp_path):
     sc = _write_scenario(
         tmp_path,
@@ -465,6 +517,19 @@ def test_lyapunov_disk_and_determinism(tmp_path):
     assert outs[0] == outs[1] == outs[2]
     data = json.loads(outs[0][0])
     assert abs(max(data["exponents"]) - 1.0) < 0.1
+
+
+def test_lyapunov_report_files(tmp_path):
+    # the spectrum's JSON keys, and one CSV line per exponent of the disk's
+    # 4-dimensional phase space after the header
+    sc = _disk_geodesic_scenario(tmp_path, T=10.0)
+    assert _run(["lyapunov", sc, "--out", str(tmp_path)]).exit_code == 0
+    data = json.loads((tmp_path / "lyapunov.json").read_text())
+    assert set(data) == {"exponents", "sum", "horizon", "interval"}
+    assert data["horizon"] == 10.0
+    lines = (tmp_path / "lyapunov.csv").read_text().strip().split("\n")
+    assert lines[0] == "index,exponent"
+    assert len(lines) == 5
 
 
 def test_angle_and_volume(tmp_path):
@@ -605,7 +670,11 @@ def _library_files(command, sc):
     st = build_state(sc, m)
     p, seed = sc["params"], sc["seed"]
     if command == "integrate":
-        return {"trajectory.csv": magflow.integrate(m, st, p["T"]).to_csv()}
+        traj = magflow.integrate(m, st, p["T"])
+        table = np.column_stack([traj.times, traj.states, traj.drift_per_node])
+        return {"trajectory.csv": _csv(
+            ["t,x1,x2,v1,v2,speed_drift"], table.tolist(),
+            ["# exited,True"] if traj.exited else [])}
     if command == "exp":
         y = magflow.dynamical_exp(m, st.x, st.v)
         return {"exp.json": _dump_json({"x": list(st.x), "u": list(st.v),
@@ -616,10 +685,17 @@ def _library_files(command, sc):
             "T": p["T"], "w0": list(st.v), "w": [float(c) for c in w]})}
     if command == "holonomy":
         hol = magflow.closed_orbit_holonomy(m, st, p["period_guess"])
-        return {"holonomy.csv": hol.to_csv()}
+        return {"holonomy.csv": _csv(
+            [f"# period,{hol.period!r}",
+             f"# return_distance,{hol.return_distance!r}"],
+            hol.matrix.tolist())}
     if command == "lyapunov":
         rep = magflow.lyapunov_spectrum(m, st, p["T"])
-        return {"lyapunov.json": rep.to_json(), "lyapunov.csv": rep.to_csv()}
+        e = rep.exponents.tolist()
+        return {"lyapunov.json": _dump_json({
+                    "exponents": e, "sum": rep.total, "horizon": rep.horizon,
+                    "interval": rep.interval}),
+                "lyapunov.csv": _csv(["index,exponent"], enumerate(e))}
     if command == "angle":
         return {"angle.json": _dump_json({
             "T": p["T"], "angle": magflow.transversality_angle(m, st, p["T"])})}
@@ -629,23 +705,33 @@ def _library_files(command, sc):
     if command == "conjugate-scan":
         scan = magflow.conjugate_point_scan(m, st.x, st.v, p["t_max"],
                                             p["steps"])
-        return {"conjugate_scan.csv": "t,sigma_min\n" + "".join(
-            f"{float(t)!r},{float(v)!r}\n" for t, v in scan)}
+        return {"conjugate_scan.csv": _csv(["t,sigma_min"], scan.tolist())}
     if command == "defect":
         N = magflow.make_submanifold(p["submanifold"], m)
         rep = magflow.invariance_defect(m, N, p["samples"], seed=seed)
-        return {"defect.json": rep.to_json()}
+        return {"defect.json": _dump_json({
+            "sup": rep.sup, "mean": rep.mean, "samples": rep.samples,
+            "meta": rep.meta})}
     if command == "cartan-probe":
         rep = magflow.cartan_probe(m, p["k"], p["planes"], seed=seed,
                                    defect_samples=p["defect_samples"])
-        return {"cartan.json": rep.to_json(), "cartan.csv": rep.to_csv()}
+        return {"cartan.json": _dump_json({
+                    "k": rep.k, "planes": rep.planes,
+                    "fraction_invariant": rep.fraction_invariant,
+                    "sec_variance": rep.sec_variance,
+                    "sigma_norm_max": rep.sigma_norm_max,
+                    "verdict": rep.verdict, "tol": rep.tol}),
+                "cartan.csv": _csv(
+                    ["plane_id,defect,sec_variance"],
+                    [(i, d, rep.sec_variance)
+                     for i, d in enumerate(rep.defects)])}
     # regimes, at its one speed s > 1, whose horizon is T / s
     [s] = p["s_grid"]
     sec = sample_sectionals(m, s, p["samples"], np.random.default_rng(seed))
     start = magflow.PhaseState(x=np.zeros(2), v=np.array([0.5 * s, 0.0]), s=s)
     top = magflow.lyapunov_spectrum(m, start, p["T"] / s).exponents[0]
-    return {"regimes.csv": f"s,max_sec,top_exponent\n"
-                           f"{s!r},{float(sec.max())!r},{float(top)!r}\n"}
+    return {"regimes.csv": _csv(["s,max_sec,top_exponent"],
+                                [(s, float(sec.max()), float(top))])}
 
 
 @pytest.mark.parametrize("command", list(_DEFAULT_STEP))
@@ -695,6 +781,23 @@ def test_holonomy_larmor(tmp_path):
     lines = (tmp_path / "holonomy.csv").read_text().strip().split("\n")
     Q = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
     assert np.allclose(Q, np.eye(2), atol=1e-6)
+
+
+def test_holonomy_csv(tmp_path):
+    path = _write_scenario(
+        tmp_path, magnetic={"name": "constant", "params": {"b": 2.0}},
+        integrator={"step": 5e-3}, params={"period_guess": np.pi})
+    texts = []
+    for sub in ("a", "b"):
+        assert _run(["holonomy", path, "--out",
+                     str(tmp_path / sub)]).exit_code == 0
+        texts.append((tmp_path / sub / "holonomy.csv").read_text())
+    text = texts[0]
+    lines = text.strip().split("\n")
+    assert lines[0].startswith("# period,")
+    assert lines[1].startswith("# return_distance,")
+    assert len(lines) == 3
+    assert texts[1] == text  # deterministic
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from magflow import (ChartSpec, FrameState, IntegratorConfig, MagneticSystem,
                      MetricField, PhaseState, augmented_exp,
                      candidate_submanifold, christoffel,
-                     conjugate_point_scan, connector_split,
-                     dynamical_exp, frame_flow, integrate, lyapunov_spectrum,
+                     conjugate_point_scan, dynamical_exp, frame_flow, integrate, lyapunov_spectrum,
                      make_form, make_manifold, oddness_residual, op_R,
                      parallel_transport, variational_flow, volume_drift)
+from magflow.diagnostics import sasaki_frame_matrix
 from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                             StepLimitExceeded)
 from magflow.flow import (_BLOCK_STEPS, _rk4_path, _stage, generator,
@@ -48,15 +48,18 @@ def test_generator_matches_orbit_second_derivative():
 
 
 def test_semi_spray_consistency(rng):
-    # connector split of the generator: horizontal = v, vertical = X_V
+    # the Sasaki frame T = [[C, 0], [C Gamma(., v), C]] of the generator:
+    # the horizontal part is C v, and the connector part is C X_V = C Y v
     for name in ("euclidean", "poincare_disk"):
         sys = system(name, "constant" if name == "euclidean" else "area_form",
                      b=1.0)
         x = sys.chart.sample_point(rng)
         v = rng.standard_normal(2)
-        split = connector_split(sys.metric, x, v, generator(sys, x, v))
-        assert np.array_equal(split.horizontal, v)
-        assert np.abs(split.vertical - sys.lorentz(x) @ v).max() < 1e-12
+        T = sasaki_frame_matrix(sys, x, v)
+        C = T[:2, :2]
+        split = T @ generator(sys, x, v)
+        assert np.array_equal(split[:2], C @ v)
+        assert np.abs(split[2:] - C @ (sys.lorentz(x) @ v)).max() < 1e-12
 
 
 @pytest.mark.parametrize("name, form, params", [
@@ -425,30 +428,6 @@ def test_nan_fails_every_positivity_check(check, error):
     # ways, is not taken for a positive number
     with pytest.raises(error, match="positive"):
         check(system("poincare_disk", "area_form", b=1.0))
-
-
-def test_trajectory_csv_matches_per_element_formatting():
-    # the rows are the repr of every float, as formatting each element on
-    # its own gives, and an exited orbit ends in `# exited,True`
-    sys = system("poincare_ball", "constant", b=0.5)
-    x = np.array([0.1, -0.2, 0.05])
-    st = PhaseState(x=x, v=unit(sys.metric, x, [0.3, 0.5, -0.2]))
-    traj = integrate(sys, st, 50.0, IntegratorConfig(step=1e-2))
-    assert traj.exited
-    rows = ["t,x1,x2,x3,v1,v2,v3,speed_drift"]
-    for t, y, d in zip(traj.times, traj.states, traj.drift_per_node):
-        rows.append(",".join([repr(float(t))] + [repr(float(u)) for u in y]
-                             + [repr(float(d))]))
-    assert traj.to_csv() == "\n".join(rows + ["# exited,True", ""])
-
-
-def test_trajectory_csv_header():
-    sys = system("euclidean", "constant", {"dim": 2}, b=1.0)
-    traj = integrate(sys, PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0])),
-                     0.01, IntegratorConfig(step=1e-3))
-    lines = traj.to_csv().splitlines()
-    assert lines[0] == "t,x1,x2,v1,v2,speed_drift"
-    assert len(lines) == len(traj.times) + 1
 
 
 # -- dynamical exponential -------------------------------------------------

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from magflow import (ChartSpec, MagneticSystem, MetricField, christoffel,
-                     connector_split, make_form, make_manifold,
-                     orthonormal_completion, riemann, sectional)
+                     make_form, make_manifold, orthonormal_completion,
+                     riemann, sectional)
 from magflow.errors import DegeneratePlane, DomainViolation, ZeroVector
 from magflow.geometry import (PointGeometry, _gram_schmidt_pairs,
-                              connector_reconstruct, gram_schmidt, project)
+                              gram_schmidt, project)
 
 from conftest import strength, unit
 
@@ -316,7 +316,7 @@ def test_box_sampler_gives_up_after_1000_draws():
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-# -- projections and the connector -----------------------------------------
+# -- projections -----------------------------------------------------------
 
 def test_project_along_self():
     chart, g = make_manifold("euclidean", dim=2)
@@ -347,26 +347,6 @@ def test_project_zero_vector_rejected():
     chart, g = make_manifold("euclidean", dim=2)
     with pytest.raises(ZeroVector):
         project(g, np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
-
-
-def test_connector_flat_case():
-    chart, g = make_manifold("euclidean", dim=2)
-    split = connector_split(g, np.zeros(2), np.array([1.0, 0.0]),
-                            np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(split.horizontal, [1.0, 2.0])
-    assert np.allclose(split.vertical, [3.0, 4.0])
-
-
-def test_connector_round_trip(model, rng):
-    _, chart, g = model
-    n = chart.dim
-    for _ in range(10):
-        x = chart.sample_point(rng)
-        v = rng.standard_normal(n)
-        xi = rng.standard_normal(2 * n)
-        split = connector_split(g, x, v, xi)
-        back = connector_reconstruct(g, x, v, split)
-        assert np.abs(back - xi).max() < 1e-12 * max(1.0, np.abs(xi).max())
 
 
 # -- Gram-Schmidt and the orthonormal completion ---------------------------

@@ -150,6 +150,73 @@ def test_every_export_is_imported():
     assert not dead, dead
 
 
+def _public_functions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function and each
+    public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def test_readme_names_every_uncalled_function():
+    # a public function or method that no source code refers to by name is
+    # either API that the README names, or dead.  An `__all__` entry or an
+    # import is not a reference; a function registered by a decorator call,
+    # as the CLI's subcommands are, is called through its registration
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES]
+    used = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = []
+    for path, tree in zip(SOURCES, trees):
+        for qual, fn in _public_functions(tree):
+            name = qual.split(".")[-1]
+            if (name.startswith("_") or name in used
+                    or any(isinstance(d, ast.Call) for d in fn.decorator_list)):
+                continue
+            if not re.search(rf"`(?:[\w.]+\.)?{re.escape(qual)}\b", readme):
+                missing.append(f"{path.stem}.{qual}")
+    assert not missing, missing
+
+
+# the functions that format a payload, by the module that holds them
+_PAYLOAD_WRITERS = {"json": {"dump", "dumps"}, "io": {"StringIO"}}
+
+
+def _payload_writers(tree: ast.Module) -> list:
+    """Lines that use a function of `_PAYLOAD_WRITERS`: as an attribute of
+    its module, or imported by name."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.attr in _PAYLOAD_WRITERS.get(node.value.id, ())):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            found += [node.lineno for alias in node.names
+                      if alias.name in _PAYLOAD_WRITERS.get(node.module, ())]
+    return found
+
+
+def test_only_the_cli_formats_payloads():
+    # every JSON and CSV file is formatted by the CLI's `_dump_json` and
+    # `_csv`, and the library's result classes hold data only; reading a
+    # scenario with `json.load` is input, not a payload
+    found = []
+    for path in SOURCES:
+        if path.name != "cli.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _payload_writers(tree)]
+    assert not found, found
+
+
 def test_readme_names_every_subcommand():
     # the README's list of subcommands, the CLI's and the scenario table's
     # `params` name the same subcommands, so a rename shows up here

@@ -348,19 +348,6 @@ def test_holonomy_larmor_property(b, x, angle, factor):
     assert np.max(np.abs(hol.matrix - np.eye(2))) <= 1e-6
 
 
-def test_holonomy_csv():
-    sys = system("euclidean", "constant", {"dim": 2}, b=2.0)
-    state = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]), s=1.0)
-    hol = closed_orbit_holonomy(sys, state, np.pi,
-                                IntegratorConfig(step=5e-3))
-    text = hol.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# period,")
-    assert lines[1].startswith("# return_distance,")
-    assert len(lines) == 3
-    assert hol.to_csv() == text  # deterministic
-
-
 # ---------------------------------------------------------------------------
 # base path consistency
 
