@@ -5,26 +5,25 @@ The chart form of the equation of motion is
     vdot^i = -Gamma^i_{jk}(x) v^j v^k + X_V^i(x, v)
 with X_V = Y(x) v for a magnetic system.  It is integrated by one
 fixed-step RK4 driver on Python floats: at n <= 3 the cost of an array
-operation is its call, not its arithmetic.  The state is two lists of n
-floats, x and v, and a stage is a function acc(x, v) -> list of n floats
-that raises `DomainViolation` outside the chart.  For a magnetic system on
-a diagonal metric whose form gives its float closure (`MetricField.spray`
-and `TwoFormField.lorentz_v`, as every built-in model and form does) a
-stage runs the chart guard and adds the metric's -Gamma(v, v) and the
-form's Yv, as floats; otherwise it builds the point's `PointGeometry` on
-arrays.  `generator` evaluates the same stage.  Nodes are stored as float64
-rows.  Every orbit, linear flows' included, runs through this one driver,
-which checks the horizon and the start point.  Speed drift along the
-orbit, against the g-speed of its first node, is recorded and never
-corrected, so it serves as an error indicator.
+operation is its call, not its arithmetic.  The state is one list
+y = x ++ v of 2n floats, and a stage f(y) -> k = v ++ vdot raises
+`DomainViolation` outside the chart.  For a magnetic system on a diagonal
+metric whose form gives its float closure (`MetricField.spray` and
+`TwoFormField.magnetic_acc`, as every built-in model and form does) a stage
+runs the chart guard and the two closures, on floats; otherwise it builds
+the point's `PointGeometry` on arrays.  `generator` evaluates the same
+stage.  A node is checked by the guard of the next step's first stage, the
+last node by the guard alone.  Every orbit, linear flows' included, runs
+through this one driver, which checks the horizon and the start point.
+Speed drift along the orbit, against the g-speed of its first node, is
+recorded and never corrected, so it serves as an error indicator.
 
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
-solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The base
-orbit is integrated with `integrate`'s RK4 driver and stage, recording
-each stage's point, velocity and acceleration; then one `PointGeometry` is
-built on the batch of the block's recorded points (unguarded, since each
-passed the guard in its stage), M is evaluated at all its stages at once
+solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The RK4
+driver hands over each block's stages (y, k) of the base orbit; then one
+`PointGeometry` is built on the batch of their points (unguarded: each
+passed the guard in its stage), M is evaluated at all the stages at once
 (for Df, with the second derivatives of the metric and the form taken on
 the whole batch), and Z is advanced by the RK4 propagator of each step,
     P = I + h/6 (D1 + 2 D2 Z2 + 2 D3 Z3 + D4 Z4),
@@ -47,7 +46,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import partial
-from operator import add
 from typing import Optional
 
 import numpy as np
@@ -156,9 +154,14 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
     The analytic part is a = -g^-1 r with r = gamma_low(v, v) + sigma v
     (without the sigma term for a custom vertical field), so
     d_q a = -g^-1 (d_q r + d_q g a) and da/dv = -g^-1 dr/dv."""
-    n = v.shape[-1]
+    lead, n = v.shape[:-1], v.shape[-1]
     Gv = np.einsum("...ljk,...k->...lj", geo.gamma_low, v)
-    r_x = np.einsum("...ljkq,...j,...k->...lq", geo.dgamma_low(), v, v)
+    # r_x = dgamma_low(v, v), without building dgamma_low:
+    # d2g[l, j, k, q] v^j v^k - d2g[j, k, l, q] v^j v^k / 2
+    vv = np.einsum("...j,...k->...jk", v, v).reshape(lead + (1, 1, n * n))
+    d2g = geo.metric.d2g(geo.x).reshape(lead + (1, n * n, n * n))
+    r_x = ((vv @ d2g.reshape(lead + (n, n * n, n)))[..., 0, :]
+           - 0.5 * (vv @ d2g)[..., 0, 0, :].reshape(lead + (n, n)))
     r_v = 2.0 * Gv
     if sys.is_magnetic:
         r_x = r_x + np.einsum("...ljq,...j->...lq", geo.dsigma(), v)
@@ -175,40 +178,42 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
                               v.reshape(-1, n)):
             Lb[:, :n] += _central_difference(lambda y: f(y, vb), xb, h)
             Lb[:, n:] += _central_difference(partial(f, xb), vb, h)
-    D = np.zeros(v.shape[:-1] + (2 * n, 2 * n))
+    D = np.zeros(lead + (2 * n, 2 * n))
     D[..., :n, n:] = np.eye(n)
     D[..., n:, :] = L
     return D
 
 
-def _lean_acceleration(sys: MagneticSystem, guard=None):
-    """The magnetic acceleration -Gamma(v, v) + Yv on Python floats,
-    acc(x, v) -> list of n floats at lists x, v of n floats, which raises
-    `DomainViolation` at a point that fails the `guard`, if one is given;
-    None unless the system is magnetic, its metric gives `spray` and its
-    form gives `lorentz_v`."""
-    spray, lorentz_v = sys.metric.spray, sys.sigma.lorentz_v
-    if not sys.is_magnetic or spray is None or lorentz_v is None:
+def _lean_derivative(sys: MagneticSystem, guard=None):
+    """The derivative f(y) -> k = v ++ (-Gamma(v, v) + Yv) at a list
+    y = x ++ v of 2n floats, on floats, which raises `DomainViolation` where
+    x fails the `guard`, if one is given; None unless the system is
+    magnetic, its metric gives `spray` and its form `magnetic_acc`."""
+    spray, magnetic_acc = sys.metric.spray, sys.sigma.magnetic_acc
+    if not sys.is_magnetic or spray is None or magnetic_acc is None:
         return None
+    n = sys.dim
 
-    def acc(x, v):
+    def f(y):
+        x, v = y[:n], y[n:]
         if guard is not None and not guard(x):
             raise DomainViolation(f"point {x} outside chart domain")
         a, d = spray(x, v)
-        return list(map(add, a, lorentz_v(x, d, v)))
-    return acc
+        return v + magnetic_acc(x, d, v, a)
+    return f
 
 
 def _stage(sys: MagneticSystem):
-    """The RK4 stage acc(x, v) -> list of n floats at lists x, v of n
-    floats, which raises `DomainViolation` at a point outside the chart:
-    the float acceleration behind the chart guard, or else the acceleration
-    from the point's `PointGeometry` (which runs the guard itself)."""
-    lean = _lean_acceleration(sys, sys.chart.domain_guard)
+    """The RK4 stage f(y) -> k = v ++ vdot at a list y = x ++ v of 2n
+    floats, which raises `DomainViolation` outside the chart: the float
+    derivative behind the chart guard, or else the acceleration from the
+    point's `PointGeometry` (which runs the guard itself)."""
+    lean = _lean_derivative(sys, sys.chart.domain_guard)
     if lean is not None:
         return lean
-    return lambda x, v: _acceleration(sys, sys.geometry(x),
-                                      np.array(v)).tolist()
+    n = sys.dim
+    return lambda y: y[n:] + _acceleration(sys, sys.geometry(y[:n]),
+                                           np.array(y[n:])).tolist()
 
 
 def generator(sys: MagneticSystem, x, v) -> np.ndarray:
@@ -216,12 +221,11 @@ def generator(sys: MagneticSystem, x, v) -> np.ndarray:
     is the RK4 stage's, on Python floats where the system allows it."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    lean = _lean_acceleration(sys)
+    lean = _lean_derivative(sys)
     if lean is None:
         return np.concatenate([v, _acceleration(sys, sys.geometry(x), v)])
     sys.chart.require(x)
-    vl = v.tolist()
-    return np.array(vl + lean(x.tolist(), vl))
+    return np.array(lean(x.tolist() + v.tolist()))
 
 
 def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
@@ -241,67 +245,73 @@ def _step_size(T, h, max_steps, segments=1):
     if not 0 <= T < np.inf:
         raise ValueError(f"horizon T must be finite and nonnegative: {T}")
     dt = float(T) / segments
-    k = max(int(T > 0), int(round(dt / h)))
+    # capped just past the budget, so that an infinite dt / h exceeds it
+    k = max(int(T > 0), round(min(dt / h, max_steps + 1)))
     nsteps = segments * k
     if nsteps > max_steps:
-        raise StepLimitExceeded(f"{nsteps} steps exceed the budget {max_steps}")
+        raise StepLimitExceeded(f"T = {T}, h = {h}: over {max_steps} steps")
     return nsteps, dt / max(k, 1)
 
 
-def _rk4_path(sys, state, T, cfg, acc=None, segments=1):
+def _rk4_path(sys, state, T, cfg, record=None, segments=1):
     """The one RK4 driver: the orbit of `state`, whose start must pass the
     chart guard, over time T with the step and budget of `cfg`, on the grid
-    of `segments` equal segments of whole steps (`_step_size`), stepping
-    lists x, v of n floats.  `acc(x, v) -> list` is the stage acceleration
-    (`_stage` by default), which raises `DomainViolation` at a point outside
-    the chart.  Returns the node times, the nodes (x, v) as rows and
-    whether the orbit left the chart; raises `NonFiniteState` if a node it
-    wrote is not finite (a chart without a guard never stops a blow-up)."""
+    of `segments` equal segments of whole steps (`_step_size`), stepping a
+    list y = x ++ v with `_stage`.  `record(stages)`, if given, gets the
+    stages (y1, k1, ..., y4, k4) of each step, one block of `_BLOCK_STEPS`
+    steps at a time, the last after the finite check below if the orbit
+    stayed in.  Returns the node times, the nodes (x, v) as rows and whether
+    the orbit left the chart; raises `NonFiniteState` if a node it wrote is
+    not finite (a chart without a guard never stops a blow-up)."""
     n = sys.dim
-    f = _stage(sys) if acc is None else acc
+    f = _stage(sys)
     inside = sys.chart.domain_guard
     nsteps, hh = _step_size(T, cfg.step, cfg.max_steps, segments)
     sys.chart.require(state.x)
-    x, v = state.x.tolist(), state.v.tolist()
+    y = state.x.tolist() + state.v.tolist()
     half, sixth = 0.5 * hh, hh / 6.0
     # rows of the nodes; the memory of rows never written is never touched
     path = np.empty((nsteps + 1, 2 * n))
-    path[0] = x + v
-    nodes = 1
-    exited = False
-    for _ in range(nsteps):
+    nodes, stages, written = [], [], 0  # the block's; the rows written
+    for i in range(nsteps):
+        if i - written == _BLOCK_STEPS:
+            path[written:i] = nodes
+            nodes, written = [], i
+            if record is not None:
+                record(stages)
+                stages = []
         try:
-            a1 = f(x, v)
-            x2 = [p + half * q for p, q in zip(x, v)]
-            v2 = [p + half * q for p, q in zip(v, a1)]
-            a2 = f(x2, v2)
-            x3 = [p + half * q for p, q in zip(x, v2)]
-            v3 = [p + half * q for p, q in zip(v, a2)]
-            a3 = f(x3, v3)
-            x4 = [p + hh * q for p, q in zip(x, v3)]
-            v4 = [p + hh * q for p, q in zip(v, a3)]
-            a4 = f(x4, v4)
+            k1 = f(y)
+            nodes.append(y)
+            y2 = [p + half * q for p, q in zip(y, k1)]
+            k2 = f(y2)
+            y3 = [p + half * q for p, q in zip(y, k2)]
+            k3 = f(y3)
+            y4 = [p + hh * q for p, q in zip(y, k3)]
+            k4 = f(y4)
         except DomainViolation:
-            # a stage point crossed the chart guard: report a clean exit
+            # a node or stage point crossed the chart guard: a clean exit
             exited = True
             break
-        x = [p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-             for p, k1, k2, k3, k4 in zip(x, v, v2, v3, v4)]
-        v = [p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-             for p, k1, k2, k3, k4 in zip(v, a1, a2, a3, a4)]
-        if inside is not None and not inside(x):
-            exited = True
-            break
-        path[nodes] = x + v
-        nodes += 1
-    path = path[:nodes]
+        if record is not None:
+            stages.append((y, k1, y2, k2, y3, k3, y4, k4))
+        y = [p + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+             for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
+    else:  # the last node, which no further stage checks
+        exited = inside is not None and not inside(y[:n])
+        if not exited:
+            nodes.append(y)
+    path = path[:written + len(nodes)]
+    path[written:] = np.reshape(nodes, (-1, 2 * n))     # nodes may be []
     if not np.isfinite(path).all():
         first = np.argmin(np.isfinite(path).all(axis=1))
         raise NonFiniteState(
             f"the orbit reached a non-finite state at t = {first * hh}")
+    if stages and not exited:
+        record(stages)
     # node k sits at k * hh, not at a running sum, so the last node of one
     # segment is T
-    return np.arange(nodes) * hh, path, exited
+    return np.arange(len(path)) * hh, path, exited
 
 
 def integrate(sys: MagneticSystem, state: PhaseState, T: float,
@@ -379,25 +389,24 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
     same driver, its drift never corrected) over `segments` equal segments
     of k whole steps (`_step_size`), in the two passes and with the cuts of
     the module docstring (so Z is square unless there is one segment).
-    `matrices(geo, v, acc)` gives M at a block of stages from their
-    `PointGeometry` batch, velocities and accelerations.  Returns the stack
-    of Z over each segment and the orbit's nodes (x, v) at the segment ends
-    as rows, the start first; at T = 0 every segment is empty, so each Z is
-    the given one and each node the start."""
+    `matrices(geo, v, acc)` gives M at each block of stages the driver
+    hands over, from their `PointGeometry` batch, velocities and
+    accelerations.  Returns the stack of Z over each segment and the
+    orbit's nodes (x, v) at the segment ends as rows, the start first; at
+    T = 0 every segment is empty, so each Z is the given one and each node
+    the start."""
     cfg = cfg or IntegratorConfig()
     nsteps, h = _step_size(T, cfg.step, cfg.max_steps, segments)
     k = nsteps // segments
-    stage = _stage(sys)
-    rows = []                       # (x, v, acc) at each recorded stage
     cuts = []                       # Z at each segment end
     done = 0                        # steps Z has been advanced over
 
-    def advance():
-        # every recorded point passed the chart guard in the stage; after
+    def advance(stages):
+        # every stage point passed the chart guard in its stage; after
         # every k-th step of the flow Z is cut and restarts at the identity
         nonlocal Z, done
-        X, V, A = np.split(np.array(rows), 3, axis=1)
-        rows.clear()
+        # (y, k) = (x, v, v, acc) at each stage
+        X, V, _, A = np.array(stages).reshape(-1, 4, sys.dim).swapaxes(0, 1)
         geo = PointGeometry(sys.metric, X, sys.sigma)
         for done, Pj in enumerate(_advance(matrices(geo, V, A), h), done + 1):
             Z = Pj.dot(Z)
@@ -405,21 +414,10 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
                 cuts.append(Z)
                 Z = np.eye(len(Z))
 
-    def acc(x, v):
-        # the stage, recording it; a full block of whole steps is first
-        # advanced over
-        if len(rows) == 4 * _BLOCK_STEPS:
-            advance()
-        a = stage(x, v)
-        rows.append(x + v + a)
-        return a
-
-    _, path, exited = _rk4_path(sys, state, T, cfg, acc=acc,
+    _, path, exited = _rk4_path(sys, state, T, cfg, record=advance,
                                 segments=segments)
     if exited:
         raise DomainExit(f"{what} orbit left the chart")
-    if rows:
-        advance()
     return np.array(cuts or [Z] * segments), path[np.arange(segments + 1) * k]
 
 

@@ -24,33 +24,31 @@ class TwoFormField:
     coefficients and first derivatives at x.  `at` and `dsigma_at` take them
     from a caller that holds them already, so that the metric is evaluated
     once per point, or else evaluate them; a form of x alone ignores them.
-    These two are the form's evaluators.  They take
-    a point x (n,) or a batch X (B, n), with g and dg stacked alike, and
-    return their values at each row of a batch stacked along axis 0.
+    These two evaluators take a point x (n,) or a batch X (B, n), with g
+    and dg stacked alike, and stack their values at its rows on axis 0.
     broadcasts declares that every closure (eval_fn and dsigma) accepts x
     (and g, dg) of shape (..., n) (and (..., n, n), (..., n, n, n)),
     returning its values stacked along the same leading axes, or one array
     for every point; only then is a closure called on a whole batch, and
     otherwise once per row.  It takes effect only when dsigma is given,
     since the finite differences are taken point by point.
-    lorentz_v is an optional closure (x, d, v) -> list, the Lorentz force
-    Yv = -g^-1 sigma v at one point, with x, v and d lists of n floats; d
-    is g's diagonal at x (of a diagonal metric, see `MetricField.spray`).
-    With the metric's `spray` it lets an RK4 stage of `flow` run on Python
-    floats.  A list it returns is only read, so it may return the same list
-    at every call.
+    magnetic_acc is an optional closure (x, d, v, a) -> list at one point:
+    the magnetic acceleration a + Yv, a new list of a_i + (Yv)_i, with Yv =
+    -g^-1 sigma v, given the lists (a, d) of `MetricField.spray` there (the
+    geodesic acceleration and g's diagonal) and x, v, lists of n floats.
+    With `spray` it lets an RK4 stage of `flow` run on Python floats.
     """
 
     def __init__(self, eval_fn, dsigma=None,
                  chart: Optional[ChartSpec] = None,
                  metric: Optional[MetricField] = None,
-                 broadcasts: bool = False, lorentz_v=None):
+                 broadcasts: bool = False, magnetic_acc=None):
         self._eval = eval_fn
         self._dsigma = dsigma
         self.chart = chart
         self.metric = metric
         self.broadcasts = broadcasts and dsigma is not None
-        self.lorentz_v = lorentz_v
+        self.magnetic_acc = magnetic_acc
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -93,9 +91,9 @@ class TwoFormField:
 def _zero(dim: int, metric: MetricField = None, chart: ChartSpec = None):
     z1 = np.zeros((dim, dim))
     z2 = np.zeros((dim, dim, dim))
-    zeros = [0.0] * dim
     return TwoFormField(lambda x: z1, dsigma=lambda x: z2, chart=chart,
-                        broadcasts=True, lorentz_v=lambda x, d, v: zeros)
+                        broadcasts=True,
+                        magnetic_acc=lambda x, d, v, a: [p + 0.0 for p in a])
 
 
 def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
@@ -106,11 +104,13 @@ def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
     sig[0, 1] = b
     sig[1, 0] = -b
     z2 = np.zeros((dim, dim, dim))
-    rest = [0.0] * (dim - 2)
+
+    def magnetic_acc(x, d, v, a):
+        out = [a[0] + -b * v[1] / d[0], a[1] + b * v[0] / d[1]]
+        return out + [p + 0.0 for p in a[2:]] if dim > 2 else out
+
     return TwoFormField(lambda x: sig, dsigma=lambda x: z2, chart=chart,
-                        broadcasts=True,
-                        lorentz_v=lambda x, d, v: [-b * v[1] / d[0],
-                                                   b * v[0] / d[1]] + rest)
+                        broadcasts=True, magnetic_acc=magnetic_acc)
 
 
 def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
@@ -146,13 +146,13 @@ def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
         dsq = (0.5 * b) * tr / np.sqrt(0.5 * np.vecdot(w, g4))[..., None]
         return rot * dsq[..., None, None, :]
 
-    def lorentz_v(x, d, v):
-        # -g^-1 sigma v, with sqrt(det g) = sqrt(d0 d1) for a diagonal g
+    def magnetic_acc(x, d, v, a):
+        # Yv = -g^-1 sigma v, with sqrt(det g) = sqrt(d0 d1) for a diagonal g
         r = math.sqrt(d[1] / d[0])
-        return [-b * r * v[1], b / r * v[0]]
+        return [a[0] + -b * r * v[1], a[1] + b / r * v[0]]
 
     return TwoFormField(eval_fn, dsigma=dsigma, chart=chart, metric=metric,
-                        broadcasts=True, lorentz_v=lorentz_v)
+                        broadcasts=True, magnetic_acc=magnetic_acc)
 
 
 FORMS = {

@@ -299,8 +299,8 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
     base point uses the exact tangent plane.  `point` alone is one orbit
     of `dynamical_exp`.  The default `cfg` steps by `DIAGNOSTIC_STEP`.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius {radius!r} is not positive and finite")
     x = np.asarray(x, dtype=float)
     B = np.asarray(basis, dtype=float)      # (n, k) g-orthonormal columns
     gx = sys.metric(x)
@@ -560,8 +560,8 @@ def make_submanifold(spec: dict, sys: MagneticSystem,
             raise ValueError("a hyperplane takes 'normal' or 'basis', not both")
         point = _spec_array(spec, "point", n)
         extent = float(spec.get("extent", 1.0))
-        if not extent > 0:
-            raise ValueError(f"'extent' must be positive, got {extent!r}")
+        if not 0 < extent < np.inf:
+            raise ValueError(f"'extent' {extent!r} is not positive and finite")
         if "basis" in spec:
             B = _spec_array(spec, "basis", n, planar=True)
         else:
@@ -581,8 +581,8 @@ def make_submanifold(spec: dict, sys: MagneticSystem,
         center = (_spec_array(spec, "center", 3) if "center" in spec
                   else np.zeros(3))
         r = float(spec["radius"])
-        if not r > 0:
-            raise ValueError(f"'radius' must be positive, got {r!r}")
+        if not 0 < r < np.inf:
+            raise ValueError(f"'radius' {r!r} is not positive and finite")
 
         def f(p):
             th, ph = p
@@ -620,7 +620,7 @@ def make_submanifold(spec: dict, sys: MagneticSystem,
 
 def _spec_array(spec: dict, key: str, n: int, planar: bool = False):
     """spec[key] as a vector of n components or, if `planar`, as the basis
-    of a k-plane: an (n, k) array with 1 <= k < n."""
+    of a k-plane: an (n, k) array with 1 <= k < n; its entries finite."""
     a = np.asarray(spec[key], dtype=float)
     if planar and not (a.ndim == 2 and a.shape[0] == n and 1 <= a.shape[1] < n):
         raise ValueError(f"{key!r} must have shape (n, k) with n = {n} and "
@@ -628,4 +628,6 @@ def _spec_array(spec: dict, key: str, n: int, planar: bool = False):
     if not planar and a.shape != (n,):
         raise ValueError(f"{key!r} must have {n} components, "
                          f"got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{key!r} must be finite, got {a.tolist()!r}")
     return a

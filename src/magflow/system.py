@@ -95,14 +95,14 @@ class MagneticSystem:
         m, sg = self.metric, self.sigma
         # -Gamma(v, v) and Yv are unchanged, only g's diagonal scales; a form
         # built from the metric reads the original coefficients g / c
-        spray = lorentz_v = None
+        spray = magnetic_acc = None
         if m.spray is not None:
             def spray(x, v):
                 a, d = m.spray(x, v)
                 return a, [c * u for u in d]
-        if sg.lorentz_v is not None:
-            def lorentz_v(x, d, v):
-                return sg.lorentz_v(x, [e / c for e in d], v)
+        if sg.magnetic_acc is not None:
+            def magnetic_acc(x, d, v, a):
+                return sg.magnetic_acc(x, [e / c for e in d], v, a)
         metric = MetricField(lambda x: c * m.raw(x),
                              dg=lambda x: c * m.dg(x),
                              d2g=lambda x: c * m.d2g(x),
@@ -112,6 +112,6 @@ class MagneticSystem:
             lambda x, g: c * sg.at(x, g / c),
             dsigma=lambda x, g, dg: c * sg.dsigma_at(x, g / c, dg / c),
             chart=self.chart, metric=metric, broadcasts=sg.broadcasts,
-            lorentz_v=lorentz_v)
+            magnetic_acc=magnetic_acc)
         return MagneticSystem(self.chart, metric, sigma,
                               vertical_field=self.vertical_field)

@@ -28,7 +28,7 @@ def counted_system(name, form, broadcasts=False, lean=True, **form_params):
     `spray` count calls; its metric evaluates a batch point by point unless
     it `broadcasts`, and declares no `spray` (so an RK4 stage takes the
     `PointGeometry` path) unless it is `lean`.  Its form is built from the
-    counted metric, with the form's own float closure `lorentz_v`."""
+    counted metric, with the form's own float closure `magnetic_acc`."""
     chart, metric = make_manifold(name)
     calls = {"metric": 0, "spray": 0, "guard": 0}
 

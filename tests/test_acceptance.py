@@ -7,16 +7,13 @@ import json
 import time
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
-from magflow import (DomainExit, FrameState, IntegratorConfig, MagneticSystem,
-                     PhaseState,
+from magflow import (DomainExit, FrameState, IntegratorConfig, PhaseState,
                      closed_orbit_holonomy, conjugate_point_scan,
                      dynamic_consistency_check, dynamical_exp, frame_flow,
                      integrate, invariance_defect, lyapunov_spectrum,
-                     magnetic_sectional, make_form, make_manifold,
-                     make_submanifold, variational_flow)
+                     magnetic_sectional, make_submanifold, variational_flow)
 from magflow.cli import main as cli_main
 from magflow.geometry import gram_schmidt
 from magflow.submanifold import cartan_probe

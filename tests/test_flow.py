@@ -13,9 +13,10 @@ from magflow import (ChartSpec, FrameState, IntegratorConfig, MagneticSystem,
 from magflow.diagnostics import sasaki_frame_matrix
 from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                             StepLimitExceeded)
-from magflow.flow import (_BLOCK_STEPS, _rk4_path, _stage, generator,
-                          generator_jacobian, variational_segments)
-from magflow.geometry import dchristoffel
+from magflow.flow import (_BLOCK_STEPS, _generator_jacobians, _rk4_path,
+                          _stage, generator, generator_jacobian,
+                          variational_segments)
+from magflow.geometry import PointGeometry, dchristoffel
 
 from conftest import MODEL_NAMES, counted_system, strength, system, unit
 
@@ -250,7 +251,55 @@ def test_generator_and_jacobian_match_tensor_formulas(rng):
                                                     np.eye(n)]))
 
 
+def _df_from_dgamma_low(geo, v, acc):
+    """Df of a magnetic system from the n^4 tensor `dgamma_low`, contracted
+    as einsum("...ljkq,...j,...k->...lq", dgamma_low, v, v)."""
+    n = v.shape[-1]
+    r_x = (np.einsum("...ljkq,...j,...k->...lq", geo.dgamma_low(), v, v)
+           + np.einsum("...ljq,...j->...lq", geo.dsigma(), v)
+           + np.einsum("...ijq,...j->...iq", geo.dg, acc))
+    r_v = 2.0 * np.einsum("...ljk,...k->...lj", geo.gamma_low, v) + geo.sigma
+    D = np.zeros(v.shape[:-1] + (2 * n, 2 * n))
+    D[..., :n, n:] = np.eye(n)
+    D[..., n:, :] = -np.matmul(geo.ginv, np.concatenate([r_x, r_v], axis=-1))
+    return D
+
+
+@pytest.mark.parametrize("name, form", _PAIRS)
+def test_generator_jacobians_match_dgamma_low_contraction(name, form, rng):
+    # the Jacobians contracted straight from d2g agree with those from the
+    # n^4 tensor dgamma_low, on a batch of 256 stages and at a single point
+    sys = system(name, form, **strength(form, 1.3))
+    n = sys.dim
+    X = np.array([sys.chart.sample_point(rng) for _ in range(256)])
+    V, A = rng.standard_normal((2,) + X.shape)
+    batch = PointGeometry(sys.metric, X, sys.sigma)
+    cases = [(batch, V, A), (sys.geometry(X[0]), V[0], A[0])]
+    for geo, v, acc in cases:
+        got = _generator_jacobians(sys, geo, v, acc)
+        want = _df_from_dgamma_low(geo, v, acc)
+        assert got.shape == want.shape == v.shape[:-1] + (2 * n, 2 * n)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 # -- integrate -------------------------------------------------------------
+
+@pytest.mark.parametrize("steps", [1, 7])
+@pytest.mark.parametrize("lean", [True, False])
+def test_orbit_of_n_steps_runs_the_guard_4n_plus_2_times(steps, lean):
+    # an orbit of N steps that stays in the chart runs the guard 4N + 2
+    # times: at its start, at each of its 4N stage points (the first stage
+    # of a step, at its node, is that node's check) and at its last node
+    sys, calls = counted_system("poincare_disk", "area_form", lean=lean, b=1.0)
+    x = np.array([0.1, 0.0])
+    st = PhaseState(x=x, v=0.5 * unit(sys.metric, x, [1.0, 0.5]), s=0.5)
+    cfg = IntegratorConfig(step=1e-2)
+    for run in (integrate, variational_flow):
+        calls.update(guard=0)
+        run(sys, st, steps * cfg.step, cfg)
+        assert calls["guard"] == 4 * steps + 2, run.__name__
+    assert not integrate(sys, st, steps * cfg.step, cfg).exited
+
 
 def test_larmor_circle_closure():
     sys = system("euclidean", "constant", {"dim": 2}, b=1.0)
@@ -313,6 +362,25 @@ def test_exit_returns_partial_trajectory():
     assert np.abs(traj.states[-1, :2]).max() < 1.0
 
 
+def test_exit_at_a_block_boundary():
+    # an orbit whose first node outside the chart opens a block, sits in
+    # one, or is the last node ends at the node before it, as a flagged
+    # partial trajectory; a linear flow along it raises `DomainExit`
+    free = system("euclidean", "constant", {"dim": 2}, b=1.0)
+    st = PhaseState(x=np.zeros(2), v=np.array([1.0, 0.0]))
+    cfg = IntegratorConfig(step=1e-2)
+    T = 2 * _BLOCK_STEPS * cfg.step
+    full = integrate(free, st, T, cfg)
+    for k in (_BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS):
+        wall = full.states[k, :2].tolist()      # the one point outside
+        chart = ChartSpec(dim=2, domain_guard=lambda x: x != wall)
+        sys = MagneticSystem(chart, free.metric, free.sigma)
+        traj = integrate(sys, st, T, cfg)
+        assert traj.exited and np.array_equal(traj.states, full.states[:k])
+        with pytest.raises(DomainExit):
+            variational_flow(sys, st, T, cfg)
+
+
 def test_rk4_node_times_land_on_the_horizon():
     # node k sits at k * (T / nsteps), not at a running sum of steps, so the
     # last node is T to within one ulp
@@ -325,16 +393,16 @@ def test_rk4_node_times_land_on_the_horizon():
         assert abs(times[-1] - T) <= np.spacing(T), (T, h)
 
 
-def _array_rk4(sys, acc, x, v, T, step):
-    """Reference: RK4 on the array y = (x, v), with the stage `acc` at each
-    stage's lists and the chart guard at each new node; returns the nodes
+def _array_rk4(sys, stage, x, v, T, step):
+    """Reference: RK4 on the array y = (x, v), with the `stage` at each
+    stage's list and the chart guard at each new node; returns the nodes
     and whether the orbit left the chart."""
     n = sys.dim
     nsteps = max(int(T > 0), int(round(T / step)))
     hh = T / max(nsteps, 1)
 
     def f(y):
-        return np.concatenate([y[n:], acc(y[:n].tolist(), y[n:].tolist())])
+        return np.array(stage(y.tolist()))
 
     y = np.concatenate([x, v])
     path = [y]

@@ -9,7 +9,7 @@ from magflow.errors import DegeneratePlane, DomainViolation, ZeroVector
 from magflow.geometry import (PointGeometry, _gram_schmidt_pairs,
                               gram_schmidt, project)
 
-from conftest import strength, unit
+from conftest import strength
 
 
 # -- metric evaluation -----------------------------------------------------
@@ -264,9 +264,9 @@ def test_builtin_diagonal_closure_matches_raw_and_dg(model, unit_point, v, s):
        v=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
        b=st.floats(-3, 3), s=st.sampled_from([1.0, 1.7]))
 def test_builtin_form_closure_matches_at(model, form, unit_point, v, b, s):
-    # `lorentz_v` at one point, given g's diagonal there from `spray`, is
-    # the Lorentz force Yv = -g^-1 sigma v, with sigma from `at`, also on
-    # the rescaled system (s^-2 g, s^-2 sigma)
+    # `magnetic_acc` at one point, given g's diagonal there from `spray`
+    # and a zero acceleration, is the Lorentz force Yv = -g^-1 sigma v, with
+    # sigma from `at`, also on the rescaled system (s^-2 g, s^-2 sigma)
     name, params = model
     chart, metric = make_manifold(name, **params)
     assume(form != "area_form" or chart.dim == 2)
@@ -276,7 +276,8 @@ def test_builtin_form_closure_matches_at(model, form, unit_point, v, b, s):
     assume(chart.contains(x))
     v = np.array(v[:chart.dim])
     _, d = sys.metric.spray(x.tolist(), v.tolist())
-    got = sys.sigma.lorentz_v(x.tolist(), d, v.tolist())
+    got = sys.sigma.magnetic_acc(x.tolist(), d, v.tolist(),
+                                 [0.0] * chart.dim)
     assert all(type(u) is float for u in got)
     assert _close(got, sys.lorentz(x) @ v)
 

@@ -35,10 +35,11 @@ def _unused_imports(tree: ast.Module) -> list:
 
 
 def test_no_unused_imports():
-    # no linter is part of the toolchain, so this is the check; the
-    # package's __init__ re-exports its names and is not checked
+    # no linter is part of the toolchain, so this is the check, on the
+    # package and on the tests (conftest.py included); the package's
+    # __init__ re-exports its names and is not checked
     found = []
-    for path in SOURCES:
+    for path in SOURCES + TESTS:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -8,10 +8,8 @@ from magflow import (ChartSpec, IntegratorConfig, MagneticSystem, MetricField,
                      candidate_hypersurface, candidate_submanifold,
                      cartan_probe, classical_II,
                      dynamic_consistency_check, dynamical_II,
-                     invariance_defect, make_form, make_manifold,
-                     make_submanifold)
+                     invariance_defect, make_form, make_submanifold)
 from magflow.errors import BadDimension, NonUnitVector, NotTangent
-from magflow.geometry import gram_schmidt
 from magflow import flow, submanifold
 from magflow.submanifold import _FD_STEP, HyperplaneElement, ParamSubmanifold
 

@@ -8,7 +8,7 @@ definition instead: the flat metric, the Poincare conformal factor
 metric along its embedding in hyperspherical angles; the forms are 0,
 b dx1 ^ dx2 and b sqrt(det g) dx1 ^ dx2.  Checked are the array closures
 (`raw`, `dg`, `d2g`, `at`, `dsigma_at`), g's `inverse` and the float
-closures of an RK4 stage (`spray`, `lorentz_v`), within 1e-10 relative.
+closures of an RK4 stage (`spray`, `magnetic_acc`), within 1e-10 relative.
 """
 from functools import cache
 
@@ -179,8 +179,9 @@ def test_form_closures_match_symbolic_form(model, form, unit_point, b):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(unit_point=_unit_points, v=_vectors, b=st.floats(0.1, 3.0))
 def test_sigma_v_matches_symbolic_form(model, form, unit_point, v, b):
-    # `lorentz_v`, the form's float closure, gives Yv = -g^-1 sigma v, with
-    # sigma = 0, b dx1 ^ dx2 or b sqrt(det g) dx1 ^ dx2, given g's diagonal
+    # `magnetic_acc`, the form's float closure, adds Yv = -g^-1 sigma v to
+    # the acceleration it is given (here zero), with sigma = 0, b dx1 ^ dx2
+    # or b sqrt(det g) dx1 ^ dx2, given g's diagonal
     name, params = model
     chart, metric, _, _, g_of, *_ = _model(name, params.get("dim"))
     c_of, _ = _form(name, params.get("dim"), form)
@@ -193,5 +194,6 @@ def test_sigma_v_matches_symbolic_form(model, form, unit_point, v, b):
     sigma[0, 1] = c_of(x, b)
     sigma[1, 0] = -sigma[0, 1]
     f = make_form(form, n, metric, chart, **strength(form, b))
-    got = f.lorentz_v(x.tolist(), np.diag(g).tolist(), v.tolist())
+    got = f.magnetic_acc(x.tolist(), np.diag(g).tolist(), v.tolist(),
+                         [0.0] * n)
     assert _close(got, -np.linalg.solve(g, sigma @ v))
