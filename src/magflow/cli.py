@@ -26,7 +26,7 @@ import numpy as np
 from . import diagnostics as dg
 from . import transport as tr
 from .curvature import anosov_report, magnetic_operator, op_A, op_R, sample_sectionals
-from .errors import MagflowError
+from .errors import MagflowError, NonFiniteResult
 from .flow import (DIAGNOSTIC_STEP, IntegratorConfig, PhaseState,
                    dynamical_exp, integrate)
 from .scenario import (ScenarioInvalid, build_integrator, build_state,
@@ -45,7 +45,11 @@ def _setup_logging():
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """`obj` as JSON; `NonFiniteResult` if it holds a NaN or infinity."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"non-finite value in a JSON payload: {exc}")
 
 
 def _csv(head, rows, tail=()) -> str:

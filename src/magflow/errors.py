@@ -55,6 +55,10 @@ class NonFiniteState(MagflowError):
     a `DomainViolation`: a chart-free blow-up is no exit from the chart."""
 
 
+class NonFiniteResult(MagflowError):
+    """A result to be written holds an infinite or NaN value."""
+
+
 class StepLimitExceeded(MagflowError):
     """The integrator hit its step budget."""
 

@@ -21,11 +21,11 @@ recorded and never corrected, so it serves as an error indicator.
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
 solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The RK4
-driver hands over each block's stages (y, k) of the base orbit; then one
-`PointGeometry` is built on the batch of their points (unguarded: each
-passed the guard in its stage), M is evaluated at all the stages at once
-(for Df, with the second derivatives of the metric and the form taken on
-the whole batch), and Z is advanced by the RK4 propagator of each step,
+driver hands over each block's stages (y, k), read into one flat buffer;
+then one `PointGeometry` is built on the batch of their points (unguarded:
+each passed the guard in its stage), M is evaluated at all the stages at
+once (for Df, with the second derivatives of the metric and the form taken
+on the whole batch), and Z is advanced by the RK4 propagator of each step,
     P = I + h/6 (D1 + 2 D2 Z2 + 2 D3 Z3 + D4 Z4),
     Z2 = I + h/2 D1,  Z3 = I + h/2 D2 Z2,  Z4 = I + h D3 Z3,
 where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
@@ -46,6 +46,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -163,14 +164,15 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
     r_x = ((vv @ d2g.reshape(lead + (n, n * n, n)))[..., 0, :]
            - 0.5 * (vv @ d2g)[..., 0, 0, :].reshape(lead + (n, n)))
     r_v = 2.0 * Gv
+    # dg, dsigma contract over their leading index by (anti)symmetry: faster
     if sys.is_magnetic:
-        r_x = r_x + np.einsum("...ljq,...j->...lq", geo.dsigma(), v)
+        r_x = r_x - np.einsum("...jlq,...j->...lq", geo.dsigma(), v)
         r_v = r_v + geo.sigma
         a = acc
     else:
         a = -np.einsum("...ij,...j->...i", geo.ginv,
                        np.einsum("...lj,...j->...l", Gv, v))
-    r_x = r_x + np.einsum("...ijq,...j->...iq", geo.dg, a)
+    r_x = r_x + np.einsum("...jiq,...j->...iq", geo.dg, a)
     L = -np.matmul(geo.ginv, np.concatenate([r_x, r_v], axis=-1))
     if not sys.is_magnetic:
         f, h = sys.x_vertical, 1e-6
@@ -325,10 +327,12 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
     cfg = cfg or IntegratorConfig()
     n = sys.dim
     times, path, exited = _rk4_path(sys, state, T, cfg)
-    # every node passed the chart guard, so the metric is read unguarded
-    g = sys.metric.raw(path[:, :n])
-    V = path[:, n:]
-    speeds = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", V, g, V), 0.0))
+    # every node passed the chart guard, so the metric is read unguarded; v
+    # scaled (exactly) by a power of two keeps v g v from under/overflowing
+    e = np.frexp(np.abs(path[:, n:]).max(axis=1))[1]
+    V = np.ldexp(path[:, n:], -e[:, None])
+    q = np.einsum("ni,nij,nj->n", V, sys.metric.raw(path[:, :n]), V)
+    speeds = np.ldexp(np.sqrt(np.maximum(q, 0.0)), e)
     base = speeds[0] if 0.0 < speeds[0] < np.inf else state.s
     if abs(speeds[0] - state.s) > 1e-8 * state.s:
         log.warning("initial g-speed %r differs from the nominal speed %r",
@@ -405,8 +409,10 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
         # every stage point passed the chart guard in its stage; after
         # every k-th step of the flow Z is cut and restarts at the identity
         nonlocal Z, done
-        # (y, k) = (x, v, v, acc) at each stage
-        X, V, _, A = np.array(stages).reshape(-1, 4, sys.dim).swapaxes(0, 1)
+        # (y, k) = (x, v, v, acc) at each stage, read into one flat buffer
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(stages)),
+                           float, 16 * sys.dim * len(stages))
+        X, V, _, A = flat.reshape(-1, 4, sys.dim).swapaxes(0, 1)
         geo = PointGeometry(sys.metric, X, sys.sigma)
         for done, Pj in enumerate(_advance(matrices(geo, V, A), h), done + 1):
             Z = Pj.dot(Z)

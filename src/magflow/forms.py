@@ -26,6 +26,8 @@ class TwoFormField:
     once per point, or else evaluate them; a form of x alone ignores them.
     These two evaluators take a point x (n,) or a batch X (B, n), with g
     and dg stacked alike, and stack their values at its rows on axis 0.
+    dsigma is antisymmetric in its first two indices; `flow`'s Jacobian Df
+    relies on that, and on dg being symmetric in them (see `MetricField`).
     broadcasts declares that every closure (eval_fn and dsigma) accepts x
     (and g, dg) of shape (..., n) (and (..., n, n), (..., n, n, n)),
     returning its values stacked along the same leading axes, or one array

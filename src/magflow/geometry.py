@@ -111,8 +111,9 @@ def _on_batch(point, whole, rank: int, X, *args) -> np.ndarray:
     every row."""
     if not whole:
         return np.array([point(*row) for row in zip(X, *args)])
-    return np.broadcast_to(np.asarray(whole(X, *args), dtype=float),
-                           X.shape[:1] + X.shape[-1:] * rank)
+    out = np.asarray(whole(X, *args), dtype=float)
+    shape = X.shape[:1] + X.shape[-1:] * rank
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def _central_difference(f, x, h: float) -> np.ndarray:
@@ -137,7 +138,8 @@ class MetricField:
     central difference of `dg` (step `_FD_STEP2`), symmetrised in its last
     two axes, the rule `ParamSubmanifold.hessian` applies to its Jacobian.
     `raw`, `dg` and `d2g` take a point x (n,) or a batch X (B, n) and
-    return their values at each row of a batch stacked along axis 0.
+    return their values at each row of a batch stacked along axis 0.  As g
+    is symmetric, dg and d2g are symmetric in their first two indices.
     broadcasts declares that every closure (eval_fn, dg and d2g) accepts
     points of shape (..., n), returning its values stacked along the same
     leading axes, or one array for every point; only then is a closure

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -146,16 +145,19 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
         # from g_ii = prod_{j < i} sin^2(theta_j) and, as in dg,
         # d_k g_ii = 2 g_ii cot_k for k < i, -Gamma(v, v)_i is
         # (cot_i / g_ii) sum_{j > i} g_jj v_j^2 - 2 v_i sum_{k < i} cot_k v_k
-        d = [1.0]
+        d, cots = [1.0], []
         for t in x[:-1]:
             s = math.sin(t)
             d.append(d[-1] * (s * s))
-        cots = [1.0 / math.tan(t) for t in x[:-1]]
-        w = [di * (u * u) for di, u in zip(d, v)]
-        tails = list(accumulate([0.0] + w[:0:-1]))[::-1]
-        heads = accumulate([0.0] + list(map(mul, cots, v)))
-        return [c * t / di - 2.0 * u * h for c, t, di, u, h
-                in zip(cots + [0.0], tails, d, v, heads)], d
+            cots.append(1.0 / math.tan(t))
+        tails = [0.0] * dim
+        for i in range(dim - 1, 0, -1):
+            tails[i - 1] = tails[i] + d[i] * (v[i] * v[i])
+        out, h = [], 0.0    # h = sum_{k < i} cot_k v_k
+        for c, t, di, u in zip(cots + [0.0], tails, d, v):
+            out.append(c * t / di - 2.0 * u * h)
+            h = h + c * u
+        return out, d
 
     # d_k d_l g_ii = g_ii (4 cot_k cot_l - 2 delta_kl csc^2_k) for k, l < i:
     # mask[i - 1, j - 1, k, l] = 1 where i = j and k, l < i

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import magflow
 from magflow.cli import _csv, _dump_json, main
 from magflow.curvature import sample_sectionals
+from magflow.errors import NonFiniteResult
 from magflow.scenario import build_state, build_system, load_scenario
 
 from conftest import system
@@ -35,19 +36,24 @@ def _run(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
 
 
+def _subprocess(args, check=False):
+    """`python args` in a new process that imports this magflow."""
+    src = os.path.dirname(os.path.dirname(magflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, check=check)
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # the quasi-Monte Carlo nodes are imported by the code path that uses
     # them, not when the CLI starts; nothing imports scipy.optimize, and
     # scenarios are checked without jsonschema
-    src = os.path.dirname(os.path.dirname(magflow.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c",
+    out = _subprocess(
+        ["-c",
          "import sys, magflow.cli; print(sorted(m for m in "
          "('scipy.integrate', 'scipy.optimize', 'scipy.stats', 'jsonschema') "
-         "if m in sys.modules))"],
-        env=env, capture_output=True, text=True, check=True)
+         "if m in sys.modules))"], check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -612,6 +618,32 @@ def test_blown_up_exp_image_exits_3(tmp_path):
     res = _run(["cartan-probe", sc, "--out", str(tmp_path)])
     assert res.exit_code == 3
     assert "NonFiniteState" in res.output
+
+
+@pytest.mark.parametrize("command, params", [("sec", {"samples": 4}),
+                                             ("curvature", {})],
+                         ids=["sec", "curvature"])
+def test_non_finite_payload_exits_3(tmp_path, command, params):
+    # at b = 1e200 the magnetic curvature overflows to NaN, which is a
+    # numerical failure and no payload; run in a new process, where numpy's
+    # overflow warning stays a warning
+    sc = _write_scenario(
+        tmp_path, **dict(_DISK_AREA, magnetic={"name": "area_form",
+                                               "params": {"b": 1e200}}),
+        params=params)
+    out = tmp_path / "out"
+    res = _subprocess(["-m", "magflow.cli", command, sc, "--out", str(out)])
+    assert res.returncode == 3
+    assert "numerical failure (NonFiniteResult)" in res.stderr
+    assert not out.exists()
+
+
+def test_dump_json_rejects_non_finite_values():
+    assert _dump_json({"b": [1.0, -0.0], "a": 2}) == (
+        '{\n  "a": 2,\n  "b": [\n    1.0,\n    -0.0\n  ]\n}')
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteResult):
+            _dump_json({"x": [0.5, bad]})
 
 
 _EUCLIDEAN3 = {"manifold": {"name": "euclidean", "params": {"dim": 3}},

@@ -9,7 +9,8 @@ from magflow import (ChartSpec, FrameState, IntegratorConfig, MagneticSystem,
                      candidate_submanifold, christoffel,
                      conjugate_point_scan, dynamical_exp, frame_flow, integrate, lyapunov_spectrum,
                      make_form, make_manifold, oddness_residual, op_R,
-                     parallel_transport, variational_flow, volume_drift)
+                     parallel_transport, TwoFormField, variational_flow,
+                     volume_drift)
 from magflow.diagnostics import sasaki_frame_matrix
 from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                             StepLimitExceeded)
@@ -265,11 +266,33 @@ def _df_from_dgamma_low(geo, v, acc):
     return D
 
 
-@pytest.mark.parametrize("name, form", _PAIRS)
+def _finite_difference_system():
+    """A 3-dim magnetic system whose metric, not diagonal, gives only its
+    coefficients and whose form, of x alone, gives no dsigma: dg, d2g and
+    dsigma are central differences."""
+    chart = ChartSpec(dim=3)
+
+    def g(x):
+        s = np.sin(x)
+        return np.eye(3) + 0.5 * np.outer(s, s)
+
+    def sigma(x):
+        a, b, c = np.cos(x[1]), x[0] * x[2], np.sin(x[0] + x[2])
+        return np.array([[0.0, a, b], [-a, 0.0, c], [-b, -c, 0.0]])
+
+    return MagneticSystem(chart, MetricField(g, chart=chart),
+                          TwoFormField(sigma, chart=chart))
+
+
+@pytest.mark.parametrize("name, form",
+                         _PAIRS + [("finite-differences", None)])
 def test_generator_jacobians_match_dgamma_low_contraction(name, form, rng):
-    # the Jacobians contracted straight from d2g agree with those from the
-    # n^4 tensor dgamma_low, on a batch of 256 stages and at a single point
-    sys = system(name, form, **strength(form, 1.3))
+    # the Jacobians contracted straight from d2g, and over the leading index
+    # of dg and dsigma, agree with those from the n^4 tensor dgamma_low, on
+    # a batch of 256 stages and at a single point; the last case takes dg,
+    # d2g and dsigma from central differences
+    sys = (_finite_difference_system() if form is None
+           else system(name, form, **strength(form, 1.3)))
     n = sys.dim
     X = np.array([sys.chart.sample_point(rng) for _ in range(256)])
     V, A = rng.standard_normal((2,) + X.shape)
@@ -350,6 +373,19 @@ def test_speed_drift_is_measured_from_the_first_node(caplog):
     with caplog.at_level("WARNING", logger="magflow.flow"):
         integrate(sys, PhaseState(x=np.zeros(2), v=np.array([0.5, 0.0])),
                   1.0, IntegratorConfig(step=1e-2))
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("speed", [1e-300, 1e200])
+def test_speed_drift_at_extreme_speeds(speed, caplog):
+    # v g v underflows to 0 at speed 1e-300 and overflows at 1e200; the
+    # g-speed is read from v scaled by the power of two of its largest entry
+    sys = system("flat_torus", "constant", b=2.0)
+    st = PhaseState(x=np.array([1.0, 2.0]), v=speed * np.array([0.6, 0.8]),
+                    s=speed)
+    with caplog.at_level("WARNING", logger="magflow.flow"):
+        traj = integrate(sys, st, 0.05, IntegratorConfig())
+    assert traj.speed_drift < 1e-14
     assert not caplog.records
 
 
@@ -703,6 +739,39 @@ def test_variational_d2g_once_per_block():
     calls.clear()                       # an orbit of exactly one block
     variational_flow(sys, st, _BLOCK_STEPS * 1e-2, cfg)
     assert calls == [(4 * _BLOCK_STEPS, 3)]
+
+
+def test_variational_closures_once_per_block():
+    # the metric, its two derivatives, the form and its derivative are each
+    # evaluated once per block, on the batch of its 4N stage points; a
+    # float stage evaluates none of them
+    chart, metric = make_manifold("poincare_disk")
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(x, *args):
+            calls.setdefault(key, []).append(np.shape(x))
+            return fn(x, *args)
+        return wrapper
+
+    counted_metric = MetricField(
+        counted("raw", metric.raw), dg=counted("dg", metric.dg),
+        d2g=counted("d2g", metric.d2g), chart=chart, broadcasts=True,
+        spray=metric.spray)
+    area = make_form("area_form", 2, counted_metric, chart, b=1.0)
+    form = TwoFormField(counted("sigma", area.at),
+                        dsigma=counted("dsigma", area.dsigma_at), chart=chart,
+                        metric=counted_metric, broadcasts=True,
+                        magnetic_acc=area.magnetic_acc)
+    sys = MagneticSystem(chart, counted_metric, form)
+    x = np.array([0.1, -0.2])
+    st = PhaseState(x=x, v=unit(counted_metric, x, np.array([0.3, 0.5])))
+    calls.clear()
+    variational_flow(sys, st, (2 * _BLOCK_STEPS + 3) * 1e-2,
+                     IntegratorConfig(step=1e-2))
+    blocks = [(4 * _BLOCK_STEPS, 2)] * 2 + [(12, 2)]
+    assert calls == dict.fromkeys(["raw", "dg", "sigma", "d2g", "dsigma"],
+                                  blocks)
 
 
 def test_variational_flow_keeps_exit_and_step_limit():
