@@ -39,8 +39,8 @@ import numpy as np
 
 from .diagnostics import _require_count
 from .errors import NonOrthonormalFrame, NonpositiveSpeed, NonUnitVector
-from .geometry import (PointGeometry, _completion, _gram_schmidt_pairs,
-                       _random_frame)
+from .geometry import (PointGeometry, _completion, _g_norm,
+                       _gram_schmidt_pairs, _random_frame)
 from .system import MagneticSystem
 
 __all__ = [
@@ -80,7 +80,7 @@ def _unit_point(sys, x, v):
     """The geometry at x, and v as an array, checked to be g-unit."""
     geo = sys.geometry(x)
     v = np.asarray(v, dtype=float)
-    nrm = np.sqrt(max(v @ geo.g @ v, 0.0))
+    nrm = _g_norm(geo.g, v)
     if abs(nrm - 1.0) > _UNIT_TOL:
         raise NonUnitVector(f"expected a g-unit vector, |v|_g = {nrm}")
     return geo, v

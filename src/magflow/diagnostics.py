@@ -24,7 +24,7 @@ import numpy as np
 from .errors import UnreliableSplitting
 from .flow import (DIAGNOSTIC_STEP, IntegratorConfig, PhaseState, generator,
                    variational_flow, variational_segments)
-from .geometry import PointGeometry, orthonormal_completion
+from .geometry import PointGeometry, _g_norm, _identity, orthonormal_completion
 from .system import MagneticSystem
 
 __all__ = [
@@ -125,21 +125,13 @@ def lyapunov_spectrum(sys: MagneticSystem, state: PhaseState, T: float,
     return LyapunovReport(exponents=exps, horizon=T, interval=T / nseg)
 
 
-def _unit(w):
-    """w / |w|, with w first scaled by the power of two of its largest
-    entry.  The scaling is exact, so the quotient is unchanged, but |w|
-    cannot underflow to 0 at a tiny speed."""
-    w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
-    return w / np.linalg.norm(w)
-
-
 def _restricted_basis(sys, state, T0):
     """Euclidean-orthonormal basis, in the coordinates of the Sasaki frame T0
     at `state`, of the complement of the flow and speed-scaling directions."""
     n = sys.dim
     X = T0 @ generator(sys, state.x, state.v)
     V = T0 @ np.concatenate([np.zeros(n), state.v])
-    M = np.stack([_unit(X), _unit(V)])
+    M = np.stack([w / _g_norm(_identity(2 * n), w) for w in (X, V)])
     # orthonormal complement via SVD
     _, _, Vt = np.linalg.svd(M)
     return Vt[2:].T                                  # (2n, 2n-2)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import (DomainExit, DomainViolation, NonFiniteState,
                      NonpositiveSpeed, StepLimitExceeded)
-from .geometry import PointGeometry, _central_difference
+from .geometry import PointGeometry, _central_difference, _g_norm
 from .system import MagneticSystem
 
 __all__ = [
@@ -327,12 +327,8 @@ def integrate(sys: MagneticSystem, state: PhaseState, T: float,
     cfg = cfg or IntegratorConfig()
     n = sys.dim
     times, path, exited = _rk4_path(sys, state, T, cfg)
-    # every node passed the chart guard, so the metric is read unguarded; v
-    # scaled (exactly) by a power of two keeps v g v from under/overflowing
-    e = np.frexp(np.abs(path[:, n:]).max(axis=1))[1]
-    V = np.ldexp(path[:, n:], -e[:, None])
-    q = np.einsum("ni,nij,nj->n", V, sys.metric.raw(path[:, :n]), V)
-    speeds = np.ldexp(np.sqrt(np.maximum(q, 0.0)), e)
+    # every node passed the chart guard, so the metric is read unguarded
+    speeds = _g_norm(sys.metric.raw(path[:, :n]), path[:, n:])
     base = speeds[0] if 0.0 < speeds[0] < np.inf else state.s
     if abs(speeds[0] - state.s) > 1e-8 * state.s:
         log.warning("initial g-speed %r differs from the nominal speed %r",
@@ -349,7 +345,7 @@ def dynamical_exp(sys: MagneticSystem, x, u,
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     # the driver checks the start; where no orbit is run, it is checked here
-    t = float(np.sqrt(max(u @ sys.metric.raw(x) @ u, 0.0)))
+    t = float(_g_norm(sys.metric.raw(x), u))
     if not 0.0 < t < np.inf:
         sys.chart.require(x)
         if t == 0.0:

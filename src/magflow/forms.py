@@ -145,7 +145,8 @@ def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
         g4 = g.reshape(g.shape[:-2] + (4,))
         w = sign * g4[..., ::-1]
         tr = (w[..., None, :] @ dg.reshape(dg.shape[:-3] + (4, 2)))[..., 0, :]
-        dsq = (0.5 * b) * tr / np.sqrt(0.5 * np.vecdot(w, g4))[..., None]
+        det = 0.5 * np.vecdot(w, g4)
+        dsq = (0.5 * b) * tr / np.sqrt(det)[..., None]
         return rot * dsq[..., None, None, :]
 
     def magnetic_acc(x, d, v, a):

@@ -13,8 +13,9 @@ Index conventions used throughout:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +40,7 @@ __all__ = [
     "gram_schmidt",
 ]
 
-_GS_SKIP = 1e-8  # near-parallel seed threshold for Gram-Schmidt
+_GS_SKIP = 1e-8  # Gram-Schmidt drops a row left with this share of its g-norm
 _FD_STEP1 = 1e-5  # central-difference step of dg and dsigma without a closure
 _FD_STEP2 = 1e-4  # central-difference step of d2g (of dg) without a closure
 _identity = cache(np.eye)  # the n x n identity, built once per n; only read
@@ -205,8 +206,7 @@ class MetricField:
         return _on_batch(self.d2g, self.broadcasts and self._d2g, 4, x)
 
     def norm(self, x, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(max(v @ self(x) @ v, 0.0)))
+        return float(_g_norm(self(x), np.asarray(v, dtype=float)))
 
 
 @dataclass
@@ -332,8 +332,8 @@ def sectional(g: MetricField, x, v, w) -> float:
     w = np.asarray(w, dtype=float)
     gx = g(x)
     # normalize first so the degeneracy threshold is scale-aware
-    nv, nw = np.sqrt(v @ gx @ v), np.sqrt(w @ gx @ w)
-    if nv < 1e-300 or nw < 1e-300:
+    nv, nw = _g_norm(gx, v), _g_norm(gx, w)
+    if not (nv > 0.0 and nw > 0.0):
         raise DegeneratePlane("zero vector spans no plane")
     v, w = v / nv, w / nw
     gram = (v @ gx @ v) * (w @ gx @ w) - (v @ gx @ w) ** 2
@@ -349,10 +349,10 @@ def project(g: MetricField, x, v, w):
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     gx = g(x)
-    vv = v @ gx @ v
-    if vv <= 0 or not np.isfinite(vv):
+    nv = _g_norm(gx, v)
+    if not 0.0 < nv < np.inf:
         raise ZeroVector("projection direction must be nonzero")
-    tang = (v @ gx @ w) / vv * v
+    tang = (v / nv @ gx @ w) / nv * v
     return tang, w - tang
 
 
@@ -360,19 +360,41 @@ def gram_schmidt(gx: np.ndarray, vectors) -> np.ndarray:
     """g-orthonormalize rows of `vectors`, skipping near-dependent ones."""
     out = []
     for v in vectors:
-        v = np.asarray(v, dtype=float).copy()
+        v = np.array(v, dtype=float)
+        bound = _GS_SKIP * _g_norm(gx, v)
         for u in out:
             v -= (u @ gx @ v) * u
-        nrm = np.sqrt(max(v @ gx @ v, 0.0))
-        if nrm > _GS_SKIP:
+        nrm = _g_norm(gx, v)
+        if nrm > bound:
             out.append(v / nrm)
     return np.array(out)
 
 
 def _bilinear(U: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """u @ g @ w for each row u of U (B, n), g of G (B, n, n) and w of W,
-    as stacked products, with the bits of `gram_schmidt`'s `u @ gx @ v`."""
+    """u @ g @ w for each row u of U (B, n), g of G (B, n, n) or G = g, and w
+    of W, stacked, with the bits of `gram_schmidt`'s `u @ gx @ v`."""
     return np.vecdot(np.matmul(U[:, None, :], G)[:, 0], W)
+
+
+def _scale(v):
+    """(v 2^-e, e) for v (n,) or each row of V (B, n): 2^e is the power of
+    two above its largest |entry| (1 for a zero v), so v 2^-e is in (-1, 1)."""
+    # numpy's max along a short last axis costs about 50 ns a row
+    e = np.frexp(reduce(np.maximum, np.abs(v).T))[1]
+    return np.ldexp(v, -e[..., None]), e
+
+
+def _g_norm(g: np.ndarray, v: np.ndarray):
+    """|v|_g = sqrt(max(v g v, 0)) of v (n,) in g (n, n), or of each row of
+    V (B, n) in G (B, n, n) or in one g, by `_bilinear`.  As in Blue's norm
+    (ACM TOMS 4, 1978), v g v is taken on v scaled exactly by `_scale`, and
+    the scaling undone on the root; one v in Blue's mid range (1e-100, 1e100)
+    needs none.  No finite v overflows, and ordinary ones keep their bits."""
+    if v.ndim == 1 and 1e-100 < max(map(abs, v.tolist())) < 1e100:
+        return math.sqrt(max(v @ g @ v, 0.0))
+    w, e = _scale(v)
+    q = w @ g @ w if w.ndim == 1 else _bilinear(w, g, w)
+    return np.ldexp(np.sqrt(np.maximum(q, 0.0)), e)
 
 
 def _gram_schmidt_pairs(G: np.ndarray, P: np.ndarray):
@@ -382,14 +404,14 @@ def _gram_schmidt_pairs(G: np.ndarray, P: np.ndarray):
     near-dependent row, for which `gram_schmidt` returns fewer than two
     rows and U, W hold no frame."""
     U, W = P[:, 0], P[:, 1]
+    nu, bound = _g_norm(G, U), _GS_SKIP * _g_norm(G, W)
     # a rejected first row divides by zero here; the mask covers it
     with np.errstate(divide="ignore", invalid="ignore"):
-        nu = np.sqrt(np.maximum(_bilinear(U, G, U), 0.0))
         U = U / nu[:, None]
         W = W - _bilinear(U, G, W)[:, None] * U
-        nw = np.sqrt(np.maximum(_bilinear(W, G, W), 0.0))
+        nw = _g_norm(G, W)
         W = W / nw[:, None]
-    return U, W, ~((nu > _GS_SKIP) & (nw > _GS_SKIP))
+    return U, W, ~((nu > _GS_SKIP * nu) & (nw > bound))
 
 
 def _random_frame(rng: np.random.Generator, gx: np.ndarray,
@@ -413,12 +435,9 @@ def orthonormal_completion(g: MetricField, x, v) -> np.ndarray:
 
 def _completion(gx: np.ndarray, v: np.ndarray) -> np.ndarray:
     """`orthonormal_completion` given the metric coefficients gx at x."""
-    nv = np.sqrt(max(v @ gx @ v, 0.0))
-    if nv < 1e-300:
-        raise ZeroVector("cannot complete the zero vector to a frame")
-    n = v.size
-    seeds = [v] + [np.eye(n)[i] for i in range(n)]
-    frame = gram_schmidt(gx, seeds)
-    if frame.shape[0] != n:
+    if not 0.0 < _g_norm(gx, v) < np.inf:
+        raise ZeroVector("cannot complete a zero or non-finite vector")
+    frame = gram_schmidt(gx, [v, *_identity(v.size)])
+    if frame.shape[0] != v.size:
         raise ZeroVector("Gram-Schmidt failed to produce a full frame")
     return frame

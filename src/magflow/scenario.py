@@ -20,6 +20,7 @@ import numpy as np
 from .errors import BadDimension, MagflowError
 from .flow import IntegratorConfig, PhaseState
 from .forms import FORMS
+from .geometry import _g_norm
 from .models import MANIFOLDS
 from .submanifold import ParamSubmanifold, cartan_probe, make_submanifold
 from .system import MagneticSystem
@@ -223,7 +224,7 @@ def build_vector(sc: dict, path: str, sys: MagneticSystem, default=None,
     u = np.asarray(value, dtype=float)
     if len(u) != sys.dim:
         _fail(path, f"expected {sys.dim} components, got {len(u)}")
-    if nonzero and not u @ u > 0:
+    if nonzero and not u.any():
         _fail(path, "must be nonzero")
     return u
 
@@ -235,7 +236,7 @@ def build_state(sc: dict, sys: MagneticSystem) -> PhaseState:
     v = build_vector(sc, "initial/v", sys, nonzero=True)
     s = sc["speed"]
     g = sys.metric.raw(x)          # unguarded: x passed the guard above
-    return PhaseState(x=x, v=v * (s / np.sqrt(v @ g @ v)), s=s)
+    return PhaseState(x=x, v=v * (s / _g_norm(g, v)), s=s)
 
 
 def build_integrator(sc: dict, default_step: float) -> IntegratorConfig:

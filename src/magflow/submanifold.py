@@ -24,8 +24,8 @@ from .errors import (
 from .flow import (DIAGNOSTIC_STEP, IntegratorConfig, PhaseState,
                    dynamical_exp, integrate, variational_flow)
 from .geometry import (MetricField, PointGeometry, _central_difference,
-                       _random_frame, _second_difference, gram_schmidt,
-                       orthonormal_completion, sectional)
+                       _g_norm, _random_frame, _second_difference,
+                       gram_schmidt, orthonormal_completion, sectional)
 from .system import MagneticSystem
 
 __all__ = [
@@ -203,7 +203,7 @@ def _dynamical_II(sys: MagneticSystem, loc: _LocalData,
     if abs(v @ loc.g @ v - 1.0) > 1e-8:
         raise NonUnitVector("direction must be g-unit")
     perp_v = _normal_part(loc.g, loc.frame, v)
-    if np.sqrt(max(perp_v @ loc.g @ perp_v, 0)) > _TANGENT_TOL:
+    if _g_norm(loc.g, perp_v) > _TANGENT_TOL:
         raise NotTangent("direction is not tangent to the submanifold")
     # X_H = v for semi-spray flows, so [X_H]^top = v and [X_H]^perp = 0
     xv = loc.Y @ v if sys.is_magnetic else sys.x_vertical(loc.x, v)
@@ -230,7 +230,7 @@ def invariance_defect(sys: MagneticSystem, N: ParamSubmanifold,
     for i in range(sample_count):
         loc = _LocalData(N, N.sample_param(rng), sys.geometry)
         v = loc.J @ rng.standard_normal(N.k)
-        v = v / np.sqrt(v @ loc.g @ v)
+        v = v / _g_norm(loc.g, v)
         vals[i] = _dynamical_II(sys, loc, v).norm_sq(loc.g)
     return DefectReport(sup=float(vals.max()), mean=float(vals.mean()),
                         samples=sample_count,
@@ -316,7 +316,7 @@ def candidate_submanifold(sys: MagneticSystem, x, basis, radius: float,
 
     def point_jac(u):
         w = B @ u
-        t = float(np.sqrt(w @ gx @ w))
+        t = float(_g_norm(gx, w))
         if t < 1e-12:
             return x.copy(), B.copy()
         uhat = w / t
@@ -566,7 +566,7 @@ def make_submanifold(spec: dict, sys: MagneticSystem,
             B = _spec_array(spec, "basis", n, planar=True)
         else:
             normal = _spec_array(spec, "normal", n)
-            if not normal @ normal > 0:
+            if not normal.any():
                 raise ValueError("'normal' must be nonzero")
             B = _plane_basis(sys, point, normal)
         k = B.shape[1]

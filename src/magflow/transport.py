@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainExit, GridMismatch, NonFiniteState, NotPeriodic
 from .flow import (IntegratorConfig, PhaseState, Trajectory, _end_state,
                    _linear_flow, generator, integrate)
-from .geometry import orthonormal_completion
+from .geometry import _g_norm, _identity, _scale, orthonormal_completion
 from .system import MagneticSystem
 
 __all__ = [
@@ -122,17 +122,17 @@ def _hermite_nearest(sys, t, y, z0) -> float:
 
     On each step, with s in [0, 1] and h its length, the interpolant minus
     z0 is a cubic c0 + c1 s + c2 s^2 + c3 s^3 in s, so its squared norm is a
-    polynomial of degree 6; its minimum lies at a real root of the
-    derivative in [0, 1] or at an end of the step."""
+    polynomial of degree 6 (finite: `_scale` puts all steps' c in (-1, 1));
+    its minimum lies at a real root of its derivative in [0, 1] or an end."""
     n = sys.dim
     f = np.array([generator(sys, yk[:n], yk[n:]) for yk in y])
+    h, dy = np.diff(t)[:, None], np.diff(y, axis=0)
+    C = np.stack([y[:-1] - z0, h * f[:-1],
+                  3.0 * dy - h * (2.0 * f[:-1] + f[1:]),
+                  -2.0 * dy + h * (f[:-1] + f[1:])], axis=1)
+    C = _scale(C.ravel())[0].reshape(C.shape)
     best, tau = np.inf, float(t[0])
-    for k in range(len(t) - 1):
-        h = t[k + 1] - t[k]
-        dy = y[k + 1] - y[k]
-        c = np.array([y[k] - z0, h * f[k],
-                      3.0 * dy - h * (2.0 * f[k] + f[k + 1]),
-                      -2.0 * dy + h * (f[k] + f[k + 1])])
+    for k, c in enumerate(C):
         gram = c @ c.T
         sq = np.zeros(7)                  # sq[m] = sum of c_j . c_k, j + k = m
         for j in range(4):
@@ -144,7 +144,7 @@ def _hermite_nearest(sys, t, y, z0) -> float:
         vals = np.polyval(sq, s)
         i = int(np.argmin(vals))
         if vals[i] < best:
-            best, tau = vals[i], float(t[k] + s[i] * h)
+            best, tau = vals[i], float(t[k] + s[i] * h[k, 0])
     return tau
 
 
@@ -179,6 +179,7 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
         raise NotPeriodic(f"0.9 times the period guess {period_guess} is "
                           f"shorter than two steps of {cfg.step}")
     z0 = np.concatenate([state.x, state.v])
+    eye = _identity(z0.size)              # distances in phase space
     lo, hi = 0.9 * period_guess, 1.1 * period_guess
     try:
         traj = integrate(sys, state, hi, cfg)
@@ -188,7 +189,7 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     window = np.flatnonzero(traj.times >= lo)
     if window.size == 0:
         raise NotPeriodic("the orbit left the chart before the guessed period")
-    i = window[np.argmin(np.linalg.norm(traj.states[window] - z0, axis=1))]
+    i = window[np.argmin(_g_norm(eye, traj.states[window] - z0))]
     near = slice(i - 1, i + 2)                      # t[0] = 0 < lo, so i >= 1
     tau = _hermite_nearest(sys, traj.times[near], traj.states[near], z0)
     # the step before the nearest node may begin before the window
@@ -198,7 +199,7 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
         f1 = frame_flow(sys, f0, tau, cfg)
     except DomainExit as exc:
         raise NotPeriodic(f"{exc} near the guessed period") from exc
-    dist = float(np.linalg.norm(np.concatenate([f1.state.x, f1.state.v]) - z0))
+    dist = float(_g_norm(eye, np.concatenate([f1.state.x, f1.state.v]) - z0))
     if not np.isfinite(dist) or dist > tol:
         raise NotPeriodic(
             f"return distance {dist:.3e} exceeds {tol} near the guessed period")

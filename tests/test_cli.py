@@ -366,6 +366,119 @@ def test_holonomy_refinement_edges_exit_3(tmp_path, overrides):
 
 
 # ---------------------------------------------------------------------------
+# inputs of extreme magnitude
+
+_DISK_SPEED_2 = {"manifold": {"name": "poincare_disk"},
+                 "magnetic": {"name": "area_form"}, "speed": 2.0,
+                 "initial": {"x": [0.1, 0.2], "v": [1.0, 0.0]}}
+
+
+def _numbers(path):
+    """Every number of a JSON or CSV payload, as one flat array."""
+    if path.suffix == ".csv":
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).ravel()
+
+    def flat(value):
+        if isinstance(value, dict):
+            return [x for key in sorted(value) for x in flat(value[key])]
+        if isinstance(value, list):
+            return [x for item in value for x in flat(item)]
+        return [float(value)]
+    return np.array(flat(json.loads(path.read_text())))
+
+
+@pytest.mark.parametrize("command, overrides, scaled, name", [
+    pytest.param("integrate", dict(_DISK_SPEED_2, params={"T": 1.0}),
+                 {"initial": {"x": [0.1, 0.2], "v": [1e200, 0.0]}},
+                 "trajectory.csv", id="integrate-1e200"),
+    pytest.param("integrate", dict(_DISK_SPEED_2, params={"T": 1.0}),
+                 {"initial": {"x": [0.1, 0.2], "v": [1e-200, 0.0]}},
+                 "trajectory.csv", id="integrate-1e-200"),
+    pytest.param("angle", dict(_DISK_SPEED_2, params={"T": 3.0}),
+                 {"initial": {"x": [0.1, 0.2], "v": [1e200, 0.0]}},
+                 "angle.json", id="angle-1e200"),
+    pytest.param("curvature", _DISK_SPEED_2,
+                 {"initial": {"x": [0.1, 0.2], "v": [1e200, 0.0]}},
+                 "curvature.json", id="curvature-1e200"),
+    pytest.param("conjugate-scan",
+                 {"manifold": {"name": "round_sphere"},
+                  "magnetic": {"name": "zero"},
+                  "initial": {"x": [0.3, 0.2], "v": [1.0, 0.0]},
+                  "params": {"direction": [1.0, 1.0]}},
+                 {"params": {"direction": [1e200, 1e200]}},
+                 "conjugate_scan.csv", id="conjugate-scan-1e200"),
+])
+def test_scaled_vector_gives_the_unscaled_payload(tmp_path, command,
+                                                  overrides, scaled, name):
+    # a velocity or direction scaled by 1e200 or 1e-200 states the same
+    # problem: its g-norm neither overflows nor underflows, and the payload
+    # is the unscaled run's to within 1e-14 of the payload's largest entry
+    payloads = []
+    for run, extra in (("unscaled", {}), ("scaled", scaled)):
+        path = _write_scenario(tmp_path, name=f"{run}.json",
+                               **dict(overrides, **extra))
+        res = _run([command, path, "--out", str(tmp_path / run)])
+        assert res.exit_code == 0, res.output
+        payloads.append(_numbers(tmp_path / run / name))
+    unscaled, scaled = payloads
+    assert unscaled.shape == scaled.shape
+    assert (np.abs(scaled - unscaled).max()
+            <= 1e-14 * np.abs(unscaled).max())
+
+
+@pytest.mark.parametrize("command, overrides", [
+    pytest.param("exp", dict(_DISK_SPEED_2, params={"u": [1e200, 0.0]}),
+                 id="exp"),
+    pytest.param("cartan-probe",
+                 {"manifold": {"name": "poincare_ball"},
+                  "initial": {"x": [0.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]},
+                  "params": {"radius": 1e200, "planes": 2}},
+                 id="cartan-probe"),
+])
+def test_huge_tangent_vector_exceeds_the_step_budget(tmp_path, command,
+                                                     overrides):
+    # a tangent vector of g-norm near 1e200 is a horizon that long: more
+    # steps than the budget allows, which is a numerical failure
+    out = tmp_path / "out"
+    res = _run([command, _write_scenario(tmp_path, **overrides),
+                "--out", str(out)])
+    assert res.exit_code == 3
+    assert "numerical failure (StepLimitExceeded)" in res.output
+    assert not out.exists()
+
+
+def test_holonomy_at_a_huge_speed_exits_cleanly(tmp_path):
+    # the Hermite refinement's squared distances stay finite at speed 1e200
+    sc = _write_scenario(
+        tmp_path, manifold={"name": "flat_torus"},
+        magnetic={"name": "constant", "params": {"b": 2.0}}, speed=1e200,
+        initial={"x": [0.1, 0.2], "v": [1.0, 0.0]},
+        params={"period_guess": 3.14159})
+    res = _run(["holonomy", sc, "--out", str(tmp_path)])
+    assert res.exit_code in (0, 3)
+    assert res.exit_code == 0 or "NotPeriodic" in res.output
+
+
+def test_defect_hyperplane_ignores_the_scale_of_its_normal(tmp_path):
+    # a normal of g-norm below the Gram-Schmidt threshold spans the same
+    # hyperplane as the unscaled one
+    reports = []
+    for scale in (1.0, 1e-9):
+        sc = _write_scenario(
+            tmp_path, name=f"{scale}.json", manifold={"name": "poincare_ball"},
+            initial={"x": [0.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]}, seed=3,
+            params={"samples": 8, "submanifold": {
+                "type": "hyperplane", "point": [0.3, 0.0, 0.1],
+                "extent": 0.3, "normal": [scale, 2.0 * scale, 0.5 * scale]}})
+        out = tmp_path / str(scale)
+        assert _run(["defect", sc, "--out", str(out)]).exit_code == 0
+        reports.append(json.loads((out / "defect.json").read_text()))
+    for key in ("sup", "mean"):
+        assert (abs(reports[1][key] - reports[0][key])
+                <= 1e-12 * reports[0][key])
+
+
+# ---------------------------------------------------------------------------
 # curvature commands
 
 

@@ -6,8 +6,8 @@ from magflow import (ChartSpec, MagneticSystem, MetricField, christoffel,
                      make_form, make_manifold, orthonormal_completion,
                      riemann, sectional)
 from magflow.errors import DegeneratePlane, DomainViolation, ZeroVector
-from magflow.geometry import (PointGeometry, _gram_schmidt_pairs,
-                              gram_schmidt, project)
+from magflow.geometry import (PointGeometry, _bilinear, _g_norm,
+                              _gram_schmidt_pairs, gram_schmidt, project)
 
 from conftest import strength
 
@@ -380,6 +380,37 @@ def test_batched_pairs_match_gram_schmidt_bit_for_bit(n, rng):
             assert np.array_equal(W[i], frame[1])
     assert 0 < rejected.sum() < B
 
+
+
+def test_g_norm_scales_exactly(rng):
+    # at ordinary magnitudes the norm is sqrt(v g v) to the bit, at a point
+    # and on a batch; a power-of-two multiple of v, far past where v g v
+    # overflows or underflows, has the same multiple of that norm, exactly
+    A = rng.standard_normal((50, 3, 3))
+    G = A @ A.swapaxes(1, 2) + 0.1 * np.eye(3)
+    V = rng.standard_normal((50, 3))
+    N = _g_norm(G, V)
+    assert np.array_equal(N, np.sqrt(_bilinear(V, G, V)))
+    assert all(_g_norm(g, v) == np.sqrt(v @ g @ v) for g, v in zip(G, V))
+    for p in (-1000, -600, 600, 1000):
+        assert np.array_equal(_g_norm(G, np.ldexp(V, p)), np.ldexp(N, p))
+        assert _g_norm(G[0], np.ldexp(V[0], p)) == np.ldexp(N[0], p)
+    assert _g_norm(G[0], np.zeros(3)) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-200, 1e200])
+@pytest.mark.parametrize("name, params, x", [
+    pytest.param("euclidean", {"dim": 3}, [0.0, 0.0, 0.0], id="euclidean"),
+    pytest.param("poincare_ball", {}, [0.3, 0.0, 0.1], id="poincare_ball")])
+def test_completion_at_extreme_scales(name, params, x, scale):
+    # the first row is v / |v|_g and the rows are g-orthonormal whatever the
+    # size of v: the Gram-Schmidt threshold is relative to each seed, so a v
+    # of g-norm below it keeps its row
+    _, g = make_manifold(name, **params)
+    x, v = np.array(x), np.array([1.0, 1.0, 0.0])
+    frame = orthonormal_completion(g, x, scale * v)
+    assert np.abs(frame[0] - v / g.norm(x, v)).max() < 1e-12
+    assert np.abs(frame @ g(x) @ frame.T - np.eye(3)).max() < 1e-12
 
 
 def test_completion_euclidean_standard():

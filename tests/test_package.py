@@ -218,6 +218,43 @@ def test_only_the_cli_formats_payloads():
     assert not found, found
 
 
+# the calls that form a quadratic form, and the power-of-two scaling
+_QUADRATIC = {"einsum", "vecdot", "_bilinear"}
+_SCALING = {"frexp", "ldexp"}
+
+
+def _name(node):
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _hand_rolled_norms(tree: ast.Module) -> list:
+    """Lines that call sqrt on an expression holding `@`, einsum, vecdot or
+    `_bilinear`, or that call frexp or ldexp."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if _name(node.func) in _SCALING:
+            found.append(node.lineno)
+        elif _name(node.func) == "sqrt" and any(
+                isinstance(sub, ast.MatMult) or _name(sub) in _QUADRATIC
+                for arg in node.args for sub in ast.walk(arg)):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_geometry_takes_g_norms():
+    # every g-norm, and every power-of-two scaling that keeps one finite, is
+    # taken by `geometry._g_norm` and `geometry._scale`
+    found = []
+    for path in SOURCES:
+        if path.name != "geometry.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}"
+                      for line in _hand_rolled_norms(tree)]
+    assert not found, found
+
+
 def test_readme_names_every_subcommand():
     # the README's list of subcommands, the CLI's and the scenario table's
     # `params` name the same subcommands, so a rename shows up here
