@@ -317,11 +317,14 @@ def cmd_regimes(sc, out):
     rng = np.random.default_rng(sc["seed"])
     rows = []
     for s in p["s_grid"]:
-        max_sec = float(sample_sectionals(sysm, s, p["samples"], rng).max())
-        state = PhaseState(x=np.zeros(2), v=np.array([0.5 * s, 0.0]), s=s)
         # bounded (s <= 1) orbits cannot exit the chart, so a longer horizon
         # is free and damps the finite-time bias toward positive exponents
         horizon = (5.0 * p["T"] if s <= 1.0 else p["T"]) / max(s, 1.0)
+        if not horizon > 0:
+            raise ScenarioInvalid(f"scenario field params/T: {p['T']!r} / "
+                                  f"{s!r} underflows to a zero horizon")
+        max_sec = float(sample_sectionals(sysm, s, p["samples"], rng).max())
+        state = PhaseState(x=np.zeros(2), v=np.array([0.5 * s, 0.0]), s=s)
         rep = dg.lyapunov_spectrum(sysm, state, horizon, cfg=cfg)
         rows.append((s, max_sec, float(rep.exponents[0])))
     _write(out, "regimes.csv", _csv(["s,max_sec,top_exponent"], rows))

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import _require_count
-from .errors import NonOrthonormalFrame, NonpositiveSpeed, NonUnitVector
-from .geometry import (PointGeometry, _completion, _g_norm,
-                       _gram_schmidt_pairs, _random_frame)
+from .errors import NonOrthonormalFrame, NonpositiveSpeed
+from .geometry import (PointGeometry, _completion, _gram_schmidt_pairs,
+                       _random_frame, _require_unit)
 from .system import MagneticSystem
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "anosov_report",
 ]
 
-_UNIT_TOL = 1e-8
 _FRAME_TOL = 1e-10
 
 
@@ -80,9 +79,7 @@ def _unit_point(sys, x, v):
     """The geometry at x, and v as an array, checked to be g-unit."""
     geo = sys.geometry(x)
     v = np.asarray(v, dtype=float)
-    nrm = _g_norm(geo.g, v)
-    if abs(nrm - 1.0) > _UNIT_TOL:
-        raise NonUnitVector(f"expected a g-unit vector, |v|_g = {nrm}")
+    _require_unit(geo.g, v)
     return geo, v
 
 

@@ -186,15 +186,19 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
     return D
 
 
-def _lean_derivative(sys: MagneticSystem, guard=None):
-    """The derivative f(y) -> k = v ++ (-Gamma(v, v) + Yv) at a list
-    y = x ++ v of 2n floats, on floats, which raises `DomainViolation` where
-    x fails the `guard`, if one is given; None unless the system is
-    magnetic, its metric gives `spray` and its form `magnetic_acc`."""
+def _stage(sys: MagneticSystem):
+    """The RK4 stage f(y) -> k = v ++ vdot at a list y = x ++ v of 2n
+    floats, which raises `DomainViolation` outside the chart.  Where the
+    system is magnetic, its metric gives `spray` and its form
+    `magnetic_acc`, vdot = -Gamma(v, v) + Yv on floats behind the chart
+    guard; otherwise the acceleration from the point's `PointGeometry`
+    (which runs the guard itself)."""
     spray, magnetic_acc = sys.metric.spray, sys.sigma.magnetic_acc
-    if not sys.is_magnetic or spray is None or magnetic_acc is None:
-        return None
     n = sys.dim
+    if not sys.is_magnetic or spray is None or magnetic_acc is None:
+        return lambda y: y[n:] + _acceleration(sys, sys.geometry(y[:n]),
+                                               np.array(y[n:])).tolist()
+    guard = sys.chart.domain_guard
 
     def f(y):
         x, v = y[:n], y[n:]
@@ -205,29 +209,12 @@ def _lean_derivative(sys: MagneticSystem, guard=None):
     return f
 
 
-def _stage(sys: MagneticSystem):
-    """The RK4 stage f(y) -> k = v ++ vdot at a list y = x ++ v of 2n
-    floats, which raises `DomainViolation` outside the chart: the float
-    derivative behind the chart guard, or else the acceleration from the
-    point's `PointGeometry` (which runs the guard itself)."""
-    lean = _lean_derivative(sys, sys.chart.domain_guard)
-    if lean is not None:
-        return lean
-    n = sys.dim
-    return lambda y: y[n:] + _acceleration(sys, sys.geometry(y[:n]),
-                                           np.array(y[n:])).tolist()
-
-
 def generator(sys: MagneticSystem, x, v) -> np.ndarray:
-    """The 2n generator (xdot, vdot) of the flow at (x, v); the acceleration
-    is the RK4 stage's, on Python floats where the system allows it."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    lean = _lean_derivative(sys)
-    if lean is None:
-        return np.concatenate([v, _acceleration(sys, sys.geometry(x), v)])
-    sys.chart.require(x)
-    return np.array(lean(x.tolist() + v.tolist()))
+    """The 2n generator (xdot, vdot) of the flow at (x, v): the RK4
+    stage's, which runs the chart guard once, on Python floats where the
+    system allows it."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    return np.array(_stage(sys)(x.tolist() + v.tolist()))
 
 
 def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DegeneratePlane,
     DomainViolation,
+    NonUnitVector,
     ZeroVector,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 _GS_SKIP = 1e-8  # Gram-Schmidt drops a row left with this share of its g-norm
+_UNIT_TOL = 5e-9  # |v|_g of a g-unit v is within this of 1 (v g v within 1e-8)
 _FD_STEP1 = 1e-5  # central-difference step of dg and dsigma without a closure
 _FD_STEP2 = 1e-4  # central-difference step of d2g (of dg) without a closure
 _identity = cache(np.eye)  # the n x n identity, built once per n; only read
@@ -395,6 +397,14 @@ def _g_norm(g: np.ndarray, v: np.ndarray):
     w, e = _scale(v)
     q = w @ g @ w if w.ndim == 1 else _bilinear(w, g, w)
     return np.ldexp(np.sqrt(np.maximum(q, 0.0)), e)
+
+
+def _require_unit(g: np.ndarray, v: np.ndarray):
+    """Raise `NonUnitVector` unless v is g-unit: |v|_g within `_UNIT_TOL`
+    of 1, which a NaN entry never is."""
+    nrm = _g_norm(g, v)
+    if not abs(nrm - 1.0) <= _UNIT_TOL:
+        raise NonUnitVector(f"expected a g-unit vector, |v|_g = {nrm}")
 
 
 def _gram_schmidt_pairs(G: np.ndarray, P: np.ndarray):

@@ -236,7 +236,10 @@ def build_state(sc: dict, sys: MagneticSystem) -> PhaseState:
     v = build_vector(sc, "initial/v", sys, nonzero=True)
     s = sc["speed"]
     g = sys.metric.raw(x)          # unguarded: x passed the guard above
-    return PhaseState(x=x, v=v * (s / _g_norm(g, v)), s=s)
+    v = v * (s / _g_norm(g, v))
+    if not v.any():
+        _fail("speed", f"{s!r} scales initial/v to the zero vector")
+    return PhaseState(x=x, v=v, s=s)
 
 
 def build_integrator(sc: dict, default_step: float) -> IntegratorConfig:

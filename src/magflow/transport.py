@@ -138,7 +138,11 @@ def _hermite_nearest(sys, t, y, z0) -> float:
         for j in range(4):
             sq[j:j + 4] += gram[j]
         sq = sq[::-1]                     # highest power first, as np.roots
-        roots = np.roots(np.polyder(sq))
+        d = np.polyder(sq)
+        # np.roots divides by the leading coefficient; leading ones that the
+        # largest coefficient would overflow add nothing on [0, 1]: dropped
+        d = d[np.argmax(np.abs(d) >= np.abs(d).max() / np.finfo(float).max):]
+        roots = np.roots(d)
         s = np.concatenate([[0.0, 1.0], roots[np.isreal(roots)].real])
         s = s[(s >= 0.0) & (s <= 1.0)]
         vals = np.polyval(sq, s)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import magflow
 from magflow import ChartSpec, MagneticSystem, MetricField, make_form, make_manifold
 
 MODEL_NAMES = ["euclidean", "flat_torus", "poincare_disk", "poincare_ball",
@@ -21,6 +26,39 @@ def strength(form, b):
 def unit(metric, x, v):
     v = np.asarray(v, dtype=float)
     return v / metric.norm(x, v)
+
+
+def run_python(args, check=False):
+    """`python args` in a new process that imports this magflow."""
+    src = os.path.dirname(os.path.dirname(magflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, check=check)
+
+
+def conformal_system():
+    """The free flow of g = e^{2 phi} delta on R^3, phi = 0.3 x1^2 + 0.2 x3,
+    with analytic dg and d2g: a test metric whose curvature is not
+    constant, not a package model."""
+    chart = ChartSpec(dim=3)
+    hess = np.diag([0.6, 0.0, 0.0])
+
+    def grad(x):
+        return np.array([0.6 * x[0], 0.0, 0.2])
+
+    def g(x):
+        return np.exp(0.6 * x[0] ** 2 + 0.4 * x[2]) * np.eye(3)
+
+    def dg(x):      # d_k g_ij = 2 phi_k g_ij
+        return np.einsum("ij,k->ijk", g(x), 2.0 * grad(x))
+
+    def d2g(x):     # d_k d_l g_ij = (4 phi_k phi_l + 2 phi_kl) g_ij
+        d = grad(x)
+        return np.einsum("ij,kl->ijkl", g(x), 4.0 * np.outer(d, d) + 2.0 * hess)
+
+    metric = MetricField(g, dg=dg, d2g=d2g, chart=chart)
+    return MagneticSystem(chart, metric, make_form("zero", 3, metric, chart))
 
 
 def counted_system(name, form, broadcasts=False, lean=True, **form_params):

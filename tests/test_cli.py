@@ -1,8 +1,5 @@
 """End-to-end tests of the command-line interface."""
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -14,7 +11,7 @@ from magflow.curvature import sample_sectionals
 from magflow.errors import NonFiniteResult
 from magflow.scenario import build_state, build_system, load_scenario
 
-from conftest import system
+from conftest import run_python, system
 
 
 def _write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -36,24 +33,14 @@ def _run(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
 
 
-def _subprocess(args, check=False):
-    """`python args` in a new process that imports this magflow."""
-    src = os.path.dirname(os.path.dirname(magflow.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable] + args, env=env,
-                          capture_output=True, text=True, check=check)
-
-
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # the quasi-Monte Carlo nodes are imported by the code path that uses
-    # them, not when the CLI starts; nothing imports scipy.optimize, and
+    # magflow imports no scipy (its quadrature nodes are numpy draws), and
     # scenarios are checked without jsonschema
-    out = _subprocess(
+    out = run_python(
         ["-c",
          "import sys, magflow.cli; print(sorted(m for m in "
-         "('scipy.integrate', 'scipy.optimize', 'scipy.stats', 'jsonschema') "
-         "if m in sys.modules))"], check=True)
+         "('scipy', 'scipy.integrate', 'scipy.optimize', 'scipy.stats', "
+         "'jsonschema') if m in sys.modules))"], check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -278,6 +265,21 @@ def _defect_overrides(submanifold):
       for sign, extent in (("zero", 0.0), ("negative", -1.0))],
     pytest.param("regimes", {"params": {"s_grid": []}}, [], "params/s_grid",
                  id="regimes-empty-s-grid"),
+    # T / s underflows to a zero horizon
+    pytest.param("regimes", {"manifold": {"name": "poincare_disk"},
+                             "magnetic": {"name": "area_form"},
+                             "params": {"s_grid": [2.0], "T": 5e-324}},
+                 [], "params/T", id="regimes-subnormal-horizon"),
+    # v |v|_g^-1 s underflows to the zero vector
+    *[pytest.param(command, {"manifold": {"name": "poincare_disk"},
+                             "magnetic": {"name": "area_form",
+                                          "params": {"b": 1.0}},
+                             "speed": 5e-324,
+                             "initial": {"x": [0.1, 0.0], "v": [1.0, 0.0]},
+                             "integrator": {"step": 1e-2},
+                             "params": {"T": 2.0}},
+                   [], "speed", id=f"{command}-subnormal-speed")
+      for command in ("integrate", "angle")],
     # the sweep runs on the hyperbolic disk with its area form only
     pytest.param("regimes", {"manifold": {"name": "round_sphere"},
                              "magnetic": {"name": "zero"}},
@@ -355,6 +357,15 @@ def test_holonomy_not_periodic_exit_3(tmp_path):
                   "magnetic": {"name": "area_form", "params": {"b": 1.0}},
                   "speed": 4.0, "integrator": {"step": 1e-2},
                   "params": {"period_guess": 3.0}}, id="escaping-orbit"),
+    # a straight line: the Hermite refinement's polynomials have subnormal
+    # leading coefficients, which np.roots cannot divide by
+    pytest.param({"manifold": {"name": "flat_torus",
+                               "params": {"period": 6.0}},
+                  "magnetic": {"name": "constant", "params": {"b": 1e-160}},
+                  "initial": {"x": [0.5, 0.5], "v": [1.0, 0.0]},
+                  "integrator": {"step": 1e-2, "max_steps": 100000},
+                  "params": {"period_guess": 3.2, "tolerance": 1e-6}},
+                 id="torus-field-1e-160"),
 ])
 def test_holonomy_refinement_edges_exit_3(tmp_path, overrides):
     sc = _write_scenario(tmp_path, **overrides)
@@ -745,7 +756,7 @@ def test_non_finite_payload_exits_3(tmp_path, command, params):
                                                "params": {"b": 1e200}}),
         params=params)
     out = tmp_path / "out"
-    res = _subprocess(["-m", "magflow.cli", command, sc, "--out", str(out)])
+    res = run_python(["-m", "magflow.cli", command, sc, "--out", str(out)])
     assert res.returncode == 3
     assert "numerical failure (NonFiniteResult)" in res.stderr
     assert not out.exists()

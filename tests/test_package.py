@@ -9,6 +9,8 @@ from pathlib import Path
 
 import magflow
 
+from conftest import run_python
+
 SOURCES = sorted(Path(magflow.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
@@ -253,6 +255,48 @@ def test_only_geometry_takes_g_norms():
             found += [f"{path.name}:{line}"
                       for line in _hand_rolled_norms(tree)]
     assert not found, found
+
+
+def test_no_module_imports_scipy():
+    # the package runs on numpy and click; scipy serves the tests only
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, found
+
+
+def test_scipy_is_a_test_dependency_only():
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", r).group(0).lower() for r in requirements}
+    assert names(project["dependencies"]) == {"numpy", "click"}
+    assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def test_cli_and_alpha_defect_run_without_scipy():
+    # with scipy's import blocked, the CLI imports and alpha_defect draws
+    # its quadrature nodes on S^2 (an exp-image of dimension k = 3)
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np, magflow.cli\n"
+            "from magflow import (MagneticSystem, alpha_defect, make_form,\n"
+            "                     make_manifold)\n"
+            "chart, metric = make_manifold('euclidean', dim=4)\n"
+            "sys_ = MagneticSystem(chart, metric,\n"
+            "                      make_form('constant', 4, metric, chart))\n"
+            "print(alpha_defect(sys_, np.zeros(4), np.eye(4)[:, 1:]).sup)\n")
+    run = run_python(["-c", code])
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) > 0.5
 
 
 def test_readme_names_every_subcommand():

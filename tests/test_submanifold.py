@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from magflow import (ChartSpec, IntegratorConfig, MagneticSystem, MetricField,
-                     alpha_defect, anosov_report, augmented_exp,
+                     alpha_defect, anosov_report, augmented_exp, op_A,
                      candidate_hypersurface, candidate_submanifold,
                      cartan_probe, classical_II,
                      dynamic_consistency_check, dynamical_II,
@@ -13,7 +13,7 @@ from magflow.errors import BadDimension, NonUnitVector, NotTangent
 from magflow import flow, submanifold
 from magflow.submanifold import _FD_STEP, HyperplaneElement, ParamSubmanifold
 
-from conftest import system, unit
+from conftest import conformal_system, system, unit
 
 
 def _plane_e12(sys, extent=1.0):
@@ -437,9 +437,9 @@ def test_alpha_defect_misaligned_plane_positive():
 
 
 def test_alpha_defect_hyperplanes_of_four_space():
-    # a 3-dimensional exp-image takes its directions on S^2 from a scrambled
-    # Sobol sequence pushed through the inverse normal: the same unit
-    # vectors at every call
+    # a 3-dimensional exp-image takes its directions on S^2 from a
+    # fixed-seed standard normal draw, normalised: the same unit vectors at
+    # every call
     nodes = submanifold._unit_sphere_nodes(3, 64)
     assert nodes.shape == (64, 3)
     assert np.array_equal(nodes, submanifold._unit_sphere_nodes(3, 64))
@@ -451,6 +451,50 @@ def test_alpha_defect_hyperplanes_of_four_space():
     magnetic = system("euclidean", "constant", {"dim": 4}, b=1.0)
     rep = alpha_defect(magnetic, np.zeros(4), np.eye(4)[:, 1:])
     assert rep.sup > 0.5
+
+
+def test_conformal_metric_derivatives_match_finite_differences():
+    sys = conformal_system()
+    fd = MetricField(sys.metric.raw)
+    x = np.array([0.3, -0.2, 0.1])
+    assert np.abs(sys.metric.dg(x) - fd.dg(x)).max() < 1e-8
+    assert np.abs(sys.metric.d2g(x) - fd.d2g(x)).max() < 1e-6
+
+
+def test_alpha_defect_off_the_space_forms():
+    # on g = e^{2 phi} delta the exp-image of span{e1, e2} is not invariant
+    # under the free flow.  alpha_defect (the full Hessian at 6 parameters
+    # of the exp-image) and invariance_defect (directional Hessians at 40
+    # random parameters) are two code paths that must agree on its size
+    sys = conformal_system()
+    x, basis = np.array([0.3, 0.0, 0.0]), np.eye(3)[:, :2]
+    rep = alpha_defect(sys, x, basis)
+    N = candidate_submanifold(sys, x, basis, 0.5)
+    ref = invariance_defect(sys, N, 40, seed=0).sup
+    assert rep.samples == 6
+    assert ref / 10 < rep.sup < 10 * ref
+
+
+# -- g-unit checks -----------------------------------------------------------
+
+_NAN = np.array([np.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda sys, N: op_A(sys, np.zeros(3), _NAN), id="op_A"),
+    pytest.param(lambda sys, N: dynamical_II(sys, N, np.zeros(2), _NAN),
+                 id="dynamical_II"),
+    pytest.param(lambda sys, N: dynamic_consistency_check(
+        sys, N, np.zeros(2), _NAN, 1.0), id="dynamic_consistency_check"),
+    pytest.param(lambda sys, N: augmented_exp(
+        sys, np.zeros(3), np.eye(3)[:, :2], _NAN, 0.5), id="augmented_exp"),
+])
+def test_nan_direction_is_not_g_unit(check):
+    # abs(nan - 1) > tol is False: a NaN direction passed every g-unit
+    # check written that way
+    sys = system("euclidean", "constant", {"dim": 3}, b=1.0)
+    with pytest.raises(NonUnitVector):
+        check(sys, _plane_e12(sys))
 
 
 # -- Cartan probe ------------------------------------------------------------
