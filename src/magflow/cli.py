@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from . import transport as tr
-from .curvature import anosov_report, magnetic_operator, op_A, op_R, sample_sectionals
+from .curvature import _operators, anosov_report, sample_sectionals
 from .errors import MagflowError, NonFiniteResult
 from .flow import (DIAGNOSTIC_STEP, IntegratorConfig, PhaseState,
                    dynamical_exp, integrate)
@@ -166,7 +166,7 @@ def cmd_curvature(sc, out):
     sysm = build_system(sc)
     x, v = _unit_state(sc, sysm)
     s = sc["speed"]
-    A, R, M = op_A(sysm, x, v), op_R(sysm, s, x, v), magnetic_operator(sysm, s, x, v)
+    A, R, M = _operators(sysm, s, x, v)
     _write(out, "curvature.json", _dump_json({
         "speed": s, "x": list(x), "v": list(v),
         "frame": [list(row) for row in A.frame],
@@ -292,6 +292,10 @@ def cmd_conjugate(sc, out):
     p = sc["params"]
     direction = build_vector(sc, "params/direction", sysm, default=state.v,
                              nonzero=True)
+    if not p["t_max"] / p["steps"] > 0:
+        raise ScenarioInvalid(f"scenario field params/t_max: {p['t_max']!r} / "
+                              f"{p['steps']!r} steps underflows to a zero "
+                              f"first radius")
     scan = dg.conjugate_point_scan(sysm, state.x, direction, p["t_max"],
                                    p["steps"], cfg)
     _write(out, "conjugate_scan.csv", _csv(["t,sigma_min"], scan.tolist()))
@@ -320,9 +324,11 @@ def cmd_regimes(sc, out):
         # bounded (s <= 1) orbits cannot exit the chart, so a longer horizon
         # is free and damps the finite-time bias toward positive exponents
         horizon = (5.0 * p["T"] if s <= 1.0 else p["T"]) / max(s, 1.0)
-        if not horizon > 0:
-            raise ScenarioInvalid(f"scenario field params/T: {p['T']!r} / "
-                                  f"{s!r} underflows to a zero horizon")
+        # a spectrum over less than one step measures no growth
+        if not horizon >= cfg.step:
+            raise ScenarioInvalid(f"scenario field params/T: the horizon "
+                                  f"{horizon!r} at s = {s!r} is shorter than "
+                                  f"one integrator step {cfg.step!r}")
         max_sec = float(sample_sectionals(sysm, s, p["samples"], rng).max())
         state = PhaseState(x=np.zeros(2), v=np.array([0.5 * s, 0.0]), s=s)
         rep = dg.lyapunov_spectrum(sysm, state, horizon, cfg=cfg)

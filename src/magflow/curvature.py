@@ -21,7 +21,10 @@ dGamma without forming the Riemann tensor, and dGamma(a, b, c) is
 d_m Gamma^i_{jk} a^j b^k c^m, a matrix in the slot left open.
 `magnetic_sectional` reads g(M_s w, w) off the ambient matrix, with no
 frame; the `matrix` of a `PerpEndomorphism` is F g M F^T in the
-deterministic orthonormal completion frame F of v.
+deterministic orthonormal completion frame F of v.  `op_R` and
+`magnetic_operator` form all three operators at their point, A, R_s and
+M_s = A + R_s from one geometry, one Y, one P_v and one frame, as the
+`curvature` subcommand does.
 
 The ambient matrices are formed over any leading batch axes.
 `sample_sectionals` runs only its random draws one sample at a time, in a
@@ -83,11 +86,13 @@ def _unit_point(sys, x, v):
     return geo, v
 
 
-def _as_perp_endo(geo: PointGeometry, v, ambient) -> PerpEndomorphism:
+def _perp_endos(geo: PointGeometry, v, *ambients) -> list:
+    """Each ambient matrix as a `PerpEndomorphism` at the point of `geo`, in
+    one completion frame of v."""
     frame = _completion(geo.g, v)[1:]
-    return PerpEndomorphism(x=geo.x, v=v, frame=frame,
-                            matrix=frame @ geo.g @ ambient @ frame.T,
-                            ambient=ambient)
+    return [PerpEndomorphism(x=geo.x, v=v, frame=frame,
+                             matrix=frame @ geo.g @ ambient @ frame.T,
+                             ambient=ambient) for ambient in ambients]
 
 
 def _gdot(M, u):
@@ -129,22 +134,28 @@ def _ambient_M(geo: PointGeometry, s, v):
     return _ambient_A(Y, Pv) + _ambient_R(geo, s, v, Y, Pv)
 
 
+def _operators(sys: MagneticSystem, s: float, x, v) -> list:
+    """A, R_s and M_s = A + R_s at (x, v), from one geometry, one Y, one P_v
+    and one frame."""
+    _check_speed(s)
+    geo, v = _unit_point(sys, x, v)
+    Y, Pv = geo.lorentz(), _projector(geo.g, v)
+    A, R = _ambient_A(Y, Pv), _ambient_R(geo, s, v, Y, Pv)
+    return _perp_endos(geo, v, A, R, A + R)
+
+
 def op_A(sys: MagneticSystem, x, v) -> PerpEndomorphism:
     geo, v = _unit_point(sys, x, v)
-    return _as_perp_endo(geo, v, _ambient_A(geo.lorentz(), _projector(geo.g, v)))
+    return _perp_endos(geo, v, _ambient_A(geo.lorentz(),
+                                          _projector(geo.g, v)))[0]
 
 
 def op_R(sys: MagneticSystem, s: float, x, v) -> PerpEndomorphism:
-    _check_speed(s)
-    geo, v = _unit_point(sys, x, v)
-    R = _ambient_R(geo, s, v, geo.lorentz(), _projector(geo.g, v))
-    return _as_perp_endo(geo, v, R)
+    return _operators(sys, s, x, v)[1]
 
 
 def magnetic_operator(sys: MagneticSystem, s: float, x, v) -> PerpEndomorphism:
-    _check_speed(s)
-    geo, v = _unit_point(sys, x, v)
-    return _as_perp_endo(geo, v, _ambient_M(geo, s, v))
+    return _operators(sys, s, x, v)[2]
 
 
 def magnetic_sectional(sys: MagneticSystem, s: float, x, v, w) -> float:

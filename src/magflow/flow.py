@@ -11,12 +11,18 @@ y = x ++ v of 2n floats, and a stage f(y) -> k = v ++ vdot raises
 metric whose form gives its float closure (`MetricField.spray` and
 `TwoFormField.magnetic_acc`, as every built-in model and form does) a stage
 runs the chart guard and the two closures, on floats; otherwise it builds
-the point's `PointGeometry` on arrays.  `generator` evaluates the same
-stage.  A node is checked by the guard of the next step's first stage, the
-last node by the guard alone.  Every orbit, linear flows' included, runs
-through this one driver, which checks the horizon and the start point.
-Speed drift along the orbit, against the g-speed of its first node, is
-recorded and never corrected, so it serves as an error indicator.
+the point's `PointGeometry` on arrays.  The list arithmetic of the driver
+and of the built-in closures (the stage points y + c k, the node update,
+the Poincare models' dot products) comes from `geometry._float_ops`,
+closures written out index by index for each list length; they do the
+floating-point operations of the list comprehensions they stand for, in
+the same order, so that the orbits keep the bits of that plain form.
+`generator` evaluates the same stage.  A node is checked by the guard of
+the next step's first stage, the last node by the guard alone.  Every
+orbit, linear flows' included, runs through this one driver, which checks
+the horizon and the start point.  Speed drift along the orbit, against the
+g-speed of its first node, is recorded and never corrected, so it serves
+as an error indicator.
 
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
@@ -53,7 +59,8 @@ import numpy as np
 
 from .errors import (DomainExit, DomainViolation, NonFiniteState,
                      NonpositiveSpeed, StepLimitExceeded)
-from .geometry import PointGeometry, _central_difference, _g_norm
+from .geometry import (PointGeometry, _central_difference, _float_ops,
+                       _g_norm)
 from .system import MagneticSystem
 
 __all__ = [
@@ -254,6 +261,8 @@ def _rk4_path(sys, state, T, cfg, record=None, segments=1):
     not finite (a chart without a guard never stops a blow-up)."""
     n = sys.dim
     f = _stage(sys)
+    ops = _float_ops(2 * n)
+    axpy, rk4 = ops.axpy, ops.rk4
     inside = sys.chart.domain_guard
     nsteps, hh = _step_size(T, cfg.step, cfg.max_steps, segments)
     sys.chart.require(state.x)
@@ -272,11 +281,11 @@ def _rk4_path(sys, state, T, cfg, record=None, segments=1):
         try:
             k1 = f(y)
             nodes.append(y)
-            y2 = [p + half * q for p, q in zip(y, k1)]
+            y2 = axpy(y, half, k1)
             k2 = f(y2)
-            y3 = [p + half * q for p, q in zip(y, k2)]
+            y3 = axpy(y, half, k2)
             k3 = f(y3)
-            y4 = [p + hh * q for p, q in zip(y, k3)]
+            y4 = axpy(y, hh, k3)
             k4 = f(y4)
         except DomainViolation:
             # a node or stage point crossed the chart guard: a clean exit
@@ -284,8 +293,7 @@ def _rk4_path(sys, state, T, cfg, record=None, segments=1):
             break
         if record is not None:
             stages.append((y, k1, y2, k2, y3, k3, y4, k4))
-        y = [p + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-             for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
+        y = rk4(y, sixth, k1, k2, k3, k4)
     else:  # the last node, which no further stage checks
         exited = inside is not None and not inside(y[:n])
         if not exited:

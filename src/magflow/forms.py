@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (ChartSpec, MetricField, _FD_STEP1, _central_difference,
-                       _on_batch)
+                       _float_ops, _on_batch)
 
 __all__ = ["TwoFormField", "make_form", "FORMS"]
 
@@ -93,9 +93,10 @@ class TwoFormField:
 def _zero(dim: int, metric: MetricField = None, chart: ChartSpec = None):
     z1 = np.zeros((dim, dim))
     z2 = np.zeros((dim, dim, dim))
+    copy = _float_ops(dim).copy
     return TwoFormField(lambda x: z1, dsigma=lambda x: z2, chart=chart,
                         broadcasts=True,
-                        magnetic_acc=lambda x, d, v, a: [p + 0.0 for p in a])
+                        magnetic_acc=lambda x, d, v, a: copy(a))
 
 
 def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
@@ -106,10 +107,11 @@ def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
     sig[0, 1] = b
     sig[1, 0] = -b
     z2 = np.zeros((dim, dim, dim))
+    copy = _float_ops(dim - 2).copy
 
     def magnetic_acc(x, d, v, a):
         out = [a[0] + -b * v[1] / d[0], a[1] + b * v[0] / d[1]]
-        return out + [p + 0.0 for p in a[2:]] if dim > 2 else out
+        return out + copy(a[2:]) if dim > 2 else out
 
     return TwoFormField(lambda x: sig, dsigma=lambda x: z2, chart=chart,
                         broadcasts=True, magnetic_acc=magnetic_acc)

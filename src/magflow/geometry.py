@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,6 +132,43 @@ def _second_difference(first, x, h: float) -> np.ndarray:
     derivatives `first`, symmetrised in the last two axes."""
     H = _central_difference(first, x, h)
     return 0.5 * (H + H.swapaxes(-1, -2))
+
+
+@cache
+def _float_ops(m: int) -> SimpleNamespace:
+    """The float arithmetic of an RK4 stage on lists (or any indexable) of
+    m floats, written out index by index: at m <= 6 a list comprehension,
+    or sum(map(mul, ...)), costs about three times the same expression
+    unrolled.  With c, p and q floats, and each list result a new list:
+        dot(a, b)                 sum(map(mul, a, b))
+        axpy(y, c, k)             [y_i + c * k_i]
+        rk4(y, c, k1, k2, k3, k4) [y_i + c * (k1_i + 2.0 * k2_i
+                                             + 2.0 * k3_i + k4_i)]
+        lincomb(p, a, q, b)       [p * a_i - q * b_i]
+        copy(a)                   [a_i + 0.0]
+        scale(c, a)               [c * a_i]
+        div(a, c)                 [a_i / c]
+    Each closure is built once per m by `eval` of a lambda whose text reads
+    nothing but the indices 0..m-1, and does the floating-point operations
+    of the form it replaces, in the same order: `dot` starts from 0.0 as
+    `sum` does from 0, so that a sum of -0.0 terms is 0.0 in both, and
+    `copy` maps -0.0 to 0.0.  The model and form builders,
+    `MagneticSystem.rescale` and the RK4 driver of `flow` ask for theirs
+    when they run, so that nothing is built at import."""
+    def unrolled(args, term, sep=", ", head="[", tail="]"):
+        body = sep.join(term.format(i=i) for i in range(m))
+        return eval(f"lambda {args}: {head}{body}{tail}", {"__builtins__": {}})
+
+    return SimpleNamespace(
+        dot=unrolled("a, b", " + a[{i}] * b[{i}]", "", "0.0", ""),
+        axpy=unrolled("y, c, k", "y[{i}] + c * k[{i}]"),
+        rk4=unrolled("y, c, k1, k2, k3, k4",
+                     "y[{i}] + c * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * k3[{i}]"
+                     " + k4[{i}])"),
+        lincomb=unrolled("p, a, q, b", "p * a[{i}] - q * b[{i}]"),
+        copy=unrolled("a", "a[{i}] + 0.0"),
+        scale=unrolled("c, a", "c * a[{i}]"),
+        div=unrolled("a, c", "a[{i}] / c"))
 
 
 class MetricField:

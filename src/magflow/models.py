@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from operator import mul
 
 import numpy as np
 
-from .geometry import ChartSpec, MetricField
+from .geometry import ChartSpec, MetricField, _float_ops
 
 __all__ = ["make_manifold", "MANIFOLDS"]
 
@@ -62,9 +61,11 @@ def _poincare(dim: int = 3, eps: float = 1e-3):
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     r2 = (1.0 - eps) ** 2
+    ops = _float_ops(dim)
+    dot, lincomb = ops.dot, ops.lincomb
     chart = ChartSpec(
         dim=dim,
-        domain_guard=lambda x: sum(map(mul, x, x)) < r2,
+        domain_guard=lambda x: dot(x, x) < r2,
         sample_bounds=(-0.7 * np.ones(dim), 0.7 * np.ones(dim)),
     )
     eye = np.eye(dim)
@@ -87,10 +88,10 @@ def _poincare(dim: int = 3, eps: float = 1e-3):
     def spray(x, v):
         # g = e^(2 phi) id with e^phi = 2 / u, so d phi = 2 x / u and
         # -Gamma(v, v) = |v|^2 grad phi - 2 (d phi . v) v
-        u = 1.0 - sum(map(mul, x, x))
-        p = 2.0 * sum(map(mul, v, v)) / u
-        q = 4.0 * sum(map(mul, x, v)) / u
-        return [p * a - q * b for a, b in zip(x, v)], [4.0 / (u * u)] * dim
+        u = 1.0 - dot(x, x)
+        p = 2.0 * dot(v, v) / u
+        q = 4.0 * dot(x, v) / u
+        return lincomb(p, x, q, v), [4.0 / (u * u)] * dim
 
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart,
                          broadcasts=True, spray=spray)

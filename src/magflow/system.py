@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NonpositiveSpeed
 from .forms import TwoFormField
-from .geometry import ChartSpec, MetricField, PointGeometry
+from .geometry import ChartSpec, MetricField, PointGeometry, _float_ops
 
 __all__ = ["MagneticSystem", "closedness_residual"]
 
@@ -95,14 +95,16 @@ class MagneticSystem:
         m, sg = self.metric, self.sigma
         # -Gamma(v, v) and Yv are unchanged, only g's diagonal scales; a form
         # built from the metric reads the original coefficients g / c
+        ops = _float_ops(self.dim)
+        scale, div = ops.scale, ops.div
         spray = magnetic_acc = None
         if m.spray is not None:
             def spray(x, v):
                 a, d = m.spray(x, v)
-                return a, [c * u for u in d]
+                return a, scale(c, d)
         if sg.magnetic_acc is not None:
             def magnetic_acc(x, d, v, a):
-                return sg.magnetic_acc(x, [e / c for e in d], v, a)
+                return sg.magnetic_acc(x, div(d, c), v, a)
         metric = MetricField(lambda x: c * m.raw(x),
                              dg=lambda x: c * m.dg(x),
                              d2g=lambda x: c * m.d2g(x),

@@ -6,9 +6,11 @@ import pytest
 from click.testing import CliRunner
 
 import magflow
+from magflow import geometry
 from magflow.cli import _csv, _dump_json, main
 from magflow.curvature import sample_sectionals
 from magflow.errors import NonFiniteResult
+from magflow.geometry import PointGeometry
 from magflow.scenario import build_state, build_system, load_scenario
 
 from conftest import run_python, system
@@ -270,6 +272,18 @@ def _defect_overrides(submanifold):
                              "magnetic": {"name": "area_form"},
                              "params": {"s_grid": [2.0], "T": 5e-324}},
                  [], "params/T", id="regimes-subnormal-horizon"),
+    # a horizon 5 T of one subnormal step measures no growth
+    pytest.param("regimes", {"manifold": {"name": "poincare_disk"},
+                             "magnetic": {"name": "area_form"},
+                             "params": {"s_grid": [0.5], "T": 5e-324}},
+                 [], "params/T", id="regimes-horizon-below-one-step"),
+    # t_max / steps, the first radius, underflows to 0
+    pytest.param("conjugate-scan", {"manifold": {"name": "round_sphere"},
+                                    "magnetic": {"name": "zero"},
+                                    "initial": {"x": [1.5, 1.0],
+                                                "v": [0.0, 1.0]},
+                                    "params": {"t_max": 5e-324, "steps": 4}},
+                 [], "params/t_max", id="conjugate-scan-subnormal-t-max"),
     # v |v|_g^-1 s underflows to the zero vector
     *[pytest.param(command, {"manifold": {"name": "poincare_disk"},
                              "magnetic": {"name": "area_form",
@@ -519,6 +533,33 @@ def test_curvature_matrices(tmp_path):
     assert np.allclose(data["A"], np.eye(1), atol=1e-8)
     assert np.allclose(data["R"], -4.0 * np.eye(1), atol=1e-6)
     assert np.allclose(data["M"], -3.0 * np.eye(1), atol=1e-6)
+
+
+def test_curvature_evaluates_its_point_once(tmp_path, monkeypatch):
+    # A, R_s and M_s = A + R_s come from one geometry and one completion
+    # frame at the job's one point
+    calls = {"PointGeometry": 0, "gram_schmidt": 0}
+    init, gram_schmidt = PointGeometry.__init__, geometry.gram_schmidt
+
+    def counted_init(geo, *args, **kwargs):
+        calls["PointGeometry"] += 1
+        init(geo, *args, **kwargs)
+
+    def counted_gram_schmidt(*args):
+        calls["gram_schmidt"] += 1
+        return gram_schmidt(*args)
+
+    monkeypatch.setattr(PointGeometry, "__init__", counted_init)
+    monkeypatch.setattr(geometry, "gram_schmidt", counted_gram_schmidt)
+    sc = _write_scenario(
+        tmp_path,
+        manifold={"name": "poincare_ball"},
+        magnetic={"name": "constant", "params": {"b": 0.8}},
+        speed=1.5,
+        initial={"x": [0.1, 0.2, -0.1], "v": [1.0, 0.5, 0.2]})
+    res = _run(["curvature", sc, "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    assert calls == {"PointGeometry": 1, "gram_schmidt": 1}
 
 
 def test_curvature_tiny_speed_stays_finite(tmp_path):

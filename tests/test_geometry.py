@@ -1,3 +1,7 @@
+import math
+import struct
+from operator import mul
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,7 +10,7 @@ from magflow import (ChartSpec, MagneticSystem, MetricField, christoffel,
                      make_form, make_manifold, orthonormal_completion,
                      riemann, sectional)
 from magflow.errors import DegeneratePlane, DomainViolation, ZeroVector
-from magflow.geometry import (PointGeometry, _bilinear, _g_norm,
+from magflow.geometry import (PointGeometry, _bilinear, _float_ops, _g_norm,
                               _gram_schmidt_pairs, gram_schmidt, project)
 
 from conftest import strength
@@ -444,3 +448,64 @@ def test_completion_is_g_orthonormal(model, rng):
         frame = orthonormal_completion(g, x, v)
         gram = frame @ g(x) @ frame.T
         assert np.abs(gram - np.eye(chart.dim)).max() < 1e-10
+
+
+# -- unrolled float kernels ------------------------------------------------
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                -1e-300, 1e300, -1e300, 1.7976931348623157e308, math.inf,
+                -math.inf, math.nan, 1.0, -2.5]
+_kernel_floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                           st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _outcome(f, *args):
+    """The bits of each float f returns (one, or a list), with every NaN
+    read as one value, or the type of the error it raises.  A NaN's sign
+    and payload are not compared: CPython adds floats in more than one C
+    function (its float type, `sum`, the specialised bytecode of a warm
+    expression), and C leaves the NaN that a sum of two NaNs returns
+    unspecified."""
+    try:
+        out = f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    return ["nan" if math.isnan(u) else struct.pack("<d", u)
+            for u in (out if isinstance(out, list) else [out])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_float_ops_match_the_forms_they_replace(data):
+    # bit for bit, with ±0.0, subnormals, ±inf, NaN and values near 1e±300,
+    # and the same ZeroDivisionError where the replaced form raises one
+    m = data.draw(st.integers(1, 6))
+    y, k1, k2, k3, k4 = (data.draw(st.lists(_kernel_floats, min_size=m,
+                                            max_size=m)) for _ in range(5))
+    c, p, q = (data.draw(_kernel_floats) for _ in range(3))
+    ops = _float_ops(m)
+    cases = [
+        (ops.dot, lambda a, b: sum(map(mul, a, b)), (y, k1)),
+        (ops.axpy, lambda y, c, k: [a + c * b for a, b in zip(y, k)],
+         (y, c, k1)),
+        (ops.rk4, lambda y, c, *ks: [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                                     for a, b1, b2, b3, b4 in zip(y, *ks)],
+         (y, c, k1, k2, k3, k4)),
+        (ops.lincomb, lambda p, a, q, b: [p * u - q * w
+                                          for u, w in zip(a, b)],
+         (p, y, q, k1)),
+        (ops.copy, lambda a: [u + 0.0 for u in a], (y,)),
+        (ops.scale, lambda c, a: [c * u for u in a], (c, y)),
+        (ops.div, lambda a, c: [u / c for u in a], (y, c)),
+    ]
+    for kernel, form, args in cases:
+        assert _outcome(kernel, *args) == _outcome(form, *args), kernel
+    assert ops.copy(y) is not y
+
+
+def test_float_dot_of_negative_zeros_is_positive_zero():
+    # sum(map(mul, a, b)) starts from 0, so a sum of -0.0 products is 0.0
+    for m in range(1, 7):
+        a, b = [-0.0] * m, [1.0] * m
+        assert struct.pack("<d", _float_ops(m).dot(a, b)) == struct.pack(
+            "<d", sum(map(mul, a, b))) == struct.pack("<d", 0.0)

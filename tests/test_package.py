@@ -257,6 +257,46 @@ def test_only_geometry_takes_g_norms():
     assert not found, found
 
 
+_CODEGEN = {"eval", "exec", "compile"}
+
+
+def _codegen_calls(tree: ast.Module, allowed: str = None) -> list:
+    """Lines that call eval, exec or compile, as builtins, outside the
+    function named `allowed`."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == allowed:
+            skip |= {id(sub) for sub in ast.walk(node)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in skip
+            and (isinstance(node.func, ast.Name) and node.func.id in _CODEGEN
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr in _CODEGEN
+                 and _name(node.func.value) == "builtins")]
+
+
+def test_only_the_float_kernel_factory_generates_code():
+    # generated code has one home: `geometry._float_ops`, whose templates
+    # read nothing but a list length
+    found = []
+    for path in SOURCES:
+        allowed = "_float_ops" if path.name == "geometry.py" else None
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}"
+                  for line in _codegen_calls(tree, allowed)]
+    assert not found, found
+    probe = ast.parse("x = eval('1')\nbuiltins.exec('')\nre.compile('')")
+    assert _codegen_calls(probe) == [1, 2]
+
+
+def test_import_builds_no_float_kernel():
+    # the factory's closures are built with a system, never at import
+    code = ("import magflow.cli; from magflow.geometry import _float_ops; "
+            "print(_float_ops.cache_info().currsize)")
+    out = run_python(["-c", code], check=True)
+    assert out.stdout.strip() == "0"
+
+
 def test_no_module_imports_scipy():
     # the package runs on numpy and click; scipy serves the tests only
     found = []
