@@ -132,6 +132,17 @@ def _unit_state(sc, sysm):
     return x, v / sysm.metric.norm(x, v)
 
 
+def _diagnostic_horizon(sc, cfg):
+    """params/T, which the tangent diagnostics take as their horizon at
+    `cfg`: a scenario error where their rule rejects it."""
+    T = sc["params"]["T"]
+    try:
+        dg._require_horizon("T", T, cfg)
+    except ValueError as exc:
+        raise ScenarioInvalid(f"scenario field params/T: {exc}")
+    return T
+
+
 @scenario_command("integrate")
 def cmd_integrate(sc, out):
     """Integrate the magnetic flow; writes trajectory.csv."""
@@ -258,8 +269,9 @@ def cmd_holonomy(sc, out):
 def cmd_lyapunov(sc, out):
     """Finite-time Lyapunov spectrum; writes lyapunov.json and lyapunov.csv."""
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
-    p = sc["params"]
-    rep = dg.lyapunov_spectrum(sysm, state, p["T"], steps=p["steps"], cfg=cfg)
+    T = _diagnostic_horizon(sc, cfg)
+    rep = dg.lyapunov_spectrum(sysm, state, T, steps=sc["params"]["steps"],
+                               cfg=cfg)
     exponents = rep.exponents.tolist()
     _write(out, "lyapunov.json", _dump_json({
         "exponents": exponents, "sum": rep.total, "horizon": rep.horizon,
@@ -271,7 +283,7 @@ def cmd_lyapunov(sc, out):
 def cmd_angle(sc, out):
     """Vertical-vs-contracting transversality angle; writes angle.json."""
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
-    T = sc["params"]["T"]
+    T = _diagnostic_horizon(sc, cfg)
     ang = dg.transversality_angle(sysm, state, T, cfg)
     _write(out, "angle.json", _dump_json({"T": T, "angle": ang}))
 
@@ -280,7 +292,7 @@ def cmd_angle(sc, out):
 def cmd_volume(sc, out):
     """Liouville volume drift per unit time; writes volume.json."""
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
-    T = sc["params"]["T"]
+    T = _diagnostic_horizon(sc, cfg)
     drift = dg.volume_drift(sysm, state, T, cfg)
     _write(out, "volume.json", _dump_json({"T": T, "drift": drift}))
 

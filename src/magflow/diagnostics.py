@@ -68,10 +68,16 @@ class LyapunovReport:
         return float(self.exponents.sum())
 
 
-def _require_horizon(name: str, value) -> None:
-    """Reject a horizon that is not a finite positive number, naming it."""
+def _require_horizon(name: str, value,
+                     cfg: Optional[IntegratorConfig] = None) -> None:
+    """Reject a horizon that is not a finite positive number, or, given
+    `cfg`, one shorter than its step, naming it: over less than one step an
+    orbit hardly moves, and a growth rate read from it measures nothing."""
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if cfg is not None and not value >= cfg.step:
+        raise ValueError(f"{name} = {value!r} is shorter than one integrator "
+                         f"step {cfg.step!r}")
 
 
 def _require_count(name: str, value) -> None:
@@ -114,11 +120,12 @@ def lyapunov_spectrum(sys: MagneticSystem, state: PhaseState, T: float,
 
     The QR re-orthonormalization runs every `_QR_INTERVAL` time units, or
     on `steps` equal segments when given; the report's interval is the
-    segment length used.  The default `cfg` steps by `DIAGNOSTIC_STEP`."""
-    _require_horizon("T", T)
+    segment length used.  The default `cfg` steps by `DIAGNOSTIC_STEP`, and
+    T must span one of its steps."""
+    cfg = cfg or IntegratorConfig(step=DIAGNOSTIC_STEP)
+    _require_horizon("T", T, cfg)
     if steps is not None:
         _require_count("steps", steps)
-    cfg = cfg or IntegratorConfig(step=DIAGNOSTIC_STEP)
     nseg = _qr_segments(T) if steps is None else steps
     logs = _segmented_qr(sys, state, T, nseg, cfg)
     exps = np.sort(logs / T)[::-1]
@@ -145,10 +152,10 @@ def transversality_angle(sys: MagneticSystem, state: PhaseState, T: float,
 
     Raises UnreliableSplitting when the top expansion over the horizon does
     not exceed free-flow (polynomial) growth by `_GAP_FACTOR`.  The default
-    `cfg` steps by `DIAGNOSTIC_STEP`.
+    `cfg` steps by `DIAGNOSTIC_STEP`, and T must span one of its steps.
     """
-    _require_horizon("T", T)
     cfg = cfg or IntegratorConfig(step=DIAGNOSTIC_STEP)
+    _require_horizon("T", T, cfg)
     n = sys.dim
     J, end = variational_flow(sys, state, T, cfg)
     T0 = sasaki_frame_matrix(sys, state.x, state.v)
@@ -179,9 +186,10 @@ def volume_drift(sys: MagneticSystem, state: PhaseState, T: float,
     telescope, QR factors preserve |det|, and the running sum of log |R_ii|
     stays well conditioned where a single end-to-end determinant (condition
     ~ e^(2 lambda T)) loses the contracting factors to roundoff.  The
-    default `cfg` steps by `DIAGNOSTIC_STEP`."""
-    _require_horizon("T", T)
+    default `cfg` steps by `DIAGNOSTIC_STEP`, and T must span one of its
+    steps."""
     cfg = cfg or IntegratorConfig(step=DIAGNOSTIC_STEP)
+    _require_horizon("T", T, cfg)
     logs = _segmented_qr(sys, state, T, _qr_segments(T), cfg)
     return float(abs(logs.sum()) / T)
 

@@ -10,19 +10,24 @@ y = x ++ v of 2n floats, and a stage f(y) -> k = v ++ vdot raises
 `DomainViolation` outside the chart.  For a magnetic system on a diagonal
 metric whose form gives its float closure (`MetricField.spray` and
 `TwoFormField.magnetic_acc`, as every built-in model and form does) a stage
-runs the chart guard and the two closures, on floats; otherwise it builds
-the point's `PointGeometry` on arrays.  The list arithmetic of the driver
-and of the built-in closures (the stage points y + c k, the node update,
-the Poincare models' dot products) comes from `geometry._float_ops`,
-closures written out index by index for each list length; they do the
-floating-point operations of the list comprehensions they stand for, in
-the same order, so that the orbits keep the bits of that plain form.
-`generator` evaluates the same stage.  A node is checked by the guard of
-the next step's first stage, the last node by the guard alone.  Every
-orbit, linear flows' included, runs through this one driver, which checks
-the horizon and the start point.  Speed drift along the orbit, against the
-g-speed of its first node, is recorded and never corrected, so it serves
-as an error indicator.
+runs on floats; otherwise it builds the point's `PointGeometry` on arrays.
+The built-in charts, metrics and forms declare their float arithmetic as
+fragments of index-level code, and where the chart guard, the spray and
+the magnetic term all come from fragments, `geometry._fused_stage`
+compiles them into one function: it unpacks y into locals, runs the guard,
+then the geodesic acceleration and g's diagonal, then the magnetic term,
+and returns one list.  Otherwise (a closure of a user's, or a wrapper of a
+generated one) the stage calls the guard and the two closures in turn.
+The driver's stage points y + c k and node update come from
+`geometry._float_ops`, written out index by index for each list length.
+Every generated line does the floating-point operations of the closures
+and list comprehensions it replaced, in the same order, so that the orbits
+keep their bits.  `generator` evaluates the same stage.  A node is checked
+by the guard of the next step's first stage, the last node by the guard
+alone.  Every orbit, linear flows' included, runs through this one driver,
+which checks the horizon and the start point.  Speed drift along the
+orbit, against the g-speed of its first node, is recorded and never
+corrected, so it serves as an error indicator.
 
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
@@ -60,7 +65,7 @@ import numpy as np
 from .errors import (DomainExit, DomainViolation, NonFiniteState,
                      NonpositiveSpeed, StepLimitExceeded)
 from .geometry import (PointGeometry, _central_difference, _float_ops,
-                       _g_norm)
+                       _fused_stage, _g_norm)
 from .system import MagneticSystem
 
 __all__ = [
@@ -198,14 +203,19 @@ def _stage(sys: MagneticSystem):
     floats, which raises `DomainViolation` outside the chart.  Where the
     system is magnetic, its metric gives `spray` and its form
     `magnetic_acc`, vdot = -Gamma(v, v) + Yv on floats behind the chart
-    guard; otherwise the acceleration from the point's `PointGeometry`
-    (which runs the guard itself)."""
+    guard: one generated function where the guard (or its absence), spray
+    and magnetic_acc are all generated from fragments, otherwise the three
+    closures in turn; without them, the acceleration from the point's
+    `PointGeometry` (which runs the guard itself)."""
     spray, magnetic_acc = sys.metric.spray, sys.sigma.magnetic_acc
     n = sys.dim
     if not sys.is_magnetic or spray is None or magnetic_acc is None:
         return lambda y: y[n:] + _acceleration(sys, sys.geometry(y[:n]),
                                                np.array(y[n:])).tolist()
     guard = sys.chart.domain_guard
+    fused = _fused_stage(guard, spray, magnetic_acc, n)
+    if fused is not None:
+        return fused
 
     def f(y):
         x, v = y[:n], y[n:]

@@ -5,13 +5,12 @@ Registry keys: "zero", "constant" (strength b on the x1x2-plane), and
 """
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from .geometry import (ChartSpec, MetricField, _FD_STEP1, _central_difference,
-                       _float_ops, _on_batch)
+                       _closure, _on_batch)
 
 __all__ = ["TwoFormField", "make_form", "FORMS"]
 
@@ -38,7 +37,12 @@ class TwoFormField:
     the magnetic acceleration a + Yv, a new list of a_i + (Yv)_i, with Yv =
     -g^-1 sigma v, given the lists (a, d) of `MetricField.spray` there (the
     geodesic acceleration and g's diagonal) and x, v, lists of n floats.
-    With `spray` it lets an RK4 stage of `flow` run on Python floats.
+    With `spray` it lets an RK4 stage of `flow` run on Python floats.  The
+    built-in forms declare that arithmetic once, as a fragment of
+    index-level code (see `geometry`), and generate magnetic_acc from it;
+    where the chart guard and the metric's spray are generated too, `flow`
+    compiles the three fragments into one stage function, and otherwise
+    its stage calls the three closures in turn.
     """
 
     def __init__(self, eval_fn, dsigma=None,
@@ -90,13 +94,23 @@ class TwoFormField:
         return np.asarray(self._dsigma(x, *args), dtype=float)
 
 
+def _copies(n, first=0):
+    """w_i = a_i + 0.0 (which maps -0.0 to 0.0) for first <= i < n."""
+    return [f"w{i} = a{i} + 0.0" for i in range(first, n)]
+
+
 def _zero(dim: int, metric: MetricField = None, chart: ChartSpec = None):
     z1 = np.zeros((dim, dim))
     z2 = np.zeros((dim, dim, dim))
-    copy = _float_ops(dim).copy
     return TwoFormField(lambda x: z1, dsigma=lambda x: z2, chart=chart,
                         broadcasts=True,
-                        magnetic_acc=lambda x, d, v, a: copy(a))
+                        magnetic_acc=_closure("magnetic_acc", dim,
+                                              (_copies, ())))
+
+
+def _constant_acc(n, b):
+    return [f"w0 = a0 + -{b} * v1 / d0", f"w1 = a1 + {b} * v0 / d1",
+            *_copies(n, 2)]
 
 
 def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
@@ -107,14 +121,16 @@ def _constant(dim: int, metric: MetricField = None, chart: ChartSpec = None,
     sig[0, 1] = b
     sig[1, 0] = -b
     z2 = np.zeros((dim, dim, dim))
-    copy = _float_ops(dim - 2).copy
-
-    def magnetic_acc(x, d, v, a):
-        out = [a[0] + -b * v[1] / d[0], a[1] + b * v[0] / d[1]]
-        return out + copy(a[2:]) if dim > 2 else out
-
     return TwoFormField(lambda x: sig, dsigma=lambda x: z2, chart=chart,
-                        broadcasts=True, magnetic_acc=magnetic_acc)
+                        broadcasts=True,
+                        magnetic_acc=_closure("magnetic_acc", dim,
+                                              (_constant_acc, (b,))))
+
+
+def _area_acc(n, b):
+    # Yv = -g^-1 sigma v, with sqrt(det g) = sqrt(d0 d1) for a diagonal g
+    return ["r = sqrt(d1 / d0)", f"w0 = a0 + -{b} * r * v1",
+            f"w1 = a1 + {b} / r * v0"]
 
 
 def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
@@ -151,13 +167,10 @@ def _area_form(dim: int, metric: MetricField = None, chart: ChartSpec = None,
         dsq = (0.5 * b) * tr / np.sqrt(det)[..., None]
         return rot * dsq[..., None, None, :]
 
-    def magnetic_acc(x, d, v, a):
-        # Yv = -g^-1 sigma v, with sqrt(det g) = sqrt(d0 d1) for a diagonal g
-        r = math.sqrt(d[1] / d[0])
-        return [a[0] + -b * r * v[1], a[1] + b / r * v[0]]
-
     return TwoFormField(eval_fn, dsigma=dsigma, chart=chart, metric=metric,
-                        broadcasts=True, magnetic_acc=magnetic_acc)
+                        broadcasts=True,
+                        magnetic_acc=_closure("magnetic_acc", dim,
+                                              (_area_acc, (b,))))
 
 
 FORMS = {

@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from types import SimpleNamespace
+from itertools import count, islice
+from types import FunctionType, SimpleNamespace
 from typing import Callable, Optional
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -57,7 +59,8 @@ class ChartSpec:
     lies in the chart; `contains` hands it x.tolist(), `sample_point` the
     list of its drawn point, and the RK4 driver of `flow` its list state.
     It must return False, not raise, at a point with infinite or NaN
-    coordinates."""
+    coordinates.  The built-in models generate their guards from fragments
+    of index-level code (see `_closure`), which a fused RK4 stage inlines."""
 
     dim: int
     domain_guard: Optional[Callable[[list], bool]] = None
@@ -134,41 +137,141 @@ def _second_difference(first, x, h: float) -> np.ndarray:
     return 0.5 * (H + H.swapaxes(-1, -2))
 
 
+def _load_kernels(text: str) -> dict:
+    """The one home of generated code: the names that the Python text
+    defines, run with no builtins, and with the math functions and the
+    error that the fragments and stages read.  Every text comes from
+    `_float_ops` or `_source`, which read nothing but list lengths and
+    fixed templates; each is run once per key of their caches, when a
+    system is built or first integrated, never at import."""
+    scope = {"__builtins__": {}, "sqrt": math.sqrt, "sin": math.sin,
+             "tan": math.tan, "DomainViolation": DomainViolation}
+    exec(text, scope)
+    return scope
+
+
 @cache
 def _float_ops(m: int) -> SimpleNamespace:
-    """The float arithmetic of an RK4 stage on lists (or any indexable) of
-    m floats, written out index by index: at m <= 6 a list comprehension,
-    or sum(map(mul, ...)), costs about three times the same expression
-    unrolled.  With c, p and q floats, and each list result a new list:
-        dot(a, b)                 sum(map(mul, a, b))
+    """The list arithmetic of the RK4 driver on lists (or any indexable) of
+    m floats, written out index by index: at m <= 6 a list comprehension
+    costs about three times the same expression unrolled.  With c a float
+    and each result a new list:
         axpy(y, c, k)             [y_i + c * k_i]
         rk4(y, c, k1, k2, k3, k4) [y_i + c * (k1_i + 2.0 * k2_i
                                              + 2.0 * k3_i + k4_i)]
-        lincomb(p, a, q, b)       [p * a_i - q * b_i]
-        copy(a)                   [a_i + 0.0]
-        scale(c, a)               [c * a_i]
-        div(a, c)                 [a_i / c]
-    Each closure is built once per m by `eval` of a lambda whose text reads
-    nothing but the indices 0..m-1, and does the floating-point operations
-    of the form it replaces, in the same order: `dot` starts from 0.0 as
-    `sum` does from 0, so that a sum of -0.0 terms is 0.0 in both, and
-    `copy` maps -0.0 to 0.0.  The model and form builders,
-    `MagneticSystem.rescale` and the RK4 driver of `flow` ask for theirs
-    when they run, so that nothing is built at import."""
-    def unrolled(args, term, sep=", ", head="[", tail="]"):
-        body = sep.join(term.format(i=i) for i in range(m))
-        return eval(f"lambda {args}: {head}{body}{tail}", {"__builtins__": {}})
+    each doing the floating-point operations of the comprehension, in the
+    same order."""
+    def unrolled(args, term):
+        body = ", ".join(term.format(i=i) for i in range(m))
+        return f"lambda {args}: [{body}]"
 
-    return SimpleNamespace(
-        dot=unrolled("a, b", " + a[{i}] * b[{i}]", "", "0.0", ""),
-        axpy=unrolled("y, c, k", "y[{i}] + c * k[{i}]"),
-        rk4=unrolled("y, c, k1, k2, k3, k4",
-                     "y[{i}] + c * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * k3[{i}]"
-                     " + k4[{i}])"),
-        lincomb=unrolled("p, a, q, b", "p * a[{i}] - q * b[{i}]"),
-        copy=unrolled("a", "a[{i}] + 0.0"),
-        scale=unrolled("c, a", "c * a[{i}]"),
-        div=unrolled("a, c", "a[{i}] / c"))
+    scope = _load_kernels(
+        f"axpy = {unrolled('y, c, k', 'y[{i}] + c * k[{i}]')}\n"
+        "rk4 = " + unrolled("y, c, k1, k2, k3, k4",
+                            "y[{i}] + c * (k1[{i}] + 2.0 * k2[{i}]"
+                            " + 2.0 * k3[{i}] + k4[{i}])"))
+    return SimpleNamespace(axpy=scope["axpy"], rk4=scope["rk4"])
+
+
+# Fragments.  A built-in chart guard, diagonal metric or 2-form declares its
+# float arithmetic at one point once, as a fragment: a tuple of pieces
+# (template, values).  template(n, *names) returns the piece's lines of
+# index-level Python at dimension n, in which the names (one per value)
+# stand for the values.  The lines read and assign locals by role:
+#     guard         one line, an expression of x0, ..., x{n-1}: the point
+#                   lies in the chart
+#     spray         a0, ..., the geodesic acceleration -Gamma(v, v), and
+#                   d0, ..., g's diagonal, from x0, ... and v0, ...
+#     magnetic_acc  w0, ..., the magnetic acceleration a_i + (Yv)_i, from
+#                   the x, v, a and d above
+# The pieces of a fragment run in order: `MagneticSystem.rescale` adds one
+# that scales d to a metric's, and one that undoes it to its form's.
+# `_closure` compiles a fragment into the closure of its role, and
+# `_fused_stage` the fragments of a chart, a metric and a form into one RK4
+# stage f(y): the guard, then the spray, then the magnetic term, inline.
+# The code is compiled once per (role, templates, n), into a factory that
+# binds the values, so that a system with other parameters reuses it.
+_FRAGMENTS = WeakKeyDictionary()    # each generated closure -> its fragment
+
+
+def _source(role: str, n: int, *codes) -> str:
+    """The text of `kernel(p0, p1, ...)`, which returns the closure of
+    `role` ("guard", "spray", "magnetic_acc", or "stage" from a guard, a
+    spray and a magnetic_acc code) with the values of the fragments whose
+    codes ((template, number of values), ...) are given bound to p0, p1,
+    ... in order."""
+    names = map("p{}".format, count())
+    lines = [[line for template, k in code
+              for line in template(n, *islice(names, k))] for code in codes]
+    params = ", ".join(f"p{j}" for j in range(sum(k for code in codes
+                                                  for _, k in code)))
+    x, v, a, d, w = (", ".join(f"{c}{i}" for i in range(n)) for c in "xvadw")
+    if role == "guard":
+        args, body, out = "x", [f"{x} = x"], lines[0][0]
+    elif role == "spray":
+        args, body, out = "x, v", [f"{x} = x", f"{v} = v", *lines[0]], \
+            f"[{a}], [{d}]"
+    elif role == "magnetic_acc":
+        args, out = "x, d, v, a", f"[{w}]"
+        body = [f"{x} = x", f"{d} = d", f"{v} = v", f"{a} = a", *lines[0]]
+    else:
+        guard, spray, form = lines
+        args, out = "y", f"[{v}, {w}]"
+        body = [f"{x}, {v} = y"]
+        if guard:
+            body += [f"if not ({guard[0]}):", "    raise DomainViolation("
+                     f"f'point {{y[:{n}]}} outside chart domain')"]
+        body += spray + form
+    return (f"def kernel({params}):\n    def {role}({args}):\n"
+            + "".join(f"        {line}\n" for line in body)
+            + f"        return {out}\n    return {role}\n")
+
+
+@cache
+def _kernel(role: str, n: int, *codes) -> Callable:
+    """The compiled `kernel` of `_source(role, n, *codes)`."""
+    return _load_kernels(_source(role, n, *codes))["kernel"]
+
+
+def _code(fragment) -> tuple:
+    """The key of a fragment's text: its templates and their arities."""
+    return tuple((template, len(values)) for template, values in fragment)
+
+
+def _values(*fragments) -> list:
+    """The values of the fragments' pieces, in order: the kernel's
+    arguments."""
+    return [u for fragment in fragments for _, values in fragment
+            for u in values]
+
+
+def _closure(role: str, n: int, *fragment) -> Callable:
+    """The generated closure of `role` ("guard", "spray" or
+    "magnetic_acc") on lists of n floats, from the fragment of the pieces
+    given; `_fragment` gives the fragment back."""
+    if n < 2:
+        raise ValueError("chart dimension must be at least 2")
+    fn = _kernel(role, n, _code(fragment))(*_values(fragment))
+    _FRAGMENTS[fn] = fragment
+    return fn
+
+
+def _fragment(fn):
+    """The fragment that `_closure` generated fn from, or None for any other
+    closure (a user's, or a wrapper of a generated one)."""
+    return _FRAGMENTS.get(fn) if isinstance(fn, FunctionType) else None
+
+
+def _fused_stage(guard, spray, magnetic_acc, n: int):
+    """The RK4 stage f(y) -> v ++ (a + Yv) at a list y = x ++ v of 2n floats,
+    generated as one function from the fragments of a chart guard (None:
+    no guard), a spray and a magnetic_acc, which raises `DomainViolation`
+    where the guard fails; None unless all three are generated."""
+    parts = (() if guard is None else _fragment(guard), _fragment(spray),
+             _fragment(magnetic_acc))
+    if None in parts:
+        return None
+    return _kernel("stage", n, *map(_code, parts))(*_values(*parts))
 
 
 class MetricField:
@@ -195,7 +298,10 @@ class MetricField:
     on Python floats, with no `PointGeometry`.  Its lists are only read, so
     it may return the same lists at every call.  It multiplies
     state-dependent floats rather than raising them to a power: a product
-    overflows to inf, where ** raises.
+    overflows to inf, where ** raises.  The built-in models generate their
+    spray from a fragment of index-level code (see `_closure`); where the
+    chart guard and the form's magnetic_acc come from fragments too, `flow`
+    fuses the three into one stage function (`_fused_stage`).
     """
 
     def __init__(self, eval_fn, dg=None, d2g=None,

@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import NonpositiveSpeed
 from .forms import TwoFormField
-from .geometry import ChartSpec, MetricField, PointGeometry, _float_ops
+from .geometry import (ChartSpec, MetricField, PointGeometry, _closure,
+                       _fragment)
 
 __all__ = ["MagneticSystem", "closedness_residual"]
 
@@ -20,6 +21,14 @@ def closedness_residual(sigma: TwoFormField, x) -> float:
     d = (np.einsum("ijk->kij", ds) + np.einsum("jki->kij", ds)
          + np.einsum("kij->kij", ds))
     return float(np.max(np.abs(d)))
+
+
+def _times_c(n, c):
+    return [f"d{i} = {c} * d{i}" for i in range(n)]
+
+
+def _over_c(n, c):
+    return [f"d{i} = d{i} / {c}" for i in range(n)]
 
 
 class MagneticSystem:
@@ -93,18 +102,25 @@ class MagneticSystem:
             return self
         c = float(s) ** -2            # a Python float, for the float closures
         m, sg = self.metric, self.sigma
-        # -Gamma(v, v) and Yv are unchanged, only g's diagonal scales; a form
-        # built from the metric reads the original coefficients g / c
-        ops = _float_ops(self.dim)
-        scale, div = ops.scale, ops.div
-        spray = magnetic_acc = None
-        if m.spray is not None:
+        # -Gamma(v, v) and Yv are unchanged, only g's diagonal scales: a
+        # generated spray gains a last piece d_i = c d_i, and a generated
+        # magnetic_acc a first piece d_i = d_i / c, as the wrappers of other
+        # closures do; a form built from the metric reads the original
+        # coefficients g / c
+        spray, magnetic_acc = m.spray, sg.magnetic_acc
+        if _fragment(spray) is not None:
+            spray = _closure("spray", self.dim, *_fragment(spray),
+                             (_times_c, (c,)))
+        elif spray is not None:
             def spray(x, v):
                 a, d = m.spray(x, v)
-                return a, scale(c, d)
-        if sg.magnetic_acc is not None:
+                return a, [c * u for u in d]
+        if _fragment(magnetic_acc) is not None:
+            magnetic_acc = _closure("magnetic_acc", self.dim, (_over_c, (c,)),
+                                    *_fragment(magnetic_acc))
+        elif magnetic_acc is not None:
             def magnetic_acc(x, d, v, a):
-                return sg.magnetic_acc(x, div(d, c), v, a)
+                return sg.magnetic_acc(x, [u / c for u in d], v, a)
         metric = MetricField(lambda x: c * m.raw(x),
                              dg=lambda x: c * m.dg(x),
                              d2g=lambda x: c * m.d2g(x),

@@ -1,12 +1,16 @@
+import math
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import magflow
 from magflow import ChartSpec, MagneticSystem, MetricField, make_form, make_manifold
+from magflow.errors import MagflowError
 
 MODEL_NAMES = ["euclidean", "flat_torus", "poincare_disk", "poincare_ball",
                "round_sphere"]
@@ -97,3 +101,26 @@ def model(request):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)
+
+
+# Inputs of the float-kernel tests: edge values, then any float at all
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                -1e-300, 1e300, -1e300, 1.7976931348623157e308, math.inf,
+                -math.inf, math.nan, 1.0, -2.5]
+kernel_floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                          st.floats(allow_nan=True, allow_infinity=True))
+
+
+def outcome(f, *args):
+    """The bits of each float f returns (one, or a list), with every NaN
+    read as one value, or the type of the error it raises.  A NaN's sign
+    and payload are not compared: CPython adds floats in more than one C
+    function (its float type, `sum`, the specialised bytecode of a warm
+    expression), and C leaves the NaN that a sum of two NaNs returns
+    unspecified."""
+    try:
+        out = f(*args)
+    except (ArithmeticError, ValueError, MagflowError) as exc:
+        return type(exc)
+    return ["nan" if math.isnan(u) else struct.pack("<d", u)
+            for u in (out if isinstance(out, list) else [out])]

@@ -277,6 +277,18 @@ def _defect_overrides(submanifold):
                              "magnetic": {"name": "area_form"},
                              "params": {"s_grid": [0.5], "T": 5e-324}},
                  [], "params/T", id="regimes-horizon-below-one-step"),
+    # a diagnostic horizon shorter than one integrator step measures no
+    # growth: rejected, where it gave zero exponents or a zero drift
+    *[pytest.param(command, {"manifold": {"name": "poincare_disk"},
+                             "magnetic": {"name": "area_form",
+                                          "params": {"b": 1.0}},
+                             "speed": 2.0,
+                             "initial": {"x": [0.1, 0.0], "v": [1.0, 0.0]},
+                             "integrator": {"step": 1e-2},
+                             "params": {"T": T}},
+                   [], "params/T", id=f"{command}-horizon-{T!r}")
+      for command in ("lyapunov", "volume", "angle")
+      for T in (5e-324, 1e-300)],
     # t_max / steps, the first radius, underflows to 0
     pytest.param("conjugate-scan", {"manifold": {"name": "round_sphere"},
                                     "magnetic": {"name": "zero"},

@@ -185,6 +185,23 @@ def test_diagnostics_integrate_their_orbit_once(disk, monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("T", [5e-324, 1e-300, 5e-3])
+def test_sub_step_horizon_is_rejected_naming_T(T):
+    # over less than one step of its `cfg` (default or given) an orbit
+    # hardly moves, so a spectrum, an angle or a drift over it would report
+    # no growth as a measurement; one whole step is accepted
+    sys = system("poincare_disk", "area_form", b=1.0)
+    st = PhaseState(x=np.array([0.1, 0.0]),
+                    v=2.0 * unit(sys.metric, [0.1, 0.0], [1.0, 0.0]), s=2.0)
+    for fn in (lyapunov_spectrum, volume_drift, transversality_angle):
+        for cfg in (None, IntegratorConfig(step=1e-2)):
+            with pytest.raises(ValueError, match="T = .* shorter than one "
+                                                 "integrator step 0.01"):
+                fn(sys, st, T, cfg=cfg)
+    assert lyapunov_spectrum(sys, st, 1e-2).exponents.size == 4
+    assert np.isfinite(volume_drift(sys, st, 1e-2))
+
+
 def test_diagnostics_keep_exit_and_whole_horizon_budget():
     # a chart exit in mid-horizon raises; the step budget bounds the whole
     # horizon (100 steps), not one segment (10 steps)

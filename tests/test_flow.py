@@ -1,8 +1,10 @@
+import math
 import warnings
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from magflow import (ChartSpec, FrameState, IntegratorConfig, MagneticSystem,
                      MetricField, PhaseState, augmented_exp,
@@ -17,9 +19,10 @@ from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
 from magflow.flow import (_BLOCK_STEPS, _generator_jacobians, _rk4_path,
                           _stage, generator, generator_jacobian,
                           variational_segments)
-from magflow.geometry import PointGeometry, dchristoffel
+from magflow.geometry import PointGeometry, _kernel, dchristoffel
 
-from conftest import MODEL_NAMES, counted_system, strength, system, unit
+from conftest import (MODEL_NAMES, conformal_system, counted_system,
+                      kernel_floats, outcome, strength, system, unit)
 
 
 # -- generator -------------------------------------------------------------
@@ -398,6 +401,155 @@ def test_exit_returns_partial_trajectory():
     assert np.abs(traj.states[-1, :2]).max() < 1.0
 
 
+# -- generated stages ------------------------------------------------------
+# The hand-written float closures that the built-in fragments replaced, kept
+# as the reference: every generated closure and stage must give their bits.
+
+def _reference_closures(name, n):
+    """The chart guard (None: no guard) and the `spray` of a built-in model
+    at its default parameters, as closures on lists."""
+    def dot(a, b):
+        return sum(map(mul, a, b))
+
+    if name in ("euclidean", "flat_torus"):
+        return None, lambda x, v: ([0.0] * n, [1.0] * n)
+    if name.startswith("poincare"):
+        r2 = (1.0 - 1e-3) ** 2
+
+        def spray(x, v):
+            u = 1.0 - dot(x, x)
+            p = 2.0 * dot(v, v) / u
+            q = 4.0 * dot(x, v) / u
+            return [p * a - q * b for a, b in zip(x, v)], [4.0 / (u * u)] * n
+        return (lambda x: dot(x, x) < r2), spray
+    eps, top = 0.2, np.pi - 0.2
+
+    def spray(x, v):
+        d, cots = [1.0], []
+        for t in x[:-1]:
+            s = math.sin(t)
+            d.append(d[-1] * (s * s))
+            cots.append(1.0 / math.tan(t))
+        tails = [0.0] * n
+        for i in range(n - 1, 0, -1):
+            tails[i - 1] = tails[i] + d[i] * (v[i] * v[i])
+        out, h = [], 0.0
+        for c, t, di, u in zip(cots + [0.0], tails, d, v):
+            out.append(c * t / di - 2.0 * u * h)
+            h = h + c * u
+        return out, d
+    return (lambda x: all(eps < t < top for t in x[:-1])), spray
+
+
+def _reference_acc(form, b):
+    """The `magnetic_acc` of a built-in form of strength b."""
+    if form == "zero":
+        return lambda x, d, v, a: [u + 0.0 for u in a]
+    if form == "constant":
+        return lambda x, d, v, a: ([a[0] + -b * v[1] / d[0],
+                                    a[1] + b * v[0] / d[1]]
+                                   + [u + 0.0 for u in a[2:]])
+
+    def area(x, d, v, a):
+        r = math.sqrt(d[1] / d[0])
+        return [a[0] + -b * r * v[1], a[1] + b / r * v[0]]
+    return area
+
+
+def _reference_system(sys, name, form, b):
+    """`sys` with the reference closures in place of its generated ones."""
+    guard, spray = _reference_closures(name, sys.dim)
+    chart = ChartSpec(dim=sys.dim, domain_guard=guard,
+                      sample_bounds=sys.chart.sample_bounds)
+    metric = MetricField(sys.metric.raw, dg=sys.metric.dg, d2g=sys.metric.d2g,
+                         chart=chart, spray=spray)
+    sigma = TwoFormField(lambda x: sys.sigma.at(x), chart=chart,
+                         magnetic_acc=_reference_acc(form, b))
+    return MagneticSystem(chart, metric, sigma)
+
+
+_STAGE_MODELS = [("euclidean", {"dim": 2}), ("euclidean", {"dim": 3}),
+                 ("flat_torus", {}), ("poincare_disk", {}),
+                 ("poincare_ball", {}), ("round_sphere", {"dim": 2}),
+                 ("round_sphere", {"dim": 3}), ("round_sphere", {"dim": 4})]
+_STAGE_CASES = [((name, params), form) for name, params in _STAGE_MODELS
+                for form in ("zero", "constant", "area_form")
+                if form != "area_form"
+                or make_manifold(name, **params)[0].dim == 2]
+
+
+def _points(data, name, n):
+    """A point x near which the stage is checked: inside the sample box,
+    any floats, signed zeros, or just inside or outside the chart guard."""
+    params = {"dim": n} if name in ("euclidean", "round_sphere") else {}
+    lo, hi = make_manifold(name, **params)[0].sample_bounds
+    kind = data.draw(st.sampled_from(["inside", "floats", "zeros", "edge"]))
+    if kind == "inside":
+        u = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+        return (lo + (hi - lo) * np.array(u)).tolist()
+    if kind == "floats":
+        return data.draw(st.lists(kernel_floats, min_size=n, max_size=n))
+    if kind == "zeros":
+        return data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n,
+                                  max_size=n))
+    if name.startswith("poincare"):
+        # on the ray of a drawn direction, within ulps of the radius 1 - eps
+        r = data.draw(st.sampled_from([math.nextafter(0.999, 0), 0.999,
+                                       math.nextafter(0.999, 2)]))
+        u = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n,
+                                        max_size=n))) + 1e-3
+        return (r * u / np.linalg.norm(u)).tolist()
+    x = [1.0] * n
+    i = data.draw(st.integers(0, n - 1))
+    x[i] = data.draw(st.sampled_from([
+        e for t in (0.2, np.pi - 0.2) for e in (math.nextafter(t, 0), t,
+                                                math.nextafter(t, 4))]))
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(_STAGE_CASES), s=st.sampled_from([1.0, 1.7]),
+       data=st.data())
+def test_generated_stage_matches_the_closure_stage(case, s, data):
+    # every built-in model x form pair, on the model and rescaled: the
+    # generated stage, guard, spray and magnetic_acc give the bits (or the
+    # error) of the hand-written closures, also at floats of any size,
+    # signed zeros and points just outside the guard
+    (name, params), form = case
+    b = data.draw(kernel_floats)
+    gen = system(name, form, params, **strength(form, b))
+    ref = _reference_system(gen, name, form, float(b)).rescale(s)
+    gen = gen.rescale(s)
+    n = gen.dim
+    fused = _stage(gen)
+    assert fused.__code__.co_filename == "<string>"      # generated
+    assert _stage(ref).__code__.co_filename != "<string>"
+    x = _points(data, name, n)
+    v, a, d = (data.draw(st.lists(kernel_floats, min_size=n, max_size=n))
+               for _ in range(3))
+    assert outcome(fused, x + v) == outcome(_stage(ref), x + v)
+    guard = ref.chart.domain_guard
+    assert (gen.chart.domain_guard is None if guard is None
+            else gen.chart.domain_guard(x) is guard(x))
+    assert outcome(lambda *u: sum(gen.metric.spray(*u), []), x, v) == outcome(
+        lambda *u: sum(ref.metric.spray(*u), []), x, v)
+    assert outcome(gen.sigma.magnetic_acc, x, d, v, a) == outcome(
+        ref.sigma.magnetic_acc, x, d, v, a)
+
+
+def test_area_form_stages_share_one_code_object():
+    # the stage code is compiled once per fragment set and dimension; a
+    # system with another strength b binds its own value to the same code
+    _stage(system("poincare_disk", "area_form", b=0.5))
+    before = _kernel.cache_info().currsize
+    y = [0.1, 0.2, 0.3, 0.4]
+    stages = [_stage(system("poincare_disk", "area_form", b=b))
+              for b in np.linspace(-2.0, 2.0, 50)]
+    assert _kernel.cache_info().currsize == before
+    assert len({f.__code__ for f in stages}) == 1
+    assert len({f(y)[3] for f in stages}) == 50
+
+
 def test_exit_at_a_block_boundary():
     # an orbit whose first node outside the chart opens a block, sits in
     # one, or is the last node ends at the node before it, as a flagged
@@ -772,6 +924,73 @@ def test_variational_closures_once_per_block():
     blocks = [(4 * _BLOCK_STEPS, 2)] * 2 + [(12, 2)]
     assert calls == dict.fromkeys(["raw", "dg", "sigma", "d2g", "dsigma"],
                                   blocks)
+
+
+def _twisted_omega(sys, z):
+    """The twisted symplectic form omega_sigma = d(g_ij v^j dx^i) + pi* sigma
+    on TM at z = (x, v), as the matrix
+        [[Dg^T - Dg - sigma, -g], [g, 0]],  (Dg)_ik = d_k g_ij v^j,
+    with sigma's sign that of g(Yv, w) = sigma(v, w)."""
+    n = sys.dim
+    x, v = z[:n], z[n:]
+    Dg = np.einsum("ijk,j->ik", sys.metric.dg(x), v)
+    omega = np.zeros((2 * n, 2 * n))
+    omega[:n, :n] = Dg.T - Dg - sys.sigma.at(x)
+    omega[:n, n:] = -sys.metric.raw(x)
+    omega[n:, :n] = sys.metric.raw(x)
+    return omega
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(case=st.sampled_from(["disk-area_form", "sphere3-constant",
+                             "conformal"]),
+       unit_point=st.lists(st.floats(0.2, 0.8), min_size=3, max_size=3),
+       v=st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
+           lambda u: max(map(abs, u)) > 0.1),
+       b=st.floats(1.2, 2.0))
+def test_flows_preserve_the_twisted_symplectic_form(case, unit_point, v, b):
+    # a magnetic flow preserves omega_sigma, on any metric and closed form,
+    # so its Jacobian J satisfies J^T Omega(z_T) J = Omega(z_0).  For
+    # `variational_flow`'s J, RK4 breaks it by O(T h^4): halving h shrinks
+    # the defect about 16-fold.  That J reads the stage accelerations, whose
+    # terms cancel from the identity, so the flow map's own Jacobian, by
+    # central differences of `integrate`, checks the stage values too.  An
+    # orbit that leaves the chart before T = 1 is not checked
+    sys = {"disk-area_form": lambda: system("poincare_disk", "area_form", b=b),
+           "sphere3-constant": lambda: system("round_sphere", "constant",
+                                              {"dim": 3}, b=b),
+           "conformal": conformal_system}[case]()
+    n = sys.dim
+    lo, hi = sys.chart.sample_bounds or (-np.ones(n), np.ones(n))
+    x = lo + (hi - lo) * np.array(unit_point[:n])
+    z0 = np.concatenate([x, unit(sys.metric, x, v[:n])])
+    omega0 = _twisted_omega(sys, z0)
+
+    def defect(J, zT):
+        return (np.abs(J.T @ _twisted_omega(sys, zT) @ J - omega0).max()
+                / np.abs(omega0).max())
+
+    def state(z):
+        return PhaseState(x=z[:n], v=z[n:], s=sys.metric.norm(z[:n], z[n:]))
+
+    try:
+        flows = [variational_flow(sys, state(z0), 1.0,
+                                  IntegratorConfig(step=h))
+                 for h in (1e-2, 5e-3)]
+    except DomainExit:
+        reject()
+    linear = [defect(J, np.concatenate([end.x, end.v])) for J, end in flows]
+    assert linear[0] <= 1e-6, linear
+    assert linear[1] <= 1.5 * linear[0] / 16, linear
+    cfg = IntegratorConfig(step=1e-2)
+    plus, minus = ([integrate(sys, state(z0 + e), 1.0, cfg)
+                    for e in sign * 1e-5 * np.eye(2 * n)] for sign in (1, -1))
+    assume(not any(traj.exited for traj in plus + minus))
+    J = np.array([p.states[-1] - m.states[-1]
+                  for p, m in zip(plus, minus)]).T / 2e-5
+    J_var, end = flows[0]
+    assert defect(J, np.concatenate([end.x, end.v])) <= 1e-7
+    assert np.abs(J - J_var).max() <= 1e-5 * np.abs(J).max()
 
 
 def test_variational_flow_keeps_exit_and_step_limit():

@@ -1,4 +1,3 @@
-import math
 import struct
 from operator import mul
 
@@ -13,7 +12,7 @@ from magflow.errors import DegeneratePlane, DomainViolation, ZeroVector
 from magflow.geometry import (PointGeometry, _bilinear, _float_ops, _g_norm,
                               _gram_schmidt_pairs, gram_schmidt, project)
 
-from conftest import strength
+from conftest import kernel_floats, outcome, strength
 
 
 # -- metric evaluation -----------------------------------------------------
@@ -452,60 +451,40 @@ def test_completion_is_g_orthonormal(model, rng):
 
 # -- unrolled float kernels ------------------------------------------------
 
-_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
-                -1e-300, 1e300, -1e300, 1.7976931348623157e308, math.inf,
-                -math.inf, math.nan, 1.0, -2.5]
-_kernel_floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
-                           st.floats(allow_nan=True, allow_infinity=True))
-
-
-def _outcome(f, *args):
-    """The bits of each float f returns (one, or a list), with every NaN
-    read as one value, or the type of the error it raises.  A NaN's sign
-    and payload are not compared: CPython adds floats in more than one C
-    function (its float type, `sum`, the specialised bytecode of a warm
-    expression), and C leaves the NaN that a sum of two NaNs returns
-    unspecified."""
-    try:
-        out = f(*args)
-    except ArithmeticError as exc:
-        return type(exc)
-    return ["nan" if math.isnan(u) else struct.pack("<d", u)
-            for u in (out if isinstance(out, list) else [out])]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_float_ops_match_the_forms_they_replace(data):
-    # bit for bit, with ±0.0, subnormals, ±inf, NaN and values near 1e±300,
-    # and the same ZeroDivisionError where the replaced form raises one
+    # the RK4 driver's kernels, bit for bit, with ±0.0, subnormals, ±inf,
+    # NaN and values near 1e±300 (the fragments' arithmetic is checked
+    # against the closures it replaced in `test_flow`)
     m = data.draw(st.integers(1, 6))
-    y, k1, k2, k3, k4 = (data.draw(st.lists(_kernel_floats, min_size=m,
+    y, k1, k2, k3, k4 = (data.draw(st.lists(kernel_floats, min_size=m,
                                             max_size=m)) for _ in range(5))
-    c, p, q = (data.draw(_kernel_floats) for _ in range(3))
+    c = data.draw(kernel_floats)
     ops = _float_ops(m)
     cases = [
-        (ops.dot, lambda a, b: sum(map(mul, a, b)), (y, k1)),
         (ops.axpy, lambda y, c, k: [a + c * b for a, b in zip(y, k)],
          (y, c, k1)),
         (ops.rk4, lambda y, c, *ks: [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                                      for a, b1, b2, b3, b4 in zip(y, *ks)],
          (y, c, k1, k2, k3, k4)),
-        (ops.lincomb, lambda p, a, q, b: [p * u - q * w
-                                          for u, w in zip(a, b)],
-         (p, y, q, k1)),
-        (ops.copy, lambda a: [u + 0.0 for u in a], (y,)),
-        (ops.scale, lambda c, a: [c * u for u in a], (c, y)),
-        (ops.div, lambda a, c: [u / c for u in a], (y, c)),
     ]
     for kernel, form, args in cases:
-        assert _outcome(kernel, *args) == _outcome(form, *args), kernel
-    assert ops.copy(y) is not y
+        assert outcome(kernel, *args) == outcome(form, *args), kernel
+    assert ops.axpy(y, 0.0, k1) is not y
 
 
-def test_float_dot_of_negative_zeros_is_positive_zero():
-    # sum(map(mul, a, b)) starts from 0, so a sum of -0.0 products is 0.0
-    for m in range(1, 7):
-        a, b = [-0.0] * m, [1.0] * m
-        assert struct.pack("<d", _float_ops(m).dot(a, b)) == struct.pack(
-            "<d", sum(map(mul, a, b))) == struct.pack("<d", 0.0)
+def test_poincare_dot_of_negative_zeros_is_positive_zero():
+    # the Poincare fragment's dot products start from 0.0, as
+    # sum(map(mul, a, b)) does from 0, so a sum of -0.0 products is 0.0: at
+    # x = -0.0, x . v is 0.0, and a_i = p x_i - q v_i is -0.0 - 0.0 = -0.0
+    # (from a dot product of -0.0 it would be -0.0 - -0.0 = 0.0)
+    for name in ("poincare_disk", "poincare_ball"):
+        chart, metric = make_manifold(name)
+        n = chart.dim
+        x, v = [-0.0] * n, [1.0] * n
+        assert struct.pack("<d", sum(map(mul, x, v))) == struct.pack("<d", 0.0)
+        a, _ = metric.spray(x, v)
+        assert ([struct.pack("<d", u) for u in a]
+                == [struct.pack("<d", -0.0)] * n)
+        assert chart.domain_guard(x) is True

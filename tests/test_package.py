@@ -276,11 +276,11 @@ def _codegen_calls(tree: ast.Module, allowed: str = None) -> list:
 
 
 def test_only_the_float_kernel_factory_generates_code():
-    # generated code has one home: `geometry._float_ops`, whose templates
-    # read nothing but a list length
+    # generated code has one home: `geometry._load_kernels`, whose texts
+    # read nothing but list lengths and fixed templates
     found = []
     for path in SOURCES:
-        allowed = "_float_ops" if path.name == "geometry.py" else None
+        allowed = "_load_kernels" if path.name == "geometry.py" else None
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}"
                   for line in _codegen_calls(tree, allowed)]
@@ -290,11 +290,14 @@ def test_only_the_float_kernel_factory_generates_code():
 
 
 def test_import_builds_no_float_kernel():
-    # the factory's closures are built with a system, never at import
-    code = ("import magflow.cli; from magflow.geometry import _float_ops; "
-            "print(_float_ops.cache_info().currsize)")
+    # the driver's kernels, the generated closures and the stages are built
+    # with a system, never at import
+    code = ("import magflow.cli; from magflow.geometry import "
+            "_FRAGMENTS, _float_ops, _kernel; "
+            "print(_float_ops.cache_info().currsize, "
+            "_kernel.cache_info().currsize, len(_FRAGMENTS))")
     out = run_python(["-c", code], check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0 0"
 
 
 def test_no_module_imports_scipy():
