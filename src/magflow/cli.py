@@ -54,12 +54,20 @@ def _dump_json(obj) -> str:
 
 def _csv(head, rows, tail=()) -> str:
     """The lines `head`, then one line per row holding the repr of each of
-    its Python scalars, then the lines `tail`.  Rows are formatted one at a
-    time, so a generator of rows never holds a long orbit's whole table as
-    Python floats."""
+    its Python scalars, then the lines `tail`; `NonFiniteResult` if a row
+    holds a NaN or infinity.  Rows are formatted one at a time, so a
+    generator of rows never holds a long orbit's whole table as Python
+    floats."""
+    def text(row):
+        # the repr of a Python int or float holds an "n" only as nan or inf
+        line = ",".join(map(repr, row))
+        if "n" in line:
+            raise NonFiniteResult(f"non-finite value in a CSV row: {line}")
+        return line + "\n"
+
     buf = io.StringIO()
     buf.writelines(line + "\n" for line in head)
-    buf.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    buf.writelines(map(text, rows))
     buf.writelines(line + "\n" for line in tail)
     return buf.getvalue()
 
@@ -132,12 +140,12 @@ def _unit_state(sc, sysm):
     return x, v / sysm.metric.norm(x, v)
 
 
-def _diagnostic_horizon(sc, cfg):
-    """params/T, which the tangent diagnostics take as their horizon at
-    `cfg`: a scenario error where their rule rejects it."""
-    T = sc["params"]["T"]
+def _diagnostic_horizon(T, cfg, name="T"):
+    """T, a tangent diagnostic's horizon taken from params/T and called
+    `name`, at `cfg`: a scenario error naming params/T where the
+    diagnostics' one rule (`diagnostics._require_horizon`) rejects it."""
     try:
-        dg._require_horizon("T", T, cfg)
+        dg._require_horizon(name, T, cfg)
     except ValueError as exc:
         raise ScenarioInvalid(f"scenario field params/T: {exc}")
     return T
@@ -269,7 +277,7 @@ def cmd_holonomy(sc, out):
 def cmd_lyapunov(sc, out):
     """Finite-time Lyapunov spectrum; writes lyapunov.json and lyapunov.csv."""
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
-    T = _diagnostic_horizon(sc, cfg)
+    T = _diagnostic_horizon(sc["params"]["T"], cfg)
     rep = dg.lyapunov_spectrum(sysm, state, T, steps=sc["params"]["steps"],
                                cfg=cfg)
     exponents = rep.exponents.tolist()
@@ -283,7 +291,7 @@ def cmd_lyapunov(sc, out):
 def cmd_angle(sc, out):
     """Vertical-vs-contracting transversality angle; writes angle.json."""
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
-    T = _diagnostic_horizon(sc, cfg)
+    T = _diagnostic_horizon(sc["params"]["T"], cfg)
     ang = dg.transversality_angle(sysm, state, T, cfg)
     _write(out, "angle.json", _dump_json({"T": T, "angle": ang}))
 
@@ -292,7 +300,7 @@ def cmd_angle(sc, out):
 def cmd_volume(sc, out):
     """Liouville volume drift per unit time; writes volume.json."""
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
-    T = _diagnostic_horizon(sc, cfg)
+    T = _diagnostic_horizon(sc["params"]["T"], cfg)
     drift = dg.volume_drift(sysm, state, T, cfg)
     _write(out, "volume.json", _dump_json({"T": T, "drift": drift}))
 
@@ -335,12 +343,9 @@ def cmd_regimes(sc, out):
     for s in p["s_grid"]:
         # bounded (s <= 1) orbits cannot exit the chart, so a longer horizon
         # is free and damps the finite-time bias toward positive exponents
-        horizon = (5.0 * p["T"] if s <= 1.0 else p["T"]) / max(s, 1.0)
-        # a spectrum over less than one step measures no growth
-        if not horizon >= cfg.step:
-            raise ScenarioInvalid(f"scenario field params/T: the horizon "
-                                  f"{horizon!r} at s = {s!r} is shorter than "
-                                  f"one integrator step {cfg.step!r}")
+        horizon = _diagnostic_horizon(
+            (5.0 * p["T"] if s <= 1.0 else p["T"]) / max(s, 1.0), cfg,
+            f"horizon(s = {s!r})")
         max_sec = float(sample_sectionals(sysm, s, p["samples"], rng).max())
         state = PhaseState(x=np.zeros(2), v=np.array([0.5 * s, 0.0]), s=s)
         rep = dg.lyapunov_spectrum(sysm, state, horizon, cfg=cfg)

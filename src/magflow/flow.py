@@ -11,13 +11,11 @@ y = x ++ v of 2n floats, and a stage f(y) -> k = v ++ vdot raises
 metric whose form gives its float closure (`MetricField.spray` and
 `TwoFormField.magnetic_acc`, as every built-in model and form does) a stage
 runs on floats; otherwise it builds the point's `PointGeometry` on arrays.
-The built-in charts, metrics and forms declare their float arithmetic as
-fragments of index-level code, and where the chart guard, the spray and
-the magnetic term all come from fragments, `geometry._fused_stage`
-compiles them into one function: it unpacks y into locals, runs the guard,
-then the geodesic acceleration and g's diagonal, then the magnetic term,
-and returns one list.  Otherwise (a closure of a user's, or a wrapper of a
-generated one) the stage calls the guard and the two closures in turn.
+The float stage is one function, which `geometry._fused_stage` compiles
+from the fragments of index-level code of the chart guard, the spray and
+the magnetic term (a closure that no fragment generated is a piece that
+calls it): it unpacks y into locals, runs the guard, then the geodesic
+acceleration and g's diagonal, then the magnetic term, and returns one list.
 The driver's stage points y + c k and node update come from
 `geometry._float_ops`, written out index by index for each list length.
 Every generated line does the floating-point operations of the closures
@@ -200,30 +198,18 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
 
 def _stage(sys: MagneticSystem):
     """The RK4 stage f(y) -> k = v ++ vdot at a list y = x ++ v of 2n
-    floats, which raises `DomainViolation` outside the chart.  Where the
+    floats, which raises `DomainViolation` outside the chart: where the
     system is magnetic, its metric gives `spray` and its form
     `magnetic_acc`, vdot = -Gamma(v, v) + Yv on floats behind the chart
-    guard: one generated function where the guard (or its absence), spray
-    and magnetic_acc are all generated from fragments, otherwise the three
-    closures in turn; without them, the acceleration from the point's
-    `PointGeometry` (which runs the guard itself)."""
+    guard, one generated function (`geometry._fused_stage`); otherwise the
+    acceleration from the point's `PointGeometry` (which runs the guard
+    itself)."""
     spray, magnetic_acc = sys.metric.spray, sys.sigma.magnetic_acc
     n = sys.dim
-    if not sys.is_magnetic or spray is None or magnetic_acc is None:
-        return lambda y: y[n:] + _acceleration(sys, sys.geometry(y[:n]),
-                                               np.array(y[n:])).tolist()
-    guard = sys.chart.domain_guard
-    fused = _fused_stage(guard, spray, magnetic_acc, n)
-    if fused is not None:
-        return fused
-
-    def f(y):
-        x, v = y[:n], y[n:]
-        if guard is not None and not guard(x):
-            raise DomainViolation(f"point {x} outside chart domain")
-        a, d = spray(x, v)
-        return v + magnetic_acc(x, d, v, a)
-    return f
+    if sys.is_magnetic and spray is not None and magnetic_acc is not None:
+        return _fused_stage(sys.chart.domain_guard, spray, magnetic_acc, n)
+    return lambda y: y[n:] + _acceleration(sys, sys.geometry(y[:n]),
+                                           np.array(y[n:])).tolist()
 
 
 def generator(sys: MagneticSystem, x, v) -> np.ndarray:

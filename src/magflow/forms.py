@@ -37,12 +37,10 @@ class TwoFormField:
     the magnetic acceleration a + Yv, a new list of a_i + (Yv)_i, with Yv =
     -g^-1 sigma v, given the lists (a, d) of `MetricField.spray` there (the
     geodesic acceleration and g's diagonal) and x, v, lists of n floats.
-    With `spray` it lets an RK4 stage of `flow` run on Python floats.  The
-    built-in forms declare that arithmetic once, as a fragment of
-    index-level code (see `geometry`), and generate magnetic_acc from it;
-    where the chart guard and the metric's spray are generated too, `flow`
-    compiles the three fragments into one stage function, and otherwise
-    its stage calls the three closures in turn.
+    With `spray` it lets an RK4 stage of `flow` run on Python floats, as
+    one function compiled with the chart guard and the spray.  The built-in
+    forms declare that arithmetic once, as a fragment of index-level code
+    (see `geometry`), and generate magnetic_acc from it.
     """
 
     def __init__(self, eval_fn, dsigma=None,

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
-from itertools import count, islice
+from functools import cache, cached_property, partial, reduce
+from itertools import islice
 from types import FunctionType, SimpleNamespace
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
@@ -184,14 +184,42 @@ def _float_ops(m: int) -> SimpleNamespace:
 #                   d0, ..., g's diagonal, from x0, ... and v0, ...
 #     magnetic_acc  w0, ..., the magnetic acceleration a_i + (Yv)_i, from
 #                   the x, v, a and d above
-# The pieces of a fragment run in order: `MagneticSystem.rescale` adds one
-# that scales d to a metric's, and one that undoes it to its form's.
-# `_closure` compiles a fragment into the closure of its role, and
-# `_fused_stage` the fragments of a chart, a metric and a form into one RK4
-# stage f(y): the guard, then the spray, then the magnetic term, inline.
-# The code is compiled once per (role, templates, n), into a factory that
-# binds the values, so that a system with other parameters reuses it.
+# Any other closure is the one piece `_call` of its role.  The pieces of a
+# fragment run in order: `MagneticSystem.rescale` adds one that scales d to
+# a metric's, and one that undoes it to its form's.  `_closure` compiles a
+# fragment into the closure of its role, and `_fused_stage` the fragments
+# of a chart, a metric and a form into one RK4 stage f(y): the guard, then
+# the spray, then the magnetic term, inline.  The code is compiled once per
+# (role, templates, n), into a factory that binds the values, so that a
+# system with other parameters or closures reuses it.
 _FRAGMENTS = WeakKeyDictionary()    # each generated closure -> its fragment
+# the letters of the locals of each role's list arguments, and of the lists
+# it returns (a guard returns the value of its one line)
+_ROLES = {"guard": ("x", ""), "spray": ("xv", "ad"),
+          "magnetic_acc": ("xdva", "w")}
+
+
+def _names(n: int, letters: str) -> str:
+    """The text "c0, ..., c{n-1}, ..." of the locals of each letter c."""
+    return ", ".join(f"{c}{i}" for c in letters for i in range(n))
+
+
+def _lists(n: int, letters: str) -> str:
+    """The text "[c0, ..., c{n-1}], ..." of a list per letter c."""
+    return ", ".join(f"[{_names(n, c)}]" for c in letters)
+
+
+def _call(role: str, n: int, fn: str) -> list:
+    """The line of a closure of `role` that no fragment generated, the value
+    fn: a call of it on new lists of its arguments' locals, which unpacks
+    each list it returns into n locals (a list of another length raises
+    `ValueError`)."""
+    ins, outs = _ROLES[role]
+    call = f"{fn}({_lists(n, ins)})"
+    return [f"{_lists(n, outs)} = {call}" if outs else call]
+
+
+_CALLS = {role: partial(_call, role) for role in _ROLES}
 
 
 def _source(role: str, n: int, *codes) -> str:
@@ -200,29 +228,24 @@ def _source(role: str, n: int, *codes) -> str:
     spray and a magnetic_acc code) with the values of the fragments whose
     codes ((template, number of values), ...) are given bound to p0, p1,
     ... in order."""
-    names = map("p{}".format, count())
+    params = [f"p{j}" for j in range(sum(k for c in codes for _, k in c))]
+    free = iter(params)
     lines = [[line for template, k in code
-              for line in template(n, *islice(names, k))] for code in codes]
-    params = ", ".join(f"p{j}" for j in range(sum(k for code in codes
-                                                  for _, k in code)))
-    x, v, a, d, w = (", ".join(f"{c}{i}" for i in range(n)) for c in "xvadw")
-    if role == "guard":
-        args, body, out = "x", [f"{x} = x"], lines[0][0]
-    elif role == "spray":
-        args, body, out = "x, v", [f"{x} = x", f"{v} = v", *lines[0]], \
-            f"[{a}], [{d}]"
-    elif role == "magnetic_acc":
-        args, out = "x, d, v, a", f"[{w}]"
-        body = [f"{x} = x", f"{d} = d", f"{v} = v", f"{a} = a", *lines[0]]
-    else:
+              for line in template(n, *islice(free, k))] for code in codes]
+    if role == "stage":
         guard, spray, form = lines
-        args, out = "y", f"[{v}, {w}]"
-        body = [f"{x}, {v} = y"]
+        args, out = "y", f"[{_names(n, 'vw')}]"
+        body = [f"{_names(n, 'xv')} = y"]
         if guard:
             body += [f"if not ({guard[0]}):", "    raise DomainViolation("
                      f"f'point {{y[:{n}]}} outside chart domain')"]
         body += spray + form
-    return (f"def kernel({params}):\n    def {role}({args}):\n"
+    else:
+        ins, outs = _ROLES[role]
+        args = ", ".join(ins)
+        body = [f"{_names(n, c)} = {c}" for c in ins] + lines[0]
+        out = _lists(n, outs) if outs else body.pop()
+    return (f"def kernel({', '.join(params)}):\n    def {role}({args}):\n"
             + "".join(f"        {line}\n" for line in body)
             + f"        return {out}\n    return {role}\n")
 
@@ -233,16 +256,13 @@ def _kernel(role: str, n: int, *codes) -> Callable:
     return _load_kernels(_source(role, n, *codes))["kernel"]
 
 
-def _code(fragment) -> tuple:
-    """The key of a fragment's text: its templates and their arities."""
-    return tuple((template, len(values)) for template, values in fragment)
-
-
-def _values(*fragments) -> list:
-    """The values of the fragments' pieces, in order: the kernel's
-    arguments."""
-    return [u for fragment in fragments for _, values in fragment
-            for u in values]
+def _generated(role: str, n: int, *fragments) -> Callable:
+    """The closure of `role` from the fragments given (for "stage", a
+    guard's, a spray's and a magnetic_acc's): the kernel of their templates
+    and arities, which binds the values of their pieces in order."""
+    codes = (tuple((t, len(values)) for t, values in f) for f in fragments)
+    return _kernel(role, n, *codes)(*(u for f in fragments
+                                       for _, values in f for u in values))
 
 
 def _closure(role: str, n: int, *fragment) -> Callable:
@@ -251,27 +271,28 @@ def _closure(role: str, n: int, *fragment) -> Callable:
     given; `_fragment` gives the fragment back."""
     if n < 2:
         raise ValueError("chart dimension must be at least 2")
-    fn = _kernel(role, n, _code(fragment))(*_values(fragment))
+    fn = _generated(role, n, fragment)
     _FRAGMENTS[fn] = fragment
     return fn
 
 
-def _fragment(fn):
-    """The fragment that `_closure` generated fn from, or None for any other
-    closure (a user's, or a wrapper of a generated one)."""
-    return _FRAGMENTS.get(fn) if isinstance(fn, FunctionType) else None
+def _fragment(fn, role: str) -> tuple:
+    """The fragment that `_closure` generated fn from; for any other closure
+    of `role` (a user's, or a wrapper of a generated one), the one piece
+    that calls it."""
+    fragment = _FRAGMENTS.get(fn) if isinstance(fn, FunctionType) else None
+    return ((_CALLS[role], (fn,)),) if fragment is None else fragment
 
 
-def _fused_stage(guard, spray, magnetic_acc, n: int):
+def _fused_stage(guard, spray, magnetic_acc, n: int) -> Callable:
     """The RK4 stage f(y) -> v ++ (a + Yv) at a list y = x ++ v of 2n floats,
     generated as one function from the fragments of a chart guard (None:
     no guard), a spray and a magnetic_acc, which raises `DomainViolation`
-    where the guard fails; None unless all three are generated."""
-    parts = (() if guard is None else _fragment(guard), _fragment(spray),
-             _fragment(magnetic_acc))
-    if None in parts:
-        return None
-    return _kernel("stage", n, *map(_code, parts))(*_values(*parts))
+    where the guard fails."""
+    parts = (() if guard is None else _fragment(guard, "guard"),
+             _fragment(spray, "spray"),
+             _fragment(magnetic_acc, "magnetic_acc"))
+    return _generated("stage", n, *parts)
 
 
 class MetricField:
@@ -298,10 +319,9 @@ class MetricField:
     on Python floats, with no `PointGeometry`.  Its lists are only read, so
     it may return the same lists at every call.  It multiplies
     state-dependent floats rather than raising them to a power: a product
-    overflows to inf, where ** raises.  The built-in models generate their
-    spray from a fragment of index-level code (see `_closure`); where the
-    chart guard and the form's magnetic_acc come from fragments too, `flow`
-    fuses the three into one stage function (`_fused_stage`).
+    overflows to inf, where ** raises.  `flow` fuses it with the chart guard
+    and the form's magnetic_acc into one stage function (`_fused_stage`);
+    the built-in models generate it from a fragment of index-level code.
     """
 
     def __init__(self, eval_fn, dg=None, d2g=None,

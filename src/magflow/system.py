@@ -102,25 +102,17 @@ class MagneticSystem:
             return self
         c = float(s) ** -2            # a Python float, for the float closures
         m, sg = self.metric, self.sigma
-        # -Gamma(v, v) and Yv are unchanged, only g's diagonal scales: a
-        # generated spray gains a last piece d_i = c d_i, and a generated
-        # magnetic_acc a first piece d_i = d_i / c, as the wrappers of other
-        # closures do; a form built from the metric reads the original
-        # coefficients g / c
+        # -Gamma(v, v) and Yv are unchanged, only g's diagonal scales: the
+        # spray's fragment gains a last piece d_i = c d_i, and the
+        # magnetic_acc's a first piece d_i = d_i / c; a form built from the
+        # metric reads the original coefficients g / c
         spray, magnetic_acc = m.spray, sg.magnetic_acc
-        if _fragment(spray) is not None:
-            spray = _closure("spray", self.dim, *_fragment(spray),
+        if spray is not None:
+            spray = _closure("spray", self.dim, *_fragment(spray, "spray"),
                              (_times_c, (c,)))
-        elif spray is not None:
-            def spray(x, v):
-                a, d = m.spray(x, v)
-                return a, [c * u for u in d]
-        if _fragment(magnetic_acc) is not None:
+        if magnetic_acc is not None:
             magnetic_acc = _closure("magnetic_acc", self.dim, (_over_c, (c,)),
-                                    *_fragment(magnetic_acc))
-        elif magnetic_acc is not None:
-            def magnetic_acc(x, d, v, a):
-                return sg.magnetic_acc(x, [u / c for u in d], v, a)
+                                    *_fragment(magnetic_acc, "magnetic_acc"))
         metric = MetricField(lambda x: c * m.raw(x),
                              dg=lambda x: c * m.dg(x),
                              d2g=lambda x: c * m.d2g(x),

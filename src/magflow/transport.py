@@ -173,8 +173,11 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     which the cubic Hermite interpolant of those nodes comes nearest the
     start.  The frame flow then runs once to that period; its final base
     state gives the return distance, and the transported completion is
-    expressed in the initial orthonormal completion of v-perp.  The
-    default `cfg` is `IntegratorConfig()`.
+    expressed in the initial orthonormal completion of v-perp.  The return
+    distance must be within tol times the orbit's scale, max(1, the largest
+    phase-space distance of a node in the window from the start), since the
+    rounding of an orbit grows with its size; where the orbit sits in the
+    chart does not enter it.  The default `cfg` is `IntegratorConfig()`.
     """
     if not period_guess > 0:
         raise ValueError(f"the period guess must be positive, got {period_guess}")
@@ -193,7 +196,8 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     window = np.flatnonzero(traj.times >= lo)
     if window.size == 0:
         raise NotPeriodic("the orbit left the chart before the guessed period")
-    i = window[np.argmin(_g_norm(eye, traj.states[window] - z0))]
+    d = _g_norm(eye, traj.states[window] - z0)
+    i = window[np.argmin(d)]
     near = slice(i - 1, i + 2)                      # t[0] = 0 < lo, so i >= 1
     tau = _hermite_nearest(sys, traj.times[near], traj.states[near], z0)
     # the step before the nearest node may begin before the window
@@ -204,9 +208,11 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     except DomainExit as exc:
         raise NotPeriodic(f"{exc} near the guessed period") from exc
     dist = float(_g_norm(eye, np.concatenate([f1.state.x, f1.state.v]) - z0))
-    if not np.isfinite(dist) or dist > tol:
-        raise NotPeriodic(
-            f"return distance {dist:.3e} exceeds {tol} near the guessed period")
+    scale = max(1.0, float(d.max()))
+    if not np.isfinite(dist) or dist > tol * scale:
+        raise NotPeriodic(f"return distance {dist:.3e} exceeds {tol} times "
+                          f"the orbit's scale {scale:.3e} near the guessed "
+                          f"period")
     g = sys.metric(state.x)
     init = f0.completion                              # rows e_2 ... e_n
     Q = init @ g @ f1.completion.T                    # Q[a,b] = g(e_a, v_b(tau))

@@ -271,12 +271,12 @@ def _defect_overrides(submanifold):
     pytest.param("regimes", {"manifold": {"name": "poincare_disk"},
                              "magnetic": {"name": "area_form"},
                              "params": {"s_grid": [2.0], "T": 5e-324}},
-                 [], "params/T", id="regimes-subnormal-horizon"),
+                 [], "params/T: horizon(s = 2.0)", id="regimes-subnormal-horizon"),
     # a horizon 5 T of one subnormal step measures no growth
     pytest.param("regimes", {"manifold": {"name": "poincare_disk"},
                              "magnetic": {"name": "area_form"},
                              "params": {"s_grid": [0.5], "T": 5e-324}},
-                 [], "params/T", id="regimes-horizon-below-one-step"),
+                 [], "params/T: horizon(s = 0.5)", id="regimes-horizon-below-one-step"),
     # a diagnostic horizon shorter than one integrator step measures no
     # growth: rejected, where it gave zero exponents or a zero drift
     *[pytest.param(command, {"manifold": {"name": "poincare_disk"},
@@ -494,6 +494,37 @@ def test_holonomy_at_a_huge_speed_exits_cleanly(tmp_path):
     res = _run(["holonomy", sc, "--out", str(tmp_path)])
     assert res.exit_code in (0, 3)
     assert res.exit_code == 0 or "NotPeriodic" in res.output
+
+
+@pytest.mark.parametrize("speed", [1e8, 1e10, 1e12])
+def test_holonomy_tolerance_scales_with_the_orbit(tmp_path, speed):
+    # a Larmor circle's rounding grows with its speed: at 1e12 it returns
+    # to about 1e-3, some 1e-15 of its size, within the tolerance 1e-6
+    # times the orbit's scale
+    sc = _write_scenario(
+        tmp_path, manifold={"name": "flat_torus"},
+        magnetic={"name": "constant", "params": {"b": 2.0}}, speed=speed,
+        initial={"x": [0.1, 0.2], "v": [1.0, 0.0]},
+        params={"period_guess": 3.14159})
+    res = _run(["holonomy", sc, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("magnetic, guess", [
+    pytest.param({"name": "constant", "params": {"b": 2.0}}, 2.5,
+                 id="larmor-wrong-guess"),
+    pytest.param({"name": "zero"}, 3.0, id="straight-line")])
+def test_holonomy_tolerance_ignores_where_the_orbit_sits(tmp_path, magnetic,
+                                                         guess):
+    # the orbit's scale is its size, not its place: far from the origin an
+    # orbit that does not close near the guess still returns too far
+    sc = _write_scenario(
+        tmp_path, manifold={"name": "flat_torus"}, magnetic=magnetic,
+        initial={"x": [1e7, 0.0], "v": [1.0, 0.0]},
+        params={"period_guess": guess})
+    res = _run(["holonomy", sc, "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    assert "NotPeriodic" in res.output
 
 
 def test_defect_hyperplane_ignores_the_scale_of_its_normal(tmp_path):
@@ -821,6 +852,14 @@ def test_dump_json_rejects_non_finite_values():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NonFiniteResult):
             _dump_json({"x": [0.5, bad]})
+
+
+def test_csv_rejects_non_finite_values():
+    assert _csv(["a,b"], [(0, -0.0), [1e300, 5e-324]], ["# end"]) == (
+        "a,b\n0,-0.0\n1e+300,5e-324\n# end\n")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteResult):
+            _csv(["a,b"], iter([(0, 1.0), (1, bad)]))
 
 
 _EUCLIDEAN3 = {"manifold": {"name": "euclidean", "params": {"dim": 3}},

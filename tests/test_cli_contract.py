@@ -2,10 +2,11 @@
 
 A small valid scenario of each of the 14 subcommands has one or two of its
 values replaced: a number or a vector component by an edge value (0, -1,
-1e-12, 1e-300, 1e12, 0.5, 3, 7, a non-finite number, a string, a boolean or
-null), or a vector lengthened or shortened by one.  Whatever the input, the
-CLI must exit 0, 2 or 3 without a traceback; exit 2 must name a field of
-the scenario, and exit 0 must write no NaN or infinity into any payload.
+1e-12, 1e-300, 5e-324, 1e12, 1e200, -1e300, 0.5, 3, 7, a non-finite number,
+a string, a boolean or null), or a vector lengthened or shortened by one.
+Whatever the input, the CLI must exit 0, 2 or 3 without a traceback; exit 2
+must name a field of the scenario, and exit 0 must write no NaN or infinity
+into any payload.
 """
 import copy
 import json
@@ -63,11 +64,13 @@ SCENARIOS = {
         "normal": [0.0, 0.0, 1.0]}}),
 }
 
-_EDGES = [0, -1, 1e-12, 1e-300, 1e12, 0.5, 3, 7, float("nan"), float("inf"),
-          "x", True, None]
+_EDGES = [0, -1, 1e-12, 1e-300, 5e-324, 1e12, 1e200, -1e300, 0.5, 3, 7,
+          float("nan"), float("inf"), "x", True, None]
 # fields whose value multiplies the work of a run (or bounds it, as the
-# step budget does) take no huge value: 1e12 of them is valid and slow
+# step budget does) take no huge value: an integral float is read as a
+# count, and 1e12 of them is valid and slow
 _COUNTS = {"samples", "planes", "defect_samples", "steps", "max_steps"}
+_HUGE = (1e12, 1e200)
 _NOT_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 _NAMED_FIELD = re.compile(r"scenario field ([\w-]+)(/[\w/-]*)?: ")
 
@@ -100,7 +103,7 @@ def _mutation(draw, scenario):
         return path, old[:-1] if draw(st.booleans()) else old + [0.5]
     counted = any(key in _COUNTS for key in path)
     return path, draw(st.sampled_from([e for e in _EDGES
-                                       if not (counted and e == 1e12)]))
+                                       if not (counted and e in _HUGE)]))
 
 
 _CASES = st.sampled_from(sorted(SCENARIOS)).flatmap(

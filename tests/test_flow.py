@@ -456,15 +456,28 @@ def _reference_acc(form, b):
     return area
 
 
-def _reference_system(sys, name, form, b):
-    """`sys` with the reference closures in place of its generated ones."""
-    guard, spray = _reference_closures(name, sys.dim)
+def _reference_system(sys, name, form, b, s=1.0):
+    """`sys` with the reference closures in place of its generated ones, at
+    speed s: as `MagneticSystem.rescale` was written by hand, its spray
+    scales g's diagonal by c = s^-2 and its magnetic_acc undoes that (at
+    s = 1 neither changes a bit).  Its arrays are `sys`'s, unscaled; only
+    its float closures are read."""
+    guard, base_spray = _reference_closures(name, sys.dim)
+    base_acc = _reference_acc(form, b)
+    c = float(s) ** -2
+
+    def spray(x, v):
+        a, d = base_spray(x, v)
+        return a, [c * u for u in d]
+
+    def acc(x, d, v, a):
+        return base_acc(x, [u / c for u in d], v, a)
     chart = ChartSpec(dim=sys.dim, domain_guard=guard,
                       sample_bounds=sys.chart.sample_bounds)
     metric = MetricField(sys.metric.raw, dg=sys.metric.dg, d2g=sys.metric.d2g,
                          chart=chart, spray=spray)
     sigma = TwoFormField(lambda x: sys.sigma.at(x), chart=chart,
-                         magnetic_acc=_reference_acc(form, b))
+                         magnetic_acc=acc)
     return MagneticSystem(chart, metric, sigma)
 
 
@@ -518,23 +531,45 @@ def test_generated_stage_matches_the_closure_stage(case, s, data):
     (name, params), form = case
     b = data.draw(kernel_floats)
     gen = system(name, form, params, **strength(form, b))
-    ref = _reference_system(gen, name, form, float(b)).rescale(s)
+    ref = _reference_system(gen, name, form, float(b), s)
     gen = gen.rescale(s)
     n = gen.dim
     fused = _stage(gen)
-    assert fused.__code__.co_filename == "<string>"      # generated
-    assert _stage(ref).__code__.co_filename != "<string>"
+    # generated, as is the stage of the reference's own closures, which
+    # calls each of them
+    assert fused.__code__.co_filename == "<string>"
+    assert _stage(ref).__code__.co_filename == "<string>"
+    guard = ref.chart.domain_guard
+
+    def ref_stage(y):
+        # the stage composed by hand from the reference's closures
+        x, v = y[:n], y[n:]
+        if guard is not None and not guard(x):
+            raise DomainViolation(f"point {x} outside chart domain")
+        a, d = ref.metric.spray(x, v)
+        return v + ref.sigma.magnetic_acc(x, d, v, a)
     x = _points(data, name, n)
     v, a, d = (data.draw(st.lists(kernel_floats, min_size=n, max_size=n))
                for _ in range(3))
-    assert outcome(fused, x + v) == outcome(_stage(ref), x + v)
-    guard = ref.chart.domain_guard
+    expected = outcome(ref_stage, x + v)
+    assert outcome(fused, x + v) == expected
+    assert outcome(_stage(ref), x + v) == expected
     assert (gen.chart.domain_guard is None if guard is None
             else gen.chart.domain_guard(x) is guard(x))
     assert outcome(lambda *u: sum(gen.metric.spray(*u), []), x, v) == outcome(
         lambda *u: sum(ref.metric.spray(*u), []), x, v)
     assert outcome(gen.sigma.magnetic_acc, x, d, v, a) == outcome(
         ref.sigma.magnetic_acc, x, d, v, a)
+
+
+def test_a_closure_list_of_another_length_raises_value_error():
+    # the stage unpacks each list that a closure returns into n locals
+    free = system("euclidean", "zero", {"dim": 2})
+    sigma = TwoFormField(lambda x: free.sigma.at(x), chart=free.chart,
+                         magnetic_acc=lambda x, d, v, a: a + [0.0])
+    sys = MagneticSystem(free.chart, free.metric, sigma)
+    with pytest.raises(ValueError):
+        generator(sys, np.zeros(2), np.array([1.0, 0.0]))
 
 
 def test_area_form_stages_share_one_code_object():
