@@ -19,6 +19,7 @@ import os
 import sys as _sys
 from dataclasses import asdict
 from functools import wraps
+from itertools import islice
 
 import click
 import numpy as np
@@ -35,6 +36,8 @@ from .scenario import (ScenarioInvalid, build_integrator, build_state,
 from .submanifold import cartan_probe, invariance_defect
 
 log = logging.getLogger("magflow")
+
+_CSV_CHUNK = 256  # rows that `_csv` formats at a time
 
 
 def _setup_logging():
@@ -55,19 +58,20 @@ def _dump_json(obj) -> str:
 def _csv(head, rows, tail=()) -> str:
     """The lines `head`, then one line per row holding the repr of each of
     its Python scalars, then the lines `tail`; `NonFiniteResult` if a row
-    holds a NaN or infinity.  Rows are formatted one at a time, so a
-    generator of rows never holds a long orbit's whole table as Python
-    floats."""
-    def text(row):
-        # the repr of a Python int or float holds an "n" only as nan or inf
-        line = ",".join(map(repr, row))
-        if "n" in line:
-            raise NonFiniteResult(f"non-finite value in a CSV row: {line}")
-        return line + "\n"
-
+    holds a NaN or infinity.  The rows, sequences of one length, are
+    formatted `_CSV_CHUNK` at a time, a column at a time, so a generator of
+    rows never holds a long orbit's whole table as Python floats."""
     buf = io.StringIO()
     buf.writelines(line + "\n" for line in head)
-    buf.writelines(map(text, rows))
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CSV_CHUNK)):
+        cols = [map(repr, col) for col in zip(*chunk)]
+        body = "\n".join(map(",".join, zip(*cols)))
+        # the repr of a Python int or float holds an "n" only as nan or inf
+        if "n" in body:
+            line = next(line for line in body.split("\n") if "n" in line)
+            raise NonFiniteResult(f"non-finite value in a CSV row: {line}")
+        buf.write(body + "\n")
     buf.writelines(line + "\n" for line in tail)
     return buf.getvalue()
 
@@ -140,15 +144,13 @@ def _unit_state(sc, sysm):
     return x, v / sysm.metric.norm(x, v)
 
 
-def _diagnostic_horizon(T, cfg, name="T"):
-    """T, a tangent diagnostic's horizon taken from params/T and called
-    `name`, at `cfg`: a scenario error naming params/T where the
-    diagnostics' one rule (`diagnostics._require_horizon`) rejects it."""
+def _checked(field, rule, *args):
+    """Apply the library's argument rule `rule(*args)` to scenario values:
+    a scenario error naming `field` where it raises `ValueError`."""
     try:
-        dg._require_horizon(name, T, cfg)
+        rule(*args)
     except ValueError as exc:
-        raise ScenarioInvalid(f"scenario field params/T: {exc}")
-    return T
+        raise ScenarioInvalid(f"scenario field {field}: {exc}")
 
 
 @scenario_command("integrate")
@@ -262,10 +264,8 @@ def cmd_holonomy(sc, out):
     """Orthogonal frame holonomy around a closed orbit; writes holonomy.csv."""
     sysm, state, cfg = _prepared(sc, IntegratorConfig.step)
     p = sc["params"]
-    if p["period_guess"] < tr._shortest_guess(cfg.step):
-        raise ScenarioInvalid(
-            f"scenario field params/period_guess: 0.9 times the guess must "
-            f"span two steps of {cfg.step}, got {p['period_guess']!r}")
+    _checked("params/period_guess", tr._require_guess, p["period_guess"],
+             cfg.step)
     hol = tr.closed_orbit_holonomy(sysm, state, p["period_guess"], cfg,
                                    tol=p["tolerance"])
     _write(out, "holonomy.csv", _csv(
@@ -277,7 +277,8 @@ def cmd_holonomy(sc, out):
 def cmd_lyapunov(sc, out):
     """Finite-time Lyapunov spectrum; writes lyapunov.json and lyapunov.csv."""
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
-    T = _diagnostic_horizon(sc["params"]["T"], cfg)
+    T = sc["params"]["T"]
+    _checked("params/T", dg._require_horizon, "T", T, cfg)
     rep = dg.lyapunov_spectrum(sysm, state, T, steps=sc["params"]["steps"],
                                cfg=cfg)
     exponents = rep.exponents.tolist()
@@ -291,7 +292,8 @@ def cmd_lyapunov(sc, out):
 def cmd_angle(sc, out):
     """Vertical-vs-contracting transversality angle; writes angle.json."""
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
-    T = _diagnostic_horizon(sc["params"]["T"], cfg)
+    T = sc["params"]["T"]
+    _checked("params/T", dg._require_horizon, "T", T, cfg)
     ang = dg.transversality_angle(sysm, state, T, cfg)
     _write(out, "angle.json", _dump_json({"T": T, "angle": ang}))
 
@@ -300,7 +302,8 @@ def cmd_angle(sc, out):
 def cmd_volume(sc, out):
     """Liouville volume drift per unit time; writes volume.json."""
     sysm, state, cfg = _prepared(sc, DIAGNOSTIC_STEP)
-    T = _diagnostic_horizon(sc["params"]["T"], cfg)
+    T = sc["params"]["T"]
+    _checked("params/T", dg._require_horizon, "T", T, cfg)
     drift = dg.volume_drift(sysm, state, T, cfg)
     _write(out, "volume.json", _dump_json({"T": T, "drift": drift}))
 
@@ -312,10 +315,8 @@ def cmd_conjugate(sc, out):
     p = sc["params"]
     direction = build_vector(sc, "params/direction", sysm, default=state.v,
                              nonzero=True)
-    if not p["t_max"] / p["steps"] > 0:
-        raise ScenarioInvalid(f"scenario field params/t_max: {p['t_max']!r} / "
-                              f"{p['steps']!r} steps underflows to a zero "
-                              f"first radius")
+    _checked("params/t_max", dg._require_horizon, "t_max / steps",
+             p["t_max"] / p["steps"])
     scan = dg.conjugate_point_scan(sysm, state.x, direction, p["t_max"],
                                    p["steps"], cfg)
     _write(out, "conjugate_scan.csv", _csv(["t,sigma_min"], scan.tolist()))
@@ -343,9 +344,9 @@ def cmd_regimes(sc, out):
     for s in p["s_grid"]:
         # bounded (s <= 1) orbits cannot exit the chart, so a longer horizon
         # is free and damps the finite-time bias toward positive exponents
-        horizon = _diagnostic_horizon(
-            (5.0 * p["T"] if s <= 1.0 else p["T"]) / max(s, 1.0), cfg,
-            f"horizon(s = {s!r})")
+        horizon = (5.0 * p["T"] if s <= 1.0 else p["T"]) / max(s, 1.0)
+        _checked("params/T", dg._require_horizon, f"horizon(s = {s!r})",
+                 horizon, cfg)
         max_sec = float(sample_sectionals(sysm, s, p["samples"], rng).max())
         state = PhaseState(x=np.zeros(2), v=np.array([0.5 * s, 0.0]), s=s)
         rep = dg.lyapunov_spectrum(sysm, state, horizon, cfg=cfg)

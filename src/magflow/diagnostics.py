@@ -202,10 +202,12 @@ def conjugate_point_scan(sys: MagneticSystem, x, direction, t_max: float,
     to the hyperplane g-orthogonal to the direction (the radial derivative
     is an isometry and never degenerates).  Zeros flag conjugate points.
 
-    Returns an array of rows (t, sigma_min).  The default `cfg` is
+    Returns an array of rows (t, sigma_min).  The first radius
+    t_max / steps must not underflow to 0.  The default `cfg` is
     `IntegratorConfig()`."""
     _require_horizon("t_max", t_max)
     _require_count("steps", steps)
+    _require_horizon("t_max / steps", t_max / steps)
     x = np.asarray(x, dtype=float)
     u = np.asarray(direction, dtype=float)
     norm = sys.metric.norm(x, u)

@@ -16,10 +16,12 @@ from the fragments of index-level code of the chart guard, the spray and
 the magnetic term (a closure that no fragment generated is a piece that
 calls it): it unpacks y into locals, runs the guard, then the geodesic
 acceleration and g's diagonal, then the magnetic term, and returns one list.
-The driver's stage points y + c k and node update come from
-`geometry._float_ops`, written out index by index for each list length.
+Each step runs that stage at its node, then one generated function
+(`geometry._rk4_step`) from the same fragments: stages 2-4 at the points
+y + c k and the node update, inline on locals (a stage that no fragment
+generated, such as the `PointGeometry` one, is a piece that it calls).
 Every generated line does the floating-point operations of the closures
-and list comprehensions it replaced, in the same order, so that the orbits
+and list expressions it replaced, in the same order, so that the orbits
 keep their bits.  `generator` evaluates the same stage.  A node is checked
 by the guard of the next step's first stage, the last node by the guard
 alone.  Every orbit, linear flows' included, runs through this one driver,
@@ -30,11 +32,12 @@ corrected, so it serves as an error indicator.
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
 solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The RK4
-driver hands over each block's stages (y, k), read into one flat buffer;
-then one `PointGeometry` is built on the batch of their points (unguarded:
-each passed the guard in its stage), M is evaluated at all the stages at
-once (for Df, with the second derivatives of the metric and the form taken
-on the whole batch), and Z is advanced by the RK4 propagator of each step,
+step appends each stage (y, k) to one flat list of floats, which the driver
+hands over once a block, read into one buffer; then one `PointGeometry` is
+built on the batch of their points (unguarded: each passed the guard in its
+stage), M is evaluated at all the stages at once (for Df, with the second
+derivatives of the metric and the form taken on the whole batch), and Z is
+advanced by the RK4 propagator of each step,
     P = I + h/6 (D1 + 2 D2 Z2 + 2 D3 Z3 + D4 Z4),
     Z2 = I + h/2 D1,  Z3 = I + h/2 D2 Z2,  Z4 = I + h D3 Z3,
 where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
@@ -55,15 +58,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DomainExit, DomainViolation, NonFiniteState,
                      NonpositiveSpeed, StepLimitExceeded)
-from .geometry import (PointGeometry, _central_difference, _float_ops,
-                       _fused_stage, _g_norm)
+from .geometry import (PointGeometry, _central_difference, _fused_stage,
+                       _g_norm, _rk4_step)
 from .system import MagneticSystem
 
 __all__ = [
@@ -249,16 +251,18 @@ def _rk4_path(sys, state, T, cfg, record=None, segments=1):
     """The one RK4 driver: the orbit of `state`, whose start must pass the
     chart guard, over time T with the step and budget of `cfg`, on the grid
     of `segments` equal segments of whole steps (`_step_size`), stepping a
-    list y = x ++ v with `_stage`.  `record(stages)`, if given, gets the
-    stages (y1, k1, ..., y4, k4) of each step, one block of `_BLOCK_STEPS`
-    steps at a time, the last after the finite check below if the orbit
-    stayed in.  Returns the node times, the nodes (x, v) as rows and whether
+    list y = x ++ v: the first stage k1 = f(y) of `_stage`, then the rest of
+    the step (`geometry._rk4_step`).  `record(flat)`, if given, gets the
+    stages (y1, k1, ..., y4, k4) of each step as one flat list of floats,
+    one block of `_BLOCK_STEPS` steps at a time, the last after the finite
+    check below if the orbit stayed in; the list is cleared after each
+    call.  Returns the node times, the nodes (x, v) as rows and whether
     the orbit left the chart; raises `NonFiniteState` if a node it wrote is
     not finite (a chart without a guard never stops a blow-up)."""
     n = sys.dim
     f = _stage(sys)
-    ops = _float_ops(2 * n)
-    axpy, rk4 = ops.axpy, ops.rk4
+    flat = []                       # the block's recorded stage floats
+    step = _rk4_step(f, n, None if record is None else flat.extend)
     inside = sys.chart.domain_guard
     nsteps, hh = _step_size(T, cfg.step, cfg.max_steps, segments)
     sys.chart.require(state.x)
@@ -266,30 +270,22 @@ def _rk4_path(sys, state, T, cfg, record=None, segments=1):
     half, sixth = 0.5 * hh, hh / 6.0
     # rows of the nodes; the memory of rows never written is never touched
     path = np.empty((nsteps + 1, 2 * n))
-    nodes, stages, written = [], [], 0  # the block's; the rows written
+    nodes, written = [], 0          # the block's nodes; the rows written
     for i in range(nsteps):
         if i - written == _BLOCK_STEPS:
             path[written:i] = nodes
             nodes, written = [], i
-            if record is not None:
-                record(stages)
-                stages = []
+            if flat:
+                record(flat)
+                flat.clear()
         try:
             k1 = f(y)
             nodes.append(y)
-            y2 = axpy(y, half, k1)
-            k2 = f(y2)
-            y3 = axpy(y, half, k2)
-            k3 = f(y3)
-            y4 = axpy(y, hh, k3)
-            k4 = f(y4)
+            y = step(y, k1, half, hh, sixth)
         except DomainViolation:
             # a node or stage point crossed the chart guard: a clean exit
             exited = True
             break
-        if record is not None:
-            stages.append((y, k1, y2, k2, y3, k3, y4, k4))
-        y = rk4(y, sixth, k1, k2, k3, k4)
     else:  # the last node, which no further stage checks
         exited = inside is not None and not inside(y[:n])
         if not exited:
@@ -300,8 +296,8 @@ def _rk4_path(sys, state, T, cfg, record=None, segments=1):
         first = np.argmin(np.isfinite(path).all(axis=1))
         raise NonFiniteState(
             f"the orbit reached a non-finite state at t = {first * hh}")
-    if stages and not exited:
-        record(stages)
+    if flat and not exited:
+        record(flat)
     # node k sits at k * hh, not at a running sum, so the last node of one
     # segment is T
     return np.arange(len(path)) * hh, path, exited
@@ -392,14 +388,13 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
     cuts = []                       # Z at each segment end
     done = 0                        # steps Z has been advanced over
 
-    def advance(stages):
+    def advance(flat):
         # every stage point passed the chart guard in its stage; after
         # every k-th step of the flow Z is cut and restarts at the identity
         nonlocal Z, done
-        # (y, k) = (x, v, v, acc) at each stage, read into one flat buffer
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(stages)),
-                           float, 16 * sys.dim * len(stages))
-        X, V, _, A = flat.reshape(-1, 4, sys.dim).swapaxes(0, 1)
+        # (y, k) = (x, v, v, acc) at each stage, read into one buffer
+        X, V, _, A = np.fromiter(flat, float, len(flat)).reshape(
+            -1, 4, sys.dim).swapaxes(0, 1)
         geo = PointGeometry(sys.metric, X, sys.sigma)
         for done, Pj in enumerate(_advance(matrices(geo, V, A), h), done + 1):
             Z = Pj.dot(Z)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 from itertools import islice
-from types import FunctionType, SimpleNamespace
+from types import FunctionType
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
@@ -140,37 +140,14 @@ def _second_difference(first, x, h: float) -> np.ndarray:
 def _load_kernels(text: str) -> dict:
     """The one home of generated code: the names that the Python text
     defines, run with no builtins, and with the math functions and the
-    error that the fragments and stages read.  Every text comes from
-    `_float_ops` or `_source`, which read nothing but list lengths and
-    fixed templates; each is run once per key of their caches, when a
-    system is built or first integrated, never at import."""
+    error that the fragments, stages and steps read.  Every text comes from
+    `_source`, which reads nothing but list lengths and fixed templates;
+    each is run once per key of `_kernel`'s cache, when a system is built or
+    first integrated, never at import."""
     scope = {"__builtins__": {}, "sqrt": math.sqrt, "sin": math.sin,
              "tan": math.tan, "DomainViolation": DomainViolation}
     exec(text, scope)
     return scope
-
-
-@cache
-def _float_ops(m: int) -> SimpleNamespace:
-    """The list arithmetic of the RK4 driver on lists (or any indexable) of
-    m floats, written out index by index: at m <= 6 a list comprehension
-    costs about three times the same expression unrolled.  With c a float
-    and each result a new list:
-        axpy(y, c, k)             [y_i + c * k_i]
-        rk4(y, c, k1, k2, k3, k4) [y_i + c * (k1_i + 2.0 * k2_i
-                                             + 2.0 * k3_i + k4_i)]
-    each doing the floating-point operations of the comprehension, in the
-    same order."""
-    def unrolled(args, term):
-        body = ", ".join(term.format(i=i) for i in range(m))
-        return f"lambda {args}: [{body}]"
-
-    scope = _load_kernels(
-        f"axpy = {unrolled('y, c, k', 'y[{i}] + c * k[{i}]')}\n"
-        "rk4 = " + unrolled("y, c, k1, k2, k3, k4",
-                            "y[{i}] + c * (k1[{i}] + 2.0 * k2[{i}]"
-                            " + 2.0 * k3[{i}] + k4[{i}])"))
-    return SimpleNamespace(axpy=scope["axpy"], rk4=scope["rk4"])
 
 
 # Fragments.  A built-in chart guard, diagonal metric or 2-form declares its
@@ -187,12 +164,15 @@ def _float_ops(m: int) -> SimpleNamespace:
 # Any other closure is the one piece `_call` of its role.  The pieces of a
 # fragment run in order: `MagneticSystem.rescale` adds one that scales d to
 # a metric's, and one that undoes it to its form's.  `_closure` compiles a
-# fragment into the closure of its role, and `_fused_stage` the fragments
-# of a chart, a metric and a form into one RK4 stage f(y): the guard, then
-# the spray, then the magnetic term, inline.  The code is compiled once per
-# (role, templates, n), into a factory that binds the values, so that a
-# system with other parameters or closures reuses it.
-_FRAGMENTS = WeakKeyDictionary()    # each generated closure -> its fragment
+# fragment into the closure of its role.  `_fused_stage` compiles the
+# fragments of a chart, a metric and a form into one RK4 stage f(y): the
+# guard, then the spray, then the magnetic term, inline.  `_rk4_step`
+# compiles the same lines (or, for a stage that no fragment generated, the
+# one piece `_stage_call`) into the rest of an RK4 step: stages 2-4 and the
+# node update, inline on locals.  The code is compiled once per (role,
+# templates, n), into a factory that binds the values, so that a system
+# with other parameters or closures reuses it.
+_FRAGMENTS = WeakKeyDictionary()    # each generated closure or stage -> parts
 # the letters of the locals of each role's list arguments, and of the lists
 # it returns (a guard returns the value of its one line)
 _ROLES = {"guard": ("x", ""), "spray": ("xv", "ad"),
@@ -222,29 +202,73 @@ def _call(role: str, n: int, fn: str) -> list:
 _CALLS = {role: partial(_call, role) for role in _ROLES}
 
 
+def _stage_call(n: int, fn: str) -> list:
+    """The line of an RK4 stage that no fragment generated, the value fn: a
+    call of it on a new list x ++ v, whose list v ++ w it unpacks."""
+    return [f"{_names(n, 'vw')} = {fn}([{_names(n, 'xv')}])"]
+
+
+def _stage_lines(n: int, guard: list, spray: list, form: list) -> list:
+    """The lines of an RK4 stage from the lines of a guard (none: no guard),
+    a spray and a magnetic_acc: w0, ... from x0, ... and v0, ..., raising
+    `DomainViolation` where the guard fails."""
+    check = []
+    if guard:
+        check = [f"if not ({guard[0]}):", "    raise DomainViolation("
+                 f"f'point {{[{_names(n, 'x')}]}} outside chart domain')"]
+    return check + spray + form
+
+
+def _step_lines(n: int, stage: list, record: bool) -> tuple:
+    """The lines and the returned list of `step(y, k1, half, hh, sixth)`
+    (see `_rk4_step`), whose stages run the lines `stage`.  Each stage
+    point x ++ v = Y + c K is taken from the last stage's K, its x before
+    its v, so that x reads the v of that K; the bracket of the node update
+    is summed from the left, one stage at a time, into S."""
+    Y, K, S = ([f"{c}{i}" for i in range(2 * n)] for c in "YKS")
+    xv, vw = _names(n, "xv").split(", "), _names(n, "vw").split(", ")
+
+    def put(names):
+        return [f"put(({', '.join(names)}))"] if record else []
+
+    lines = [f"{', '.join(Y)} = y", f"{', '.join(K)} = k1", *put(Y + K)]
+    k, total = K, K         # the last stage's K; the bracket summed so far
+    for c in ("half", "half", "hh"):
+        if k is not K:
+            lines += [f"{s} = {t} + 2.0 * {u}" for s, t, u in zip(S, total, k)]
+            total = S
+        lines += [f"{p} = {q} + {c} * {u}" for p, q, u in zip(xv, Y, k)]
+        lines += stage + put(xv + vw)
+        k = vw
+    return lines, "[" + ", ".join(f"{q} + sixth * ({t} + {u})"
+                                  for q, t, u in zip(Y, total, k)) + "]"
+
+
 def _source(role: str, n: int, *codes) -> str:
     """The text of `kernel(p0, p1, ...)`, which returns the closure of
-    `role` ("guard", "spray", "magnetic_acc", or "stage" from a guard, a
-    spray and a magnetic_acc code) with the values of the fragments whose
-    codes ((template, number of values), ...) are given bound to p0, p1,
-    ... in order."""
+    `role` with the values of the fragments whose codes ((template, number
+    of values), ...) are given bound to p0, p1, ... in order: "guard",
+    "spray" or "magnetic_acc" from one code; "stage", "step" or "record"
+    (see `_rk4_step`; its kernel takes `put` last) from the codes of a
+    guard, a spray and a magnetic_acc, or from the one code of a stage."""
     params = [f"p{j}" for j in range(sum(k for c in codes for _, k in c))]
     free = iter(params)
     lines = [[line for template, k in code
               for line in template(n, *islice(free, k))] for code in codes]
-    if role == "stage":
-        guard, spray, form = lines
-        args, out = "y", f"[{_names(n, 'vw')}]"
-        body = [f"{_names(n, 'xv')} = y"]
-        if guard:
-            body += [f"if not ({guard[0]}):", "    raise DomainViolation("
-                     f"f'point {{y[:{n}]}} outside chart domain')"]
-        body += spray + form
-    else:
+    if role in _ROLES:
         ins, outs = _ROLES[role]
         args = ", ".join(ins)
         body = [f"{_names(n, c)} = {c}" for c in ins] + lines[0]
         out = _lists(n, outs) if outs else body.pop()
+    else:
+        stage = lines[0] if len(lines) == 1 else _stage_lines(n, *lines)
+        if role == "stage":
+            args, out = "y", f"[{_names(n, 'vw')}]"
+            body = [f"{_names(n, 'xv')} = y"] + stage
+        else:
+            args = "y, k1, half, hh, sixth"
+            body, out = _step_lines(n, stage, role == "record")
+            params += ["put"] if role == "record" else []
     return (f"def kernel({', '.join(params)}):\n    def {role}({args}):\n"
             + "".join(f"        {line}\n" for line in body)
             + f"        return {out}\n    return {role}\n")
@@ -256,13 +280,14 @@ def _kernel(role: str, n: int, *codes) -> Callable:
     return _load_kernels(_source(role, n, *codes))["kernel"]
 
 
-def _generated(role: str, n: int, *fragments) -> Callable:
-    """The closure of `role` from the fragments given (for "stage", a
-    guard's, a spray's and a magnetic_acc's): the kernel of their templates
-    and arities, which binds the values of their pieces in order."""
+def _generated(role: str, n: int, fragments: tuple, *bound) -> Callable:
+    """The closure of `role` from the fragments given (see `_source`): the
+    kernel of their templates and arities, which binds the values of their
+    pieces in order, then `bound`."""
     codes = (tuple((t, len(values)) for t, values in f) for f in fragments)
     return _kernel(role, n, *codes)(*(u for f in fragments
-                                       for _, values in f for u in values))
+                                       for _, values in f for u in values),
+                                     *bound)
 
 
 def _closure(role: str, n: int, *fragment) -> Callable:
@@ -271,7 +296,7 @@ def _closure(role: str, n: int, *fragment) -> Callable:
     given; `_fragment` gives the fragment back."""
     if n < 2:
         raise ValueError("chart dimension must be at least 2")
-    fn = _generated(role, n, fragment)
+    fn = _generated(role, n, (fragment,))
     _FRAGMENTS[fn] = fragment
     return fn
 
@@ -292,7 +317,23 @@ def _fused_stage(guard, spray, magnetic_acc, n: int) -> Callable:
     parts = (() if guard is None else _fragment(guard, "guard"),
              _fragment(spray, "spray"),
              _fragment(magnetic_acc, "magnetic_acc"))
-    return _generated("stage", n, *parts)
+    fn = _generated("stage", n, parts)
+    _FRAGMENTS[fn] = parts
+    return fn
+
+
+def _rk4_step(stage, n: int, put=None) -> Callable:
+    """`step(y, k1, half, hh, sixth)`, the rest of an RK4 step of the stage
+    f on lists of 2n floats after k1 = f(y): the stages k2, k3, k4 at
+    y + half k1, y + half k2 and y + hh k3, then the next node
+    y + sixth (k1 + 2.0 k2 + 2.0 k3 + k4), inline with the floating-point
+    operations of those list expressions and of f, in their order.  Given
+    `put`, it hands put each stage's floats (y, k1, then y2, k2, ...).  It
+    is generated from the fragments of a stage that `_fused_stage` made,
+    otherwise from one piece that calls the stage."""
+    parts = _FRAGMENTS.get(stage) if isinstance(stage, FunctionType) else None
+    role, bound = ("step", ()) if put is None else ("record", (put,))
+    return _generated(role, n, parts or (((_stage_call, (stage,)),),), *bound)
 
 
 class MetricField:

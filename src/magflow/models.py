@@ -176,21 +176,17 @@ def _round_sphere(dim: int = 2, eps: float = 0.2):
             outT[k, i, i] = g2[i - 1] * cot[k]
         return out
 
-    tri = np.tri(dim - 1)
-
-    # d_k d_l g_ii = g_ii (4 cot_k cot_l - 2 delta_kl csc^2_k) for k, l < i:
-    # mask[i - 1, j - 1, k, l] = 1 where i = j and k, l < i
-    mask = np.eye(dim - 1)[:, :, None, None] * (tri[:, None, :, None]
-                                                * tri[:, None, None, :])
     eye2 = 2.0 * np.eye(dim - 1)
 
     def d2g(x):
+        # d_k d_l g_ii = g_ii (4 cot_k cot_l - 2 delta_kl csc^2_k) for k, l < i
         s2, gii = _sines(x)
         c = 2.0 / np.tan(x[..., :-1])
         inner = c[..., :, None] * c[..., None, :] - eye2 / s2.T[..., :, None]
         out = np.zeros(x.shape[:-1] + (dim,) * 4)
-        out[..., 1:, 1:, :-1, :-1] = mask * (gii.T[..., :, None, None, None]
-                                             * inner[..., None, None, :, :])
+        for i in range(1, dim):
+            out[..., i, i, :i, :i] = (gii[i - 1][..., None, None]
+                                      * inner[..., :i, :i])
         return out
 
     metric = MetricField(eval_fn, dg=dg, d2g=d2g, chart=chart, broadcasts=True,

@@ -236,7 +236,9 @@ def build_state(sc: dict, sys: MagneticSystem) -> PhaseState:
     v = build_vector(sc, "initial/v", sys, nonzero=True)
     s = sc["speed"]
     g = sys.metric.raw(x)          # unguarded: x passed the guard above
-    v = v * (s / _g_norm(g, v))
+    norm = float(_g_norm(g, v))
+    # s / |v|_g overflows for a tiny v; v / |v|_g then keeps it finite
+    v = v * (s / norm) if s / norm < math.inf else (v / norm) * s
     if not v.any():
         _fail("speed", f"{s!r} scales initial/v to the zero vector")
     return PhaseState(x=x, v=v, s=s)

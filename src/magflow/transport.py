@@ -152,11 +152,16 @@ def _hermite_nearest(sys, t, y, z0) -> float:
     return tau
 
 
-def _shortest_guess(step: float) -> float:
-    """The shortest period guess at a step: every orbit returns within O(t)
-    of its start near t = 0, so the window [0.9, 1.1] times the guess must
-    begin at least two steps later, or it finds a spurious period there."""
-    return 2.0 * step / 0.9
+def _require_guess(period_guess, step: float) -> None:
+    """Reject a period guess shorter than 2 / 0.9 steps, or one whose window
+    end 1.1 times it is not finite, naming it: every orbit returns within
+    O(t) of its start near t = 0, so the window [0.9, 1.1] times the guess
+    must begin at least two steps later, or it finds a spurious period
+    there."""
+    if not (2.0 * step / 0.9 <= period_guess and 1.1 * period_guess < np.inf):
+        raise ValueError(f"period_guess = {period_guess!r}: 0.9 times it "
+                         f"must span two steps of {step!r}, and 1.1 times "
+                         f"it must be finite")
 
 
 def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
@@ -165,7 +170,7 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
                           tol: float = 1e-6) -> OrthogonalHolonomy:
     """Holonomy of the frame flow around a numerically closed orbit.
 
-    The guess must be at least `_shortest_guess` of the step, so that the
+    The guess must pass `_require_guess` (else `ValueError`), so that the
     window [0.9, 1.1] times the guess begins two steps after t = 0.  The
     orbit is integrated once to 1.1 times the guess.  Of its nodes in the
     window, the one nearest the start in phase space and the steps on
@@ -179,12 +184,8 @@ def closed_orbit_holonomy(sys: MagneticSystem, state: PhaseState,
     rounding of an orbit grows with its size; where the orbit sits in the
     chart does not enter it.  The default `cfg` is `IntegratorConfig()`.
     """
-    if not period_guess > 0:
-        raise ValueError(f"the period guess must be positive, got {period_guess}")
     cfg = cfg or IntegratorConfig()
-    if period_guess < _shortest_guess(cfg.step):
-        raise NotPeriodic(f"0.9 times the period guess {period_guess} is "
-                          f"shorter than two steps of {cfg.step}")
+    _require_guess(period_guess, cfg.step)
     z0 = np.concatenate([state.x, state.v])
     eye = _identity(z0.size)              # distances in phase space
     lo, hi = 0.9 * period_guess, 1.1 * period_guess

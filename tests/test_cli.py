@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import magflow
-from magflow import geometry
+from magflow import cli, geometry
 from magflow.cli import _csv, _dump_json, main
 from magflow.curvature import sample_sectionals
 from magflow.errors import NonFiniteResult
@@ -327,6 +330,9 @@ def _defect_overrides(submanifold):
                               "integrator": {"step": 1e-2},
                               "params": {"period_guess": 1e-3}},
                  [], "params/period_guess", id="holonomy-guess-below-two-steps"),
+    # the window end 1.1 x guess overflows to an infinite horizon
+    pytest.param("holonomy", {"params": {"period_guess": 1.7e308}},
+                 [], "params/period_guess", id="holonomy-window-end-overflows"),
     # the integrator has no setting that corrects the orbit's speed
     pytest.param("integrate", {"integrator": {"renormalize_speed": True}},
                  [], "integrator/renormalize_speed",
@@ -605,6 +611,22 @@ def test_curvature_evaluates_its_point_once(tmp_path, monkeypatch):
     assert calls == {"PointGeometry": 1, "gram_schmidt": 1}
 
 
+def test_integrate_huge_speed_of_a_subnormal_velocity(tmp_path):
+    # s / |v|_g overflows for v = (5e-324, 0) at s = 1e100, so the start is
+    # scaled as (v / |v|_g) s: a finite orbit, where v * inf gave a NaN
+    sc = _write_scenario(tmp_path, speed=1e100,
+                         initial={"x": [0.0, 0.0], "v": [5e-324, 0.0]},
+                         integrator={"step": 1e-2}, params={"T": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _run(["integrate", sc, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    assert len(rows) == 101 and np.isfinite(rows).all()
+    assert rows[0, 3:5].tolist() == [1e100, 0.0]
+
+
 def test_curvature_tiny_speed_stays_finite(tmp_path):
     # the g-unit direction is normalised from initial/v itself, so a speed
     # whose scaled velocity underflows in the g-norm gives no Infinity
@@ -860,6 +882,40 @@ def test_csv_rejects_non_finite_values():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NonFiniteResult):
             _csv(["a,b"], iter([(0, 1.0), (1, bad)]))
+
+
+def _csv_per_row(head, rows, tail=()):
+    """The CSV writer as it formatted one row at a time: the reference."""
+    def text(row):
+        line = ",".join(map(repr, row))
+        if "n" in line:
+            raise NonFiniteResult(f"non-finite value in a CSV row: {line}")
+        return line + "\n"
+    return "".join([line + "\n" for line in head] + list(map(text, rows))
+                   + [line + "\n" for line in tail])
+
+
+_CSV_CELLS = st.one_of(st.integers(-10**20, 10**20), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e300, -1e300]), st.floats(
+        allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 5), count=st.integers(0, 2 * cli._CSV_CHUNK + 3),
+       data=st.data())
+def test_csv_matches_the_per_row_writer(width, count, data):
+    # byte for byte, on rows of ints and floats of every magnitude across
+    # the chunk boundaries; a NaN or infinity in a later chunk still fails
+    row = st.lists(_CSV_CELLS, min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=count, max_size=count))
+    head, tail = ["a" * width], data.draw(st.sampled_from([[], ["# end"]]))
+    assert _csv(head, iter(rows), tail) == _csv_per_row(head, rows, tail)
+    if count > cli._CSV_CHUNK:
+        i = data.draw(st.integers(cli._CSV_CHUNK, count - 1))
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        rows[i] = rows[i][:-1] + [bad]
+        with pytest.raises(NonFiniteResult, match=repr(bad)):
+            _csv(head, iter(rows), tail)
 
 
 _EUCLIDEAN3 = {"manifold": {"name": "euclidean", "params": {"dim": 3}},

@@ -105,6 +105,10 @@ _BAD_ARGUMENTS = {
         sys, st.x, np.zeros(2), 1.0, 10)),
     "scan-infinite-t_max": ("t_max", lambda sys, st: conjugate_point_scan(
         sys, st.x, st.v, np.inf, 10)),
+    # the first radius t_max / steps underflows to 0
+    "scan-subnormal-first-radius": ("t_max / steps",
+                                    lambda sys, st: conjugate_point_scan(
+                                        sys, st.x, st.v, 5e-324, 4)),
     "angle-nan-T": ("T", lambda sys, st: transversality_angle(
         sys, st, np.nan)),
 }

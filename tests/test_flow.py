@@ -19,7 +19,7 @@ from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
 from magflow.flow import (_BLOCK_STEPS, _generator_jacobians, _rk4_path,
                           _stage, generator, generator_jacobian,
                           variational_segments)
-from magflow.geometry import PointGeometry, _kernel, dchristoffel
+from magflow.geometry import PointGeometry, _kernel, _rk4_step, dchristoffel
 
 from conftest import (MODEL_NAMES, conformal_system, counted_system,
                       kernel_floats, outcome, strength, system, unit)
@@ -540,18 +540,10 @@ def test_generated_stage_matches_the_closure_stage(case, s, data):
     assert fused.__code__.co_filename == "<string>"
     assert _stage(ref).__code__.co_filename == "<string>"
     guard = ref.chart.domain_guard
-
-    def ref_stage(y):
-        # the stage composed by hand from the reference's closures
-        x, v = y[:n], y[n:]
-        if guard is not None and not guard(x):
-            raise DomainViolation(f"point {x} outside chart domain")
-        a, d = ref.metric.spray(x, v)
-        return v + ref.sigma.magnetic_acc(x, d, v, a)
     x = _points(data, name, n)
     v, a, d = (data.draw(st.lists(kernel_floats, min_size=n, max_size=n))
                for _ in range(3))
-    expected = outcome(ref_stage, x + v)
+    expected = outcome(_composed_stage(ref), x + v)
     assert outcome(fused, x + v) == expected
     assert outcome(_stage(ref), x + v) == expected
     assert (gen.chart.domain_guard is None if guard is None
@@ -560,6 +552,120 @@ def test_generated_stage_matches_the_closure_stage(case, s, data):
         lambda *u: sum(ref.metric.spray(*u), []), x, v)
     assert outcome(gen.sigma.magnetic_acc, x, d, v, a) == outcome(
         ref.sigma.magnetic_acc, x, d, v, a)
+
+
+def _composed_stage(sys):
+    """The RK4 stage composed by hand from the float closures of `sys`:
+    the chart guard, then the spray, then the magnetic term."""
+    n, guard = sys.dim, sys.chart.domain_guard
+
+    def stage(y):
+        x, v = y[:n], y[n:]
+        if guard is not None and not guard(x):
+            raise DomainViolation(f"point {x} outside chart domain")
+        a, d = sys.metric.spray(x, v)
+        return v + sys.sigma.magnetic_acc(x, d, v, a)
+    return stage
+
+
+def _axpy(y, c, k):
+    return [a + c * b for a, b in zip(y, k)]
+
+
+def _reference_step(f, y, k1, half, hh, sixth, put):
+    """The rest of an RK4 step as the driver once composed it from the stage
+    f and list expressions, handing `put` each stage (y, k) once taken."""
+    put(y + k1)
+    ks = [k1]
+    for c in (half, half, hh):
+        point = _axpy(y, c, ks[-1])
+        ks.append(f(point))
+        put(point + ks[-1])
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, *ks)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(_STAGE_CASES), s=st.sampled_from([1.0, 1.7]),
+       data=st.data())
+def test_generated_step_matches_the_reference_step(case, s, data):
+    # every built-in model x form pair, on the model and rescaled: the
+    # generated step, and its recording form with the floats it hands over
+    # up to an exit, give the bits (or the error) of the stages and list
+    # expressions they replaced, at floats of any size, signed zeros and
+    # points just outside the guard; so does the step of the system of
+    # hand-written closures, which calls them
+    (name, params), form = case
+    b = data.draw(kernel_floats)
+    gen = system(name, form, params, **strength(form, b))
+    ref = _reference_system(gen, name, form, float(b), s)
+    gen = gen.rescale(s)
+    n = gen.dim
+    y = _points(data, name, n) + data.draw(
+        st.lists(kernel_floats, min_size=n, max_size=n))
+    k1 = data.draw(st.lists(kernel_floats, min_size=2 * n, max_size=2 * n))
+    h = data.draw(kernel_floats)
+    args = (y, k1, 0.5 * h, h, h / 6.0)
+    want = []
+    expected = outcome(_reference_step, _composed_stage(ref), *args,
+                       want.extend)
+    for sys in (gen, ref):
+        got = []
+        assert outcome(_rk4_step(_stage(sys), n), *args) == expected
+        assert outcome(_rk4_step(_stage(sys), n, got.extend), *args) == expected
+        assert outcome(list, got) == outcome(list, want)
+
+
+@pytest.mark.parametrize("case", ["poincare_disk-area_form",
+                                  "custom-vertical-field"])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_exit_at_each_stage_matches_the_reference(case, stage):
+    # a chart that rejects the point of one stage of the sixth step stops
+    # the orbit where the array RK4 does: before that step's node at stage
+    # 1, after it at stages 2-4, whose step the generated function runs (for
+    # the custom field, as a call of its `PointGeometry` stage)
+    free = _VARIATIONAL_CASES[case]()
+    n = free.dim
+    x = np.full(n, 0.1)
+    st = PhaseState(x=x, v=0.5 * unit(free.metric, x, [0.3, -0.4]), s=0.5)
+    cfg = IntegratorConfig(step=1e-2)
+    flat = []
+    _rk4_path(free, st, 0.1, cfg, record=flat.extend)
+    wall = np.reshape(flat, (10, 4, 2, 2 * n))[5, stage - 1, 0, :n].tolist()
+    chart = ChartSpec(dim=n, domain_guard=lambda x: x != wall)
+    sys = MagneticSystem(chart, free.metric, free.sigma,
+                         vertical_field=free.vertical_field)
+    _, path, exited = _rk4_path(sys, st, 0.1, cfg)
+    ref, ref_exited = _array_rk4(sys, _stage(sys), st.x, st.v, 0.1, cfg.step)
+    assert exited and ref_exited
+    assert len(path) == (5 if stage == 1 else 6)
+    assert np.array_equal(path, ref)
+
+
+@pytest.mark.parametrize("case", ["poincare_disk-area_form",
+                                  "round_sphere3-constant",
+                                  "custom-vertical-field"])
+def test_recorded_stages_are_the_flattened_stage_tuples(case):
+    # the driver hands over the floats of each step's stage tuples
+    # (y1, k1, ..., y4, k4) in order, as the reference step takes them, one
+    # block of `_BLOCK_STEPS` steps at a time and the rest after the loop
+    sys = _VARIATIONAL_CASES[case]()
+    n = sys.dim
+    x = np.full(n, np.pi / 2 - 0.2) if "sphere" in case else np.full(n, 0.1)
+    st = PhaseState(x=x, v=0.5 * unit(sys.metric, x, np.linspace(0.3, -0.4, n)),
+                    s=0.5)
+    cfg = IntegratorConfig(step=1e-2)
+    nsteps = 2 * _BLOCK_STEPS + 5
+    blocks = []
+    times, path, _ = _rk4_path(sys, st, nsteps * cfg.step, cfg,
+                               record=lambda flat: blocks.append(list(flat)))
+    assert [len(b) for b in blocks] == [16 * n * k for k in
+                                        (_BLOCK_STEPS, _BLOCK_STEPS, 5)]
+    f, hh, want = _stage(sys), times[1], []
+    for y, node in zip(path.tolist(), path[1:].tolist()):
+        assert _reference_step(f, y, f(y), 0.5 * hh, hh, hh / 6.0,
+                               want.extend) == node
+    assert outcome(list, sum(blocks, [])) == outcome(list, want)
 
 
 def test_a_closure_list_of_another_length_raises_value_error():

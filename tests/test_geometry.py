@@ -9,10 +9,10 @@ from magflow import (ChartSpec, MagneticSystem, MetricField, christoffel,
                      make_form, make_manifold, orthonormal_completion,
                      riemann, sectional)
 from magflow.errors import DegeneratePlane, DomainViolation, ZeroVector
-from magflow.geometry import (PointGeometry, _bilinear, _float_ops, _g_norm,
+from magflow.geometry import (PointGeometry, _bilinear, _g_norm,
                               _gram_schmidt_pairs, gram_schmidt, project)
 
-from conftest import kernel_floats, outcome, strength
+from conftest import strength
 
 
 # -- metric evaluation -----------------------------------------------------
@@ -447,31 +447,6 @@ def test_completion_is_g_orthonormal(model, rng):
         frame = orthonormal_completion(g, x, v)
         gram = frame @ g(x) @ frame.T
         assert np.abs(gram - np.eye(chart.dim)).max() < 1e-10
-
-
-# -- unrolled float kernels ------------------------------------------------
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_float_ops_match_the_forms_they_replace(data):
-    # the RK4 driver's kernels, bit for bit, with ±0.0, subnormals, ±inf,
-    # NaN and values near 1e±300 (the fragments' arithmetic is checked
-    # against the closures it replaced in `test_flow`)
-    m = data.draw(st.integers(1, 6))
-    y, k1, k2, k3, k4 = (data.draw(st.lists(kernel_floats, min_size=m,
-                                            max_size=m)) for _ in range(5))
-    c = data.draw(kernel_floats)
-    ops = _float_ops(m)
-    cases = [
-        (ops.axpy, lambda y, c, k: [a + c * b for a, b in zip(y, k)],
-         (y, c, k1)),
-        (ops.rk4, lambda y, c, *ks: [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                                     for a, b1, b2, b3, b4 in zip(y, *ks)],
-         (y, c, k1, k2, k3, k4)),
-    ]
-    for kernel, form, args in cases:
-        assert outcome(kernel, *args) == outcome(form, *args), kernel
-    assert ops.axpy(y, 0.0, k1) is not y
 
 
 def test_poincare_dot_of_negative_zeros_is_positive_zero():

@@ -290,14 +290,21 @@ def test_only_the_float_kernel_factory_generates_code():
 
 
 def test_import_builds_no_float_kernel():
-    # the driver's kernels, the generated closures and the stages are built
-    # with a system, never at import
-    code = ("import magflow.cli; from magflow.geometry import "
-            "_FRAGMENTS, _float_ops, _kernel; "
-            "print(_float_ops.cache_info().currsize, "
-            "_kernel.cache_info().currsize, len(_FRAGMENTS))")
+    # the generated closures, stages and RK4 steps are built with a system
+    # or its orbits, never at import: after the import the kernel cache is
+    # empty, and a system's first orbit compiles its stage and its step,
+    # its first linear flow the recording step
+    code = ("import numpy as np, magflow as m, magflow.cli; "
+            "from magflow.geometry import _FRAGMENTS, _kernel; "
+            "size = lambda: _kernel.cache_info().currsize; "
+            "print(size(), len(_FRAGMENTS)); "
+            "c, g = m.make_manifold('poincare_disk'); "
+            "s = m.MagneticSystem(c, g, m.make_form('area_form', 2, g, c)); "
+            "st = m.PhaseState(x=np.zeros(2), v=np.array([0.5, 0.0])); "
+            "built = size(); m.integrate(s, st, 0.1); print(size() - built); "
+            "m.variational_flow(s, st, 0.1); print(size() - built)")
     out = run_python(["-c", code], check=True)
-    assert out.stdout.strip() == "0 0 0"
+    assert out.stdout.split() == ["0", "0", "2", "3"]
 
 
 def test_no_module_imports_scipy():
