@@ -24,7 +24,8 @@ import numpy as np
 from .errors import UnreliableSplitting
 from .flow import (DIAGNOSTIC_STEP, IntegratorConfig, PhaseState, generator,
                    variational_flow, variational_segments)
-from .geometry import PointGeometry, _g_norm, _identity, orthonormal_completion
+from .geometry import (PointGeometry, _g_norm, _identity, _scale,
+                       orthonormal_completion)
 from .system import MagneticSystem
 
 __all__ = [
@@ -105,11 +106,9 @@ def _segmented_qr(sys, state, T, nseg, cfg):
     logs = np.zeros(2 * n)
     for Aseg in A:
         Q, R = np.linalg.qr(Aseg @ Q)
-        sign = np.sign(np.diag(R))
-        sign[sign == 0] = 1.0
-        Q *= sign
-        R = (R.T * sign).T
-        logs += np.log(np.abs(np.diag(R)))
+        d = np.diag(R)
+        Q *= np.where(d == 0, 1.0, np.sign(d))
+        logs += np.log(np.abs(d))
     return logs
 
 
@@ -209,7 +208,8 @@ def conjugate_point_scan(sys: MagneticSystem, x, direction, t_max: float,
     _require_count("steps", steps)
     _require_horizon("t_max / steps", t_max / steps)
     x = np.asarray(x, dtype=float)
-    u = np.asarray(direction, dtype=float)
+    # scaled by an exact power of two first, so that no g-norm overflows
+    u = _scale(np.asarray(direction, dtype=float))[0]
     norm = sys.metric.norm(x, u)
     if not 0 < norm < np.inf:
         raise ValueError(f"direction must have a positive g-norm, got {norm}")

@@ -11,15 +11,15 @@ y = x ++ v of 2n floats, and a stage f(y) -> k = v ++ vdot raises
 metric whose form gives its float closure (`MetricField.spray` and
 `TwoFormField.magnetic_acc`, as every built-in model and form does) a stage
 runs on floats; otherwise it builds the point's `PointGeometry` on arrays.
-The float stage is one function, which `geometry._fused_stage` compiles
-from the fragments of index-level code of the chart guard, the spray and
-the magnetic term (a closure that no fragment generated is a piece that
-calls it): it unpacks y into locals, runs the guard, then the geodesic
-acceleration and g's diagonal, then the magnetic term, and returns one list.
-Each step runs that stage at its node, then one generated function
-(`geometry._rk4_step`) from the same fragments: stages 2-4 at the points
-y + c k and the node update, inline on locals (a stage that no fragment
-generated, such as the `PointGeometry` one, is a piece that it calls).
+One builder, `geometry._RK4Kernels`, makes a system's kernels on its first
+orbit, which the system keeps until its guard, spray, magnetic_acc or
+vertical field is replaced.  It compiles them from the fragments of
+index-level code of the chart guard, the spray and the magnetic term (a
+closure that no fragment generated, or the `PointGeometry` stage, is a piece
+that calls it).  The stage unpacks y into locals, runs the guard, then the
+geodesic acceleration and g's diagonal, then the magnetic term, and returns
+one list; the step runs the rest of an RK4 step after the stage at its node,
+stages 2-4 at the points y + c k and the node update, inline on locals.
 Every generated line does the floating-point operations of the closures
 and list expressions it replaced, in the same order, so that the orbits
 keep their bits.  `generator` evaluates the same stage.  A node is checked
@@ -31,13 +31,13 @@ corrected, so it serves as an error indicator.
 
 The variational flow Jdot = Df J and magnetic parallel transport (see
 `transport`) are linear flows Zdot = M Z along the base orbit.  One driver
-solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The RK4
-step appends each stage (y, k) to one flat list of floats, which the driver
-hands over once a block, read into one buffer; then one `PointGeometry` is
-built on the batch of their points (unguarded: each passed the guard in its
-stage), M is evaluated at all the stages at once (for Df, with the second
-derivatives of the metric and the form taken on the whole batch), and Z is
-advanced by the RK4 propagator of each step,
+solves both in two passes over blocks of `_BLOCK_STEPS` steps.  The
+recording RK4 step appends each stage (x, v, vdot) to one flat list of
+floats, which the driver hands over once a block, read into one buffer;
+then one `PointGeometry` is built on the batch of their points (unguarded:
+each passed the guard in its stage), M is evaluated at all the stages at
+once (for Df, with the second derivatives of the metric and the form taken
+on the whole batch), and Z is advanced by the RK4 propagator of each step,
     P = I + h/6 (D1 + 2 D2 Z2 + 2 D3 Z3 + D4 Z4),
     Z2 = I + h/2 D1,  Z3 = I + h/2 D2 Z2,  Z4 = I + h D3 Z3,
 where D1..D4 are M at the step's four stages.  This is the coupled RK4 of
@@ -64,8 +64,8 @@ import numpy as np
 
 from .errors import (DomainExit, DomainViolation, NonFiniteState,
                      NonpositiveSpeed, StepLimitExceeded)
-from .geometry import (PointGeometry, _central_difference, _fused_stage,
-                       _g_norm, _rk4_step)
+from .geometry import (PointGeometry, _central_difference, _g_norm,
+                       _RK4Kernels)
 from .system import MagneticSystem
 
 __all__ = [
@@ -198,20 +198,25 @@ def _generator_jacobians(sys: MagneticSystem, geo: PointGeometry,
     return D
 
 
-def _stage(sys: MagneticSystem):
-    """The RK4 stage f(y) -> k = v ++ vdot at a list y = x ++ v of 2n
-    floats, which raises `DomainViolation` outside the chart: where the
-    system is magnetic, its metric gives `spray` and its form
-    `magnetic_acc`, vdot = -Gamma(v, v) + Yv on floats behind the chart
-    guard, one generated function (`geometry._fused_stage`); otherwise the
-    acceleration from the point's `PointGeometry` (which runs the guard
-    itself)."""
-    spray, magnetic_acc = sys.metric.spray, sys.sigma.magnetic_acc
-    n = sys.dim
-    if sys.is_magnetic and spray is not None and magnetic_acc is not None:
-        return _fused_stage(sys.chart.domain_guard, spray, magnetic_acc, n)
-    return lambda y: y[n:] + _acceleration(sys, sys.geometry(y[:n]),
-                                           np.array(y[n:])).tolist()
+def _kernels(sys: MagneticSystem) -> _RK4Kernels:
+    """The RK4 kernels of `sys`, built on first use and kept on it while
+    its chart guard, spray, magnetic_acc and vertical field stay the same
+    objects.  Their stage f(y) -> k = v ++ vdot at a list y = x ++ v
+    raises `DomainViolation` outside the chart: vdot = -Gamma(v, v) + Yv on
+    floats where the system is magnetic and gives both float closures,
+    otherwise from the point's `PointGeometry` (which runs the guard)."""
+    guard, spray, acc = (sys.chart.domain_guard, sys.metric.spray,
+                         sys.sigma.magnetic_acc)
+    key = (guard, spray, acc, sys.vertical_field)
+    if sys._kernels is None or sys._kernels[0] != key:
+        n = sys.dim
+        if sys.is_magnetic and spray is not None and acc is not None:
+            kernels = _RK4Kernels(n, guard, spray, acc)
+        else:
+            kernels = _RK4Kernels(n, lambda y: y[n:] + _acceleration(
+                sys, sys.geometry(y[:n]), np.array(y[n:])).tolist())
+        sys._kernels = key, kernels
+    return sys._kernels[1]
 
 
 def generator(sys: MagneticSystem, x, v) -> np.ndarray:
@@ -219,7 +224,7 @@ def generator(sys: MagneticSystem, x, v) -> np.ndarray:
     stage's, which runs the chart guard once, on Python floats where the
     system allows it."""
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    return np.array(_stage(sys)(x.tolist() + v.tolist()))
+    return np.array(_kernels(sys).stage(x.tolist() + v.tolist()))
 
 
 def generator_jacobian(sys: MagneticSystem, x, v) -> np.ndarray:
@@ -251,18 +256,19 @@ def _rk4_path(sys, state, T, cfg, record=None, segments=1):
     """The one RK4 driver: the orbit of `state`, whose start must pass the
     chart guard, over time T with the step and budget of `cfg`, on the grid
     of `segments` equal segments of whole steps (`_step_size`), stepping a
-    list y = x ++ v: the first stage k1 = f(y) of `_stage`, then the rest of
-    the step (`geometry._rk4_step`).  `record(flat)`, if given, gets the
-    stages (y1, k1, ..., y4, k4) of each step as one flat list of floats,
-    one block of `_BLOCK_STEPS` steps at a time, the last after the finite
-    check below if the orbit stayed in; the list is cleared after each
-    call.  Returns the node times, the nodes (x, v) as rows and whether
-    the orbit left the chart; raises `NonFiniteState` if a node it wrote is
-    not finite (a chart without a guard never stops a blow-up)."""
+    list y = x ++ v with the kernels of `_kernels`: the first stage
+    k1 = f(y), then the rest of the step.  `record(flat)`, if given, gets
+    the stages (x1, v1, vdot1, ..., x4, v4, vdot4) of each step as one flat
+    list of floats, one block of `_BLOCK_STEPS` steps at a time, the last
+    after the finite check below if the orbit stayed in; the list is
+    cleared after each call.  Returns the node times, the nodes (x, v) as
+    rows and whether the orbit left the chart; raises `NonFiniteState` if a
+    node it wrote is not finite (a chart without a guard never stops a
+    blow-up)."""
     n = sys.dim
-    f = _stage(sys)
-    flat = []                       # the block's recorded stage floats
-    step = _rk4_step(f, n, None if record is None else flat.extend)
+    kernels, flat = _kernels(sys), []   # flat: the block's stage floats
+    f, put = kernels.stage, flat.extend
+    step = kernels.step if record is None else kernels.record
     inside = sys.chart.domain_guard
     nsteps, hh = _step_size(T, cfg.step, cfg.max_steps, segments)
     sys.chart.require(state.x)
@@ -281,7 +287,7 @@ def _rk4_path(sys, state, T, cfg, record=None, segments=1):
         try:
             k1 = f(y)
             nodes.append(y)
-            y = step(y, k1, half, hh, sixth)
+            y = step(y, k1, half, hh, sixth, put)
         except DomainViolation:
             # a node or stage point crossed the chart guard: a clean exit
             exited = True
@@ -392,9 +398,9 @@ def _linear_flow(sys: MagneticSystem, state: PhaseState, T: float,
         # every stage point passed the chart guard in its stage; after
         # every k-th step of the flow Z is cut and restarts at the identity
         nonlocal Z, done
-        # (y, k) = (x, v, v, acc) at each stage, read into one buffer
-        X, V, _, A = np.fromiter(flat, float, len(flat)).reshape(
-            -1, 4, sys.dim).swapaxes(0, 1)
+        # (x, v, acc) at each stage, read into one buffer
+        X, V, A = np.fromiter(flat, float, len(flat)).reshape(
+            -1, 3, sys.dim).swapaxes(0, 1)
         geo = PointGeometry(sys.metric, X, sys.sigma)
         for done, Pj in enumerate(_advance(matrices(geo, V, A), h), done + 1):
             Z = Pj.dot(Z)

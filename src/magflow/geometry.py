@@ -164,15 +164,12 @@ def _load_kernels(text: str) -> dict:
 # Any other closure is the one piece `_call` of its role.  The pieces of a
 # fragment run in order: `MagneticSystem.rescale` adds one that scales d to
 # a metric's, and one that undoes it to its form's.  `_closure` compiles a
-# fragment into the closure of its role.  `_fused_stage` compiles the
-# fragments of a chart, a metric and a form into one RK4 stage f(y): the
-# guard, then the spray, then the magnetic term, inline.  `_rk4_step`
-# compiles the same lines (or, for a stage that no fragment generated, the
-# one piece `_stage_call`) into the rest of an RK4 step: stages 2-4 and the
-# node update, inline on locals.  The code is compiled once per (role,
-# templates, n), into a factory that binds the values, so that a system
-# with other parameters or closures reuses it.
-_FRAGMENTS = WeakKeyDictionary()    # each generated closure or stage -> parts
+# fragment into the closure of its role (`_FRAGMENTS` keeps which), and
+# `_RK4Kernels` the fragments of a system's guard, spray and magnetic term
+# into its RK4 kernels.  The code is compiled once per (role, templates, n),
+# into a factory that binds the values, so that a system with other
+# parameters or closures reuses it.
+_FRAGMENTS = WeakKeyDictionary()    # each generated closure -> its fragment
 # the letters of the locals of each role's list arguments, and of the lists
 # it returns (a guard returns the value of its one line)
 _ROLES = {"guard": ("x", ""), "spray": ("xv", "ad"),
@@ -199,13 +196,14 @@ def _call(role: str, n: int, fn: str) -> list:
     return [f"{_lists(n, outs)} = {call}" if outs else call]
 
 
-_CALLS = {role: partial(_call, role) for role in _ROLES}
-
-
 def _stage_call(n: int, fn: str) -> list:
     """The line of an RK4 stage that no fragment generated, the value fn: a
     call of it on a new list x ++ v, whose list v ++ w it unpacks."""
     return [f"{_names(n, 'vw')} = {fn}([{_names(n, 'xv')}])"]
+
+
+_CALLS = {**{role: partial(_call, role) for role in _ROLES},
+          "stage": _stage_call}
 
 
 def _stage_lines(n: int, guard: list, spray: list, form: list) -> list:
@@ -220,25 +218,25 @@ def _stage_lines(n: int, guard: list, spray: list, form: list) -> list:
 
 
 def _step_lines(n: int, stage: list, record: bool) -> tuple:
-    """The lines and the returned list of `step(y, k1, half, hh, sixth)`
-    (see `_rk4_step`), whose stages run the lines `stage`.  Each stage
-    point x ++ v = Y + c K is taken from the last stage's K, its x before
-    its v, so that x reads the v of that K; the bracket of the node update
-    is summed from the left, one stage at a time, into S."""
+    """The lines and the returned list of `step(y, k1, half, hh, sixth,
+    put)` (see `_RK4Kernels`), whose stages run the lines `stage`.  Each
+    stage point x ++ v = Y + c K is taken from the last stage's K, its x
+    before its v, so that x reads the v of that K; the bracket of the node
+    update is summed from the left, one stage at a time, into S."""
     Y, K, S = ([f"{c}{i}" for i in range(2 * n)] for c in "YKS")
     xv, vw = _names(n, "xv").split(", "), _names(n, "vw").split(", ")
 
     def put(names):
         return [f"put(({', '.join(names)}))"] if record else []
 
-    lines = [f"{', '.join(Y)} = y", f"{', '.join(K)} = k1", *put(Y + K)]
+    lines = [f"{', '.join(Y)} = y", f"{', '.join(K)} = k1", *put(Y + K[n:])]
     k, total = K, K         # the last stage's K; the bracket summed so far
     for c in ("half", "half", "hh"):
         if k is not K:
             lines += [f"{s} = {t} + 2.0 * {u}" for s, t, u in zip(S, total, k)]
             total = S
         lines += [f"{p} = {q} + {c} * {u}" for p, q, u in zip(xv, Y, k)]
-        lines += stage + put(xv + vw)
+        lines += stage + put(xv + vw[n:])
         k = vw
     return lines, "[" + ", ".join(f"{q} + sixth * ({t} + {u})"
                                   for q, t, u in zip(Y, total, k)) + "]"
@@ -249,8 +247,8 @@ def _source(role: str, n: int, *codes) -> str:
     `role` with the values of the fragments whose codes ((template, number
     of values), ...) are given bound to p0, p1, ... in order: "guard",
     "spray" or "magnetic_acc" from one code; "stage", "step" or "record"
-    (see `_rk4_step`; its kernel takes `put` last) from the codes of a
-    guard, a spray and a magnetic_acc, or from the one code of a stage."""
+    (see `_RK4Kernels`) from the codes of a guard, a spray and a
+    magnetic_acc, or from the one code of a stage."""
     params = [f"p{j}" for j in range(sum(k for c in codes for _, k in c))]
     free = iter(params)
     lines = [[line for template, k in code
@@ -266,9 +264,8 @@ def _source(role: str, n: int, *codes) -> str:
             args, out = "y", f"[{_names(n, 'vw')}]"
             body = [f"{_names(n, 'xv')} = y"] + stage
         else:
-            args = "y, k1, half, hh, sixth"
+            args = "y, k1, half, hh, sixth, put"
             body, out = _step_lines(n, stage, role == "record")
-            params += ["put"] if role == "record" else []
     return (f"def kernel({', '.join(params)}):\n    def {role}({args}):\n"
             + "".join(f"        {line}\n" for line in body)
             + f"        return {out}\n    return {role}\n")
@@ -280,14 +277,13 @@ def _kernel(role: str, n: int, *codes) -> Callable:
     return _load_kernels(_source(role, n, *codes))["kernel"]
 
 
-def _generated(role: str, n: int, fragments: tuple, *bound) -> Callable:
-    """The closure of `role` from the fragments given (see `_source`): the
-    kernel of their templates and arities, which binds the values of their
-    pieces in order, then `bound`."""
-    codes = (tuple((t, len(values)) for t, values in f) for f in fragments)
-    return _kernel(role, n, *codes)(*(u for f in fragments
-                                       for _, values in f for u in values),
-                                     *bound)
+def _binder(n: int, *fragments) -> Callable:
+    """role -> the closure of `role` from the fragments given (see
+    `_source`): the kernel of their templates and arities, which binds the
+    values of their pieces in order.  Both are taken once, here."""
+    codes = tuple(tuple((t, len(vs)) for t, vs in f) for f in fragments)
+    values = [u for f in fragments for _, vs in f for u in vs]
+    return lambda role: _kernel(role, n, *codes)(*values)
 
 
 def _closure(role: str, n: int, *fragment) -> Callable:
@@ -296,7 +292,7 @@ def _closure(role: str, n: int, *fragment) -> Callable:
     given; `_fragment` gives the fragment back."""
     if n < 2:
         raise ValueError("chart dimension must be at least 2")
-    fn = _generated(role, n, (fragment,))
+    fn = _binder(n, fragment)(role)
     _FRAGMENTS[fn] = fragment
     return fn
 
@@ -309,31 +305,27 @@ def _fragment(fn, role: str) -> tuple:
     return ((_CALLS[role], (fn,)),) if fragment is None else fragment
 
 
-def _fused_stage(guard, spray, magnetic_acc, n: int) -> Callable:
-    """The RK4 stage f(y) -> v ++ (a + Yv) at a list y = x ++ v of 2n floats,
-    generated as one function from the fragments of a chart guard (None:
-    no guard), a spray and a magnetic_acc, which raises `DomainViolation`
-    where the guard fails."""
-    parts = (() if guard is None else _fragment(guard, "guard"),
-             _fragment(spray, "spray"),
-             _fragment(magnetic_acc, "magnetic_acc"))
-    fn = _generated("stage", n, parts)
-    _FRAGMENTS[fn] = parts
-    return fn
+class _RK4Kernels:
+    """A system's RK4 kernels on lists of 2n floats, generated from the
+    fragments of its chart guard (None: no guard), spray and magnetic_acc,
+    or from that of one stage that no fragment generated (`_stage_call`),
+    each built on first use: `stage(y)` -> v ++ (a + Yv) at y = x ++ v,
+    which raises `DomainViolation` where the guard fails; `step(y, k1, half,
+    hh, sixth, put)`, the rest of a step after k1 = f(y), inline with the
+    operations of f and of the list expressions of the stages at
+    y + half k1, y + half k2 and y + hh k3 and of the node
+    y + sixth (k1 + 2.0 k2 + 2.0 k3 + k4), in their order, ignoring put;
+    and `record`, that step handing put the floats (x, v, vdot) of each
+    stage."""
 
+    def __init__(self, n: int, *closures):
+        roles = _ROLES if len(closures) == 3 else ("stage",)
+        self._bind = _binder(n, *(() if fn is None else _fragment(fn, role)
+                                  for fn, role in zip(closures, roles)))
 
-def _rk4_step(stage, n: int, put=None) -> Callable:
-    """`step(y, k1, half, hh, sixth)`, the rest of an RK4 step of the stage
-    f on lists of 2n floats after k1 = f(y): the stages k2, k3, k4 at
-    y + half k1, y + half k2 and y + hh k3, then the next node
-    y + sixth (k1 + 2.0 k2 + 2.0 k3 + k4), inline with the floating-point
-    operations of those list expressions and of f, in their order.  Given
-    `put`, it hands put each stage's floats (y, k1, then y2, k2, ...).  It
-    is generated from the fragments of a stage that `_fused_stage` made,
-    otherwise from one piece that calls the stage."""
-    parts = _FRAGMENTS.get(stage) if isinstance(stage, FunctionType) else None
-    role, bound = ("step", ()) if put is None else ("record", (put,))
-    return _generated(role, n, parts or (((_stage_call, (stage,)),),), *bound)
+    stage = cached_property(lambda self: self._bind("stage"))
+    step = cached_property(lambda self: self._bind("step"))
+    record = cached_property(lambda self: self._bind("record"))
 
 
 class MetricField:
@@ -361,7 +353,7 @@ class MetricField:
     it may return the same lists at every call.  It multiplies
     state-dependent floats rather than raising them to a power: a product
     overflows to inf, where ** raises.  `flow` fuses it with the chart guard
-    and the form's magnetic_acc into one stage function (`_fused_stage`);
+    and the form's magnetic_acc into one stage function (`_RK4Kernels`);
     the built-in models generate it from a fragment of index-level code.
     """
 

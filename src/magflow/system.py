@@ -51,6 +51,7 @@ class MagneticSystem:
         self.metric = metric
         self.sigma = sigma
         self.vertical_field = vertical_field
+        self._kernels = None        # (key, RK4 kernels) of `flow._kernels`
 
     @property
     def dim(self) -> int:

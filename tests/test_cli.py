@@ -450,6 +450,13 @@ def _numbers(path):
                   "params": {"direction": [1.0, 1.0]}},
                  {"params": {"direction": [1e200, 1e200]}},
                  "conjugate_scan.csv", id="conjugate-scan-1e200"),
+    pytest.param("conjugate-scan",
+                 {"manifold": {"name": "poincare_disk"},
+                  "magnetic": {"name": "zero"},
+                  "initial": {"x": [0.1, 0.0], "v": [1.0, 0.0]},
+                  "params": {"direction": [1.0, 1.0]}},
+                 {"params": {"direction": [1e308, 1e308]}},
+                 "conjugate_scan.csv", id="conjugate-scan-1e308"),
 ])
 def test_scaled_vector_gives_the_unscaled_payload(tmp_path, command,
                                                   overrides, scaled, name):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 from operator import mul
 
 import numpy as np
@@ -16,10 +17,10 @@ from magflow import (ChartSpec, FrameState, IntegratorConfig, MagneticSystem,
 from magflow.diagnostics import sasaki_frame_matrix
 from magflow.errors import (DomainExit, DomainViolation, NonpositiveSpeed,
                             StepLimitExceeded)
-from magflow.flow import (_BLOCK_STEPS, _generator_jacobians, _rk4_path,
-                          _stage, generator, generator_jacobian,
+from magflow.flow import (_BLOCK_STEPS, _generator_jacobians, _kernels,
+                          _rk4_path, generator, generator_jacobian,
                           variational_segments)
-from magflow.geometry import PointGeometry, _kernel, _rk4_step, dchristoffel
+from magflow.geometry import PointGeometry, _kernel, dchristoffel
 
 from conftest import (MODEL_NAMES, conformal_system, counted_system,
                       kernel_floats, outcome, strength, system, unit)
@@ -534,18 +535,18 @@ def test_generated_stage_matches_the_closure_stage(case, s, data):
     ref = _reference_system(gen, name, form, float(b), s)
     gen = gen.rescale(s)
     n = gen.dim
-    fused = _stage(gen)
+    fused = _kernels(gen).stage
     # generated, as is the stage of the reference's own closures, which
     # calls each of them
     assert fused.__code__.co_filename == "<string>"
-    assert _stage(ref).__code__.co_filename == "<string>"
+    assert _kernels(ref).stage.__code__.co_filename == "<string>"
     guard = ref.chart.domain_guard
     x = _points(data, name, n)
     v, a, d = (data.draw(st.lists(kernel_floats, min_size=n, max_size=n))
                for _ in range(3))
     expected = outcome(_composed_stage(ref), x + v)
     assert outcome(fused, x + v) == expected
-    assert outcome(_stage(ref), x + v) == expected
+    assert outcome(_kernels(ref).stage, x + v) == expected
     assert (gen.chart.domain_guard is None if guard is None
             else gen.chart.domain_guard(x) is guard(x))
     assert outcome(lambda *u: sum(gen.metric.spray(*u), []), x, v) == outcome(
@@ -574,13 +575,15 @@ def _axpy(y, c, k):
 
 def _reference_step(f, y, k1, half, hh, sixth, put):
     """The rest of an RK4 step as the driver once composed it from the stage
-    f and list expressions, handing `put` each stage (y, k) once taken."""
-    put(y + k1)
+    f and list expressions, handing `put` each stage's point and
+    acceleration (x, v, vdot) once taken."""
+    n = len(y) // 2
+    put(y + k1[n:])
     ks = [k1]
     for c in (half, half, hh):
         point = _axpy(y, c, ks[-1])
         ks.append(f(point))
-        put(point + ks[-1])
+        put(point + ks[-1][n:])
     return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, *ks)]
 
@@ -590,11 +593,11 @@ def _reference_step(f, y, k1, half, hh, sixth, put):
        data=st.data())
 def test_generated_step_matches_the_reference_step(case, s, data):
     # every built-in model x form pair, on the model and rescaled: the
-    # generated step, and its recording form with the floats it hands over
-    # up to an exit, give the bits (or the error) of the stages and list
-    # expressions they replaced, at floats of any size, signed zeros and
-    # points just outside the guard; so does the step of the system of
-    # hand-written closures, which calls them
+    # builder's step, and its recording step with the floats (x, v, vdot)
+    # it hands over up to an exit, give the bits (or the error) of the
+    # stages and list expressions they replaced, at floats of any size,
+    # signed zeros and points just outside the guard; so do the steps of
+    # the system of hand-written closures, which call them
     (name, params), form = case
     b = data.draw(kernel_floats)
     gen = system(name, form, params, **strength(form, b))
@@ -610,9 +613,9 @@ def test_generated_step_matches_the_reference_step(case, s, data):
     expected = outcome(_reference_step, _composed_stage(ref), *args,
                        want.extend)
     for sys in (gen, ref):
-        got = []
-        assert outcome(_rk4_step(_stage(sys), n), *args) == expected
-        assert outcome(_rk4_step(_stage(sys), n, got.extend), *args) == expected
+        got, kernels = [], _kernels(sys)
+        assert outcome(kernels.step, *args, None) == expected
+        assert outcome(kernels.record, *args, got.extend) == expected
         assert outcome(list, got) == outcome(list, want)
 
 
@@ -631,12 +634,13 @@ def test_exit_at_each_stage_matches_the_reference(case, stage):
     cfg = IntegratorConfig(step=1e-2)
     flat = []
     _rk4_path(free, st, 0.1, cfg, record=flat.extend)
-    wall = np.reshape(flat, (10, 4, 2, 2 * n))[5, stage - 1, 0, :n].tolist()
+    wall = np.reshape(flat, (10, 4, 3, n))[5, stage - 1, 0].tolist()
     chart = ChartSpec(dim=n, domain_guard=lambda x: x != wall)
     sys = MagneticSystem(chart, free.metric, free.sigma,
                          vertical_field=free.vertical_field)
     _, path, exited = _rk4_path(sys, st, 0.1, cfg)
-    ref, ref_exited = _array_rk4(sys, _stage(sys), st.x, st.v, 0.1, cfg.step)
+    ref, ref_exited = _array_rk4(sys, _kernels(sys).stage, st.x, st.v, 0.1,
+                                 cfg.step)
     assert exited and ref_exited
     assert len(path) == (5 if stage == 1 else 6)
     assert np.array_equal(path, ref)
@@ -646,9 +650,9 @@ def test_exit_at_each_stage_matches_the_reference(case, stage):
                                   "round_sphere3-constant",
                                   "custom-vertical-field"])
 def test_recorded_stages_are_the_flattened_stage_tuples(case):
-    # the driver hands over the floats of each step's stage tuples
-    # (y1, k1, ..., y4, k4) in order, as the reference step takes them, one
-    # block of `_BLOCK_STEPS` steps at a time and the rest after the loop
+    # the driver hands over the floats (x, v, vdot) of each step's stages
+    # in order, 3n a stage, as the reference step takes them, one block of
+    # `_BLOCK_STEPS` steps at a time and the rest after the loop
     sys = _VARIATIONAL_CASES[case]()
     n = sys.dim
     x = np.full(n, np.pi / 2 - 0.2) if "sphere" in case else np.full(n, 0.1)
@@ -659,9 +663,9 @@ def test_recorded_stages_are_the_flattened_stage_tuples(case):
     blocks = []
     times, path, _ = _rk4_path(sys, st, nsteps * cfg.step, cfg,
                                record=lambda flat: blocks.append(list(flat)))
-    assert [len(b) for b in blocks] == [16 * n * k for k in
+    assert [len(b) for b in blocks] == [12 * n * k for k in
                                         (_BLOCK_STEPS, _BLOCK_STEPS, 5)]
-    f, hh, want = _stage(sys), times[1], []
+    f, hh, want = _kernels(sys).stage, times[1], []
     for y, node in zip(path.tolist(), path[1:].tolist()):
         assert _reference_step(f, y, f(y), 0.5 * hh, hh, hh / 6.0,
                                want.extend) == node
@@ -681,14 +685,45 @@ def test_a_closure_list_of_another_length_raises_value_error():
 def test_area_form_stages_share_one_code_object():
     # the stage code is compiled once per fragment set and dimension; a
     # system with another strength b binds its own value to the same code
-    _stage(system("poincare_disk", "area_form", b=0.5))
+    _kernels(system("poincare_disk", "area_form", b=0.5))
     before = _kernel.cache_info().currsize
     y = [0.1, 0.2, 0.3, 0.4]
-    stages = [_stage(system("poincare_disk", "area_form", b=b))
+    stages = [_kernels(system("poincare_disk", "area_form", b=b)).stage
               for b in np.linspace(-2.0, 2.0, 50)]
     assert _kernel.cache_info().currsize == before
     assert len({f.__code__ for f in stages}) == 1
     assert len({f(y)[3] for f in stages}) == 50
+
+
+def test_replacing_a_closure_rebuilds_the_kernels():
+    # a system keeps its kernels across orbits, until its spray or its
+    # vertical field is replaced: with the spray withheld between two orbits
+    # the stage is the `PointGeometry` one, whose orbit is that of the same
+    # model built without its spray; with the spray back, the orbit is the
+    # first one again, bit for bit; with the Lorentz force given as a custom
+    # vertical field, the stage is the `PointGeometry` one again
+    sys, generic = (system("poincare_disk", "area_form", b=1.3) for _ in "ab")
+    spray, generic.metric.spray = sys.metric.spray, None
+    x = np.array([0.1, -0.2])
+    st = PhaseState(x=x, v=unit(sys.metric, x, [0.3, 0.5]))
+    cfg = IntegratorConfig(step=1e-2)
+    first, kernels = integrate(sys, st, 1.0, cfg), _kernels(sys)
+    assert integrate(sys, st, 1.0, cfg).states.tobytes() == \
+        first.states.tobytes()
+    assert _kernels(sys) is kernels
+    sys.metric.spray = None
+    withheld = integrate(sys, st, 1.0, cfg)
+    assert _kernels(sys) is not kernels
+    assert withheld.states.tobytes() == integrate(generic, st, 1.0,
+                                                  cfg).states.tobytes()
+    assert withheld.states.tobytes() != first.states.tobytes()
+    sys.metric.spray = spray
+    assert integrate(sys, st, 1.0, cfg).states.tobytes() == \
+        first.states.tobytes()
+    sys.vertical_field = lambda x, v: sys.lorentz(x) @ v
+    custom = integrate(sys, st, 1.0, cfg)
+    assert custom.states.tobytes() != first.states.tobytes()
+    assert np.abs(custom.states - first.states).max() <= 1e-12
 
 
 def test_exit_at_a_block_boundary():
@@ -764,7 +799,7 @@ def test_rk4_driver_matches_array_rk4(case):
     v = (1.0 if escaping else 0.5) * unit(sys.metric, x, np.linspace(0.3, -0.4, n))
     cfg = IntegratorConfig(step=1e-2)
     T = 10.0 if escaping else 1.23
-    stage = _stage(sys)
+    stage = _kernels(sys).stage
     times, path, exited = _rk4_path(sys, PhaseState(x=x, v=v), T, cfg)
     ref, ref_exited = _array_rk4(sys, stage, x, v, T, cfg.step)
     assert exited == ref_exited == escaping
@@ -1082,12 +1117,21 @@ def _twisted_omega(sys, z):
     return omega
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
-@given(case=st.sampled_from(["disk-area_form", "sphere3-constant",
-                             "conformal"]),
-       unit_point=st.lists(st.floats(0.2, 0.8), min_size=3, max_size=3),
+_SYMPLECTIC_CASES = {
+    **{f"{name}-{form}": partial(system, name, form) for name, form in _PAIRS},
+    "round_sphere3-constant": partial(system, "round_sphere", "constant",
+                                      {"dim": 3}),
+    "rescaled-disk-area_form": lambda **b: system(
+        "poincare_disk", "area_form", **b).rescale(1.7),
+    "conformal": lambda **b: conformal_system(),
+}
+
+
+@pytest.mark.parametrize("case", _SYMPLECTIC_CASES)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(unit_point=st.lists(st.floats(0.2, 0.8), min_size=3, max_size=3),
        v=st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
-           lambda u: max(map(abs, u)) > 0.1),
+           lambda u: max(map(abs, u[:2])) > 0.1),
        b=st.floats(1.2, 2.0))
 def test_flows_preserve_the_twisted_symplectic_form(case, unit_point, v, b):
     # a magnetic flow preserves omega_sigma, on any metric and closed form,
@@ -1095,12 +1139,16 @@ def test_flows_preserve_the_twisted_symplectic_form(case, unit_point, v, b):
     # `variational_flow`'s J, RK4 breaks it by O(T h^4): halving h shrinks
     # the defect about 16-fold.  That J reads the stage accelerations, whose
     # terms cancel from the identity, so the flow map's own Jacobian, by
-    # central differences of `integrate`, checks the stage values too.  An
-    # orbit that leaves the chart before T = 1 is not checked
-    sys = {"disk-area_form": lambda: system("poincare_disk", "area_form", b=b),
-           "sphere3-constant": lambda: system("round_sphere", "constant",
-                                              {"dim": 3}, b=b),
-           "conformal": conformal_system}[case]()
+    # central differences of `integrate`, checks the stage values too.  It
+    # is taken at the finer step, where the RK4 defect of the map it
+    # differentiates is below 1.5e-6 / 16 by the checks before it (at the
+    # coarser step that defect alone reaches 1.9e-7 near the sphere chart's
+    # pole, above this check's bound of 1e-7).  The cases are every
+    # built-in model x form pair, the 3-sphere, a rescaled system and the
+    # conformal metric.  An orbit that leaves the chart before T = 1 is not
+    # checked
+    form = case.rsplit("-", 1)[-1]
+    sys = _SYMPLECTIC_CASES[case](**strength(form, b))
     n = sys.dim
     lo, hi = sys.chart.sample_bounds or (-np.ones(n), np.ones(n))
     x = lo + (hi - lo) * np.array(unit_point[:n])
@@ -1123,13 +1171,13 @@ def test_flows_preserve_the_twisted_symplectic_form(case, unit_point, v, b):
     linear = [defect(J, np.concatenate([end.x, end.v])) for J, end in flows]
     assert linear[0] <= 1e-6, linear
     assert linear[1] <= 1.5 * linear[0] / 16, linear
-    cfg = IntegratorConfig(step=1e-2)
+    cfg = IntegratorConfig(step=5e-3)
     plus, minus = ([integrate(sys, state(z0 + e), 1.0, cfg)
                     for e in sign * 1e-5 * np.eye(2 * n)] for sign in (1, -1))
     assume(not any(traj.exited for traj in plus + minus))
     J = np.array([p.states[-1] - m.states[-1]
                   for p, m in zip(plus, minus)]).T / 2e-5
-    J_var, end = flows[0]
+    J_var, end = flows[1]
     assert defect(J, np.concatenate([end.x, end.v])) <= 1e-7
     assert np.abs(J - J_var).max() <= 1e-5 * np.abs(J).max()
 

@@ -290,21 +290,26 @@ def test_only_the_float_kernel_factory_generates_code():
 
 
 def test_import_builds_no_float_kernel():
-    # the generated closures, stages and RK4 steps are built with a system
-    # or its orbits, never at import: after the import the kernel cache is
-    # empty, and a system's first orbit compiles its stage and its step,
-    # its first linear flow the recording step
+    # the generated closures and RK4 kernels are built with a system or on
+    # its first orbits, never at import: after the import no kernel has been
+    # asked of the `_kernel` factory.  A system's first orbit builds its
+    # stage and its step, its first linear flow the recording step, and its
+    # second orbit and flow build (compile or bind) nothing; the kernels are
+    # kept on the system, and `_FRAGMENTS` keeps none of them
     code = ("import numpy as np, magflow as m, magflow.cli; "
             "from magflow.geometry import _FRAGMENTS, _kernel; "
-            "size = lambda: _kernel.cache_info().currsize; "
-            "print(size(), len(_FRAGMENTS)); "
+            "calls = lambda: sum(_kernel.cache_info()[:2]); "
+            "print(calls(), len(_FRAGMENTS)); "
             "c, g = m.make_manifold('poincare_disk'); "
             "s = m.MagneticSystem(c, g, m.make_form('area_form', 2, g, c)); "
             "st = m.PhaseState(x=np.zeros(2), v=np.array([0.5, 0.0])); "
-            "built = size(); m.integrate(s, st, 0.1); print(size() - built); "
-            "m.variational_flow(s, st, 0.1); print(size() - built)")
+            "built, kept = calls(), len(_FRAGMENTS); "
+            "m.integrate(s, st, 0.1); print(calls() - built); "
+            "m.variational_flow(s, st, 0.1); print(calls() - built); "
+            "m.integrate(s, st, 0.1); m.variational_flow(s, st, 0.1); "
+            "print(calls() - built, len(_FRAGMENTS) - kept)")
     out = run_python(["-c", code], check=True)
-    assert out.stdout.split() == ["0", "0", "2", "3"]
+    assert out.stdout.split() == ["0", "0", "2", "3", "3", "0"]
 
 
 def test_no_module_imports_scipy():
